@@ -52,7 +52,6 @@ from dualsynth.engine import (
     SetTriple,
     Verdict,
     classify,
-    lift_controller,
     run,
     simulate,
 )
@@ -71,5 +70,5 @@ __all__ = [
     "check_lasso", "convert_to_gr1", "parse_formula", "solve_game",
     "strategy_invariance_check",
     "ContinuousController", "EngineOptions", "SetTriple", "Verdict",
-    "classify", "lift_controller", "run", "simulate",
+    "classify", "run", "simulate",
 ]

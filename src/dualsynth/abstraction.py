@@ -158,7 +158,7 @@ class AbstractionPair:
 
 
 def build_initial(forest: PartitionForest, sys: ControlSystem,
-                  env: EnvAlphabet, threads: int = 1) -> AbstractionPair:
+                  env: EnvAlphabet) -> AbstractionPair:
     """Reachability analysis over every ordered pair of initial leaves."""
     if forest.iteration != 0:
         raise AbstractionError("build_initial expects an unrefined partition")
@@ -167,7 +167,7 @@ def build_initial(forest: PartitionForest, sys: ControlSystem,
     pess = {r: [] for r in regions}
     opt = {r: [] for r in regions}
     pairs = [(a, b) for a in regions for b in regions]
-    for a, b, p, o in _run_queries(forest, sys, pairs, stats, threads):
+    for a, b, p, o in _run_queries(forest, sys, pairs, stats):
         if p:
             pess[a].append(b)
         if o:
@@ -183,26 +183,25 @@ def build_initial(forest: PartitionForest, sys: ControlSystem,
     return pair
 
 
-def _run_queries(forest, sys, pairs, stats, threads):
-    def work(ab):
-        a, b = ab
-        p = reach_pessimistic(forest.box(a), forest.box(b), sys)
-        o = p or reach_optimistic(forest.box(a), forest.box(b), sys)
-        return a, b, p, o
+def _run_queries(forest, sys, pairs, stats):
+    """Decide every (source, target) pair, in the order given.
 
+    ``geometry`` keeps the last source's view, so ``pairs`` should list
+    each source's targets together.
+    """
     stats.issued_pess += len(pairs)
     stats.issued_opt += len(pairs)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, pairs))
-    return [work(ab) for ab in pairs]
+    out = []
+    for a, b in pairs:
+        X, Y = forest.box(a), forest.box(b)
+        p = reach_pessimistic(X, Y, sys)
+        out.append((a, b, p, p or reach_optimistic(X, Y, sys)))
+    return out
 
 
 def refine(pair: AbstractionPair, forest_next: PartitionForest,
            winning: set[RegionId], losing: set[RegionId],
-           maybe: set[RegionId], sys: ControlSystem,
-           threads: int = 1) -> AbstractionPair:
+           maybe: set[RegionId], sys: ControlSystem) -> AbstractionPair:
     """Next-iteration FTS pair from the three-way classification.
 
     Pessimistic edges: copies of the old pessimistic relation between
@@ -240,10 +239,9 @@ def refine(pair: AbstractionPair, forest_next: PartitionForest,
             opt[w_children[a]].append(w_children[b])
 
     # MW and MM rows need fresh reachability queries
-    w_targets = sorted(w_children.values())
-    pairs = [(c, t) for c in m_children for t in w_targets]
-    pairs += [(c, d) for c in m_children for d in m_children]
-    for a, b, p, o in _run_queries(forest_next, sys, pairs, stats, threads):
+    targets = sorted(w_children.values()) + m_children
+    pairs = [(c, t) for c in m_children for t in targets]
+    for a, b, p, o in _run_queries(forest_next, sys, pairs, stats):
         if p:
             pess[a].append(b)
         if o:

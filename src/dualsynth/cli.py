@@ -289,7 +289,6 @@ def cmd_synthesize(args) -> int:
         else opts["max_iters"],
         min_cell=Fraction(str(args.min_cell if args.min_cell is not None
                               else opts["min_cell"])),
-        threads=args.threads,
         rebuild_check=args.rebuild_check)
     spec = convert_to_gr1(problem.raw_spec)
     verdict = run(problem.sys, problem.env, spec, engine_opts)
@@ -430,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="children per split (default 2^n)")
     p_syn.add_argument("--max-iters", type=int, default=None)
     p_syn.add_argument("--min-cell", type=float, default=None)
-    p_syn.add_argument("--threads", type=int, default=1)
     p_syn.add_argument("--rebuild-check", action="store_true",
                        help="re-solve each iteration from scratch and "
                             "verify warm-start equivalence")

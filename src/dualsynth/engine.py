@@ -62,7 +62,6 @@ class EngineOptions:
     m: int | None = None          # default: 2^n children per split
     max_iters: int = 20
     min_cell: Fraction = Fraction(1, 1000)
-    threads: int = 1
     rebuild_check: bool = False
 
 
@@ -200,7 +199,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
     if m < 1:
         raise EngineError("split arity must be positive")
     forest = initial_partition(sys)
-    pair = build_initial(forest, sys, env, threads=opts.threads)
+    pair = build_initial(forest, sys, env)
     verdict = Verdict(outcome="unknown", iterations=0)
     seeds_w: frozenset = frozenset()
     seeds_l: frozenset = frozenset()
@@ -264,7 +263,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             stats.wall_time = time.perf_counter() - t0
             return verdict
         pair = refine(pair, forest, set(triple.winning), set(triple.losing),
-                      set(triple.maybe), sys, threads=opts.threads)
+                      set(triple.maybe), sys)
         seeds_w = frozenset(forest.nodes[r].children[0]
                             for r in triple.winning)
         seeds_l = frozenset(forest.nodes[r].children[0]
@@ -383,11 +382,3 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
         region = target
         s = s_next
     return Execution(records)
-
-
-def lift_controller(strategy: StrategyAutomaton, forest: PartitionForest,
-                    sys: ControlSystem, env: EnvAlphabet,
-                    spec: Gr1Spec) -> ContinuousController:
-    """Package a discrete strategy as a continuous controller."""
-    return ContinuousController(sys=sys, env=env, spec=spec, forest=forest,
-                                strategy=strategy)

@@ -16,9 +16,23 @@ s' = A s + B u, u constrained to a box U:
 * ``reach_optimistic``: some point of X has some admissible input landing
   in Y.  A single joint feasibility problem in (x, u).
 
-Cheap exact shortcuts (diagonal dynamics, interval hulls, witness probes)
-resolve the vast majority of queries; the dense simplex only runs on
-genuinely coupled near-boundary instances.
+Both relations are decided from a per-source view (``_SourceView``),
+computed once per source box X and system: the image hull of X, with
+diagonal B each vertex's input window ``A v + B U``, and the shifts
+``A v`` and ``A c`` the probes start from.  Every interval in it is
+already clipped to the domain D, since Y ∩ D meets W exactly when Y meets
+D ∩ W; a target is clipped only when a probe or the LP needs it.  The
+abstraction asks its queries source-major and the view of the last source
+is kept, so a source's view is built once for all its targets.
+
+The exact shortcuts, in the order they run:
+
+* pessimistic, diagonal B: Y meets the window every vertex reaches;
+* optimistic: a target missing the image hull is unreachable; with
+  diagonal A and B the hull is the image, so meeting it suffices; with
+  diagonal B a vertex whose window meets Y is a witness;
+* otherwise a witness probe (per vertex, or from the centre of X), and
+  the dense simplex only for what the probes leave open.
 """
 
 from __future__ import annotations
@@ -485,51 +499,137 @@ def reach_exists_from_point(x: Sequence[Fraction], Y: Box,
     return _input_feasible(sys, mat_vec(sys.A, x), target)
 
 
+class _SourceView:
+    """What the reach relations need of one source box X under one system.
+
+    Everything here depends on X and the system only, so it is computed
+    once per source and every target Y is then decided by exact
+    comparisons.  Intervals already carry the domain clip: Y meets
+    ``D ∩ W`` exactly when ``Y ∩ D`` meets W, so no target is clipped
+    unless a probe or the LP runs.
+
+    * ``hull``: the exact interval hull of the image ``A X + B U``
+      intersected with the domain, as a box; empty when it misses the
+      domain (then no target is reachable).
+    * ``windows`` (diagonal B only): per vertex v, the box
+      ``(A v + B U) ∩ D``; vertices whose window misses the domain are
+      left out.
+    * ``common`` (diagonal B only): per axis, the max of the vertex
+      windows' lows and the min of their highs, as ``(lows, highs)``.
+      Y meets every vertex window on an axis exactly when the lows' max
+      is at most Y's high and the highs' min at least Y's low, so this
+      pair may be inverted.  None when some vertex's window misses the
+      domain (then no target is reachable from every point).
+    * ``shifts``: ``A v`` per vertex, where the pessimistic probes start
+      when B is not diagonal; ``centre_shift``: ``A c`` for the centre c,
+      where the optimistic probe starts.
+    """
+
+    __slots__ = ("diag_A", "diag_B", "hull", "windows", "common", "shifts",
+                 "centre_shift")
+
+    def __init__(self, X: Box, sys: ControlSystem):
+        D, U = sys.domain, sys.input_set
+        self.diag_A = is_diagonal(sys.A)
+        self.diag_B = is_diagonal(sys.B)
+        image = [_axis_image(row_A, row_B, X, U)
+                 for row_A, row_B in zip(sys.A, sys.B)]
+        self.hull = Box(tuple(lo for lo, _ in image),
+                        tuple(hi for _, hi in image)).intersect(D)
+        self.shifts = [mat_vec(sys.A, v) for v in X.vertices()]
+        self.centre_shift = mat_vec(sys.A, X.center())
+        self.windows = []
+        self.common = None
+        if not self.diag_B:
+            return
+        # per axis, the interval B_ii * U_i
+        inputs = [sorted((sys.B[i][i] * ul, sys.B[i][i] * uh))
+                  for i, (ul, uh) in enumerate(zip(U.lower, U.upper))]
+        windows = [Box(tuple(s + lo for s, (lo, _) in zip(shift, inputs)),
+                       tuple(s + hi for s, (_, hi) in zip(shift, inputs))
+                       ).intersect(D)
+                   for shift in self.shifts]
+        self.windows = [w for w in windows if not w.empty]
+        if len(self.windows) == len(windows):
+            self.common = ([max(axis) for axis in zip(*(w.lower for w in windows))],
+                           [min(axis) for axis in zip(*(w.upper for w in windows))])
+
+
+# One-entry memo: the view of the last source queried.  Callers issue
+# their queries source-major, so consecutive queries share it.  The key is
+# the identity of X and of the system (both immutable, and kept alive by
+# the entry itself); hashing Fraction tuples per query would cost about
+# what the memo saves.  Key and view are read and written as one tuple,
+# so a key is never paired with another source's view.
+_last_view: tuple = (None, None, None)
+
+
+def _source_view(X: Box, sys: ControlSystem) -> _SourceView:
+    global _last_view
+    last_X, last_sys, view = _last_view
+    if last_X is X and last_sys is sys:
+        return view
+    view = _SourceView(X, sys)
+    _last_view = (X, sys, view)
+    return view
+
+
+def _meets(lows: Sequence[Fraction], highs: Sequence[Fraction], Y: Box) -> bool:
+    """On every axis, ``lo <= Y's high`` and ``hi >= Y's low``.
+
+    For a nonempty interval that says it meets Y's; for the inverted
+    ``common`` pair, that Y meets every vertex window.
+    """
+    for lo, hi, yl, yh in zip(lows, highs, Y.lower, Y.upper):
+        if hi < yl or lo > yh:
+            return False
+    return True
+
+
 def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     """Every point of X admits an input landing in Y (within the domain).
 
     Vertex reduction: the set of x that can reach Y is convex, so it
-    contains X iff it contains all of X's vertices.
+    contains X iff it contains all of X's vertices.  With diagonal B each
+    vertex reaches a box window, and the answer is whether Y meets the
+    window common to all vertices on every axis (see ``_SourceView``);
+    otherwise ``_input_feasible`` decides each vertex from its shift.
     """
     if X.empty:
         raise GeometryError("pessimistic reach from an empty region is undefined")
+    if Y.empty:
+        return False
+    view = _source_view(X, sys)
+    if view.diag_B:
+        return view.common is not None and _meets(*view.common, Y)
     target = Y.intersect(sys.domain)
     if target.empty:
         return False
-    if sys.is_diagonal():
-        # per-axis: for all x in [lo,hi], window a*x + [B u] must meet target
-        for i in range(sys.n):
-            a, b = sys.A[i][i], sys.B[i][i]
-            blo = b * (sys.input_set.lower[i] if b >= 0 else sys.input_set.upper[i])
-            bhi = b * (sys.input_set.upper[i] if b >= 0 else sys.input_set.lower[i])
-            img_at = lambda x: (a * x + blo, a * x + bhi)
-            for x in (X.lower[i], X.upper[i]):
-                wlo, whi = img_at(x)
-                if whi < target.lower[i] or wlo > target.upper[i]:
-                    return False
-        return True
-    return all(reach_exists_from_point(v, target, sys) for v in X.vertices())
+    return all(_input_feasible(sys, shift, target) for shift in view.shifts)
 
 
 def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
-    """Some point of X admits an input landing in Y (within the domain)."""
+    """Some point of X admits an input landing in Y (within the domain).
+
+    Exact shortcuts first, in this order: a target missing the image hull
+    is unreachable; with diagonal A and B the hull is the image itself, so
+    meeting it suffices; with diagonal B a vertex whose input window meets
+    Y is a witness.  Then the centre of X is probed, and the joint LP in
+    (x, u) decides what is left.
+    """
     if X.empty or Y.empty:
         raise GeometryError("optimistic reach needs nonempty regions")
-    target = Y.intersect(sys.domain)
-    if target.empty:
+    view = _source_view(X, sys)
+    if view.hull.empty or not _meets(view.hull.lower, view.hull.upper, Y):
         return False
-    # exact interval hull of the image: sound emptiness prescreen in
-    # general, and the full answer when A and B are diagonal (the image
-    # is then itself a box)
-    for i in range(sys.n):
-        lo, hi = _axis_image(sys.A[i], sys.B[i], X, sys.input_set)
-        if hi < target.lower[i] or lo > target.upper[i]:
-            return False
-    if sys.is_diagonal():
+    if view.diag_A and view.diag_B:
         return True
-    # witness probe from the source center
-    center = X.center()
-    if reach_exists_from_point(center, target, sys):
+    for window in view.windows:
+        if _meets(window.lower, window.upper, Y):
+            return True
+    target = Y.intersect(sys.domain)
+    # witness probe from the source centre
+    if _input_feasible(sys, view.centre_shift, target):
         return True
     # joint LP in (x, u), both shifted to nonnegative bounded variables
     widths = list(X.widths()) + list(sys.input_set.widths())

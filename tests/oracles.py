@@ -78,6 +78,43 @@ def interval_reach(sys, X, Y):
     return pess, opt
 
 
+def planar_input_reach(sys, X, Y):
+    """Exact verdicts for 2-D systems with diagonal B and any A (Fraction).
+
+    With diagonal B the inputs reach the box Z = (Y ∩ D) - B U from the
+    origin, so x reaches Y exactly when A x lies in Z.  Pessimistic: every
+    vertex of X maps into Z.  Optimistic: the parallelogram A X meets Z,
+    decided by separating axes (the box's two normals and the normal of
+    every pair of image vertices, a superset of the parallelogram's edges).
+    """
+    assert sys.n == 2 and all(sys.B[i][j] == 0 for i in range(2)
+                              for j in range(2) if i != j)
+    target = Y.intersect(sys.domain)
+    if target.empty:
+        return False, False
+    z_lo, z_hi = [], []
+    for i in range(2):
+        b, ul, uh = sys.B[i][i], sys.input_set.lower[i], sys.input_set.upper[i]
+        b_lo, b_hi = min(b * ul, b * uh), max(b * ul, b * uh)
+        z_lo.append(target.lower[i] - b_hi)
+        z_hi.append(target.upper[i] - b_lo)
+    images = [tuple(sum(a * x for a, x in zip(row, v)) for row in sys.A)
+              for v in product(*zip(X.lower, X.upper))]
+    pess = all(z_lo[i] <= p[i] <= z_hi[i] for p in images for i in range(2))
+    corners = list(product(*zip(z_lo, z_hi)))
+    axes = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    axes += [(p[1] - q[1], q[0] - p[0]) for p in images for q in images
+             if p != q]
+    opt = True
+    for n in axes:
+        proj_a = [n[0] * p[0] + n[1] * p[1] for p in images]
+        proj_z = [n[0] * c[0] + n[1] * c[1] for c in corners]
+        if max(proj_a) < min(proj_z) or max(proj_z) < min(proj_a):
+            opt = False
+            break
+    return pess, opt
+
+
 # ---------------------------------------------------------------------------
 # game oracle: exhaustive goal-indexed strategy enumeration + lasso check
 # ---------------------------------------------------------------------------

@@ -113,13 +113,6 @@ class TestBuildInitial:
         n_region_edges = sum(len(v) for v in pair.pess_edges.values())
         assert len(data["pess_edges"]) == 4 * n_region_edges
 
-    def test_threads_give_identical_result(self):
-        sys = park_system()
-        forest = initial_partition(sys)
-        a = build_initial(forest, sys, no_env(), threads=1)
-        b = build_initial(forest, sys, no_env(), threads=4)
-        assert a.pess_edges == b.pess_edges and a.opt_edges == b.opt_edges
-
 
 class TestRefine:
     @staticmethod

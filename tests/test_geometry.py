@@ -16,7 +16,7 @@ from dualsynth.geometry import (
     reach_pessimistic,
 )
 
-from oracles import grid_reach, interval_reach
+from oracles import grid_reach, interval_reach, planar_input_reach
 
 
 def identity_system(dom=((0, 3), (0, 2)), u=1):
@@ -255,3 +255,101 @@ class TestInputWitness:
                             sum(b * w for b, w in zip(rowb, u))
                             for row, rowb in zip(sys.A, sys.B)]
                     assert target.contains(tuple(land))
+
+
+class TestSourceReuse:
+    """One source box queried against many targets, as the abstraction does.
+
+    The reach relations keep a view of the last source queried.  Each X
+    object here is queried against every target, interleaving two systems
+    that differ only in U, before any answer is checked; the targets lie
+    inside, across and beyond the domain boundary.  Every answer is then
+    checked against an oracle and against a fresh copy of X.
+    """
+
+    DOMAIN = [[-2, 2], [-2, 2]]
+
+    def system_pair(self, rng, coupled_A):
+        vals = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]
+        A = [[vals[int(rng.integers(4))], Fraction(0)],
+             [Fraction(0), vals[int(rng.integers(4))]]]
+        if coupled_A:
+            A[0][1] = Fraction(1, 4) * (1 if rng.random() < 0.5 else -1)
+            A[1][0] = Fraction(int(rng.integers(-2, 3)), 4)
+        B = [[vals[int(rng.integers(4))], Fraction(0)],
+             [Fraction(0), vals[int(rng.integers(4))]]]
+        return [ControlSystem.create(A=A, B=B, input_set=[[-u, u], [-u, u]],
+                                     domain=self.DOMAIN, initial_set=self.DOMAIN)
+                for u in (Fraction(1, 4), Fraction(3, 4))]
+
+    def answered(self, rng, coupled_A, sources, targets):
+        """(sys, X, Y, (pess, opt)), asked source-major with X reused."""
+        seen = {"inside": 0, "straddle": 0, "outside": 0}
+        domain = Box.from_bounds(self.DOMAIN)
+        out = []
+        for _ in range(sources):
+            systems = self.system_pair(rng, coupled_A)
+            X = random_box(rng, lo=-2, hi=2)
+            for _ in range(targets):
+                Y = random_box(rng)
+                if domain.contains_box(Y):
+                    seen["inside"] += 1
+                elif domain.intersect(Y).empty:
+                    seen["outside"] += 1
+                else:
+                    seen["straddle"] += 1
+                for sys in systems:
+                    out.append((sys, X, Y, self.answers(X, Y, sys)))
+        assert min(seen.values()) > 0, seen
+        return out
+
+    @staticmethod
+    def answers(X, Y, sys):
+        return reach_pessimistic(X, Y, sys), reach_optimistic(X, Y, sys)
+
+    def test_diagonal_systems_match_interval_oracle(self):
+        rng = np.random.default_rng(31)
+        for sys, X, Y, got in self.answered(rng, False, sources=30, targets=30):
+            assert got == interval_reach(sys, X, Y)
+            assert got == self.answers(Box(X.lower, X.upper), Y, sys)
+
+    def test_coupled_A_diagonal_B_matches_exact_and_witness_rules(self):
+        rng = np.random.default_rng(37)
+        for sys, X, Y, got in self.answered(rng, True, sources=30, targets=30):
+            assert got == planar_input_reach(sys, X, Y)
+            assert got == self.answers(Box(X.lower, X.upper), Y, sys)
+        for sys, X, Y, (p, o) in self.answered(rng, True, sources=8, targets=8):
+            if Y.intersect(sys.domain).volume() == 0:
+                continue  # a grid cannot sample a flat or empty target
+            grid_p, grid_o = grid_reach(sys, X, Y, kx=16, ku=16)
+            # a grid witness is a real witness; a real universal claim
+            # covers every grid point
+            assert o or not grid_o
+            assert grid_p or not p
+
+    def test_vertex_windows_apart_still_reach_pessimistically(self):
+        # axis 0: the vertices' input windows [-1/2, 1/2] and [3/2, 5/2]
+        # share no point, yet each meets Y
+        sys = identity_system(dom=((-1, 4), (-1, 4)), u=Fraction(1, 2))
+        X = Box.from_bounds([[0, 2], [0, 1]])
+        assert reach_pessimistic(X, Box.from_bounds([[0, 2], [0, 1]]), sys)
+        assert not reach_pessimistic(X, Box.from_bounds([[1, 2], [0, 1]]), sys)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_vertex_window_leaving_the_domain(self, side):
+        # A = 2I moves the vertex side*(2, 2) to side*(4, 4), out of reach
+        # of the domain [-3, 3]^2 with |u| <= 1/2: no target is reachable
+        # from every point of X, though some are from some point
+        sys = ControlSystem.create(
+            A=[[2, 0], [0, 2]], B=[[1, 0], [0, 1]],
+            input_set=[[-0.5, 0.5], [-0.5, 0.5]],
+            domain=[[-3, 3], [-3, 3]], initial_set=[[-3, 3], [-3, 3]])
+
+        def box(lo, hi):
+            return Box.from_bounds([sorted((side * lo, side * hi))] * 2)
+
+        X = box(1, 2)
+        for Y in (box(2, 3), sys.domain, box(3, 5), box(2, 5)):
+            assert not reach_pessimistic(X, Y, sys)
+            assert reach_optimistic(X, Y, sys)
+        assert not reach_optimistic(X, box(4, 5), sys)
