@@ -12,9 +12,6 @@ from dualsynth.geometry import (
     Box,
     ControlSystem,
     GeometryError,
-    LpProblem,
-    lp_feasibility_witness,
-    lp_feasible,
     reach_exists_from_point,
     reach_optimistic,
     reach_pessimistic,
@@ -59,8 +56,7 @@ from dualsynth.engine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box", "ControlSystem", "GeometryError", "LpProblem",
-    "lp_feasibility_witness", "lp_feasible",
+    "Box", "ControlSystem", "GeometryError",
     "reach_exists_from_point", "reach_optimistic", "reach_pessimistic",
     "PartitionForest", "Status", "advance_iteration", "initial_partition",
     "locate", "split",

@@ -21,6 +21,7 @@ from fractions import Fraction
 from dualsynth.abstraction import EnvAlphabet
 from dualsynth.engine import (
     ContinuousController,
+    EngineError,
     EngineOptions,
     Verdict,
     run,
@@ -154,8 +155,18 @@ def parse_problem(data: dict) -> ProblemFile:
             "expected a formula string or null")
 
     options = dict(_OPTION_DEFAULTS)
+    _expect(isinstance(data.get("options", {}), dict), "options",
+            "expected an object")
     for key, val in data.get("options", {}).items():
         _expect(key in _OPTION_DEFAULTS, f"options.{key}", "unknown option")
+        if key == "seed":
+            _expect(isinstance(val, int) and not isinstance(val, bool),
+                    "options.seed", f"expected an integer, got {val!r}")
+        else:
+            try:
+                EngineOptions(**{key: val})
+            except EngineError as exc:
+                raise ProblemError(f"options.{key}: {exc}") from exc
         options[key] = val
 
     try:
@@ -283,13 +294,17 @@ def cmd_synthesize(args) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
     opts = problem.options
-    engine_opts = EngineOptions(
-        m=args.m if args.m is not None else opts["m"],
-        max_iters=args.max_iters if args.max_iters is not None
-        else opts["max_iters"],
-        min_cell=Fraction(str(args.min_cell if args.min_cell is not None
-                              else opts["min_cell"])),
-        rebuild_check=args.rebuild_check)
+    try:
+        engine_opts = EngineOptions(
+            m=args.m if args.m is not None else opts["m"],
+            max_iters=args.max_iters if args.max_iters is not None
+            else opts["max_iters"],
+            min_cell=args.min_cell if args.min_cell is not None
+            else Fraction(str(opts["min_cell"])),
+            rebuild_check=args.rebuild_check)
+    except EngineError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_INPUT_ERROR
     spec = convert_to_gr1(problem.raw_spec)
     verdict = run(problem.sys, problem.env, spec, engine_opts)
     out_dir = args.out or (os.path.splitext(args.problem)[0] + ".out")
@@ -428,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--m", type=int, default=None,
                        help="children per split (default 2^n)")
     p_syn.add_argument("--max-iters", type=int, default=None)
-    p_syn.add_argument("--min-cell", type=float, default=None)
+    p_syn.add_argument("--min-cell", type=Fraction, default=None)
     p_syn.add_argument("--rebuild-check", action="store_true",
                        help="re-solve each iteration from scratch and "
                             "verify warm-start equivalence")

@@ -20,6 +20,7 @@ re-solves from scratch and checks both routes agree.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,12 +58,30 @@ class EngineError(ValueError):
     pass
 
 
+def _whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EngineOptions:
+    """Run budget and split arity; out-of-range values raise EngineError."""
     m: int | None = None          # default: 2^n children per split
     max_iters: int = 20
     min_cell: Fraction = Fraction(1, 1000)
     rebuild_check: bool = False
+
+    def __post_init__(self):
+        for name, ok, expected in (
+                ("m", self.m is None or _whole(self.m) and self.m >= 1,
+                 "null or an integer >= 1"),
+                ("max_iters", _whole(self.max_iters) and self.max_iters >= 0,
+                 "an integer >= 0"),
+                ("min_cell", isinstance(self.min_cell, (int, float, Fraction))
+                 and not isinstance(self.min_cell, bool)
+                 and 0 < self.min_cell < math.inf, "a finite number > 0")):
+            if not ok:
+                raise EngineError(f"{name} must be {expected}, "
+                                  f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +215,6 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         opts: EngineOptions = EngineOptions()) -> Verdict:
     """Decide realizability by iterative dual-abstraction refinement."""
     m = opts.m if opts.m is not None else 2 ** sys.n
-    if m < 1:
-        raise EngineError("split arity must be positive")
     forest = initial_partition(sys)
     pair = build_initial(forest, sys, env)
     verdict = Verdict(outcome="unknown", iterations=0)

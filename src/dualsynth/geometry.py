@@ -1,4 +1,4 @@
-"""Box geometry and exact LP feasibility for one-step reachability.
+"""Box geometry and exact one-step reachability.
 
 Everything in this module is decided in exact rational arithmetic
 (`fractions.Fraction`).  Reachability booleans feed the game solver, and a
@@ -16,6 +16,22 @@ s' = A s + B u, u constrained to a box U:
 * ``reach_optimistic``: some point of X has some admissible input landing
   in Y.  A single joint feasibility problem in (x, u).
 
+Every question is answered by one of two exact kernels:
+
+* ``_input_toward(sys, shift, target)``, the input kernel: an input u in
+  U with ``shift + B u`` in the target, aimed at the middle, or None.  Its
+  branches run in this order: with diagonal B, each axis on its own;
+  otherwise the row hull of B U as a prescreen, the midpoint probe
+  (square invertible B), then the box LP.  The row hull depends on the
+  system alone and is computed once per system
+  (``ControlSystem.input_hull``).  The kernel decides the pessimistic
+  vertex and optimistic centre probes, ``reach_exists_from_point`` and
+  the controller's ``input_witness``.
+* ``_box_lp(M, box, lo, hi)``: a point z of the box with
+  ``lo <= M z <= hi``, by an exact phase-1 simplex.  It is the input
+  kernel's last resort and, over X × U with M = [A | B], the joint LP of
+  ``reach_optimistic``.
+
 Both relations are decided from a per-source view (``_SourceView``),
 computed once per source box X and system: the image hull of X, with
 diagonal B each vertex's input window ``A v + B U``, and the shifts
@@ -31,13 +47,14 @@ The exact shortcuts, in the order they run:
 * optimistic: a target missing the image hull is unreachable; with
   diagonal A and B the hull is the image, so meeting it suffices; with
   diagonal B a vertex whose window meets Y is a witness;
-* otherwise a witness probe (per vertex, or from the centre of X), and
-  the dense simplex only for what the probes leave open.
+* otherwise the input kernel (per vertex, or from the centre of X), and
+  the joint box LP only for what the centre probe leaves open.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
@@ -250,6 +267,15 @@ class ControlSystem:
     def is_diagonal(self) -> bool:
         return is_diagonal(self.A) and is_diagonal(self.B)
 
+    @cached_property
+    def diagonal_B(self) -> bool:
+        return is_diagonal(self.B)
+
+    @cached_property
+    def input_hull(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Per row i, the exact range ``(lo, hi)`` of ``B_i . u`` over U."""
+        return tuple(_row_range(row, self.input_set) for row in self.B)
+
     def proposition(self, name: str) -> Box:
         for pname, box in self.proposition_regions:
             if pname == name:
@@ -258,51 +284,21 @@ class ControlSystem:
 
 
 # ---------------------------------------------------------------------------
-# LP feasibility
+# Exact LP over a box
 # ---------------------------------------------------------------------------
 
-LEQ = "<="
-EQ = "="
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """Pure feasibility problem: does {z : constraints} have a point?
-
-    Constraints are ``(row, relation, rhs)`` with relation ``<=`` or ``=``
-    and ``row`` of length ``variables``.
-    """
-
-    variables: int
-    constraints: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-
-    @staticmethod
-    def create(variables: int, constraints) -> "LpProblem":
-        rows = []
-        for row, rel, rhs in constraints:
-            coeffs = tuple(to_fraction(c) for c in row)
-            if len(coeffs) != variables:
-                raise GeometryError(
-                    f"constraint row has {len(coeffs)} coefficients, "
-                    f"expected {variables}")
-            if rel not in (LEQ, EQ):
-                raise GeometryError(f"unknown relation {rel!r}")
-            rows.append((coeffs, rel, to_fraction(rhs)))
-        return LpProblem(variables, tuple(rows))
-
-
 def _phase1_feasible(rows: list[tuple[list[Fraction], Fraction]],
-                     nvars: int) -> tuple[bool, list[Fraction] | None]:
+                     nvars: int) -> list[Fraction] | None:
     """Exact phase-1 simplex for {w >= 0 : row . w <= rhs for all rows}.
 
-    Returns (feasible, witness).  Bland's rule, so no cycling; all
+    Returns a feasible w, or None.  Bland's rule, so no cycling; all
     arithmetic is rational.
     """
     nrows = len(rows)
-    if nrows == 0:
-        return True, [Fraction(0)] * nvars
     # Tableau columns: w (nvars) | slacks (nrows) | artificials (on demand) | rhs
     art_rows = [r for r, (_, rhs) in enumerate(rows) if rhs < 0]
+    if not art_rows:
+        return [Fraction(0)] * nvars
     nart = len(art_rows)
     ncols = nvars + nrows + nart
     tab = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
@@ -321,9 +317,6 @@ def _phase1_feasible(rows: list[tuple[list[Fraction], Fraction]],
             basis[r] = art_index[r]
         else:
             basis[r] = nvars + r
-    if nart == 0:
-        witness = [Fraction(0)] * nvars
-        return True, witness
     # objective: minimize sum of artificials; reduced costs of z = -sum(art rows)
     obj = [Fraction(0)] * (ncols + 1)
     for r in art_rows:
@@ -361,105 +354,45 @@ def _phase1_feasible(rows: list[tuple[list[Fraction], Fraction]],
             obj = [v - f * p for v, p in zip(obj, tab[leave])]
         basis[leave] = enter
     if -obj[ncols] != 0:  # optimum of sum(artificials)
-        return False, None
+        return None
     witness = [Fraction(0)] * nvars
     for r, b in enumerate(basis):
         if b < nvars:
             witness[b] = tab[r][ncols]
-    return True, witness
+    return witness
 
 
-def lp_feasible(problem: LpProblem) -> bool:
-    """Decide whether the constraint polyhedron is nonempty, exactly."""
-    return lp_feasibility_witness(problem) is not None
+def _box_lp(M: Sequence[Sequence[Fraction]], box: Box, lo: Sequence[Fraction],
+            hi: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """A point z of ``box`` with ``lo <= M z <= hi`` row by row, or None.
 
-
-def lp_feasibility_witness(problem: LpProblem) -> list[Fraction] | None:
-    """A feasible point of the polyhedron, or None when it is empty.
-
-    Free variables are split into positive/negative parts before the
-    phase-1 simplex.
+    Solved in w = z - box.lower, so ``0 <= w <= widths`` and each row i
+    gives ``M_i w <= hi_i - M_i box.lower`` and its mirror.
     """
-    if not isinstance(problem, LpProblem):
-        raise GeometryError("lp_feasible expects an LpProblem")
-    k = problem.variables
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for coeffs, rel, rhs in problem.constraints:
-        split = [c for c in coeffs for c in (c, -c)]
-        rows.append((split, rhs))
-        if rel == EQ:
-            rows.append(([-c for c in split], -rhs))
-    ok, w = _phase1_feasible(rows, 2 * k)
-    if not ok:
+    widths = box.widths()
+    k = len(widths)
+    rows = [([Fraction(int(j == i)) for j in range(k)], widths[i])
+            for i in range(k)]
+    for row, base, l, h in zip(M, mat_vec(M, box.lower), lo, hi):
+        rows.append((list(row), h - base))
+        rows.append(([-c for c in row], base - l))
+    w = _phase1_feasible(rows, k)
+    if w is None:
         return None
-    return [w[2 * j] - w[2 * j + 1] for j in range(k)]
-
-
-def _bounded_feasible(widths: list[Fraction],
-                      rows: list[tuple[list[Fraction], Fraction]]
-                      ) -> tuple[bool, list[Fraction] | None]:
-    """Feasibility of {0 <= w <= widths : row . w <= rhs}."""
-    all_rows = [([Fraction(1) if j == i else Fraction(0) for j in range(len(widths))],
-                 widths[i]) for i in range(len(widths))]
-    all_rows.extend(rows)
-    return _phase1_feasible(all_rows, len(widths))
+    return tuple(l + v for l, v in zip(box.lower, w))
 
 
 # ---------------------------------------------------------------------------
 # Reachability relations
 # ---------------------------------------------------------------------------
 
-def _axis_image(row_A: Sequence[Fraction], row_B: Sequence[Fraction],
-                X: Box, U: Box) -> tuple[Fraction, Fraction]:
-    """Exact interval hull of {A_i . x + B_i . u : x in X, u in U}."""
+def _row_range(row: Sequence[Fraction], box: Box) -> tuple[Fraction, Fraction]:
+    """Exact range of ``row . z`` over z in box."""
     lo = hi = Fraction(0)
-    for a, xl, xh in zip(row_A, X.lower, X.upper):
-        lo += a * (xl if a >= 0 else xh)
-        hi += a * (xh if a >= 0 else xl)
-    for b, ul, uh in zip(row_B, U.lower, U.upper):
-        lo += b * (ul if b >= 0 else uh)
-        hi += b * (uh if b >= 0 else ul)
+    for c, zl, zh in zip(row, box.lower, box.upper):
+        lo += c * (zl if c >= 0 else zh)
+        hi += c * (zh if c >= 0 else zl)
     return lo, hi
-
-
-def _input_feasible(sys: ControlSystem, shift: Sequence[Fraction],
-                    target: Box) -> bool:
-    """Exists u in U with  shift + B u  in target."""
-    U = sys.input_set
-    lo = [c - s for c, s in zip(target.lower, shift)]
-    hi = [d - s for d, s in zip(target.upper, shift)]
-    if is_diagonal(sys.B):
-        for i in range(sys.n):
-            b = sys.B[i][i]
-            blo = b * (U.lower[i] if b >= 0 else U.upper[i])
-            bhi = b * (U.upper[i] if b >= 0 else U.lower[i])
-            if bhi < lo[i] or blo > hi[i]:
-                return False
-        return True
-    # interval-hull prescreen per row (necessary condition)
-    for i in range(sys.n):
-        blo = bhi = Fraction(0)
-        for b, ul, uh in zip(sys.B[i], U.lower, U.upper):
-            blo += b * (ul if b >= 0 else uh)
-            bhi += b * (uh if b >= 0 else ul)
-        if bhi < lo[i] or blo > hi[i]:
-            return False
-    # witness probe: aim B u at the target midpoint (square invertible B only)
-    probe = _solve_square(sys.B, [(a + b) / 2 for a, b in zip(lo, hi)])
-    if probe is not None:
-        u = _clamp(probe, U)
-        img = mat_vec(sys.B, u)
-        if all(l <= v <= h for l, v, h in zip(lo, img, hi)):
-            return True
-    # exact LP in w = u - U.lower, 0 <= w <= width(U), lo <= B(w + U.lower) <= hi
-    widths = list(U.widths())
-    base = mat_vec(sys.B, U.lower)
-    rows = []
-    for i in range(sys.n):
-        rows.append((list(sys.B[i]), hi[i] - base[i]))
-        rows.append(([-c for c in sys.B[i]], base[i] - lo[i]))
-    ok, _ = _bounded_feasible(widths, rows)
-    return ok
 
 
 def _clamp(vec: Sequence[Fraction], box: Box) -> tuple[Fraction, ...]:
@@ -487,16 +420,91 @@ def _solve_square(mat: Matrix, rhs: Sequence[Fraction]) -> list[Fraction] | None
     return [aug[r][n] for r in range(n)]
 
 
+_COARSE_GRID = 1 << 20
+
+
+def _coarse_pick(lo: Fraction, hi: Fraction) -> Fraction:
+    """A point of [lo, hi] with a small denominator when the width allows.
+
+    Long exact simulations would otherwise double denominators at every
+    midpoint halving; snapping to a 2^-20 grid keeps state arithmetic
+    bounded without ever leaving the feasible interval.
+    """
+    mid = (lo + hi) / 2
+    if mid.denominator <= _COARSE_GRID:
+        return mid
+    snapped = Fraction(round(mid * _COARSE_GRID), _COARSE_GRID)
+    if lo <= snapped <= hi:
+        return snapped
+    return mid
+
+
+def _input_toward(sys: ControlSystem, shift: Sequence[Fraction],
+                  target: Box) -> tuple[Fraction, ...] | None:
+    """An input u in U with ``shift + B u`` in target, or None if none exists.
+
+    ``target`` is already clipped to the domain.  The input aims at the
+    middle of the landing set and is snapped to the 2^-20 grid when that
+    stays feasible.  With diagonal B each axis is decided on its own;
+    otherwise a target missing the row hull of B U is unreachable, the
+    midpoint probe (square invertible B) is tried, and the box LP decides
+    what is left.
+    """
+    U = sys.input_set
+    lo = [c - s for c, s in zip(target.lower, shift)]
+    hi = [d - s for d, s in zip(target.upper, shift)]
+    if sys.diagonal_B:
+        u = []
+        for i in range(sys.n):
+            b = sys.B[i][i]
+            if b == 0:
+                if lo[i] > 0 or hi[i] < 0:
+                    return None
+                u.append(U.lower[i])
+                continue
+            cand_lo, cand_hi = sorted((lo[i] / b, hi[i] / b))
+            wlo, whi = max(cand_lo, U.lower[i]), min(cand_hi, U.upper[i])
+            if wlo > whi:
+                return None
+            u.append(_coarse_pick(wlo, whi))
+        return tuple(u)
+    for (blo, bhi), l, h in zip(sys.input_hull, lo, hi):
+        if bhi < l or blo > h:
+            return None
+
+    def lands(u):
+        return all(l <= v <= h for l, v, h in zip(lo, mat_vec(sys.B, u), hi))
+
+    probe = _solve_square(sys.B, [(a + b) / 2 for a, b in zip(lo, hi)])
+    u = _clamp(probe, U) if probe is not None else None
+    if u is None or not lands(u):
+        u = _box_lp(sys.B, U, lo, hi)
+        if u is None:
+            return None
+    if all(v.denominator <= _COARSE_GRID for v in u):
+        return u
+    snapped = _clamp([Fraction(round(v * _COARSE_GRID), _COARSE_GRID)
+                      for v in u], U)
+    return snapped if lands(snapped) else u
+
+
+def input_witness(sys: ControlSystem, x: Sequence[Fraction],
+                  target: Box) -> tuple[Fraction, ...] | None:
+    """A concrete u in U with A x + B u in target, aimed at the middle.
+
+    Used when lifting discrete strategies to continuous inputs; the
+    midpoint aim keeps landings away from shared faces whenever the
+    feasible landing set has positive width.
+    """
+    shift = mat_vec(sys.A, [to_fraction(v) for v in x])
+    tgt = target.intersect(sys.domain)
+    return None if tgt.empty else _input_toward(sys, shift, tgt)
+
+
 def reach_exists_from_point(x: Sequence[Fraction], Y: Box,
                             sys: ControlSystem) -> bool:
     """Exists u in U with A x + B u in Y (Y clipped to the domain)."""
-    x = tuple(to_fraction(v) for v in x)
-    if len(x) != sys.n:
-        raise GeometryError("point dimension mismatch")
-    target = Y.intersect(sys.domain)
-    if target.empty:
-        return False
-    return _input_feasible(sys, mat_vec(sys.A, x), target)
+    return input_witness(sys, x, Y) is not None
 
 
 class _SourceView:
@@ -529,22 +537,23 @@ class _SourceView:
                  "centre_shift")
 
     def __init__(self, X: Box, sys: ControlSystem):
-        D, U = sys.domain, sys.input_set
+        D = sys.domain
         self.diag_A = is_diagonal(sys.A)
-        self.diag_B = is_diagonal(sys.B)
-        image = [_axis_image(row_A, row_B, X, U)
-                 for row_A, row_B in zip(sys.A, sys.B)]
-        self.hull = Box(tuple(lo for lo, _ in image),
-                        tuple(hi for _, hi in image)).intersect(D)
+        self.diag_B = sys.diagonal_B
+        lows, highs = [], []
+        for row, (blo, bhi) in zip(sys.A, sys.input_hull):
+            alo, ahi = _row_range(row, X)
+            lows.append(alo + blo)
+            highs.append(ahi + bhi)
+        self.hull = Box(tuple(lows), tuple(highs)).intersect(D)
         self.shifts = [mat_vec(sys.A, v) for v in X.vertices()]
         self.centre_shift = mat_vec(sys.A, X.center())
         self.windows = []
         self.common = None
         if not self.diag_B:
             return
-        # per axis, the interval B_ii * U_i
-        inputs = [sorted((sys.B[i][i] * ul, sys.B[i][i] * uh))
-                  for i, (ul, uh) in enumerate(zip(U.lower, U.upper))]
+        # with diagonal B, row i of the hull of B U is the interval B_ii U_i
+        inputs = sys.input_hull
         windows = [Box(tuple(s + lo for s, (lo, _) in zip(shift, inputs)),
                        tuple(s + hi for s, (_, hi) in zip(shift, inputs))
                        ).intersect(D)
@@ -593,7 +602,8 @@ def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     contains X iff it contains all of X's vertices.  With diagonal B each
     vertex reaches a box window, and the answer is whether Y meets the
     window common to all vertices on every axis (see ``_SourceView``);
-    otherwise ``_input_feasible`` decides each vertex from its shift.
+    otherwise the input kernel ``_input_toward`` decides each vertex from
+    its shift.
     """
     if X.empty:
         raise GeometryError("pessimistic reach from an empty region is undefined")
@@ -605,7 +615,8 @@ def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     target = Y.intersect(sys.domain)
     if target.empty:
         return False
-    return all(_input_feasible(sys, shift, target) for shift in view.shifts)
+    return all(_input_toward(sys, shift, target) is not None
+               for shift in view.shifts)
 
 
 def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
@@ -614,8 +625,8 @@ def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     Exact shortcuts first, in this order: a target missing the image hull
     is unreachable; with diagonal A and B the hull is the image itself, so
     meeting it suffices; with diagonal B a vertex whose input window meets
-    Y is a witness.  Then the centre of X is probed, and the joint LP in
-    (x, u) decides what is left.
+    Y is a witness.  Then the input kernel probes from the centre of X,
+    and the box LP in (x, u) over X × U decides what is left.
     """
     if X.empty or Y.empty:
         raise GeometryError("optimistic reach needs nonempty regions")
@@ -628,95 +639,8 @@ def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
         if _meets(window.lower, window.upper, Y):
             return True
     target = Y.intersect(sys.domain)
-    # witness probe from the source centre
-    if _input_feasible(sys, view.centre_shift, target):
+    if _input_toward(sys, view.centre_shift, target) is not None:
         return True
-    # joint LP in (x, u), both shifted to nonnegative bounded variables
-    widths = list(X.widths()) + list(sys.input_set.widths())
-    base = tuple(a + b for a, b in zip(mat_vec(sys.A, X.lower),
-                                       mat_vec(sys.B, sys.input_set.lower)))
-    rows = []
-    for i in range(sys.n):
-        coeffs = list(sys.A[i]) + list(sys.B[i])
-        rows.append((coeffs, target.upper[i] - base[i]))
-        rows.append(([-c for c in coeffs], base[i] - target.lower[i]))
-    ok, _ = _bounded_feasible(widths, rows)
-    return ok
-
-
-_COARSE_GRID = 1 << 20
-
-
-def _coarse_pick(lo: Fraction, hi: Fraction) -> Fraction:
-    """A point of [lo, hi] with a small denominator when the width allows.
-
-    Long exact simulations would otherwise double denominators at every
-    midpoint halving; snapping to a 2^-20 grid keeps state arithmetic
-    bounded without ever leaving the feasible interval.
-    """
-    mid = (lo + hi) / 2
-    if mid.denominator <= _COARSE_GRID:
-        return mid
-    snapped = Fraction(round(mid * _COARSE_GRID), _COARSE_GRID)
-    if lo <= snapped <= hi:
-        return snapped
-    return mid
-
-
-def input_witness(sys: ControlSystem, x: Sequence[Fraction],
-                  target: Box) -> tuple[Fraction, ...] | None:
-    """A concrete u in U with A x + B u in target, aimed at the middle.
-
-    Used when lifting discrete strategies to continuous inputs; the
-    midpoint aim keeps landings away from shared faces whenever the
-    feasible landing set has positive width.
-    """
-    x = tuple(to_fraction(v) for v in x)
-    tgt = target.intersect(sys.domain)
-    if tgt.empty:
-        return None
-    shift = mat_vec(sys.A, x)
-    U = sys.input_set
-    if is_diagonal(sys.B):
-        u = []
-        for i in range(sys.n):
-            b = sys.B[i][i]
-            lo, hi = tgt.lower[i] - shift[i], tgt.upper[i] - shift[i]
-            if b == 0:
-                if lo > 0 or hi < 0:
-                    return None
-                u.append(U.lower[i])
-                continue
-            cand_lo, cand_hi = sorted((lo / b, hi / b))
-            wlo, whi = max(cand_lo, U.lower[i]), min(cand_hi, U.upper[i])
-            if wlo > whi:
-                return None
-            u.append(_coarse_pick(wlo, whi))
-        return tuple(u)
-    def _feasible(u):
-        img = [s + v for s, v in zip(shift, mat_vec(sys.B, u))]
-        return all(l <= v <= h for l, v, h in zip(tgt.lower, img, tgt.upper))
-
-    def _maybe_coarsen(u):
-        if all(v.denominator <= _COARSE_GRID for v in u):
-            return u
-        snapped = _clamp([Fraction(round(v * _COARSE_GRID), _COARSE_GRID)
-                          for v in u], U)
-        return snapped if _feasible(snapped) else u
-
-    mid = [(a + b) / 2 for a, b in zip(tgt.lower, tgt.upper)]
-    probe = _solve_square(sys.B, [m - s for m, s in zip(mid, shift)])
-    if probe is not None:
-        u = _clamp(probe, U)
-        if _feasible(u):
-            return _maybe_coarsen(u)
-    widths = list(U.widths())
-    base = mat_vec(sys.B, U.lower)
-    rows = []
-    for i in range(sys.n):
-        rows.append((list(sys.B[i]), tgt.upper[i] - shift[i] - base[i]))
-        rows.append(([-c for c in sys.B[i]], base[i] - (tgt.lower[i] - shift[i])))
-    ok, w = _bounded_feasible(widths, rows)
-    if not ok:
-        return None
-    return _maybe_coarsen(tuple(l + v for l, v in zip(U.lower, w)))
+    XU = Box(X.lower + sys.input_set.lower, X.upper + sys.input_set.upper)
+    AB = [row_A + row_B for row_A, row_B in zip(sys.A, sys.B)]
+    return _box_lp(AB, XU, target.lower, target.upper) is not None

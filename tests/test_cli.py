@@ -116,6 +116,61 @@ class TestSynthesizeCommand:
         assert code == EXIT_UNREALIZABLE
 
 
+BAD_OPTIONS = [
+    ("m", 0), ("m", -2), ("m", 1.5), ("m", True), ("m", "4"),
+    ("max_iters", -1), ("max_iters", 1.5), ("max_iters", "3"),
+    ("max_iters", None), ("max_iters", False),
+    ("min_cell", 0), ("min_cell", -1), ("min_cell", "abc"),
+    ("min_cell", True), ("min_cell", None),
+    ("min_cell", float("inf")), ("min_cell", float("nan")),
+    ("seed", 1.5), ("seed", "0"), ("seed", True), ("seed", None),
+]
+
+
+class TestOptionValidation:
+    @staticmethod
+    def with_option(tmp_path, key, value):
+        data = json.loads(open(bundled("invariant.json")).read())
+        data["options"] = {key: value}
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("key, value", BAD_OPTIONS)
+    def test_bad_option_is_input_error_with_path(self, key, value, tmp_path):
+        path = self.with_option(tmp_path, key, value)
+        with pytest.raises(ProblemError, match=rf"^options\.{key}: "):
+            load_problem(path)
+        assert main(["synthesize", path, "--out",
+                     str(tmp_path / "run")]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", None), ("m", 1), ("max_iters", 0), ("min_cell", 0.5),
+        ("min_cell", 2), ("seed", -3)])
+    def test_valid_option_accepted(self, key, value, tmp_path):
+        assert load_problem(self.with_option(tmp_path, key, value)
+                            ).options[key] == value
+
+    def test_options_must_be_an_object(self, tmp_path):
+        data = json.loads(open(bundled("invariant.json")).read())
+        data["options"] = [1]
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ProblemError, match=r"^options: "):
+            load_problem(str(path))
+
+    @pytest.mark.parametrize("flag", [
+        ["--m", "0"], ["--max-iters", "-1"], ["--min-cell", "0"],
+        ["--min-cell", "-1"]])
+    def test_out_of_range_flag_is_input_error(self, flag, invariant_path,
+                                              tmp_path, capsys):
+        code = main(["synthesize", invariant_path, *flag,
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_INPUT_ERROR
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestSimulateCommand:
     @pytest.fixture
     def park_run(self, park_path, tmp_path):

@@ -252,6 +252,25 @@ class TestBudgets:
         assert verdict.outcome == "unknown"
 
 
+class TestOptionRanges:
+    @pytest.mark.parametrize("key, value", [
+        ("m", 0), ("m", 1.5), ("m", True), ("max_iters", -1),
+        ("max_iters", 1.5), ("max_iters", "3"), ("max_iters", True),
+        ("min_cell", 0), ("min_cell", Fraction(-1, 8)), ("min_cell", "abc"),
+        ("min_cell", True), ("min_cell", float("inf")),
+        ("min_cell", float("nan"))])
+    def test_out_of_range_option_raises(self, key, value):
+        with pytest.raises(EngineError, match=rf"^{key} must be"):
+            run(*invariant_problem(), EngineOptions(**{key: value}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", None), ("m", 1), ("max_iters", 0), ("min_cell", 1),
+        ("min_cell", 0.25), ("min_cell", Fraction(1, 8))])
+    def test_boundary_values_run(self, key, value):
+        verdict = run(*invariant_problem(), EngineOptions(**{key: value}))
+        assert verdict.outcome == "unrealizable"
+
+
 class TestWarmStartEquivalence:
     def test_rebuild_check_passes_on_examples(self):
         for sys, env, spec, opts in (

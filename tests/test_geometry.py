@@ -7,10 +7,8 @@ from dualsynth.geometry import (
     Box,
     ControlSystem,
     GeometryError,
-    LpProblem,
+    _box_lp,
     input_witness,
-    lp_feasibility_witness,
-    lp_feasible,
     reach_exists_from_point,
     reach_optimistic,
     reach_pessimistic,
@@ -38,6 +36,56 @@ def random_system(rng, diag_only=False):
     dom = [[-4, 4], [-4, 4]]
     return ControlSystem.create(A=A, B=B, input_set=[[-u, u], [-u, u]],
                                 domain=dom, initial_set=dom)
+
+
+LP_ONLY_SHAPES = ("m=1", "m=3", "singular")
+
+
+def lp_only_system(rng, shape):
+    """A 2-D system whose input decisions all fall to the box LP.
+
+    B is 2x1, 2x3 or a singular 2x2 matrix, so it is neither diagonal nor
+    square invertible and neither the per-axis path nor the midpoint
+    probe applies.
+    """
+    vals = [Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4)]
+
+    def pick():
+        return vals[int(rng.integers(len(vals)))]
+
+    A = [[pick(), Fraction(1, 4)], [Fraction(0), pick()]]
+    if shape == "m=1":
+        B = [[pick()], [pick()]]
+    elif shape == "m=3":
+        B = [[pick(), pick(), Fraction(0)], [Fraction(0), pick(), pick()]]
+    else:
+        row = [pick(), pick()]
+        B = [row, [v / 2 for v in row]]
+    u = Fraction(int(rng.integers(2, 9)), 4)
+    dom = [[-4, 4], [-4, 4]]
+    return ControlSystem.create(A=A, B=B, input_set=[[-u, u]] * len(B[0]),
+                                domain=dom, initial_set=dom)
+
+
+def lp_only_systems(seed, count):
+    """``count`` LP-only systems of each shape, from their own generator."""
+    rng = np.random.default_rng(seed)
+    for shape in LP_ONLY_SHAPES:
+        for _ in range(count):
+            yield rng, lp_only_system(rng, shape)
+
+
+def random_point(rng, box):
+    pt = [Fraction(float(rng.uniform(float(lo), float(hi)))).limit_denominator(10**6)
+          for lo, hi in zip(box.lower, box.upper)]
+    return [min(max(v, lo), hi) for v, lo, hi in zip(pt, box.lower, box.upper)]
+
+
+def shrunk(box):
+    """The middle half of ``box`` on every axis."""
+    quarter = [(lo + (hi - lo) / 4, hi - (hi - lo) / 4)
+               for lo, hi in zip(box.lower, box.upper)]
+    return Box(tuple(a for a, _ in quarter), tuple(b for _, b in quarter))
 
 
 def random_box(rng, lo=-4, hi=4, min_w=0.25):
@@ -79,48 +127,39 @@ class TestBox:
 
 class TestLpFeasible:
     def test_contradictory_bounds(self):
-        p = LpProblem.create(1, [((1,), "<=", 1), ((-1,), "<=", -2)])
-        assert lp_feasible(p) is False
+        # x in [0, 5] with 2 <= x <= 1
+        assert _box_lp(((1,),), Box.from_bounds([[0, 5]]), (2,), (1,)) is None
+        # x in [0, 1] with 2 <= x <= 3
+        assert _box_lp(((1,),), Box.from_bounds([[0, 1]]), (2,), (3,)) is None
 
     def test_satisfiable_bounds(self):
-        p = LpProblem.create(1, [((1,), "<=", 1), ((-1,), "<=", 0)])
-        w = lp_feasibility_witness(p)
-        assert lp_feasible(p) and 0 <= w[0] <= 1
-
-    def test_dimension_mismatch_is_hard_error(self):
-        with pytest.raises(GeometryError):
-            LpProblem.create(2, [((1,), "<=", 1)])
-
-    def test_equality_rows(self):
-        p = LpProblem.create(2, [((1, 1), "=", 2), ((1, -1), "=", 0),
-                                 ((1, 0), "<=", 1)])
-        w = lp_feasibility_witness(p)
-        assert w == [Fraction(1), Fraction(1)]
-        p2 = LpProblem.create(2, [((1, 1), "=", 2), ((1, 0), "<=", 0),
-                                  ((0, 1), "<=", 0)])
-        assert lp_feasible(p2) is False
+        z = _box_lp(((1,),), Box.from_bounds([[-5, 5]]), (0,), (1,))
+        assert z is not None and 0 <= z[0] <= 1
 
     def test_matches_interval_intersection_oracle(self):
-        # random conjunctions of interval constraints on 2 variables
+        # random conjunctions of interval constraints on 2 variables: the
+        # first interval of each variable is the box, the second a row
         rng = np.random.default_rng(7)
+        identity = ((1, 0), (0, 1))
         for _ in range(1000):
-            bounds = []
-            rows = []
+            box, lo, hi = [], [], []
             feasible = True
             for var in range(2):
                 a = Fraction(int(rng.integers(-8, 8)), 2)
                 b = Fraction(int(rng.integers(-8, 8)), 2)
                 c = Fraction(int(rng.integers(-8, 8)), 2)
                 d = Fraction(int(rng.integers(-8, 8)), 2)
-                lo, hi = max(min(a, b), min(c, d)), min(max(a, b), max(c, d))
-                feasible = feasible and lo <= hi
-                row_pos = [0, 0]; row_pos[var] = 1
-                row_neg = [0, 0]; row_neg[var] = -1
-                rows += [(tuple(row_pos), "<=", max(a, b)),
-                         (tuple(row_neg), "<=", -min(a, b)),
-                         (tuple(row_pos), "<=", max(c, d)),
-                         (tuple(row_neg), "<=", -min(c, d))]
-            assert lp_feasible(LpProblem.create(2, rows)) == feasible
+                feasible = feasible and (max(min(a, b), min(c, d))
+                                         <= min(max(a, b), max(c, d)))
+                box.append([min(a, b), max(a, b)])
+                lo.append(min(c, d))
+                hi.append(max(c, d))
+            box = Box.from_bounds(box)
+            z = _box_lp(identity, box, lo, hi)
+            assert (z is not None) == feasible
+            if z is not None:
+                assert box.contains(z)
+                assert all(l <= v <= h for l, v, h in zip(lo, z, hi))
 
 
 class TestReachFromPoint:
@@ -138,7 +177,7 @@ class TestReachFromPoint:
         y = Box.from_bounds([[1.5, 2], [1.5, 2]])
         assert reach_exists_from_point((2.5, 2.5), y, sys)
         y2 = Box.from_bounds([[1.5, 2], [1.5, 2]])
-        assert not reach_exists_from_point((3.0000001, 3), y2, sys) or True
+        assert not reach_exists_from_point((3.0000001, 3), y2, sys)
         # strictly beyond the step radius fails
         assert not reach_exists_from_point(
             (Fraction(301, 100), 3), Box.from_bounds([[0, 2], [0, 2]]), sys)
@@ -177,6 +216,10 @@ class TestReachRelations:
             x, y = random_box(rng), random_box(rng)
             if reach_pessimistic(x, y, sys):
                 assert reach_optimistic(x, y, sys)
+        for rng, sys in lp_only_systems(41, 300):
+            x, y = random_box(rng), random_box(rng)
+            if reach_pessimistic(x, y, sys):
+                assert reach_optimistic(x, y, sys)
 
     def test_pessimistic_implies_pointwise(self):
         rng = np.random.default_rng(13)
@@ -188,20 +231,30 @@ class TestReachRelations:
                 continue
             hits += 1
             for _ in range(100):
-                pt = [Fraction(float(rng.uniform(float(lo), float(hi)))).limit_denominator(10**6)
-                      for lo, hi in zip(x.lower, x.upper)]
-                pt = [min(max(v, lo), hi) for v, lo, hi in zip(pt, x.lower, x.upper)]
-                assert reach_exists_from_point(pt, y, sys)
+                assert reach_exists_from_point(random_point(rng, x), y, sys)
+        shapes_hit = set()
+        for rng, sys in lp_only_systems(43, 400):
+            x, y = random_box(rng), random_box(rng)
+            if not reach_pessimistic(x, y, sys):
+                continue
+            shapes_hit.add(sys.m)
+            for _ in range(20):
+                assert reach_exists_from_point(random_point(rng, x), y, sys)
+        assert shapes_hit == {1, 2, 3}  # every shape reached some target
 
     def test_monotonicity_in_source(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
             sys = random_system(rng)
             x, y = random_box(rng), random_box(rng)
-            # shrink x toward its center
-            quarter = [(lo + (hi - lo) / 4, hi - (hi - lo) / 4)
-                       for lo, hi in zip(x.lower, x.upper)]
-            xs = Box(tuple(a for a, _ in quarter), tuple(b for _, b in quarter))
+            xs = shrunk(x)
+            if reach_pessimistic(x, y, sys):
+                assert reach_pessimistic(xs, y, sys)
+            if reach_optimistic(xs, y, sys):
+                assert reach_optimistic(x, y, sys)
+        for rng, sys in lp_only_systems(47, 100):
+            x, y = random_box(rng), random_box(rng)
+            xs = shrunk(x)
             if reach_pessimistic(x, y, sys):
                 assert reach_pessimistic(xs, y, sys)
             if reach_optimistic(xs, y, sys):
@@ -234,6 +287,39 @@ class TestReachRelations:
                 assert not grid_o
             if not grid_p:
                 assert not p
+        # B not diagonal and not square invertible: only the sound rule
+        # that a grid witness is a real witness
+        for rng, sys in lp_only_systems(53, 40):
+            x, y = random_box(rng), random_box(rng)
+            if grid_reach(sys, x, y, kx=12, ku=12)[1]:
+                assert reach_optimistic(x, y, sys)
+
+
+def lands_in(sys, pt, u, target):
+    land = [sum(a * v for a, v in zip(row, pt)) +
+            sum(b * w for b, w in zip(rowb, u))
+            for row, rowb in zip(sys.A, sys.B)]
+    return target.contains(tuple(land))
+
+
+def point_reach_oracle(sys, pt, y):
+    """Exists u in U with A pt + B u in Y ∩ D, from ``tests/oracles.py``.
+
+    Diagonal systems: the interval oracle on the point box [pt, pt].
+    Otherwise the planar oracle on the auxiliary system A := B, B := 0,
+    U := {0}, from source U into T = (Y ∩ D) - A pt: the parallelogram
+    B U meets T exactly when some input lands.
+    """
+    if sys.is_diagonal():
+        return interval_reach(sys, Box(tuple(pt), tuple(pt)), y)[1]
+    target = y.intersect(sys.domain)
+    shift = [sum(a * v for a, v in zip(row, pt)) for row in sys.A]
+    T = Box(tuple(c - s for c, s in zip(target.lower, shift)),
+            tuple(d - s for d, s in zip(target.upper, shift)))
+    zero = [[0, 0], [0, 0]]
+    aux = ControlSystem.create(A=sys.B, B=zero, input_set=zero,
+                               domain=T, initial_set=T)
+    return planar_input_reach(aux, sys.input_set, T)[1]
 
 
 class TestInputWitness:
@@ -247,14 +333,41 @@ class TestInputWitness:
                 continue
             for pt in (x.center(), x.lower, x.upper):
                 u = input_witness(sys, pt, y)
-                expect = reach_exists_from_point(pt, y, sys)
-                assert (u is not None) == expect
+                assert (u is not None) == point_reach_oracle(sys, pt, y)
                 if u is not None:
                     assert sys.input_set.contains(u)
-                    land = [sum(a * v for a, v in zip(row, pt)) +
-                            sum(b * w for b, w in zip(rowb, u))
-                            for row, rowb in zip(sys.A, sys.B)]
-                    assert target.contains(tuple(land))
+                    assert lands_in(sys, pt, u, target)
+        # B not diagonal and not square invertible: a grid witness is a
+        # real witness, and every returned input lands in the target
+        for rng, sys in lp_only_systems(59, 60):
+            x, y = random_box(rng), random_box(rng)
+            target = y.intersect(sys.domain)
+            for pt in (x.center(), x.lower, x.upper):
+                u = input_witness(sys, pt, y)
+                if grid_reach(sys, Box(pt, pt), y, kx=1, ku=16)[1]:
+                    assert u is not None
+                if u is not None:
+                    assert sys.input_set.contains(u)
+                    assert lands_in(sys, pt, u, target)
+
+
+    @pytest.mark.parametrize("B", [[[1, 0], [0, 1]], [[1, 0.25], [0, 1]]])
+    def test_snapping_never_leaves_the_target(self, B):
+        # the middle of these targets has denominators beyond the 2^-20
+        # grid; a wide target takes the snapped input, a narrow one keeps
+        # the exact middle
+        sys = ControlSystem.create(
+            A=[[1, 0], [0, 1]], B=B, input_set=[[-1, 1], [-1, 1]],
+            domain=[[-4, 4], [-4, 4]], initial_set=[[-4, 4], [-4, 4]])
+        pt = (Fraction(1, 3), Fraction(-1, 7))
+        for width, snapped in ((Fraction(1, 8), True),
+                               (Fraction(1, 2**30), False)):
+            lows = (Fraction(1, 5), Fraction(2, 9))
+            target = Box(lows, tuple(lo + width for lo in lows))
+            u = input_witness(sys, pt, target)
+            assert u is not None and lands_in(sys, pt, u, target)
+            coarse = all(v.denominator <= 2**20 for v in u)
+            assert coarse == snapped
 
 
 class TestSourceReuse:
