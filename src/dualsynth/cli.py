@@ -155,9 +155,9 @@ def parse_problem(data: dict) -> ProblemFile:
             "expected a formula string or null")
 
     options = dict(_OPTION_DEFAULTS)
-    _expect(isinstance(data.get("options", {}), dict), "options",
-            "expected an object")
-    for key, val in data.get("options", {}).items():
+    given = data.get("options", {})
+    _expect(isinstance(given, dict), "options", "expected an object")
+    for key, val in given.items():
         _expect(key in _OPTION_DEFAULTS, f"options.{key}", "unknown option")
         if key == "seed":
             _expect(isinstance(val, int) and not isinstance(val, bool),
