@@ -3,7 +3,9 @@
 Problem files are JSON; every run writes its artifacts (canonical problem
 echo, verdict, per-iteration partitions, controller when one exists) into
 an output directory that ``report`` can summarize later.  Exit codes of
-``synthesize``: 0 realizable, 1 unrealizable, 2 unknown, 3 input error.
+``synthesize``: 0 realizable, 1 unrealizable, 2 unknown, 3 input error;
+a usage error (an unknown flag, or a flag value that does not parse)
+exits 3 from every command.
 """
 
 from __future__ import annotations
@@ -430,8 +432,20 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (input error); argparse's own 2 means "unknown".
+
+    Subparsers take the class of their parent, so this covers every
+    command.
+    """
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualsynth",
         description="GR(1) controller synthesis by dual-abstraction "
                     "refinement for discrete-time affine systems")

@@ -19,10 +19,14 @@ s' = A s + B u, u constrained to a box U:
 Every question is answered by one of two exact kernels:
 
 * ``_input_toward(sys, shift, target)``, the input kernel: an input u in
-  U with ``shift + B u`` in the target, aimed at the middle, or None.  Its
-  branches run in this order: with diagonal B, each axis on its own;
-  otherwise the row hull of B U as a prescreen, the midpoint probe
-  (square invertible B), then the box LP.  The row hull depends on the
+  U with ``shift + B u`` in the closed target box, or None.  Its branches
+  run in this order: with diagonal B, each axis on its own, at the middle
+  of that axis's feasible input window; otherwise the row hull of B U as
+  a prescreen, the midpoint probe (square invertible B), then the box LP.
+  Only the diagonal branch keeps landings off the target's faces: the
+  probe is clamped to U and the LP returns a vertex, so their landings
+  may lie on a face.  That is sound, since boxes are closed and a point
+  on a shared face belongs to the target.  The row hull depends on the
   system alone and is computed once per system
   (``ControlSystem.input_hull``).  The kernel decides the pessimistic
   vertex and optimistic centre probes, ``reach_exists_from_point`` and
@@ -443,12 +447,15 @@ def _input_toward(sys: ControlSystem, shift: Sequence[Fraction],
                   target: Box) -> tuple[Fraction, ...] | None:
     """An input u in U with ``shift + B u`` in target, or None if none exists.
 
-    ``target`` is already clipped to the domain.  The input aims at the
-    middle of the landing set and is snapped to the 2^-20 grid when that
-    stays feasible.  With diagonal B each axis is decided on its own;
-    otherwise a target missing the row hull of B U is unreachable, the
-    midpoint probe (square invertible B) is tried, and the box LP decides
-    what is left.
+    ``target`` is already clipped to the domain, and the input is snapped
+    to the 2^-20 grid when that stays feasible.  With diagonal B each axis
+    is decided on its own and u_i is the middle of its feasible window, so
+    an axis whose window has positive width lands strictly inside the
+    target.  Otherwise a target missing the row hull of B U is
+    unreachable; the probe solves B u = the target's middle (square
+    invertible B) and clamps u to U, and when that misses, the box LP
+    returns a vertex of the feasible inputs.  Either may land on a face of
+    the target, which is inside it: boxes are closed.
     """
     U = sys.input_set
     lo = [c - s for c, s in zip(target.lower, shift)]
@@ -490,11 +497,14 @@ def _input_toward(sys: ControlSystem, shift: Sequence[Fraction],
 
 def input_witness(sys: ControlSystem, x: Sequence[Fraction],
                   target: Box) -> tuple[Fraction, ...] | None:
-    """A concrete u in U with A x + B u in target, aimed at the middle.
+    """A concrete u in U with A x + B u in the closed target box, or None.
 
-    Used when lifting discrete strategies to continuous inputs; the
-    midpoint aim keeps landings away from shared faces whenever the
-    feasible landing set has positive width.
+    Used when lifting discrete strategies to continuous inputs.  With
+    diagonal B the input sits at the middle of each axis's feasible
+    window, which keeps landings off the target's faces wherever that
+    window has positive width; otherwise the landing may lie on a face of
+    the target (see ``_input_toward``), which is sound because boxes are
+    closed.
     """
     shift = mat_vec(sys.A, [to_fraction(v) for v in x])
     tgt = target.intersect(sys.domain)

@@ -6,12 +6,27 @@ over plays in which the environment reveals its valuation first and the
 system replies with a successor region; the controller may also carry
 finite memory bits (used to encode response obligations).
 
-The solver runs the standard three-nested fixpoint for Streett(1)/GR(1)
-games (Piterman, Pnueli, Sa'ar, "Synthesis of Reactive(1) Designs"),
-explicit-state, with guarantee-index round-robin sweeps.  Strategies are
-extracted from the recorded fixpoint layers: advance the goal pointer
-when the current guarantee is satisfied, otherwise descend the attractor
-ranks, otherwise dwell inside an assumption-violating trap.
+The solver runs the three-nested fixpoint of Bloem, Jobstmann, Piterman,
+Pnueli and Sa'ar, "Synthesis of Reactive(1) Designs" (JCSS 2012),
+explicit-state, cycling through the guarantees until Z is stable.  Each
+muY grows Y layer by layer with worklist attractors (Graedel, Thomas and
+Wilke, LNCS 2500, 2002): the graph keeps region predecessor lists and,
+per node, the (region, bits) pairs whose env fan-out holds it, and muY
+keeps one counter per pair of fan-out nodes not yet in Y.  Without
+assumptions a layer costs work proportional to the nodes it adds, so a
+whole muY is O(nodes + edges * bit values) plus the one full ``cpre``
+sweep for cpre(Z).  With assumptions, each layer's trap nuX is the
+complement of a removal worklist, O(nodes + edges * bit values) per
+layer and assumption.  The number of muY runs is the number of goals
+times the rounds until Z is stable, plus one per goal when a strategy
+is extracted.
+
+Strategies are extracted from rank tables recorded in that last pass
+against the converged Z: each node's layer and case, and per assumption
+the layer at which each node enters the trap.  Advance the goal pointer
+when the current guarantee is satisfied, otherwise descend the ranks,
+otherwise dwell inside an assumption-violating trap.  Without a strategy
+the pass is skipped.
 """
 
 from __future__ import annotations
@@ -326,26 +341,46 @@ class GameGraph:
 
     def _build_tables(self):
         spec = self.spec
+        nbv = self.n_bitvals
+        bit_dicts = [self._bits_dict(b) for b in range(nbv)]
         # bit update on entering (region, env), from previous bit value
-        self.bit_next = [[[0] * self.n_bitvals for _ in range(self.n_env)]
-                         for _ in range(self.n_regions)]
-        for ri, r in enumerate(self.regions):
-            for ei, env in enumerate(self.env_valuations):
-                for b in range(self.n_bitvals):
-                    nxt = spec.update_bits(self._bits_dict(b),
-                                           self.labels[r], env)
-                    self.bit_next[ri][ei][b] = self._bits_val(nxt)
-        self.assumption_preds = [self._pred_array(a) for a in spec.assumptions]
-        self.guarantee_preds = [self._pred_array(g) for g in spec.guarantees]
+        self.bit_next = [
+            [[self._bits_val(spec.update_bits(bits, self.labels[r], env))
+              for bits in bit_dicts] for env in self.env_valuations]
+            for r in self.regions]
+        self.assumption_preds = [self._pred_array(a, bit_dicts)
+                                 for a in spec.assumptions]
+        self.guarantee_preds = [self._pred_array(g, bit_dicts)
+                                for g in spec.guarantees]
+        # pred_idx[s]: the regions with an edge to s, once per edge
+        self.pred_idx = [[] for _ in range(self.n_regions)]
+        for ri, row in enumerate(self.succ_idx):
+            for si in row:
+                self.pred_idx[si].append(ri)
+        # fan_in[v]: the (region s, bits b) pairs, as s * n_bitvals + b,
+        # whose env fan-out next_nodes(s, b) contains node v
+        self.fan_in = [[] for _ in range(self.n_nodes)]
+        for si in range(self.n_regions):
+            for ei, row in enumerate(self.bit_next[si]):
+                for b in range(nbv):
+                    self.fan_in[self.node(si, ei, row[b])].append(si * nbv + b)
 
-    def _pred_array(self, expr):
-        out = [False] * self.n_nodes
-        for ri, r in enumerate(self.regions):
-            for ei, env in enumerate(self.env_valuations):
-                for b in range(self.n_bitvals):
-                    out[self.node(ri, ei, b)] = eval_formula(
-                        expr, self.labels[r], env, self._bits_dict(b))
-        return out
+    def _pred_array(self, expr, bit_dicts):
+        # node order: region, then env, then bits
+        return [eval_formula(expr, self.labels[r], env, bits)
+                for r in self.regions for env in self.env_valuations
+                for bits in bit_dicts]
+
+    def pair_of(self, v: int) -> int:
+        """The pair of node v = (r, e, b), as r * n_bitvals + b."""
+        return v // (self.n_env * self.n_bitvals) * self.n_bitvals \
+            + v % self.n_bitvals
+
+    def pair_nodes(self, q: int) -> range:
+        """The nodes (r, e, b), one per env e, of pair q = r * n_bitvals + b."""
+        r, b = divmod(q, self.n_bitvals)
+        stride = self.n_env * self.n_bitvals
+        return range(r * stride + b, (r + 1) * stride, self.n_bitvals)
 
     def initial_node(self, r_idx: int, e_idx: int) -> int:
         """Node reached by entering (region, env) with cleared bits."""
@@ -353,22 +388,18 @@ class GameGraph:
 
     # controllable predecessor -------------------------------------------
     def cpre(self, S: list[bool]) -> list[bool]:
-        ok = [[False] * self.n_bitvals for _ in range(self.n_regions)]
-        for ri in range(self.n_regions):
-            bn = self.bit_next[ri]
-            for b in range(self.n_bitvals):
-                ok[ri][b] = all(
-                    S[self.node(ri, ei, bn[ei][b])]
-                    for ei in range(self.n_env))
-        out = [False] * self.n_nodes
-        for ri in range(self.n_regions):
-            row = self.succ_idx[ri]
-            for b in range(self.n_bitvals):
-                good = any(ok[si][b] for si in row)
-                if good:
-                    for ei in range(self.n_env):
-                        out[self.node(ri, ei, b)] = True
-        return out
+        """Nodes (r, e, b) from which the system can move to a successor s
+        of r whose env fan-out next_nodes(s, b) lies in S; one sweep."""
+        nbv = self.n_bitvals
+        missing = [self.n_env] * (self.n_regions * nbv)
+        for inside, pairs in zip(S, self.fan_in):
+            if inside:
+                for q in pairs:
+                    missing[q] -= 1
+        pre = [any(not missing[s * nbv + b] for s in row)
+               for row in self.succ_idx for b in range(nbv)]
+        return [x for r in range(self.n_regions)
+                for x in pre[r * nbv:(r + 1) * nbv] * self.n_env]
 
     def next_nodes(self, s_idx: int, b_val: int) -> list[int]:
         """All nodes the adversary can pick after moving to region s_idx."""
@@ -390,14 +421,140 @@ class GameSolution:
     winning: set          # GameStates (region, env index), cleared-bit entry
     region_winning: set   # regions winning for every env valuation
     strategy: "StrategyAutomaton | None" = None
-    # per-goal strategy tables, kept for extraction and diagnostics
+    # Per-goal rank tables of the final muY layers, filled only when a
+    # strategy is extracted.  Layer k of goal j is {v : rank[j][v] <= k}.
     rank: list = field(default_factory=list)    # rank[j][node] -> int | None
     case: list = field(default_factory=list)    # case[j][node] -> (kind, trap_i)
-    layers: list = field(default_factory=list)  # layers[j] -> list[set[node]]
-    traps: list = field(default_factory=list)   # traps[j][k][i] -> set[node]
+    # trap_layer[j][i][node]: first layer k whose trap X_i holds node, or
+    # None; X_i grows with k, so X_i at layer k is {v : trap_layer <= k}
+    trap_layer: list = field(default_factory=list)
 
 
-def _solve_nodes(graph: GameGraph, forced_q_regions=frozenset()):
+def _trap(graph: GameGraph, base: list[bool], p: list[bool]) -> list[bool]:
+    """nuX. base | (!p & cpre(X)), the complement of a removal worklist.
+
+    ``alive[r * n_bitvals + b]`` counts the successors s of r whose pair
+    (s, b) still has its whole env fan-out inside X; a node outside the
+    base stays while p fails there and its pair's count is positive.
+    Each pair dies once, so the work is O(nodes + edges * bit values).
+    """
+    nbv = graph.n_bitvals
+    fan_in, pred = graph.fan_in, graph.pred_idx
+    alive = [len(row) for row in graph.succ_idx for _ in range(nbv)]
+    dead = [False] * len(alive)
+    in_x = [True] * graph.n_nodes
+    stack = [v for v in range(graph.n_nodes) if not base[v] and (
+        p[v] or not alive[graph.pair_of(v)])]
+    for v in stack:
+        in_x[v] = False
+    while stack:
+        for q in fan_in[stack.pop()]:
+            if dead[q]:
+                continue
+            dead[q] = True
+            s, b = divmod(q, nbv)
+            for r in pred[s]:
+                t = r * nbv + b
+                alive[t] -= 1
+                if not alive[t]:
+                    for u in graph.pair_nodes(t):
+                        if in_x[u] and not base[u]:
+                            in_x[u] = False
+                            stack.append(u)
+    return in_x
+
+
+def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
+          p_preds: list, record=None) -> list[bool]:
+    """muY. OR_i nuX. (goal & cpre(Z)) | cpre(Y) | (!p_i & cpre(X)).
+
+    Layer k is Y_k = OR_i X_i^k over the base start | cpre(Y_{k-1}).
+    ``missing[s * n_bitvals + b]`` counts the env fan-out nodes of pair
+    (s, b) not yet in Y; when it reaches 0, every predecessor r of s gets
+    (r, b) into cpre(Y).  With no assumptions each trap equals the base,
+    so a layer is the nodes newly in cpre(Y), and the work of a layer is
+    proportional to the nodes it adds.  ``record`` = (rank, case,
+    trap_layer) is filled in place when given.
+    """
+    nbv = graph.n_bitvals
+    fan_in, pred = graph.fan_in, graph.pred_idx
+    n_pairs = graph.n_regions * nbv
+    pre_z = graph.cpre(Z)
+    start = [goal[v] and pre_z[v] for v in range(graph.n_nodes)]
+    in_y = [False] * graph.n_nodes
+    missing = [graph.n_env] * n_pairs
+    in_pre = [False] * n_pairs   # pair (r, b) is in cpre(Y)
+    pre_pairs = []
+
+    def add(layer):
+        """Put a layer into Y; return the nodes it brings into cpre(Y) - Y."""
+        for v in layer:
+            in_y[v] = True
+        fresh = []
+        for v in layer:
+            for q in fan_in[v]:
+                missing[q] -= 1
+                if missing[q]:
+                    continue
+                s, b = divmod(q, nbv)
+                for r in pred[s]:
+                    t = r * nbv + b
+                    if not in_pre[t]:
+                        in_pre[t] = True
+                        pre_pairs.append(t)
+                        fresh += [u for u in graph.pair_nodes(t)
+                                  if not in_y[u]]
+        return fresh
+
+    if not p_preds:
+        # cpre of the empty set is empty, so layer 1 is the goal start and
+        # every later layer descends
+        layer = [v for v in range(graph.n_nodes) if start[v]]
+        k = 0
+        while layer:
+            k += 1
+            if record is not None:
+                rank, case, _trap_layer = record
+                kind = (_GOAL, -1) if k == 1 else (_DESCEND, -1)
+                for v in layer:
+                    rank[v] = k
+                    case[v] = kind
+            layer = add(layer)
+        return in_y
+
+    k = 0
+    while True:
+        k += 1
+        base = list(start)
+        for t in pre_pairs:
+            for u in graph.pair_nodes(t):
+                base[u] = True
+        traps = [_trap(graph, base, p) for p in p_preds]
+        layer = [v for v in range(graph.n_nodes)
+                 if not in_y[v] and any(x[v] for x in traps)]
+        if not layer:
+            return in_y
+        if record is not None:
+            rank, case, trap_layer = record
+            for x, entered in zip(traps, trap_layer):
+                for v in range(graph.n_nodes):
+                    if x[v] and entered[v] is None:
+                        entered[v] = k
+            for v in layer:
+                rank[v] = k
+                if start[v]:
+                    case[v] = (_GOAL, -1)
+                elif in_pre[graph.pair_of(v)]:
+                    case[v] = (_DESCEND, -1)
+                else:
+                    case[v] = (_TRAP, next(i for i, x in enumerate(traps)
+                                           if x[v]))
+        add(layer)
+
+
+def _solve_nodes(graph: GameGraph, forced_q_regions, record: bool):
+    """The winning nodes Z, each goal's muY reading the Z the previous goal
+    left, and, when ``record``, every goal's rank tables against it."""
     n = graph.n_nodes
     q_preds = [list(q) for q in graph.guarantee_preds]
     if forced_q_regions:
@@ -407,68 +564,25 @@ def _solve_nodes(graph: GameGraph, forced_q_regions=frozenset()):
                 for ei in range(graph.n_env):
                     for b in range(graph.n_bitvals):
                         q[graph.node(ri, ei, b)] = True
-    p_preds = graph.assumption_preds or [[True] * n]
-
-    def mu_y(j, Z, record=None):
-        pre_z = graph.cpre(Z)
-        qj = q_preds[j]
-        start = [qj[v] and pre_z[v] for v in range(n)]
-        Y = [False] * n
-        k = 0
-        while True:
-            pre_y = graph.cpre(Y)
-            base = [start[v] or pre_y[v] for v in range(n)]
-            new_y = [False] * n
-            trap_sets = []
-            for i, p in enumerate(p_preds):
-                X = [True] * n
-                while True:
-                    pre_x = graph.cpre(X)
-                    nx = [base[v] or ((not p[v]) and pre_x[v]) for v in range(n)]
-                    if nx == X:
-                        break
-                    X = nx
-                trap_sets.append(X)
-                new_y = [a or b for a, b in zip(new_y, X)]
-            if new_y == Y:
-                return Y
-            if record is not None:
-                k += 1
-                added = {v for v in range(n) if new_y[v] and not Y[v]}
-                record["layers"].append(set(v for v in range(n) if new_y[v]))
-                record["traps"].append([set(v for v in range(n) if t[v])
-                                        for t in trap_sets])
-                for v in added:
-                    if start[v]:
-                        kind = (_GOAL, -1)
-                    elif pre_y[v]:
-                        kind = (_DESCEND, -1)
-                    else:
-                        kind = next((_TRAP, i) for i, t in enumerate(trap_sets)
-                                    if t[v])
-                    record["rank"][v] = k
-                    record["case"][v] = kind
-            Y = new_y
+    p_preds = graph.assumption_preds
 
     Z = [True] * n
     while True:
-        prev = list(Z)
-        for j in range(len(q_preds)):
-            Z = mu_y(j, Z)
+        prev = Z
+        for q in q_preds:
+            Z = _mu_y(graph, q, Z, p_preds)
         if Z == prev:
             break
-    # final per-goal layer structure against the converged Z
-    ranks, cases, layers, traps = [], [], [], []
-    for j in range(len(q_preds)):
-        record = {"rank": [None] * n, "case": [None] * n,
-                  "layers": [], "traps": []}
-        y = mu_y(j, Z, record)
-        assert y == Z, "converged Z must be a fixpoint of every goal"
-        ranks.append(record["rank"])
-        cases.append(record["case"])
-        layers.append(record["layers"])
-        traps.append(record["traps"])
-    return Z, ranks, cases, layers, traps
+    ranks, cases, trap_layers = [], [], []
+    if record:
+        for q in q_preds:
+            tables = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
+            y = _mu_y(graph, q, Z, p_preds, tables)
+            assert y == Z, "converged Z must be a fixpoint of every goal"
+            ranks.append(tables[0])
+            cases.append(tables[1])
+            trap_layers.append(tables[2])
+    return Z, ranks, cases, trap_layers
 
 
 def solve_game(graph: GameGraph, forced_winning_regions=frozenset(),
@@ -483,7 +597,8 @@ def solve_game(graph: GameGraph, forced_winning_regions=frozenset(),
     for r in forced_losing_regions:
         if graph.succ[graph.region_index[r]]:
             raise SpecError(f"forced-losing region {r!r} still has successors")
-    Z, ranks, cases, layers, traps = _solve_nodes(graph, forced_winning_regions)
+    Z, ranks, cases, trap_layers = _solve_nodes(
+        graph, forced_winning_regions, record=extract_strategy)
     if forced_winning_regions:
         missing = [r for r in forced_winning_regions
                    if not all(Z[graph.initial_node(graph.region_index[r], ei)]
@@ -501,7 +616,7 @@ def solve_game(graph: GameGraph, forced_winning_regions=frozenset(),
                       if all((r, ei) in winning for ei in range(graph.n_env))}
     sol = GameSolution(graph=graph, z_nodes=Z, winning=winning,
                        region_winning=region_winning, rank=ranks, case=cases,
-                       layers=layers, traps=traps)
+                       trap_layer=trap_layers)
     if extract_strategy:
         sol.strategy = _extract_strategy(sol, forced_winning_regions)
     return sol
@@ -542,17 +657,17 @@ def _extract_strategy(sol: GameSolution, forced=frozenset()):
             ranked = [(w, s) for w, s in ranked if w is not None]
             assert ranked, "successor escaping all goal ranks"
             return min(ranked)[1], j2
+        k = sol.rank[j][node]
         if kind == _DESCEND:
-            k = sol.rank[j][node]
             assert k >= 2, "rank-1 nodes satisfy the goal or sit in a trap"
-            lower = sol.layers[j][k - 2]
-            cands = [(worst_rank(j, s, b), s) for s in options
-                     if all(v in lower for v in graph.next_nodes(s, b))]
+            ranked = [(worst_rank(j, s, b), s) for s in options]
+            cands = [(w, s) for w, s in ranked if w is not None and w < k]
             assert cands, "descend case without a descending successor"
             return min(cands)[1], j
-        trap = sol.traps[j][sol.rank[j][node] - 1][trap_i]
+        entered = sol.trap_layer[j][trap_i]
         cands = [s for s in options
-                 if all(v in trap for v in graph.next_nodes(s, b))]
+                 if all(entered[v] is not None and entered[v] <= k
+                        for v in graph.next_nodes(s, b))]
         assert cands, "trap case without a trap-preserving successor"
         return cands[0], j
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own decision procedures:
 reachability is re-decided by dense grid sampling or exact per-axis
 interval arithmetic, games by exhaustive strategy enumeration with lasso
-checking, and losing-set soundness by an exact backward-reachability
-fixpoint.  Keep it that way; the value of these tests is the independent
+checking or by a textbook sweep of the GR(1) fixpoint over explicit
+(region, env, bits) triples, and losing-set soundness by an exact
+backward-reachability fixpoint.  Keep it that way; the value of these tests is the independent
 route to the same answer.
 """
 
@@ -239,6 +240,87 @@ def brute_force_winning(regions, region_succ, env_values, p_preds, q_preds):
         if not remaining:
             break
     return winning
+
+
+def sweep_gr1_winning(regions, region_succ, env_values, n_bits, update,
+                      p_preds, q_preds):
+    """Winning GameStates by sweeping the GR(1) fixpoint over explicit nodes.
+
+    Nodes are (region, env, bits) triples, ``bits`` a tuple of ``n_bits``
+    booleans holding their value after entering (region, env);
+    ``update(bits, region, env)`` gives that value from the previous one.
+    From (r, e, b) the system picks a successor s of r, then the
+    environment any e', and the play enters (s, e', update(b, s, e')).
+    ``p_preds`` / ``q_preds`` are functions over a node.  Computes
+
+        Z = nuZ. AND_j muY. OR_i nuX. (q_j & cpre(Z)) | cpre(Y) | (!p_i & cpre(X))
+
+    (Bloem et al., JCSS 2012) by full sweeps, every cpre over every node,
+    and returns the (r, e) whose entry node with cleared bits is in Z.
+    """
+    zero = (False,) * n_bits
+    nodes = [(r, e, b) for r in regions for e in env_values
+             for b in product((False, True), repeat=n_bits)]
+    moves = {(r, e, b): [[(s, e2, update(b, s, e2)) for e2 in env_values]
+                         for s in region_succ[r]]
+             for (r, e, b) in nodes}
+
+    def cpre(S):
+        return {v for v in nodes
+                if any(all(w in S for w in fan) for fan in moves[v])}
+
+    def mu_y(q, Z):
+        start = {v for v in cpre(Z) if q(v)}
+        Y = set()
+        while True:
+            base = start | cpre(Y)
+            new_y = set()
+            for p in p_preds or [lambda v: True]:
+                X = set(nodes)
+                while True:
+                    nx = base | {v for v in cpre(X) if not p(v)}
+                    if nx == X:
+                        break
+                    X = nx
+                new_y |= X
+            if new_y == Y:
+                return Y
+            Y = new_y
+
+    Z = set(nodes)
+    while True:
+        nz = set(nodes)
+        for q in q_preds:
+            nz &= mu_y(q, Z)
+        if nz == Z:
+            break
+        Z = nz
+    return {(r, e) for r in regions for e in env_values
+            if (r, e, update(zero, r, e)) in Z}
+
+
+def strategy_wins(initial, step, env_values, state, p_preds, q_preds):
+    """No play of a finite-memory strategy violates the GR(1) condition.
+
+    ``step(m, e)`` is the memory after memory m reads env value e, and
+    ``state(m, e)`` the node the play is then in, which the predicates
+    read.  Explores the (memory, env) product from every initial memory
+    and looks for a reachable cycle that meets every p_i but misses some
+    q_j, as the enumeration oracle does.
+    """
+    succ = {}
+    stack = [(m, e) for m in initial for e in env_values]
+    starts = list(stack)
+    while stack:
+        v = stack.pop()
+        if v not in succ:
+            m2 = step(*v)
+            succ[v] = [(m2, e2) for e2 in env_values]
+            stack += succ[v]
+    pp = [lambda v, p=p: p(state(*v)) for p in p_preds]
+    qq = [lambda v, q=q: q(state(*v)) for q in q_preds]
+    return not any(_violating_path_exists(list(succ), succ, pp, qq, v)
+                   for v in starts)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,17 @@ class TestOptionValidation:
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag", [["--m", "abc"], ["--min-cell", "nan"]])
+    def test_unparsable_flag_is_input_error(self, flag, invariant_path,
+                                            tmp_path, capsys):
+        # argparse would exit 2, the code of the verdict "unknown"
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", invariant_path, *flag,
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "invalid" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestSimulateCommand:
     @pytest.fixture

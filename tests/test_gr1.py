@@ -15,7 +15,7 @@ from dualsynth.gr1 import (
     strategy_invariance_check,
 )
 
-from oracles import brute_force_winning
+from oracles import brute_force_winning, strategy_wins, sweep_gr1_winning
 
 
 class TestFormulas:
@@ -220,6 +220,172 @@ class TestSolverAgainstBruteForce:
                 f"solver/brute-force mismatch on game {games}"
             assert strategy_invariance_check(sol.strategy, graph, sol)
             games += 1
+
+
+# Atoms of the response games: formula text for the library, and the same
+# predicate over (labels, env index) for the oracle.
+_ATOMS = {
+    "a": lambda L, e: "a" in L,
+    "b": lambda L, e: "b" in L,
+    "g": lambda L, e: "g" in L,
+    "p": lambda L, e: "p" in L,
+    "e=1": lambda L, e: e == 1,
+    "p | e=1": lambda L, e: "p" in L or e == 1,
+    "!b": lambda L, e: "b" not in L,
+}
+
+
+def random_response_game(rng):
+    """Up to 12 regions, 1-2 env values, 1-2 response bits, 0-2
+    assumptions; the oracle's bit update and goals are written out here
+    rather than taken from ``convert_to_gr1``."""
+    n_regions = int(rng.integers(2, 13))
+    n_env = int(rng.integers(1, 3))
+    labels = {r: {l for l in ("a", "b", "g", "p") if rng.random() < 0.35}
+              for r in range(n_regions)}
+    succ = {r: sorted(int(s) for s in rng.choice(
+        n_regions, size=int(rng.integers(0, min(4, n_regions) + 1)),
+        replace=False)) for r in range(n_regions)}
+    triggers = ["a", "e=1"] if n_env > 1 else ["a", "!b"]
+    responses = [(triggers[int(rng.integers(0, 2))],
+                  ("b", "g")[int(rng.integers(0, 2))])
+                 for _ in range(int(rng.integers(1, 3)))]
+    goals = [("g", "a")[k] for k in range(int(rng.integers(0, 2)))]
+    pool = ["p", "p | e=1"] if n_env > 1 else ["p", "!b"]
+    assumptions = [pool[k] for k in range(int(rng.integers(0, 3)))]
+    env_vals = [{"e": i} for i in range(n_env)]
+    spec = convert_to_gr1(RawSpec(assumptions=tuple(assumptions),
+                                  guarantees=tuple(goals),
+                                  responses=tuple(responses)))
+    graph = GameGraph(list(range(n_regions)), succ, labels, env_vals, spec)
+
+    def holds(text, r, e):
+        return _ATOMS[text](labels[r], e)
+
+    def update(bits, r, e):
+        # pending_k: set on trigger, cleared on response
+        return tuple(not holds(resp, r, e) and (b or holds(trig, r, e))
+                     for b, (trig, resp) in zip(bits, responses))
+
+    q_preds = [lambda v, t=t: holds(t, v[0], v[1]) for t in goals]
+    q_preds += [lambda v, k=k, t=resp: not v[2][k] or holds(t, v[0], v[1])
+                for k, (_trig, resp) in enumerate(responses)]
+    p_preds = [lambda v, t=t: holds(t, v[0], v[1]) for t in assumptions]
+    expected = sweep_gr1_winning(list(range(n_regions)), succ,
+                                 list(range(n_env)), len(responses), update,
+                                 p_preds, q_preds)
+
+    def wins(strategy):
+        """Every play of the strategy meets the spec; bit k of a memory
+        state's bit value is response k."""
+        def state(m, e):
+            r, b_prev, _goal = strategy.memory_states[m]
+            bits = tuple(bool(b_prev >> k & 1) for k in range(len(responses)))
+            return r, e, update(bits, r, e)
+        return strategy_wins(strategy.initial.values(),
+                             lambda m, e: strategy.step(m, e)[0],
+                             range(n_env), state, p_preds, q_preds)
+    return graph, expected, wins
+
+
+class TestSolverAgainstSweepOracle:
+    def test_response_bits_and_assumptions_match_sweep(self):
+        # winning sets against the sweep; the extracted strategy both
+        # stays in the winning set and wins every play
+        rng = np.random.default_rng(404)
+        kinds = set()
+        for k in range(150):
+            graph, expected, wins = random_response_game(rng)
+            sol = solve_game(graph)
+            assert sol.winning == expected, f"mismatch on game {k}"
+            assert sol.region_winning == {
+                r for r in graph.regions
+                if all((r, e) in expected for e in range(graph.n_env))}
+            assert strategy_invariance_check(sol.strategy, graph, sol)
+            assert wins(sol.strategy), f"losing play on game {k}"
+            kinds.add((graph.n_bits, bool(graph.spec.assumptions),
+                       bool(expected)))
+        # both bit counts, with and without assumptions, won and lost
+        assert {(b, a) for b, a, _ in kinds} == {
+            (b, a) for b in (1, 2) for a in (False, True)}
+        assert {w for *_, w in kinds} == {False, True}
+
+
+def line_arena(n, ends, response):
+    """Regions 0..n-1 on a line with edges to both neighbours, goal ``a`` at
+    0 and ``b`` at n-1, and dead end n+k hanging off region ends[k].
+
+    Dead ends have no pessimistic successors; every odd-numbered one may
+    step back to the line optimistically.  So the pessimistic winning set
+    is the line and the optimistic losing set the even-numbered dead ends.
+    Returns (regions, pess, opt, labels, env, spec, line, losing).
+    """
+    pess = {i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)}
+    opt = {i: list(v) for i, v in pess.items()}
+    for k, at in enumerate(ends):
+        pess[at].append(n + k)
+        opt[at].append(n + k)
+        pess[n + k] = []
+        opt[n + k] = [at] if k % 2 else []
+    if response:
+        env = [{"req": False}, {"req": True}]
+        raw = RawSpec(guarantees=("a",), responses=(("req", "b"),))
+    else:
+        env = [{}]
+        raw = RawSpec(guarantees=("a", "b"))
+    losing = {n + k for k in range(0, len(ends), 2)}
+    return (list(range(n + len(ends))), pess, opt, {0: {"a"}, n - 1: {"b"}},
+            env, convert_to_gr1(raw), set(range(n)), losing)
+
+
+def solve_arena(n, ends, response):
+    """The engine's three solves: both classification games, then the
+    strategy game."""
+    regions, pess, opt, labels, env, spec, line, losing = \
+        line_arena(n, ends, response)
+    sol_p = solve_game(GameGraph(regions, pess, labels, env, spec),
+                       extract_strategy=False)
+    sol_o = solve_game(GameGraph(regions, opt, labels, env, spec),
+                       extract_strategy=False)
+    graph = GameGraph(regions, pess, labels, env, spec)
+    return sol_p, sol_o, graph, solve_game(graph), line, losing
+
+
+class TestLineArenas:
+    @pytest.mark.parametrize("response", [False, True])
+    def test_dead_ends_give_the_sets_known_by_construction(self, response):
+        ends = [3, 40, 41, 118, 199, 247]
+        sol_p, sol_o, graph, sol, line, losing = solve_arena(
+            250, ends, response)
+        n_env = graph.n_env
+        assert sol_p.region_winning == line
+        assert {r for r in graph.regions
+                if all((r, e) not in sol_o.winning
+                       for e in range(n_env))} == losing
+        assert sol.region_winning == line
+        assert strategy_invariance_check(sol.strategy, graph, sol)
+        assert sol_p.strategy is None and sol_p.rank == []
+
+    @pytest.mark.parametrize("response", [False, True])
+    def test_cpre_sweeps_do_not_grow_with_the_arena(self, response,
+                                                    monkeypatch):
+        # one full cpre sweep per muY: a solver that sweeps per layer makes
+        # the count grow with the arena's length
+        calls = []
+        original = GameGraph.cpre
+
+        def counted(self, S):
+            calls.append(self.n_regions)
+            return original(self, S)
+
+        monkeypatch.setattr(GameGraph, "cpre", counted)
+        counts = []
+        for n in (50, 400):
+            calls.clear()
+            *_, sol, line, _losing = solve_arena(n, [7, 20, 33], response)
+            assert sol.region_winning == line
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestEdgeMonotonicity:
