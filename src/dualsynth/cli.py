@@ -30,7 +30,15 @@ from dualsynth.engine import (
     simulate,
 )
 from dualsynth.geometry import Box, ControlSystem, GeometryError
-from dualsynth.gr1 import RawSpec, SpecError, StrategyAutomaton, convert_to_gr1
+from dualsynth.gr1 import (
+    RawSpec,
+    SpecError,
+    StrategyAutomaton,
+    convert_to_gr1,
+    format_formula,
+    formula_literals,
+    parse_formula,
+)
 from dualsynth.partition import (
     Node,
     PartitionForest,
@@ -97,6 +105,30 @@ def _bounds(value, path: str):
     return value
 
 
+def _formula(text, path: str, names: dict, what: str):
+    """Check that a formula parses and means something.
+
+    ``names`` maps every name the formula may use to None (a proposition)
+    or to the values of an environment variable; ``what`` says which
+    names those are, for the message.
+    """
+    _expect(isinstance(text, str), path,
+            f"expected a formula string, got {text!r}")
+    try:
+        expr = parse_formula(text)
+    except SpecError as exc:
+        raise ProblemError(f"{path}: {exc}") from exc
+    for lit in formula_literals(expr):
+        name = lit[1]
+        _expect(name in names, path, f"{name!r} is not {what}")
+        if lit[0] == "eq":
+            values = names[name]
+            _expect(values is not None, path, f"{format_formula(lit)}: "
+                    f"{name!r} is not an environment variable")
+            _expect(lit[2] in values, path, f"{format_formula(lit)}: the "
+                    f"value is not one of {list(values)}")
+
+
 _OPTION_DEFAULTS = {"m": None, "max_iters": 20, "min_cell": 0.001, "seed": 0}
 
 
@@ -122,8 +154,13 @@ def parse_problem(data: dict) -> ProblemFile:
                 f"propositions[{i}]", "expected {name, box}")
         _expect(isinstance(p["name"], str) and p["name"],
                 f"propositions[{i}].name", "expected a nonempty string")
-        propositions.append(
-            (p["name"], _bounds(p["box"], f"propositions[{i}].box")))
+        box = _bounds(p["box"], f"propositions[{i}].box")
+        for d, (lo, hi) in enumerate(box):
+            _expect(lo < hi, f"propositions[{i}].box[{d}]",
+                    f"a proposition box must be full-dimensional, got "
+                    f"[{lo}, {hi}]")
+        propositions.append((p["name"], box))
+    prop_names = {name: None for name, _box in propositions}
 
     env_vars = data.get("environment", [])
     _expect(isinstance(env_vars, list), "environment", "expected a list")
@@ -131,9 +168,14 @@ def parse_problem(data: dict) -> ProblemFile:
     for i, v in enumerate(env_vars):
         _expect(isinstance(v, dict) and "name" in v and "values" in v,
                 f"environment[{i}]", "expected {name, values}")
+        _expect(isinstance(v["name"], str) and v["name"],
+                f"environment[{i}].name", "expected a nonempty string")
+        _expect(v["name"] not in prop_names, f"environment[{i}].name",
+                f"{v['name']!r} is also the name of a proposition")
         _expect(isinstance(v["values"], list) and v["values"],
                 f"environment[{i}].values", "expected a nonempty list")
         env_pairs.append((v["name"], tuple(v["values"])))
+    names = {**prop_names, **dict(env_pairs)}
 
     spec = data.get("spec")
     _expect(isinstance(spec, dict), "spec", "expected an object")
@@ -143,18 +185,29 @@ def parse_problem(data: dict) -> ProblemFile:
     assumptions = spec.get("assumptions", [])
     guarantees = spec.get("guarantees", [])
     responses = spec.get("responses", [])
-    _expect(all(isinstance(s, str) for s in assumptions),
-            "spec.assumptions", "expected formula strings")
-    _expect(all(isinstance(s, str) for s in guarantees),
-            "spec.guarantees", "expected formula strings")
+    anything = "a proposition or an environment variable"
+    for key, formulas in (("assumptions", assumptions),
+                          ("guarantees", guarantees)):
+        _expect(isinstance(formulas, list), f"spec.{key}",
+                "expected a list of formula strings")
+        for i, text in enumerate(formulas):
+            _formula(text, f"spec.{key}[{i}]", names, anything)
+    _expect(isinstance(responses, list), "spec.responses", "expected a list")
     resp_pairs = []
     for i, r in enumerate(responses):
         _expect(isinstance(r, dict) and "trigger" in r and "response" in r,
                 f"spec.responses[{i}]", "expected {trigger, response}")
+        for key in ("trigger", "response"):
+            _formula(r[key], f"spec.responses[{i}].{key}", names, anything)
         resp_pairs.append((r["trigger"], r["response"]))
     init = spec.get("init")
     _expect(init is None or isinstance(init, str), "spec.init",
             "expected a formula string or null")
+    if init:
+        # the engine evaluates init on a region's labels alone, before the
+        # environment has a value
+        _formula(init, "spec.init", prop_names,
+                 "a proposition (spec.init may name propositions only)")
 
     options = dict(_OPTION_DEFAULTS)
     given = data.get("options", {})
@@ -302,13 +355,12 @@ def cmd_synthesize(args) -> int:
             max_iters=args.max_iters if args.max_iters is not None
             else opts["max_iters"],
             min_cell=args.min_cell if args.min_cell is not None
-            else Fraction(str(opts["min_cell"])),
-            rebuild_check=args.rebuild_check)
+            else Fraction(str(opts["min_cell"])))
+        verdict = run(problem.sys, problem.env,
+                      convert_to_gr1(problem.raw_spec), engine_opts)
     except EngineError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
-    spec = convert_to_gr1(problem.raw_spec)
-    verdict = run(problem.sys, problem.env, spec, engine_opts)
     out_dir = args.out or (os.path.splitext(args.problem)[0] + ".out")
     _write_artifacts(out_dir, problem, verdict)
     print(f"{verdict.outcome} after {verdict.iterations} iteration(s); "
@@ -458,9 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="children per split (default 2^n)")
     p_syn.add_argument("--max-iters", type=int, default=None)
     p_syn.add_argument("--min-cell", type=Fraction, default=None)
-    p_syn.add_argument("--rebuild-check", action="store_true",
-                       help="re-solve each iteration from scratch and "
-                            "verify warm-start equivalence")
     p_syn.add_argument("--out", default=None, help="artifact directory")
     p_syn.set_defaults(func=cmd_synthesize)
 

@@ -11,10 +11,10 @@ three-case decision:
    unrealizable, report the witness boxes;
 3. otherwise split the undecided regions and refine both FTSs.
 
-Children of solved regions inherit their verdicts (their boxes are
-untouched and their edges are copied or removed wholesale), so the game
-solver is seeded with them instead of re-deriving them; a debug flag
-re-solves from scratch and checks both routes agree.
+Every iteration solves both games from scratch.  Children of solved
+regions keep their boxes and have their edges copied or removed
+wholesale, so they must come out of the next classification with their
+parent's verdict; the loop checks that and raises if one does not.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class EngineOptions:
     m: int | None = None          # default: 2^n children per split
     max_iters: int = 20
     min_cell: Fraction = Fraction(1, 1000)
-    rebuild_check: bool = False
 
     def __post_init__(self):
         for name, ok, expected in (
@@ -148,8 +147,8 @@ def _region_graph(pair: AbstractionPair, forest: PartitionForest,
                      pair.env.valuations, spec)
 
 
-def classify(pair: AbstractionPair, forest: PartitionForest, spec: Gr1Spec,
-             seeds_winning=frozenset(), seeds_losing=frozenset()) -> SetTriple:
+def classify(pair: AbstractionPair, forest: PartitionForest,
+             spec: Gr1Spec) -> SetTriple:
     """Three-way region classification from both solved games.
 
     A region is winning only when its game states are winning for every
@@ -158,12 +157,8 @@ def classify(pair: AbstractionPair, forest: PartitionForest, spec: Gr1Spec,
     """
     pess_graph = _region_graph(pair, forest, spec, "pess")
     opt_graph = _region_graph(pair, forest, spec, "opt")
-    sol_p = solve_game(pess_graph, forced_winning_regions=seeds_winning,
-                       forced_losing_regions=seeds_losing,
-                       extract_strategy=False)
-    sol_o = solve_game(opt_graph, forced_winning_regions=seeds_winning,
-                       forced_losing_regions=seeds_losing,
-                       extract_strategy=False)
+    sol_p = solve_game(pess_graph, extract_strategy=False)
+    sol_o = solve_game(opt_graph, extract_strategy=False)
     winning = frozenset(sol_p.region_winning)
     n_env = len(pair.env)
     losing = frozenset(
@@ -193,22 +188,33 @@ def _initial_regions_under(forest: PartitionForest, spec: Gr1Spec):
     return out
 
 
-def _losing_witness(forest: PartitionForest, losing, initial_set: Box,
+def _losing_witness(forest: PartitionForest, losing,
                     spec: Gr1Spec) -> list[Box]:
-    """Losing leaf boxes meeting the initial set with positive measure.
+    """Losing initial leaf boxes, under the init assumption.
 
-    Face-only contact is not a witness: under the closed-box convention a
-    shared face also belongs to the (possibly winning) neighbor, so only
-    full-dimensional overlap proves a genuinely losing initial point.
+    A leaf is initial when it meets the initial set with positive
+    measure.  Face-only contact is not a witness: under the closed-box
+    convention a shared face also belongs to the (possibly winning)
+    neighbor, so only full-dimensional overlap proves a genuinely losing
+    initial point.
     """
-    out = []
-    for rid in sorted(losing):
-        if spec.init_assumption is not None and not eval_formula(
-                spec.init_assumption, forest.labels(rid), {}, {}):
-            continue
-        if forest.box(rid).overlaps_interior(initial_set):
-            out.append(forest.box(rid))
-    return out
+    return [forest.box(r) for r in _initial_regions_under(forest, spec)
+            if r in losing]
+
+
+def _check_inheritance(forest: PartitionForest, before: SetTriple,
+                       after: SetTriple):
+    """Every child of a winning region is winning, of a losing one losing."""
+    for name, parents, now in (("winning", before.winning, after.winning),
+                               ("losing", before.losing, after.losing)):
+        for rid in sorted(parents):
+            for child in forest.nodes[rid].children:
+                if child not in now:
+                    raise AssertionError(
+                        f"region {format_region_id(child)} is not {name} at "
+                        f"iteration {after.iteration} although its parent "
+                        f"{format_region_id(rid)} was; the refined "
+                        f"abstractions are inconsistent")
 
 
 def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
@@ -218,18 +224,12 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
     forest = initial_partition(sys)
     pair = build_initial(forest, sys, env)
     verdict = Verdict(outcome="unknown", iterations=0)
-    seeds_w: frozenset = frozenset()
-    seeds_l: frozenset = frozenset()
 
     for iteration in range(opts.max_iters + 1):
         t0 = time.perf_counter()
-        triple = classify(pair, forest, spec, seeds_w, seeds_l)
-        if opts.rebuild_check and (seeds_w or seeds_l):
-            fresh = classify(pair, forest, spec)
-            if (fresh.winning, fresh.losing) != (triple.winning, triple.losing):
-                raise AssertionError(
-                    "warm-started classification disagrees with from-scratch "
-                    f"solving at iteration {iteration}")
+        triple = classify(pair, forest, spec)
+        if verdict.history:
+            _check_inheritance(forest, verdict.history[-1], triple)
         verdict.history.append(triple)
         stats = IterationStats(
             iteration=iteration, leaves=len(pair.regions),
@@ -255,7 +255,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             stats.wall_time = time.perf_counter() - t0
             logger.info("realizable after %d iteration(s)", iteration + 1)
             return verdict
-        witness = _losing_witness(forest, triple.losing, sys.initial_set, spec)
+        witness = _losing_witness(forest, triple.losing, spec)
         if witness:
             verdict.outcome = "unrealizable"
             verdict.witness = witness
@@ -281,17 +281,13 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             return verdict
         pair = refine(pair, forest, set(triple.winning), set(triple.losing),
                       set(triple.maybe), sys)
-        seeds_w = frozenset(forest.nodes[r].children[0]
-                            for r in triple.winning)
-        seeds_l = frozenset(forest.nodes[r].children[0]
-                            for r in triple.losing)
         stats.wall_time = time.perf_counter() - t0
     return verdict
 
 
 def _extract_final_strategy(pair, forest, spec) -> StrategyAutomaton:
-    # one unseeded solve yields a uniform strategy over the whole winning
-    # set; stitching per-iteration strategies across seeds is not needed
+    # classify solves without recording rank tables; the shipped strategy
+    # comes from one more solve of the final pessimistic game that records them
     graph = _region_graph(pair, forest, spec, "pess")
     sol = solve_game(graph, extract_strategy=True)
     return sol.strategy

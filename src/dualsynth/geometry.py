@@ -280,12 +280,6 @@ class ControlSystem:
         """Per row i, the exact range ``(lo, hi)`` of ``B_i . u`` over U."""
         return tuple(_row_range(row, self.input_set) for row in self.B)
 
-    def proposition(self, name: str) -> Box:
-        for pname, box in self.proposition_regions:
-            if pname == name:
-                return box
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # Exact LP over a box

@@ -47,7 +47,6 @@ class SpecError(ValueError):
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(->|&&|\|\||[()&|!=]|[A-Za-z_][A-Za-z0-9_]*|-?\d+)")
-_TEMPORAL = {"[]", "<>", "□", "◇", "○", "U_op"}
 
 TRUE = ("true",)
 FALSE = ("false",)
@@ -176,15 +175,13 @@ def eval_formula(expr, labels, env, bits) -> bool:
     raise SpecError(f"unknown operator {op!r}")
 
 
-def formula_atoms(expr) -> set[str]:
-    op = expr[0]
-    if op in ("atom", "eq"):
-        return {expr[1]}
-    if op == "not":
-        return formula_atoms(expr[1])
-    if op in ("and", "or", "imp"):
-        return formula_atoms(expr[1]) | formula_atoms(expr[2])
-    return set()
+def formula_literals(expr):
+    """The ("atom", name) and ("eq", name, value) leaves of a formula."""
+    if expr[0] in ("atom", "eq"):
+        yield expr
+    else:
+        for sub in expr[1:]:
+            yield from formula_literals(sub)
 
 
 def format_formula(expr) -> str:
@@ -272,8 +269,8 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
     """
     assumptions = tuple(parse_formula(a) for a in raw.assumptions)
     guarantees = [parse_formula(g) for g in raw.guarantees]
-    taken = {a for g in guarantees for a in formula_atoms(g)}
-    taken |= {a for g in assumptions for a in formula_atoms(g)}
+    taken = {lit[1] for g in (*guarantees, *assumptions)
+             for lit in formula_literals(g)}
     bits = []
     for k, (trigger, response) in enumerate(raw.responses):
         trig = parse_formula(trigger)
@@ -291,9 +288,6 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
 # ---------------------------------------------------------------------------
 # Game graph: regions x environment x memory bits
 # ---------------------------------------------------------------------------
-
-GameState = tuple  # (region id, env index)
-
 
 class GameGraph:
     """Explicit product arena for one FTS and one spec.
@@ -418,7 +412,7 @@ _GOAL, _DESCEND, _TRAP = 0, 1, 2
 class GameSolution:
     graph: GameGraph
     z_nodes: list[bool]
-    winning: set          # GameStates (region, env index), cleared-bit entry
+    winning: set          # (region, env index) pairs, cleared-bit entry
     region_winning: set   # regions winning for every env valuation
     strategy: "StrategyAutomaton | None" = None
     # Per-goal rank tables of the final muY layers, filled only when a
@@ -552,18 +546,11 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
         add(layer)
 
 
-def _solve_nodes(graph: GameGraph, forced_q_regions, record: bool):
+def _solve_nodes(graph: GameGraph, record: bool):
     """The winning nodes Z, each goal's muY reading the Z the previous goal
     left, and, when ``record``, every goal's rank tables against it."""
     n = graph.n_nodes
-    q_preds = [list(q) for q in graph.guarantee_preds]
-    if forced_q_regions:
-        forced_idx = {graph.region_index[r] for r in forced_q_regions}
-        for q in q_preds:
-            for ri in forced_idx:
-                for ei in range(graph.n_env):
-                    for b in range(graph.n_bitvals):
-                        q[graph.node(ri, ei, b)] = True
+    q_preds = graph.guarantee_preds
     p_preds = graph.assumption_preds
 
     Z = [True] * n
@@ -585,28 +572,9 @@ def _solve_nodes(graph: GameGraph, forced_q_regions, record: bool):
     return Z, ranks, cases, trap_layers
 
 
-def solve_game(graph: GameGraph, forced_winning_regions=frozenset(),
-               forced_losing_regions=frozenset(), extract_strategy=True):
-    """Largest winning set of the game plus a finite-memory strategy.
-
-    ``forced_winning_regions`` short-circuit already-solved regions
-    (their guarantees are treated as satisfied; their real edges keep
-    them consistent).  ``forced_losing_regions`` are checked to be
-    edge-free, which makes them losing without further work.
-    """
-    for r in forced_losing_regions:
-        if graph.succ[graph.region_index[r]]:
-            raise SpecError(f"forced-losing region {r!r} still has successors")
-    Z, ranks, cases, trap_layers = _solve_nodes(
-        graph, forced_winning_regions, record=extract_strategy)
-    if forced_winning_regions:
-        missing = [r for r in forced_winning_regions
-                   if not all(Z[graph.initial_node(graph.region_index[r], ei)]
-                              for ei in range(graph.n_env))]
-        if missing:
-            raise AssertionError(
-                f"seeded-winning regions fell out of the winning set: "
-                f"{missing}; abstraction construction is inconsistent")
+def solve_game(graph: GameGraph, extract_strategy=True):
+    """Largest winning set of the game plus a finite-memory strategy."""
+    Z, ranks, cases, trap_layers = _solve_nodes(graph, record=extract_strategy)
     winning = set()
     for ri, r in enumerate(graph.regions):
         for ei in range(graph.n_env):
@@ -618,7 +586,7 @@ def solve_game(graph: GameGraph, forced_winning_regions=frozenset(),
                        region_winning=region_winning, rank=ranks, case=cases,
                        trap_layer=trap_layers)
     if extract_strategy:
-        sol.strategy = _extract_strategy(sol, forced_winning_regions)
+        sol.strategy = _extract_strategy(sol)
     return sol
 
 
@@ -626,12 +594,8 @@ def _admissible(graph, Z, s_idx, b_val):
     return all(Z[v] for v in graph.next_nodes(s_idx, b_val))
 
 
-def _extract_strategy(sol: GameSolution, forced=frozenset()):
-    """Deterministic finite-memory strategy over (region, bits, goal).
-
-    Undefined on forced (seeded) regions: the engine re-solves without
-    seeds before extracting the controller it ships.
-    """
+def _extract_strategy(sol: GameSolution):
+    """Deterministic finite-memory strategy over (region, bits, goal)."""
     graph = sol.graph
     n_goals = len(graph.guarantee_preds)
     Z = sol.z_nodes
@@ -672,7 +636,7 @@ def _extract_strategy(sol: GameSolution, forced=frozenset()):
         return cands[0], j
 
     bit_names = graph.spec.bit_names
-    start_regions = sorted(sol.region_winning - set(forced),
+    start_regions = sorted(sol.region_winning,
                            key=lambda r: graph.region_index[r])
     memory_states: list[tuple] = []
     memory_index: dict[tuple, int] = {}
@@ -803,8 +767,9 @@ def strategy_invariance_check(strategy: StrategyAutomaton, graph: GameGraph,
                               solution: GameSolution) -> bool:
     """Every strategy-controlled play stays inside the winning set.
 
-    Explores the full (memory, env) product; a visited GameState outside
-    the solver's winning set means the strategy (or the solver) is broken.
+    Explores the full (memory, env) product; a visited (region, env)
+    pair outside the solver's winning set means the strategy (or the
+    solver) is broken.
     """
     winning = solution.winning
     pending = list(strategy.initial.values())

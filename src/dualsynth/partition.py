@@ -10,7 +10,6 @@ are root-to-leaf index paths, so the whole history stays addressable.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -315,11 +314,3 @@ def partition_to_svg(forest: PartitionForest, width: int = 480) -> str:
     rows = [(rid, forest.nodes[rid].box, forest.nodes[rid].status,
              forest.nodes[rid].labels) for rid in forest.leaves]
     return render_svg(forest.domain, rows, width)
-
-
-def write_partition_artifacts(forest: PartitionForest, json_path, svg_path=None):
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(partition_to_json(forest), fh, indent=1)
-    if svg_path is not None and forest.domain.dim == 2:
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(partition_to_svg(forest))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -110,10 +111,90 @@ class TestSynthesizeCommand:
         bad.write_text(json.dumps(data))
         assert main(["synthesize", str(bad)]) == EXIT_INPUT_ERROR
 
-    def test_rebuild_check_flag(self, invariant_path, tmp_path):
-        code = main(["synthesize", invariant_path, "--rebuild-check",
-                     "--out", str(tmp_path / "r")])
-        assert code == EXIT_UNREALIZABLE
+    def test_removed_rebuild_check_flag_is_usage_error(self, invariant_path,
+                                                       tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", invariant_path, "--rebuild-check",
+                  "--out", str(tmp_path / "r")])
+        assert exc.value.code == EXIT_INPUT_ERROR
+
+    def test_init_held_by_no_initial_region_exit_three(self, tmp_path,
+                                                       capsys):
+        # "lot" is a proposition, but no initial leaf carries it
+        data = json.loads(open(bundled("park.json")).read())
+        data["initial_set"] = [[0, 1], [0, 1]]
+        data["spec"]["init"] = "lot"
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps(data))
+        code = main(["synthesize", str(path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_INPUT_ERROR
+        assert "no initial region satisfies" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+def _set_guarantee(text):
+    def mutate(data):
+        data["spec"]["guarantees"] = [text]
+    return mutate
+
+
+def _set_init(text):
+    def mutate(data):
+        data["spec"]["init"] = text
+    return mutate
+
+
+def _rename_env(data):
+    data["environment"][0]["name"] = "home"
+
+
+def _flatten_home(data):
+    data["propositions"][0]["box"] = [[1, 1], [0, 2]]
+
+
+def _typo_response(data):
+    data["spec"]["responses"][0]["response"] = "lto"
+
+
+def _value_on_proposition(data):
+    data["spec"]["assumptions"] = ["lot=true"]
+
+
+# park.json mutations whose names or regions mean nothing, with the JSON
+# path each is rejected at
+MEANINGLESS = [
+    (_set_guarantee("hom"), "spec.guarantees[0]"),
+    (_set_guarantee("park=maybe"), "spec.guarantees[0]"),
+    (_rename_env, "environment[0].name"),
+    (_flatten_home, "propositions[0].box[0]"),
+    (_set_init("park=true"), "spec.init"),
+    (_set_init("park"), "spec.init"),
+    (_typo_response, "spec.responses[0].response"),
+    (_value_on_proposition, "spec.assumptions[0]"),
+]
+
+
+class TestMeaningfulNames:
+    @pytest.mark.parametrize("mutate, path", MEANINGLESS,
+                             ids=[p for _m, p in MEANINGLESS])
+    def test_rejected_with_path_and_exit_three(self, mutate, path, tmp_path,
+                                               capsys):
+        data = json.loads(open(bundled("park.json")).read())
+        mutate(data)
+        with pytest.raises(ProblemError, match=rf"^{re.escape(path)}: "):
+            parse_problem(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["synthesize", str(bad), "--out",
+                     str(tmp_path / "r")]) == EXIT_INPUT_ERROR
+        assert path in capsys.readouterr().err
+
+    def test_meaningful_literals_accepted(self):
+        data = json.loads(open(bundled("park.json")).read())
+        data["spec"]["guarantees"] = ["home | park=false", "!park -> home"]
+        data["spec"]["init"] = "home | !lot"
+        problem = parse_problem(data)
+        assert problem.raw_spec.init == "home | !lot"
 
 
 BAD_OPTIONS = [

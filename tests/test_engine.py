@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dualsynth import engine
 from dualsynth.abstraction import EnvAlphabet, build_initial
 from dualsynth.engine import (
     EngineError,
@@ -272,14 +273,6 @@ class TestOptionRanges:
 
 
 class TestWarmStartEquivalence:
-    def test_rebuild_check_passes_on_examples(self):
-        for sys, env, spec, opts in (
-                (*park_problem(), EngineOptions(rebuild_check=True)),
-                (*invariant_problem(), EngineOptions(rebuild_check=True)),
-                (*self._refining_problem(), EngineOptions(
-                    max_iters=3, rebuild_check=True))):
-            run(sys, env, spec, opts)  # raises on any disagreement
-
     @staticmethod
     def _refining_problem():
         sys = ControlSystem.create(
@@ -298,3 +291,24 @@ class TestWarmStartEquivalence:
         assert len(verdict.history) >= 2
         for t, t2 in zip(verdict.history, verdict.history[1:]):
             assert set(t.boxes("winning")) <= set(t2.boxes("winning"))
+
+    def test_lost_inheritance_is_caught(self, monkeypatch):
+        # children of winning regions stripped of their copied edges lose
+        # both games, which the loop must refuse rather than report
+        original = engine.refine
+
+        def drop_copied_edges(pair, forest, winning, losing, maybe, sys):
+            out = original(pair, forest, winning, losing, maybe, sys)
+            kids = {c for r in winning for c in forest.nodes[r].children}
+            for edges in (out.pess_edges, out.opt_edges):
+                for r in kids:
+                    edges[r] = [s for s in edges[r] if s not in kids]
+            return out
+
+        sys, env, spec = self._refining_problem()
+        assert run(sys, env, spec, EngineOptions(max_iters=0)).history[0] \
+            .winning, "the check needs a winning region to inherit from"
+        monkeypatch.setattr(engine, "refine", drop_copied_edges)
+        with pytest.raises(AssertionError, match=r"is not winning at "
+                           r"iteration 1 although its parent"):
+            run(sys, env, spec, EngineOptions(max_iters=6))

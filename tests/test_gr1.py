@@ -158,11 +158,6 @@ class TestSolveGame:
         assert sol.region_winning == {0, 1}
         assert strategy_invariance_check(sol.strategy, g, sol)
 
-    def test_forced_losing_with_edges_rejected(self):
-        g = make_graph({0: [0]}, {0: {"g"}})
-        with pytest.raises(SpecError):
-            solve_game(g, forced_losing_regions={0})
-
 
 def random_game(rng):
     n_env = int(rng.integers(1, 3))
