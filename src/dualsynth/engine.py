@@ -39,6 +39,8 @@ from dualsynth.gr1 import (
     SpecError,
     StrategyAutomaton,
     eval_formula,
+    format_formula,
+    formula_literals,
     solve_game,
 )
 from dualsynth.partition import (
@@ -217,9 +219,40 @@ def _check_inheritance(forest: PartitionForest, before: SetTriple,
                         f"abstractions are inconsistent")
 
 
+def _check_names(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec):
+    """Every atom of the spec names a proposition of ``sys``, an environment
+    variable or a memory bit, every ``var=value`` a value of its variable,
+    and the init assumption propositions only; otherwise EngineError."""
+    props = {name for name, _box in sys.proposition_regions}
+    values = dict(env.variables)
+    names = props | set(values) | set(spec.bit_names)
+    anything = "a proposition, an environment variable or a memory bit"
+    formulas = [(f, names, anything) for f in (
+        *spec.assumptions, *spec.guarantees,
+        *(update for _bit, update in spec.memory_bits))]
+    if spec.init_assumption is not None:
+        formulas.append((spec.init_assumption, props, "a proposition (the "
+                         "init assumption may name propositions only)"))
+    for expr, allowed, what in formulas:
+        for lit in formula_literals(expr):
+            name = lit[1]
+            if name not in allowed:
+                problem = f"{name!r} is not {what}"
+            elif lit[0] == "eq" and name not in values:
+                problem = f"{name!r} is not an environment variable"
+            elif lit[0] == "eq" and lit[2] not in values[name]:
+                problem = (f"{format_formula(lit)}: the value is not one of "
+                           f"{list(values[name])}")
+            else:
+                continue
+            raise EngineError(f"spec formula {format_formula(expr)!r}: "
+                              f"{problem}")
+
+
 def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         opts: EngineOptions = EngineOptions()) -> Verdict:
     """Decide realizability by iterative dual-abstraction refinement."""
+    _check_names(sys, env, spec)
     m = opts.m if opts.m is not None else 2 ** sys.n
     forest = initial_partition(sys)
     pair = build_initial(forest, sys, env)

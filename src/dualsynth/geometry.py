@@ -7,52 +7,35 @@ is no feasibility tolerance anywhere: float inputs are converted exactly
 (every binary float is a rational) and all comparisons are exact.
 
 The two relations of interest between regions X and Y of an affine system
-s' = A s + B u, u constrained to a box U:
+s' = A s + B u, u constrained to a box U, with T = Y ∩ D the target
+clipped to the domain D:
 
-* ``reach_pessimistic``: every point of X has some admissible input
-  landing in Y.  Decided at the vertices of X, which is sound because
-  ``{x : exists u in U with A x + B u in Y}`` is an affine preimage of a
-  polyhedron and therefore convex.
 * ``reach_optimistic``: some point of X has some admissible input landing
-  in Y.  A single joint feasibility problem in (x, u).
+  in Y, that is, 0 lies in the zonotope ``A X + B U - T``;
+* ``reach_pessimistic``: every point of X has one.  The points that can
+  reach T form a convex set, so this holds exactly when 0 lies in
+  ``A v + B U - T`` for every vertex v of X.
 
-Every question is answered by one of two exact kernels:
+Both are decided by one separating-axis test.  A point lies in a zonotope
+exactly when it lies in the slab of every facet normal (Girard, HSCC 2005),
+and the facet normals are generalized cross products of n - 1 generator
+directions (Althoff, Stursberg & Buss, NAHS 2010).  The directions are the
+columns of A, the columns of B and the unit axes, which carry the
+generators of the boxes, so the normals depend on the system alone
+(``ControlSystem.reach_normals``).  Generators of zero length (a flat X, U
+or T) keep the test exact: such a zonotope is the limit of
+full-dimensional ones with the same normals.  The slabs of a source box X
+are computed once (``_SourceView``), and a target then costs one range
+comparison per normal.  The abstraction asks its queries source-major, and
+the view of the last source is kept.
 
-* ``_input_toward(sys, shift, target)``, the input kernel: an input u in
-  U with ``shift + B u`` in the closed target box, or None.  Its branches
-  run in this order: with diagonal B, each axis on its own, at the middle
-  of that axis's feasible input window; otherwise the row hull of B U as
-  a prescreen, the midpoint probe (square invertible B), then the box LP.
-  Only the diagonal branch keeps landings off the target's faces: the
-  probe is clamped to U and the LP returns a vertex, so their landings
-  may lie on a face.  That is sound, since boxes are closed and a point
-  on a shared face belongs to the target.  The row hull depends on the
-  system alone and is computed once per system
-  (``ControlSystem.input_hull``).  The kernel decides the pessimistic
-  vertex and optimistic centre probes, ``reach_exists_from_point`` and
-  the controller's ``input_witness``.
-* ``_box_lp(M, box, lo, hi)``: a point z of the box with
-  ``lo <= M z <= hi``, by an exact phase-1 simplex.  It is the input
-  kernel's last resort and, over X × U with M = [A | B], the joint LP of
-  ``reach_optimistic``.
-
-Both relations are decided from a per-source view (``_SourceView``),
-computed once per source box X and system: the image hull of X, with
-diagonal B each vertex's input window ``A v + B U``, and the shifts
-``A v`` and ``A c`` the probes start from.  Every interval in it is
-already clipped to the domain D, since Y ∩ D meets W exactly when Y meets
-D ∩ W; a target is clipped only when a probe or the LP needs it.  The
-abstraction asks its queries source-major and the view of the last source
-is kept, so a source's view is built once for all its targets.
-
-The exact shortcuts, in the order they run:
-
-* pessimistic, diagonal B: Y meets the window every vertex reaches;
-* optimistic: a target missing the image hull is unreachable; with
-  diagonal A and B the hull is the image, so meeting it suffices; with
-  diagonal B a vertex whose window meets Y is a witness;
-* otherwise the input kernel (per vertex, or from the centre of X), and
-  the joint box LP only for what the centre probe leaves open.
+The controller asks for an input u in U with A x + B u in a box.  The input
+kernel ``_input_toward`` answers it: with diagonal B per axis, at the
+middle of each axis's feasible window; otherwise the row hull of B U as a
+prescreen, the midpoint probe (square invertible B), then an exact phase-1
+simplex over the box (``_box_lp``).  The probe is clamped to U and the
+simplex returns a vertex, so those landings may lie on a face of the
+target, which is sound: boxes are closed.
 """
 
 from __future__ import annotations
@@ -60,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -194,12 +177,6 @@ class Box:
                 return False
         return True
 
-    def vertices(self) -> Iterable[tuple[Fraction, ...]]:
-        if self.empty:
-            return
-        for picks in product(*zip(self.lower, self.upper)):
-            yield picks
-
     def as_float_bounds(self) -> list[list[float]]:
         return [[float(lo), float(hi)] for lo, hi in zip(self.lower, self.upper)]
 
@@ -279,6 +256,38 @@ class ControlSystem:
     def input_hull(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Per row i, the exact range ``(lo, hi)`` of ``B_i . u`` over U."""
         return tuple(_row_range(row, self.input_set) for row in self.B)
+
+    @cached_property
+    def reach_normals(self) -> tuple[tuple[tuple[Fraction, ...], bool], ...]:
+        """The facet normals of the reach zonotopes, as (normal, pessimistic).
+
+        Each normal is the generalized cross product of n - 1 of the
+        nonzero directions: the unit axes, the columns of B and the
+        columns of A, the generators of ``A X + B U - T`` for boxes X and
+        T.  It is solved from the n - 1 directions plus the first unit
+        row e_k that makes the system regular, with ν·e_k = 1; that k is
+        the first nonzero entry of the normal, so equal normals come out
+        equal.  A normal is pessimistic when some subset of axes and B's
+        columns alone gives it: those are the normals of
+        ``A v + B U - T``.  The unit axes come first, e_i at index i.
+        """
+        n = self.n
+        axes = [tuple(Fraction(int(i == j)) for j in range(n))
+                for i in range(n)]
+        inputs = [col for col in zip(*self.B) if any(col)]
+        directions = axes + inputs + [col for col in zip(*self.A) if any(col)]
+        normals = dict.fromkeys(axes, True)
+        rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+        for subset in combinations(range(len(directions)), n - 1):
+            rows = [directions[k] for k in subset]
+            for unit in axes:
+                normal = _solve_square(rows + [unit], rhs)
+                if normal is not None:
+                    normal = tuple(normal)
+                    pessimistic = not subset or subset[-1] < n + len(inputs)
+                    normals[normal] = normals.get(normal, False) or pessimistic
+                    break
+        return tuple(normals.items())
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +400,11 @@ def _row_range(row: Sequence[Fraction], box: Box) -> tuple[Fraction, Fraction]:
         lo += c * (zl if c >= 0 else zh)
         hi += c * (zh if c >= 0 else zl)
     return lo, hi
+
+
+def _project(normal: Sequence[Fraction], mat: Matrix) -> list[Fraction]:
+    """The row ``normal^T mat``, so ``normal . (mat z) = row . z``."""
+    return [sum(v * c for v, c in zip(normal, col)) for col in zip(*mat)]
 
 
 def _clamp(vec: Sequence[Fraction], box: Box) -> tuple[Fraction, ...]:
@@ -512,60 +526,51 @@ def reach_exists_from_point(x: Sequence[Fraction], Y: Box,
 
 
 class _SourceView:
-    """What the reach relations need of one source box X under one system.
+    """The slabs of one source box X under one system.
 
-    Everything here depends on X and the system only, so it is computed
-    once per source and every target Y is then decided by exact
-    comparisons.  Intervals already carry the domain clip: Y meets
-    ``D ∩ W`` exactly when ``Y ∩ D`` meets W, so no target is clipped
-    unless a probe or the LP runs.
+    Per normal ν of ``sys.reach_normals``, with (alo, ahi) the range of
+    ν·A x over X and (blo, bhi) that of ν·B u over U, the optimistic slab
+    is [alo + blo, ahi + bhi] and the pessimistic slab [ahi + blo,
+    alo + bhi], the window every vertex reaches, which may be inverted.
+    A target passes a slab (lo, hi) when its range (tlo, thi) along ν
+    has ``tlo <= hi`` and ``thi >= lo``.
 
-    * ``hull``: the exact interval hull of the image ``A X + B U``
-      intersected with the domain, as a box; empty when it misses the
-      domain (then no target is reachable).
-    * ``windows`` (diagonal B only): per vertex v, the box
-      ``(A v + B U) ∩ D``; vertices whose window misses the domain are
-      left out.
-    * ``common`` (diagonal B only): per axis, the max of the vertex
-      windows' lows and the min of their highs, as ``(lows, highs)``.
-      Y meets every vertex window on an axis exactly when the lows' max
-      is at most Y's high and the highs' min at least Y's low, so this
-      pair may be inverted.  None when some vertex's window misses the
-      domain (then no target is reachable from every point).
-    * ``shifts``: ``A v`` per vertex, where the pessimistic probes start
-      when B is not diagonal; ``centre_shift``: ``A c`` for the centre c,
-      where the optimistic probe starts.
+    * ``opt_axes`` / ``pess_axes``: per axis i, the slab along e_i already
+      clipped to the domain, as (max(lo, D_i low), min(hi, D_i high)); Y
+      passes it exactly when Y ∩ D does, so axis tests read Y unclipped.
+      None when some axis slab misses the domain: then no target passes.
+    * ``opt_others`` / ``pess_others``: (ν, lo, hi) per non-axis normal,
+      tested against the range of ν over Y ∩ D.
     """
 
-    __slots__ = ("diag_A", "diag_B", "hull", "windows", "common", "shifts",
-                 "centre_shift")
+    __slots__ = ("opt_axes", "pess_axes", "opt_others", "pess_others")
 
     def __init__(self, X: Box, sys: ControlSystem):
-        D = sys.domain
-        self.diag_A = is_diagonal(sys.A)
-        self.diag_B = sys.diagonal_B
-        lows, highs = [], []
-        for row, (blo, bhi) in zip(sys.A, sys.input_hull):
-            alo, ahi = _row_range(row, X)
-            lows.append(alo + blo)
-            highs.append(ahi + bhi)
-        self.hull = Box(tuple(lows), tuple(highs)).intersect(D)
-        self.shifts = [mat_vec(sys.A, v) for v in X.vertices()]
-        self.centre_shift = mat_vec(sys.A, X.center())
-        self.windows = []
-        self.common = None
-        if not self.diag_B:
-            return
-        # with diagonal B, row i of the hull of B U is the interval B_ii U_i
-        inputs = sys.input_hull
-        windows = [Box(tuple(s + lo for s, (lo, _) in zip(shift, inputs)),
-                       tuple(s + hi for s, (_, hi) in zip(shift, inputs))
-                       ).intersect(D)
-                   for shift in self.shifts]
-        self.windows = [w for w in windows if not w.empty]
-        if len(self.windows) == len(windows):
-            self.common = ([max(axis) for axis in zip(*(w.lower for w in windows))],
-                           [min(axis) for axis in zip(*(w.upper for w in windows))])
+        n, normals = sys.n, sys.reach_normals
+        opt, pess = [], []
+        for i, (normal, pessimistic) in enumerate(normals):
+            if i < n:  # the unit axis e_i
+                alo, ahi = _row_range(sys.A[i], X)
+                blo, bhi = sys.input_hull[i]
+            else:
+                alo, ahi = _row_range(_project(normal, sys.A), X)
+                blo, bhi = _row_range(_project(normal, sys.B), sys.input_set)
+            opt.append((alo + blo, ahi + bhi))
+            pess.append((ahi + blo, alo + bhi) if pessimistic else None)
+        self.opt_axes = _clip_axes(opt[:n], sys.domain)
+        self.pess_axes = _clip_axes(pess[:n], sys.domain)
+        self.opt_others = [(normal, *slab) for (normal, _), slab
+                           in zip(normals[n:], opt[n:])]
+        self.pess_others = [(normal, *slab) for (normal, _), slab
+                            in zip(normals[n:], pess[n:]) if slab]
+
+
+def _clip_axes(slabs, domain: Box):
+    """Axis slabs clipped to the domain, or None when one misses it."""
+    bounds = list(zip(slabs, domain.lower, domain.upper))
+    if any(lo > dh or hi < dl for (lo, hi), dl, dh in bounds):
+        return None
+    return [(max(lo, dl), min(hi, dh)) for (lo, hi), dl, dh in bounds]
 
 
 # One-entry memo: the view of the last source queried.  Callers issue
@@ -587,14 +592,24 @@ def _source_view(X: Box, sys: ControlSystem) -> _SourceView:
     return view
 
 
-def _meets(lows: Sequence[Fraction], highs: Sequence[Fraction], Y: Box) -> bool:
-    """On every axis, ``lo <= Y's high`` and ``hi >= Y's low``.
+def _passes(axes, others, Y: Box, domain: Box) -> bool:
+    """Y ∩ D meets every slab: the axis slabs of ``axes`` (clipped to D,
+    so Y is read unclipped) and the (normal, lo, hi) slabs of ``others``.
 
-    For a nonempty interval that says it meets Y's; for the inverted
-    ``common`` pair, that Y meets every vertex window.
+    Passing every axis slab implies Y meets D, so Y ∩ D is nonempty when
+    the other normals read their ranges off it.
     """
-    for lo, hi, yl, yh in zip(lows, highs, Y.lower, Y.upper):
-        if hi < yl or lo > yh:
+    if axes is None:
+        return False
+    for (lo, hi), yl, yh in zip(axes, Y.lower, Y.upper):
+        if yh < lo or yl > hi:
+            return False
+    if not others:
+        return True
+    target = Y.intersect(domain)
+    for normal, lo, hi in others:
+        tlo, thi = _row_range(normal, target)
+        if thi < lo or tlo > hi:
             return False
     return True
 
@@ -603,48 +618,26 @@ def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     """Every point of X admits an input landing in Y (within the domain).
 
     Vertex reduction: the set of x that can reach Y is convex, so it
-    contains X iff it contains all of X's vertices.  With diagonal B each
-    vertex reaches a box window, and the answer is whether Y meets the
-    window common to all vertices on every axis (see ``_SourceView``);
-    otherwise the input kernel ``_input_toward`` decides each vertex from
-    its shift.
+    contains X iff it contains all of X's vertices.  Vertex v reaches
+    Y ∩ D exactly when 0 lies in the zonotope ``A v + B U - (Y ∩ D)``,
+    whose normals are the pessimistic ones; taken over all vertices at
+    once, that is the pessimistic slab test of ``_SourceView``.
     """
     if X.empty:
         raise GeometryError("pessimistic reach from an empty region is undefined")
     if Y.empty:
         return False
     view = _source_view(X, sys)
-    if view.diag_B:
-        return view.common is not None and _meets(*view.common, Y)
-    target = Y.intersect(sys.domain)
-    if target.empty:
-        return False
-    return all(_input_toward(sys, shift, target) is not None
-               for shift in view.shifts)
+    return _passes(view.pess_axes, view.pess_others, Y, sys.domain)
 
 
 def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     """Some point of X admits an input landing in Y (within the domain).
 
-    Exact shortcuts first, in this order: a target missing the image hull
-    is unreachable; with diagonal A and B the hull is the image itself, so
-    meeting it suffices; with diagonal B a vertex whose input window meets
-    Y is a witness.  Then the input kernel probes from the centre of X,
-    and the box LP in (x, u) over X × U decides what is left.
+    Exactly when 0 lies in the zonotope ``A X + B U - (Y ∩ D)``, that is,
+    when Y ∩ D meets the optimistic slab of every normal (``_SourceView``).
     """
     if X.empty or Y.empty:
         raise GeometryError("optimistic reach needs nonempty regions")
     view = _source_view(X, sys)
-    if view.hull.empty or not _meets(view.hull.lower, view.hull.upper, Y):
-        return False
-    if view.diag_A and view.diag_B:
-        return True
-    for window in view.windows:
-        if _meets(window.lower, window.upper, Y):
-            return True
-    target = Y.intersect(sys.domain)
-    if _input_toward(sys, view.centre_shift, target) is not None:
-        return True
-    XU = Box(X.lower + sys.input_set.lower, X.upper + sys.input_set.upper)
-    AB = [row_A + row_B for row_A, row_B in zip(sys.A, sys.B)]
-    return _box_lp(AB, XU, target.lower, target.upper) is not None
+    return _passes(view.opt_axes, view.opt_others, Y, sys.domain)

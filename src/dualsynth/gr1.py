@@ -590,19 +590,15 @@ def solve_game(graph: GameGraph, extract_strategy=True):
     return sol
 
 
-def _admissible(graph, Z, s_idx, b_val):
-    return all(Z[v] for v in graph.next_nodes(s_idx, b_val))
-
-
 def _extract_strategy(sol: GameSolution):
     """Deterministic finite-memory strategy over (region, bits, goal)."""
     graph = sol.graph
     n_goals = len(graph.guarantee_preds)
     Z = sol.z_nodes
 
-    def worst_rank(j, s_idx, b_val):
+    def worst_rank(j, fan):
         worst = 0
-        for v in graph.next_nodes(s_idx, b_val):
+        for v in fan:
             r = sol.rank[j][v]
             if r is None:
                 return None
@@ -612,26 +608,27 @@ def _extract_strategy(sol: GameSolution):
     def next_move(node, j):
         ri, ei, b = graph.decode(node)
         kind, trap_i = sol.case[j][node]
-        options = [s for s in graph.succ_idx[ri] if _admissible(graph, Z, s, b)]
+        fans = [(s, graph.next_nodes(s, b)) for s in graph.succ_idx[ri]]
+        options = [(s, fan) for s, fan in fans if all(Z[v] for v in fan)]
         if not options:
             raise AssertionError("winning node without admissible successor")
         if kind == _GOAL:
             j2 = (j + 1) % n_goals
-            ranked = [(worst_rank(j2, s, b), s) for s in options]
+            ranked = [(worst_rank(j2, fan), s) for s, fan in options]
             ranked = [(w, s) for w, s in ranked if w is not None]
             assert ranked, "successor escaping all goal ranks"
             return min(ranked)[1], j2
         k = sol.rank[j][node]
         if kind == _DESCEND:
             assert k >= 2, "rank-1 nodes satisfy the goal or sit in a trap"
-            ranked = [(worst_rank(j, s, b), s) for s in options]
+            ranked = [(worst_rank(j, fan), s) for s, fan in options]
             cands = [(w, s) for w, s in ranked if w is not None and w < k]
             assert cands, "descend case without a descending successor"
             return min(cands)[1], j
         entered = sol.trap_layer[j][trap_i]
-        cands = [s for s in options
+        cands = [s for s, fan in options
                  if all(entered[v] is not None and entered[v] <= k
-                        for v in graph.next_nodes(s, b))]
+                        for v in fan)]
         assert cands, "trap case without a trap-preserving successor"
         return cands[0], j
 

@@ -1,12 +1,13 @@
 """Independent oracles the test suite checks the library against.
 
 Everything here deliberately avoids the library's own decision procedures:
-reachability is re-decided by dense grid sampling or exact per-axis
-interval arithmetic, games by exhaustive strategy enumeration with lasso
-checking or by a textbook sweep of the GR(1) fixpoint over explicit
-(region, env, bits) triples, and losing-set soundness by an exact
-backward-reachability fixpoint.  Keep it that way; the value of these tests is the independent
-route to the same answer.
+reachability is re-decided by dense grid sampling, exact per-axis
+interval arithmetic or exact Fourier-Motzkin elimination, games by
+exhaustive strategy enumeration with lasso checking or by a textbook sweep
+of the GR(1) fixpoint over explicit (region, env, bits) triples, and
+losing-set soundness by an exact backward-reachability fixpoint.  Keep it
+that way; the value of these tests is the independent route to the same
+answer.
 """
 
 from __future__ import annotations
@@ -47,13 +48,122 @@ def grid_reach(sys, X, Y, kx=64, ku=32, tol=1e-9):
     lo = np.array([float(v) for v in target.lower]) - tol
     hi = np.array([float(v) for v in target.upper]) + tol
     xs = _box_grid(X, kx) @ A.T          # (kx^n, n)
-    us = _box_grid(sys.input_set, ku) @ B.T
-    ok = np.ones((xs.shape[0], us.shape[0]), dtype=bool)
+    us = _box_grid(sys.input_set, ku)[None]  # (1, ku^m, m)
+    ok = True
+    flat = [i for i, (c, d) in enumerate(zip(target.lower, target.upper))
+            if c == d]
+    if flat:
+        # A grid of inputs misses a flat target.  Project every grid input,
+        # per grid state, onto the inputs landing on the flat axes; the
+        # projection moves no point of those inputs, so the projected grid
+        # stays dense on the ones in U.
+        BF = B[flat]
+        P = np.linalg.pinv(BF)
+        goal = np.array([float(target.lower[i]) for i in flat])
+        us = us - us @ (P @ BF).T + ((goal - xs[:, flat]) @ P.T)[:, None, :]
+        ulo = np.array([float(v) for v in sys.input_set.lower]) - tol
+        uhi = np.array([float(v) for v in sys.input_set.upper]) + tol
+        ok = ((us >= ulo) & (us <= uhi)).all(axis=-1)
     for c in range(xs.shape[1]):
-        z = np.add.outer(xs[:, c], us[:, c])
-        ok &= (z >= lo[c]) & (z <= hi[c])
+        z = xs[:, c, None] + us @ B[c]
+        ok = ok & (z >= lo[c]) & (z <= hi[c])
     reach_any_u = ok.any(axis=1)
     return bool(reach_any_u.all()), bool(reach_any_u.any())
+
+
+def _fm_feasible(rows, lower, upper):
+    """Is {z in the box [lower, upper] : a . z <= b for every (a, b) in rows}
+    nonempty?
+
+    Fourier-Motzkin elimination in Fraction arithmetic.  Each step drops
+    the variable with the fewest new rows, pairing its positive and
+    negative rows, the box bounds among them.  Rows are scaled to a
+    largest coefficient of 1, and only the tightest bound per left side is
+    kept.  A row on two or more variables that the box bounds imply is
+    dropped, since the bounds of every variable not yet eliminated are
+    still rows; a row the box bounds contradict ends the search.
+    """
+    nvars = len(lower)
+    tight = {}
+
+    def add(a, b):
+        scale = max(abs(x) for x in a)
+        if not scale:
+            return b >= 0
+        a = tuple(x / scale for x in a)
+        b /= scale
+        lo = sum(x * (l if x > 0 else h) for x, l, h in zip(a, lower, upper))
+        hi = sum(x * (h if x > 0 else l) for x, l, h in zip(a, lower, upper))
+        if lo > b:
+            return False
+        if hi > b or sum(x != 0 for x in a) == 1:
+            tight[a] = min(b, tight.get(a, b))
+        return True
+
+    for j in range(nvars):
+        unit = [Fraction(0)] * nvars
+        unit[j] = Fraction(1)
+        add(unit, upper[j])
+        add([-x for x in unit], -lower[j])
+    if not all([add(list(a), b) for a, b in rows]):
+        return False
+    for _ in range(nvars):
+        live = [k for k in range(nvars) if any(a[k] for a in tight)]
+        if not live:
+            return True
+
+        def cost(k):
+            pos = sum(a[k] > 0 for a in tight)
+            neg = sum(a[k] < 0 for a in tight)
+            return pos * neg - pos - neg
+
+        k = min(live, key=cost)
+        old, tight = tight, {}
+        for a, b in old.items():
+            if a[k] == 0:
+                tight[a] = b
+        for ap, bp in old.items():
+            for an, bn in old.items():
+                if ap[k] > 0 > an[k]:
+                    fp, fn = 1 / ap[k], -1 / an[k]
+                    if not add([fp * x + fn * y for x, y in zip(ap, an)],
+                               fp * bp + fn * bn):
+                        return False
+    return True
+
+
+def fm_reach(sys, X, Y):
+    """Exact (pessimistic, optimistic) verdicts for any A and B.
+
+    With T = Y ∩ D: optimistic asks whether some (x, u) in X × U has
+    A x + B u in T, pessimistic whether for every vertex v of X some u in
+    U has A v + B u in T (the points reaching T form a convex set).  Each
+    question is a system of linear inequalities decided by Fourier-Motzkin
+    elimination (``_fm_feasible``), over (x, u) and over u respectively.
+    """
+    t_lo = [max(a, b) for a, b in zip(Y.lower, sys.domain.lower)]
+    t_hi = [min(a, b) for a, b in zip(Y.upper, sys.domain.upper)]
+    if any(a > b for a, b in zip(t_lo, t_hi)):
+        return False, False
+
+    def target_rows(coeffs, offsets):
+        """t_lo <= row . z + offset <= t_hi, row by row."""
+        rows = []
+        for row, off, lo, hi in zip(coeffs, offsets, t_lo, t_hi):
+            rows.append((row, hi - off))
+            rows.append(([-c for c in row], off - lo))
+        return rows
+
+    U = sys.input_set
+    joint = [list(a) + list(b) for a, b in zip(sys.A, sys.B)]
+    opt = _fm_feasible(target_rows(joint, [0] * len(joint)),
+                       X.lower + U.lower, X.upper + U.upper)
+    pess = all(
+        _fm_feasible(target_rows(sys.B, [sum(a * x for a, x in zip(row, v))
+                                         for row in sys.A]),
+                     U.lower, U.upper)
+        for v in product(*zip(X.lower, X.upper)))
+    return pess, opt
 
 
 def interval_reach(sys, X, Y):

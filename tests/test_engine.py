@@ -272,6 +272,33 @@ class TestOptionRanges:
         assert verdict.outcome == "unrealizable"
 
 
+class TestSpecNames:
+    """``run`` refuses specs whose names mean nothing in the problem."""
+
+    @pytest.mark.parametrize("raw, message", [
+        (RawSpec(guarantees=("hom",)), r"'hom' is not a proposition, an "
+         r"environment variable or a memory bit"),
+        (RawSpec(guarantees=("home",), responses=(("park=maybe", "lot"),)),
+         r"park=maybe: the value is not one of \[False, True\]"),
+        (RawSpec(guarantees=("home", "lot=true")),
+         r"'lot' is not an environment variable"),
+        (RawSpec(guarantees=("home",), init="park"),
+         r"'park' is not a proposition \(the init assumption"),
+        (RawSpec(assumptions=("!prk",), guarantees=("home",)),
+         r"'!prk': 'prk' is not"),
+    ])
+    def test_meaningless_names_raise(self, raw, message):
+        sys, env, _spec = park_problem()
+        with pytest.raises(EngineError, match=r"^spec formula .*" + message):
+            run(sys, env, convert_to_gr1(raw))
+
+    def test_memory_bits_and_env_values_are_names(self):
+        sys, env, _spec = park_problem()
+        spec = convert_to_gr1(RawSpec(guarantees=("home | park=true",),
+                                      responses=(("park", "lot"),)))
+        assert run(sys, env, spec).outcome == "realizable"
+
+
 class TestWarmStartEquivalence:
     @staticmethod
     def _refining_problem():

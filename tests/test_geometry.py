@@ -1,8 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dualsynth.cli import load_problem
 from dualsynth.geometry import (
     Box,
     ControlSystem,
@@ -14,7 +16,7 @@ from dualsynth.geometry import (
     reach_pessimistic,
 )
 
-from oracles import grid_reach, interval_reach, planar_input_reach
+from oracles import fm_reach, grid_reach, interval_reach, planar_input_reach
 
 
 def identity_system(dom=((0, 3), (0, 2)), u=1):
@@ -96,6 +98,23 @@ def random_box(rng, lo=-4, hi=4, min_w=0.25):
         b = min(a + max(w, Fraction(min_w)), Fraction(hi))
         out.append([a, b])
     return Box.from_bounds(out)
+
+
+def touching_box(rng, domain):
+    """A box meeting ``domain`` only in a face: on one axis it lies just
+    outside, with an end on the domain's bound, so its clip is flat."""
+    lows, highs = [], []
+    for lo, hi in zip(domain.lower, domain.upper):
+        a = lo + (hi - lo) * Fraction(int(rng.integers(0, 8)), 8)
+        lows.append(a)
+        highs.append(min(a + Fraction(int(rng.integers(1, 9)), 4), hi))
+    axis = int(rng.integers(len(lows)))
+    width = Fraction(int(rng.integers(1, 5)), 4)
+    if rng.random() < 0.5:
+        lows[axis], highs[axis] = domain.upper[axis], domain.upper[axis] + width
+    else:
+        lows[axis], highs[axis] = domain.lower[axis] - width, domain.lower[axis]
+    return Box(tuple(lows), tuple(highs))
 
 
 class TestBox:
@@ -431,14 +450,16 @@ class TestSourceReuse:
         for sys, X, Y, got in self.answered(rng, True, sources=30, targets=30):
             assert got == planar_input_reach(sys, X, Y)
             assert got == self.answers(Box(X.lower, X.upper), Y, sys)
+        flat = 0
         for sys, X, Y, (p, o) in self.answered(rng, True, sources=8, targets=8):
-            if Y.intersect(sys.domain).volume() == 0:
-                continue  # a grid cannot sample a flat or empty target
+            target = Y.intersect(sys.domain)
+            flat += not target.empty and target.volume() == 0
             grid_p, grid_o = grid_reach(sys, X, Y, kx=16, ku=16)
             # a grid witness is a real witness; a real universal claim
             # covers every grid point
             assert o or not grid_o
             assert grid_p or not p
+        assert flat  # some targets touch the domain from outside
 
     def test_vertex_windows_apart_still_reach_pessimistically(self):
         # axis 0: the vertices' input windows [-1/2, 1/2] and [3/2, 5/2]
@@ -466,3 +487,86 @@ class TestSourceReuse:
             assert not reach_pessimistic(X, Y, sys)
             assert reach_optimistic(X, Y, sys)
         assert not reach_optimistic(X, box(4, 5), sys)
+
+
+def full_system(rng, n, m):
+    """An n-D system with dense A and a B that is often rank-deficient."""
+    vals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+            Fraction(-1, 2), Fraction(3, 4), Fraction(1, 4)]
+
+    def pick():
+        return vals[int(rng.integers(len(vals)))]
+
+    A = [[pick() for _ in range(n)] for _ in range(n)]
+    B = [[pick() for _ in range(m)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        B[-1] = [v / 2 for v in B[0]]
+    u = Fraction(int(rng.integers(1, 9)), 4)
+    dom = [[-3, 3]] * n
+    return ControlSystem.create(A=A, B=B, input_set=[[-u, u]] * m,
+                                domain=dom, initial_set=dom)
+
+
+def box_in(rng, n, lo, hi):
+    lows = [Fraction(int(rng.integers(lo * 4, hi * 4)), 4) for _ in range(n)]
+    return Box(tuple(lows), tuple(a + Fraction(int(rng.integers(1, 9)), 4)
+                                  for a in lows))
+
+
+class TestExactOracle:
+    """Both relations against Fourier-Motzkin elimination, for general A and
+    B, with targets inside, across and just outside the domain."""
+
+    def test_lp_only_systems(self):
+        flat = 0
+        for rng, sys in lp_only_systems(61, 25):
+            x = random_box(rng)
+            for y in (random_box(rng), touching_box(rng, sys.domain)):
+                flat += y.intersect(sys.domain).volume() == 0
+                assert (reach_pessimistic(x, y, sys),
+                        reach_optimistic(x, y, sys)) == fm_reach(sys, x, y)
+        assert flat == 75
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_n_dimensional_systems(self, n):
+        rng = np.random.default_rng(67 + n)
+        seen = set()
+        for _ in range(40):
+            sys = full_system(rng, n, int(rng.integers(1, 4)))
+            x = box_in(rng, n, -3, 3)
+            for y in (box_in(rng, n, -3, 3), box_in(rng, n, -5, 5),
+                      touching_box(rng, sys.domain), sys.domain):
+                got = (reach_pessimistic(x, y, sys), reach_optimistic(x, y, sys))
+                assert got == fm_reach(sys, x, y)
+                seen.add(got)
+        assert seen == {(False, False), (False, True), (True, True)}
+
+
+class TestReachNormals:
+    def test_coupled_bench_system(self):
+        root = Path(__file__).resolve().parent.parent
+        sys = load_problem(str(root / "bench" / "coupled.json")).sys
+        normals = dict(sys.reach_normals)
+        F = Fraction
+        assert normals == {(1, 0): True, (0, 1): True, (1, F(-1, 2)): True,
+                           (1, F(-1, 4)): False}
+        assert sum(normals.values()) == 3
+
+    def test_diagonal_system_has_axis_normals_only(self):
+        sys = ControlSystem.create(
+            A=[[2, 0, 0], [0, -1, 0], [0, 0, 0]], B=[[1, 0], [0, 0], [0, 3]],
+            input_set=[[-1, 1]] * 2, domain=[[0, 4]] * 3,
+            initial_set=[[0, 4]] * 3)
+        assert sys.reach_normals == (((1, 0, 0), True), ((0, 1, 0), True),
+                                     ((0, 0, 1), True))
+
+    def test_one_dimensional_system(self):
+        sys = ControlSystem.create(A=[[-2]], B=[[Fraction(1, 2)]],
+                                   input_set=[[-1, 1]], domain=[[-4, 4]],
+                                   initial_set=[[-4, 4]])
+        assert sys.reach_normals == (((1,), True),)
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            x, y = box_in(rng, 1, -4, 4), box_in(rng, 1, -6, 6)
+            assert (reach_pessimistic(x, y, sys),
+                    reach_optimistic(x, y, sys)) == interval_reach(sys, x, y)
