@@ -2,8 +2,8 @@
 
 The initial partition is the axis grid induced by the labeled regions,
 so every cell has one consistent label set.  Refinement never touches
-solved cells: winning and losing leaves get a pass-through child with
-the identical box, undecided leaves are split into equal sub-boxes.
+solved cells: winning and losing leaves stay leaves under their own ids,
+with their status, while undecided leaves are split into equal sub-boxes.
 """
 
 import os
@@ -33,19 +33,16 @@ print("\nsplit_3 of a 4.5 x 1 strip:",
 
 # pretend the solver classified the leaves, then refine
 leaves = list(forest.leaves)
-winning, losing, maybe = {leaves[0]}, {leaves[5]}, set(leaves[1:5])
-advance_iteration(forest, winning, losing, maybe, m=4,
-                  initial_set=sys.initial_set)
+for rid in leaves:
+    forest.set_status(rid, Status.WINNING if rid == leaves[0] else
+                      Status.LOSING if rid == leaves[5] else Status.MAYBE)
+advance_iteration(forest, m=4)
 print(f"\nafter one refinement round: {len(forest.leaves)} leaves "
-      f"(1 winning pass-through, 1 losing pass-through, 4x4 maybe children)")
+      f"(winning {format_region_id(leaves[0])} and losing "
+      f"{format_region_id(leaves[5])} kept, 4x4 unexplored maybe children)")
 
 out = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(out, exist_ok=True)
-for rid in forest.leaves:
-    parent = forest.nodes[rid].parent
-    forest.set_status(rid, forest.nodes[parent].status
-                      if forest.nodes[parent].status != Status.MAYBE
-                      else Status.UNEXPLORED)
 path = os.path.join(out, "partition_after_split.svg")
 with open(path, "w", encoding="utf-8") as fh:
     fh.write(partition_to_svg(forest))

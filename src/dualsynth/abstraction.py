@@ -7,11 +7,11 @@ The environment component is a free adversary: an edge between regions
 exists for every pair of environment valuations, because nothing in the
 dynamics constrains the environment.
 
-Refinement recomputes as little as possible: edges between winning
-pass-through children are copied from the previous pessimistic relation
-(in both systems), edges out of maybe-children are recomputed, and losing
-children keep no edges at all, which is what makes their children losing
-in turn.
+Refinement reads the partition leaves' statuses and recomputes as little
+as possible: edges between winning leaves are copied from the previous
+pessimistic relation (in both systems), edges out of undecided leaves are
+recomputed, and losing leaves keep no edges at all, which is what keeps
+them losing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from dualsynth.geometry import ControlSystem, reach_optimistic, reach_pessimistic
-from dualsynth.partition import PartitionForest, RegionId, format_region_id
+from dualsynth.partition import (
+    PartitionForest,
+    RegionId,
+    Status,
+    format_region_id,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -199,67 +204,49 @@ def _run_queries(forest, sys, pairs, stats):
     return out
 
 
-def refine(pair: AbstractionPair, forest_next: PartitionForest,
-           winning: set[RegionId], losing: set[RegionId],
-           maybe: set[RegionId], sys: ControlSystem) -> AbstractionPair:
-    """Next-iteration FTS pair from the three-way classification.
+def refine(pair: AbstractionPair, forest: PartitionForest,
+           sys: ControlSystem) -> AbstractionPair:
+    """Next-iteration FTS pair, read off the leaves' statuses.
 
     Pessimistic edges: copies of the old pessimistic relation between
-    winning pass-through children, recomputed universal reachability from
-    maybe-children to winning pass-throughs and between maybe-children.
-    Optimistic edges: the same copied pessimistic edges between winning
-    children (deliberately not the old optimistic ones), recomputed
-    existential reachability for the maybe rows.  Losing children get no
-    edges in either system.
+    winning leaves, recomputed universal reachability from undecided
+    leaves to winning and undecided ones.  Optimistic edges: the same
+    copied pessimistic edges between winning leaves (deliberately not the
+    old optimistic ones), recomputed existential reachability for the
+    undecided rows.  Losing leaves get no edges in either system.
     """
-    if forest_next.iteration != pair.iteration + 1:
+    if forest.iteration != pair.iteration + 1:
         raise AbstractionError(
-            f"forest at iteration {forest_next.iteration} cannot refine an "
+            f"forest at iteration {forest.iteration} cannot refine an "
             f"abstraction at iteration {pair.iteration}")
-    old = set(pair.regions)
-    if not (winning | losing | maybe) == old:
-        raise AbstractionError("winning/losing/maybe must partition the "
-                               "abstraction's regions")
-
-    def children(r):
-        return forest_next.nodes[r].children
-
-    w_children = {r: children(r)[0] for r in winning}
-    m_children = sorted(c for r in maybe for c in children(r))
-    regions = sorted(forest_next.leaves)
+    regions = list(forest.leaves)
+    status = {r: forest.status(r) for r in regions}
     stats = QueryStats(n_states=len(regions))
     pess = {r: [] for r in regions}
     opt = {r: [] for r in regions}
 
-    # WW: copy the old pessimistic relation, in both systems
-    old_pess = {(a, b) for a, b in pair.pess_pairs()}
-    for a, b in sorted(old_pess):
-        if a in winning and b in winning:
-            pess[w_children[a]].append(w_children[b])
-            opt[w_children[a]].append(w_children[b])
+    # winning rows: copy the old pessimistic relation, in both systems
+    for a in regions:
+        if status[a] is Status.WINNING:
+            pess[a] = [b for b in pair.pess_edges[a]
+                       if status.get(b) is Status.WINNING]
+            opt[a] = list(pess[a])
 
-    # MW and MM rows need fresh reachability queries
-    targets = sorted(w_children.values()) + m_children
-    pairs = [(c, t) for c in m_children for t in targets]
-    for a, b, p, o in _run_queries(forest_next, sys, pairs, stats):
+    # undecided rows need fresh reachability queries
+    targets = [r for r in regions if status[r] is not Status.LOSING]
+    pairs = [(a, b) for a in targets if status[a] is not Status.WINNING
+             for b in targets]
+    for a, b, p, o in _run_queries(forest, sys, pairs, stats):
         if p:
             pess[a].append(b)
         if o:
             opt[a].append(b)
 
-    for r in pess:
-        pess[r] = sorted(set(pess[r]))
-        opt[r] = sorted(set(opt[r]))
-
     out = AbstractionPair(regions=regions,
-                          initial_regions=list(forest_next.initial_leaves()),
+                          initial_regions=list(forest.initial_leaves()),
                           env=pair.env, pess_edges=pess, opt_edges=opt,
                           iteration=pair.iteration + 1, query_stats=stats)
     out.check_invariants()
-    losing_children = {children(r)[0] for r in losing}
-    for r, outs in out.opt_edges.items():
-        if r in losing_children and outs:
-            raise AssertionError("losing children must stay edge-free")
     logger.info("refined abstraction: %d regions, %d queries issued "
                 "(%d saved vs naive)", len(regions), stats.issued,
                 reachability_queries_saved(out, stats))

@@ -34,9 +34,8 @@ from dualsynth.gr1 import (
     RawSpec,
     SpecError,
     StrategyAutomaton,
+    check_names,
     convert_to_gr1,
-    format_formula,
-    formula_literals,
     parse_formula,
 )
 from dualsynth.partition import (
@@ -106,27 +105,13 @@ def _bounds(value, path: str):
 
 
 def _formula(text, path: str, names: dict, what: str):
-    """Check that a formula parses and means something.
-
-    ``names`` maps every name the formula may use to None (a proposition)
-    or to the values of an environment variable; ``what`` says which
-    names those are, for the message.
-    """
+    """Check that a formula parses and means something (``check_names``)."""
     _expect(isinstance(text, str), path,
             f"expected a formula string, got {text!r}")
     try:
-        expr = parse_formula(text)
+        check_names(parse_formula(text), names, what)
     except SpecError as exc:
         raise ProblemError(f"{path}: {exc}") from exc
-    for lit in formula_literals(expr):
-        name = lit[1]
-        _expect(name in names, path, f"{name!r} is not {what}")
-        if lit[0] == "eq":
-            values = names[name]
-            _expect(values is not None, path, f"{format_formula(lit)}: "
-                    f"{name!r} is not an environment variable")
-            _expect(lit[2] in values, path, f"{format_formula(lit)}: the "
-                    f"value is not one of {list(values)}")
 
 
 _OPTION_DEFAULTS = {"m": None, "max_iters": 20, "min_cell": 0.001, "seed": 0}
@@ -287,19 +272,47 @@ def _controller_json(problem: ProblemFile, controller: ContinuousController) -> 
     }
 
 
-def _rebuild_controller(problem: ProblemFile, data: dict) -> ContinuousController:
-    domain = problem.sys.domain
-    nodes = {}
-    roots = []
-    for leaf in data["leaves"]:
-        rid = parse_region_id(leaf["region_id"])
-        nodes[rid] = Node(box=Box.from_bounds(leaf["box"]), parent=None,
-                          labels=frozenset(leaf["labels"]),
-                          status=Status(leaf["status"]))
-        roots.append(rid)
-    forest = PartitionForest(domain=domain, nodes=nodes, roots=sorted(roots),
-                             leaves=sorted(roots))
-    strategy = StrategyAutomaton.from_json(data["strategy"])
+def _read_artifact(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ProblemError(f"cannot read {path}: {exc}") from exc
+
+
+def _fields(value, where: str, fields: dict):
+    """``value`` is a JSON object holding every key of ``fields`` with a
+    value of the mapped type; otherwise ProblemError naming ``where``."""
+    _expect(isinstance(value, dict), where,
+            f"expected a JSON object, got {value!r}")
+    for key, kind in fields.items():
+        _expect(key in value, where, f"missing key {key!r}")
+        _expect(isinstance(value[key], kind)
+                and not isinstance(value[key], bool), where,
+                f"key {key!r} holds {value[key]!r}")
+
+
+def _rebuild_controller(problem: ProblemFile, path: str) -> ContinuousController:
+    data = _read_artifact(path)
+    _fields(data, path, {"problem_sha256": str, "strategy": dict,
+                         "leaves": list})
+    if data["problem_sha256"] != problem.sha256:
+        raise ProblemError(
+            "controller was synthesized for a different problem file "
+            "(hash mismatch); refusing to simulate")
+    try:
+        nodes = {parse_region_id(leaf["region_id"]): Node(
+            box=Box.from_bounds(leaf["box"]),
+            labels=frozenset(leaf["labels"]), status=Status(leaf["status"]))
+            for leaf in data["leaves"]}
+        strategy = StrategyAutomaton.from_json(data["strategy"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProblemError(f"{path}: malformed controller "
+                           f"({type(exc).__name__}: {exc})") from exc
+    roots = sorted(nodes)
+    forest = PartitionForest(domain=problem.sys.domain, nodes=nodes,
+                             roots=roots, leaves=list(roots),
+                             initial_set=problem.sys.initial_set)
     spec = convert_to_gr1(problem.raw_spec)
     return ContinuousController(sys=problem.sys, env=problem.env, spec=spec,
                                 forest=forest, strategy=strategy)
@@ -378,13 +391,12 @@ def cmd_synthesize(args) -> int:
 def _env_script(problem: ProblemFile, args, steps: int):
     valuations = problem.env.valuations
     if args.env_script:
-        with open(args.env_script, encoding="utf-8") as fh:
-            script = json.load(fh)
+        script = _read_artifact(args.env_script)
         if not isinstance(script, list) or not script:
             raise ProblemError("env script must be a nonempty JSON list")
         idxs = []
         for entry in script:
-            if isinstance(entry, int):
+            if isinstance(entry, int) and not isinstance(entry, bool):
                 if not 0 <= entry < len(valuations):
                     raise ProblemError(f"env index {entry} out of range")
                 idxs.append(entry)
@@ -403,20 +415,26 @@ def _env_script(problem: ProblemFile, args, steps: int):
     return [rng.randrange(len(valuations)) for _ in range(steps + 1)]
 
 
+def _start_state(text: str) -> tuple:
+    try:
+        start = json.loads(text)
+    except json.JSONDecodeError:
+        start = None
+    _expect(isinstance(start, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in start), "--start",
+        f"expected a JSON list of numbers, got {text}")
+    return tuple(Fraction(str(v)) for v in start)
+
+
 def cmd_simulate(args) -> int:
     try:
         problem = load_problem(args.problem)
-        with open(args.controller, encoding="utf-8") as fh:
-            ctrl_data = json.load(fh)
-        if ctrl_data.get("problem_sha256") != problem.sha256:
-            raise ProblemError(
-                "controller was synthesized for a different problem file "
-                "(hash mismatch); refusing to simulate")
-        controller = _rebuild_controller(problem, ctrl_data)
+        controller = _rebuild_controller(problem, args.controller)
         steps = args.steps
         env_idx = _env_script(problem, args, steps)
         if args.start is not None:
-            s0 = tuple(Fraction(str(v)) for v in json.loads(args.start))
+            s0 = _start_state(args.start)
         else:
             s0 = problem.sys.initial_set.center()
         execution = simulate(controller, problem.sys, iter(env_idx), s0, steps)
@@ -441,15 +459,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_STATS_KEYS = ("iteration", "leaves", "winning", "maybe", "losing",
+               "queries_issued", "queries_saved", "wall_time_s")
+
+
 def cmd_report(args) -> int:
     verdict_path = os.path.join(args.run_dir, "verdict.json")
     try:
-        with open(verdict_path, encoding="utf-8") as fh:
-            verdict = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {verdict_path}: {exc}", file=_sys.stderr)
+        verdict = _read_artifact(verdict_path)
+        _fields(verdict, verdict_path, {})
+        rows = verdict.get("stats", [])
+        _expect(isinstance(rows, list), verdict_path,
+                f"key 'stats' holds {rows!r}")
+        for i, row in enumerate(rows):
+            _fields(row, f"{verdict_path}: stats[{i}]",
+                    dict.fromkeys(_STATS_KEYS, (int, float)))
+    except ProblemError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
-    rows = verdict.get("stats", [])
     incomplete = not rows or "outcome" not in verdict
     if incomplete:
         print("warning: run directory looks incomplete; partial report",

@@ -11,10 +11,12 @@ three-case decision:
    unrealizable, report the witness boxes;
 3. otherwise split the undecided regions and refine both FTSs.
 
-Every iteration solves both games from scratch.  Children of solved
-regions keep their boxes and have their edges copied or removed
-wholesale, so they must come out of the next classification with their
-parent's verdict; the loop checks that and raises if one does not.
+The forest's node statuses carry the classification from one step to
+the next: ``classify`` writes them, and the split and the refinement
+read them.  Every iteration solves both games from scratch.  Solved
+regions stay leaves under their own ids and have their edges copied or
+removed wholesale, so they must come out of the next classification with
+the same verdict; the loop checks that and raises if one does not.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from dualsynth.gr1 import (
     Gr1Spec,
     SpecError,
     StrategyAutomaton,
+    check_names,
     eval_formula,
     format_formula,
-    formula_literals,
     solve_game,
 )
 from dualsynth.partition import (
@@ -87,17 +89,20 @@ class EngineOptions:
 
 @dataclass(frozen=True)
 class SetTriple:
-    """One iteration's three-way classification plus the leaf geometry."""
+    """One iteration's classified leaves, as a snapshot of the forest."""
     iteration: int
-    winning: frozenset
-    losing: frozenset
-    maybe: frozenset
     rows: tuple  # (region id, Box, Status, labels) per leaf
 
+    def ids(self, which: str) -> frozenset:
+        return frozenset(rid for rid, _box, st, _lb in self.rows
+                         if st.value == which)
+
+    winning = property(lambda self: self.ids("winning"))
+    losing = property(lambda self: self.ids("losing"))
+    maybe = property(lambda self: self.ids("maybe"))
+
     def boxes(self, which: str) -> list[Box]:
-        sets = {"winning": self.winning, "losing": self.losing,
-                "maybe": self.maybe}[which]
-        return [box for rid, box, _st, _lb in self.rows if rid in sets]
+        return [box for _rid, box, st, _lb in self.rows if st.value == which]
 
 
 @dataclass
@@ -169,14 +174,12 @@ def classify(pair: AbstractionPair, forest: PartitionForest,
     if winning & losing:
         raise AssertionError("a region classified both winning and losing; "
                              "the dual abstractions are inconsistent")
-    maybe = frozenset(pair.regions) - winning - losing
     for rid in pair.regions:
         forest.set_status(rid, Status.WINNING if rid in winning else
                           Status.LOSING if rid in losing else Status.MAYBE)
     rows = tuple((rid, forest.box(rid), forest.status(rid), forest.labels(rid))
                  for rid in pair.regions)
-    return SetTriple(iteration=pair.iteration, winning=winning,
-                     losing=losing, maybe=maybe, rows=rows)
+    return SetTriple(iteration=pair.iteration, rows=rows)
 
 
 def _initial_regions_under(forest: PartitionForest, spec: Gr1Spec):
@@ -190,8 +193,7 @@ def _initial_regions_under(forest: PartitionForest, spec: Gr1Spec):
     return out
 
 
-def _losing_witness(forest: PartitionForest, losing,
-                    spec: Gr1Spec) -> list[Box]:
+def _losing_witness(forest: PartitionForest, spec: Gr1Spec) -> list[Box]:
     """Losing initial leaf boxes, under the init assumption.
 
     A leaf is initial when it meets the initial set with positive
@@ -201,31 +203,27 @@ def _losing_witness(forest: PartitionForest, losing,
     initial point.
     """
     return [forest.box(r) for r in _initial_regions_under(forest, spec)
-            if r in losing]
+            if forest.status(r) is Status.LOSING]
 
 
-def _check_inheritance(forest: PartitionForest, before: SetTriple,
-                       after: SetTriple):
-    """Every child of a winning region is winning, of a losing one losing."""
-    for name, parents, now in (("winning", before.winning, after.winning),
-                               ("losing", before.losing, after.losing)):
-        for rid in sorted(parents):
-            for child in forest.nodes[rid].children:
-                if child not in now:
-                    raise AssertionError(
-                        f"region {format_region_id(child)} is not {name} at "
-                        f"iteration {after.iteration} although its parent "
-                        f"{format_region_id(rid)} was; the refined "
-                        f"abstractions are inconsistent")
+def _check_inheritance(before: SetTriple, after: SetTriple):
+    """Every region solved before keeps its verdict."""
+    for name in ("winning", "losing"):
+        lost = sorted(before.ids(name) - after.ids(name))
+        if lost:
+            raise AssertionError(
+                f"region {format_region_id(lost[0])} is not {name} at "
+                f"iteration {after.iteration} although it was at iteration "
+                f"{before.iteration}; the refined abstractions are "
+                f"inconsistent")
 
 
 def _check_names(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec):
     """Every atom of the spec names a proposition of ``sys``, an environment
     variable or a memory bit, every ``var=value`` a value of its variable,
     and the init assumption propositions only; otherwise EngineError."""
-    props = {name for name, _box in sys.proposition_regions}
-    values = dict(env.variables)
-    names = props | set(values) | set(spec.bit_names)
+    props = dict.fromkeys(name for name, _box in sys.proposition_regions)
+    names = {**props, **dict.fromkeys(spec.bit_names), **dict(env.variables)}
     anything = "a proposition, an environment variable or a memory bit"
     formulas = [(f, names, anything) for f in (
         *spec.assumptions, *spec.guarantees,
@@ -234,19 +232,11 @@ def _check_names(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec):
         formulas.append((spec.init_assumption, props, "a proposition (the "
                          "init assumption may name propositions only)"))
     for expr, allowed, what in formulas:
-        for lit in formula_literals(expr):
-            name = lit[1]
-            if name not in allowed:
-                problem = f"{name!r} is not {what}"
-            elif lit[0] == "eq" and name not in values:
-                problem = f"{name!r} is not an environment variable"
-            elif lit[0] == "eq" and lit[2] not in values[name]:
-                problem = (f"{format_formula(lit)}: the value is not one of "
-                           f"{list(values[name])}")
-            else:
-                continue
+        try:
+            check_names(expr, allowed, what)
+        except SpecError as exc:
             raise EngineError(f"spec formula {format_formula(expr)!r}: "
-                              f"{problem}")
+                              f"{exc}") from exc
 
 
 def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
@@ -262,7 +252,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         t0 = time.perf_counter()
         triple = classify(pair, forest, spec)
         if verdict.history:
-            _check_inheritance(forest, verdict.history[-1], triple)
+            _check_inheritance(verdict.history[-1], triple)
         verdict.history.append(triple)
         stats = IterationStats(
             iteration=iteration, leaves=len(pair.regions),
@@ -278,7 +268,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         if not initial_regions:
             raise EngineError("no initial region satisfies the init "
                               "assumption; check the problem file")
-        if all(r in triple.winning for r in initial_regions):
+        if all(forest.status(r) is Status.WINNING for r in initial_regions):
             strategy = _extract_final_strategy(pair, forest, spec)
             controller = ContinuousController(
                 sys=sys, env=env, spec=spec, forest=forest,
@@ -288,7 +278,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             stats.wall_time = time.perf_counter() - t0
             logger.info("realizable after %d iteration(s)", iteration + 1)
             return verdict
-        witness = _losing_witness(forest, triple.losing, spec)
+        witness = _losing_witness(forest, spec)
         if witness:
             verdict.outcome = "unrealizable"
             verdict.witness = witness
@@ -301,19 +291,13 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             stats.wall_time = time.perf_counter() - t0
             return verdict
 
-        advance_iteration(forest, set(triple.winning), set(triple.losing),
-                          set(triple.maybe), m=m, min_cell=opts.min_cell,
-                          initial_set=sys.initial_set)
         # no maybe leaf could be split: a finer partition is unreachable
-        split_happened = any(
-            len(forest.nodes[r].children) > 1 for r in triple.maybe)
-        if not split_happened:
+        if not advance_iteration(forest, m, opts.min_cell):
             verdict.reason = (f"every undecided region is already at the "
                               f"minimum cell size (min_cell={opts.min_cell})")
             stats.wall_time = time.perf_counter() - t0
             return verdict
-        pair = refine(pair, forest, set(triple.winning), set(triple.losing),
-                      set(triple.maybe), sys)
+        pair = refine(pair, forest, sys)
         stats.wall_time = time.perf_counter() - t0
     return verdict
 
@@ -395,6 +379,8 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     region trace is the strategy's discrete trace by construction, not by
     numerical luck.
     """
+    if steps < 0:
+        raise EngineError(f"steps must be >= 0, got {steps}")
     s = tuple(Fraction(v) if not isinstance(v, Fraction) else v for v in s0)
     if not sys.initial_set.contains(s):
         raise EngineError(f"initial state {s0!r} is outside the initial set")

@@ -184,6 +184,25 @@ def formula_literals(expr):
             yield from formula_literals(sub)
 
 
+def check_names(expr, names: dict, what: str) -> None:
+    """Raise SpecError unless every literal of ``expr`` means something.
+
+    ``names`` maps every name the formula may use to None (a proposition
+    or a memory bit) or to the values of an environment variable; ``what``
+    says which names those are, for the message.
+    """
+    for lit in formula_literals(expr):
+        name = lit[1]
+        if name not in names:
+            raise SpecError(f"{name!r} is not {what}")
+        if lit[0] == "eq" and names[name] is None:
+            raise SpecError(f"{format_formula(lit)}: {name!r} is not an "
+                            f"environment variable")
+        if lit[0] == "eq" and lit[2] not in names[name]:
+            raise SpecError(f"{format_formula(lit)}: the value is not one "
+                            f"of {list(names[name])}")
+
+
 def format_formula(expr) -> str:
     op = expr[0]
     if op == "true":

@@ -1,11 +1,12 @@
 """Proposition-preserving partition of the domain, kept as a forest.
 
 Roots are the cells of the initial axis grid (induced by every
-proposition region's coordinates).  Each refinement round appends one
-layer: solved leaves (winning or losing) get a single pass-through child
-with the identical box, undecided leaves are split into ``m``
-interior-disjoint children that inherit the parent's labels.  Region ids
-are root-to-leaf index paths, so the whole history stays addressable.
+proposition region's coordinates).  Each refinement round splits the
+undecided (maybe) leaves into ``m`` interior-disjoint children that
+inherit the parent's labels.  Solved leaves (winning or losing) stay
+leaves under their own ids and keep the status the engine gave them, as
+do maybe leaves too small to split.  Region ids are root-to-leaf index
+paths, so the whole history stays addressable.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ def parse_region_id(text: str) -> RegionId:
 @dataclass
 class Node:
     box: Box
-    parent: RegionId | None
     children: list[RegionId] = field(default_factory=list)
     status: Status = Status.UNEXPLORED
     labels: frozenset[str] = frozenset()
@@ -58,6 +58,7 @@ class PartitionForest:
     nodes: dict[RegionId, Node]
     roots: list[RegionId]
     leaves: list[RegionId]          # current layer, sorted by path
+    initial_set: Box
     iteration: int = 0
 
     def box(self, rid: RegionId) -> Box:
@@ -74,9 +75,6 @@ class PartitionForest:
 
     def initial_leaves(self) -> list[RegionId]:
         return [r for r in self.leaves if self.nodes[r].initial]
-
-    def depth(self, rid: RegionId) -> int:
-        return len(rid) - 1
 
 
 def _axis_cuts(domain: Box, boxes) -> list[list[Fraction]]:
@@ -114,12 +112,12 @@ def initial_partition(sys: ControlSystem) -> PartitionForest:
                     f"axis grid does not resolve proposition {name!r} on cell "
                     f"{box}; region boundaries must be axis-aligned")
         rid: RegionId = (idx,)
-        nodes[rid] = Node(box=box, parent=None,
-                          labels=frozenset(labels),
+        nodes[rid] = Node(box=box, labels=frozenset(labels),
                           initial=box.overlaps_interior(sys.initial_set))
         roots.append(rid)
     forest = PartitionForest(domain=sys.domain, nodes=nodes, roots=roots,
-                             leaves=sorted(roots))
+                             leaves=sorted(roots),
+                             initial_set=sys.initial_set)
     logger.debug("initial partition: %d leaves", len(roots))
     return forest
 
@@ -162,76 +160,48 @@ def split_box(box: Box, m: int) -> list[Box]:
 def split(forest: PartitionForest, region: RegionId, m: int) -> list[RegionId]:
     """Split a Maybe leaf into m children; returns child ids in order."""
     node = forest.nodes[region]
-    if region not in forest.leaves:
+    if node.children:
         raise PartitionError(f"{format_region_id(region)} is not a leaf")
     if node.status in (Status.WINNING, Status.LOSING):
         raise PartitionError(
             f"refusing to split solved leaf {format_region_id(region)}")
-    child_boxes = split_box(node.box, m)
-    child_ids = []
-    for j, cbox in enumerate(child_boxes, start=1):
+    for j, cbox in enumerate(split_box(node.box, m), start=1):
         cid = region + (j,)
-        forest.nodes[cid] = Node(box=cbox, parent=region, labels=node.labels,
-                                 initial=False)
+        forest.nodes[cid] = Node(
+            box=cbox, labels=node.labels,
+            initial=cbox.overlaps_interior(forest.initial_set))
         node.children.append(cid)
-        child_ids.append(cid)
-    return child_ids
+    return list(node.children)
 
 
-def advance_iteration(forest: PartitionForest,
-                      winning: set[RegionId],
-                      losing: set[RegionId],
-                      maybe: set[RegionId],
-                      m: int,
-                      min_cell: Fraction | float = 0,
-                      initial_set: Box | None = None) -> PartitionForest:
-    """Produce the next layer: pass-through solved leaves, split Maybe ones.
+def advance_iteration(forest: PartitionForest, m: int,
+                      min_cell: Fraction | float = 0) -> bool:
+    """Split every maybe leaf whose children stay at least ``min_cell`` wide.
 
-    Maybe leaves whose children would fall below ``min_cell`` get a single
-    pass-through child instead (still Maybe); the engine detects the
-    no-progress case.  Initial flags are recomputed on the new leaves.
+    Solved leaves, and maybe leaves too small to split, stay leaves under
+    their own ids.  Returns whether any leaf was split; a leaf the engine
+    never classified raises PartitionError.
     """
-    current = set(forest.leaves)
-    if winning | losing | maybe != current or \
-            (winning & losing) or (winning & maybe) or (losing & maybe):
-        raise PartitionError("winning/losing/maybe must partition the leaves")
-    min_cell = Fraction(min_cell) if not isinstance(min_cell, Fraction) else min_cell
+    min_cell = Fraction(min_cell)
     new_leaves: list[RegionId] = []
     for rid in forest.leaves:
         node = forest.nodes[rid]
-        if rid in winning or rid in losing:
-            status = Status.WINNING if rid in winning else Status.LOSING
-            node.status = status
-            cid = rid + (1,)
-            forest.nodes[cid] = Node(box=node.box, parent=rid,
-                                     labels=node.labels, status=status)
-            node.children.append(cid)
-            new_leaves.append(cid)
-        else:
-            node.status = Status.MAYBE
+        if node.status is Status.UNEXPLORED:
+            raise PartitionError(
+                f"leaf {format_region_id(rid)} was never classified")
+        if node.status is Status.MAYBE and m > 1:
             counts = _split_counts(node.box, m)
             widths = node.box.widths()
-            too_small = any(Fraction(widths[d], counts[d]) < min_cell
-                            for d in range(node.box.dim) if counts[d] > 1)
-            if too_small:
-                cid = rid + (1,)
-                forest.nodes[cid] = Node(box=node.box, parent=rid,
-                                         labels=node.labels,
-                                         status=Status.UNEXPLORED)
-                node.children.append(cid)
-                new_leaves.append(cid)
-            else:
+            if all(Fraction(widths[d], counts[d]) >= min_cell
+                   for d in range(node.box.dim) if counts[d] > 1):
                 new_leaves.extend(split(forest, rid, m))
+                continue
+        new_leaves.append(rid)
+    split_any = len(new_leaves) > len(forest.leaves)
     forest.leaves = sorted(new_leaves)
     forest.iteration += 1
-    for rid in forest.leaves:
-        node = forest.nodes[rid]
-        if initial_set is not None:
-            node.initial = node.box.overlaps_interior(initial_set)
-        else:
-            node.initial = forest.nodes[node.parent].initial
     logger.debug("iteration %d: %d leaves", forest.iteration, len(forest.leaves))
-    return forest
+    return split_any
 
 
 def locate(forest: PartitionForest, point) -> RegionId:

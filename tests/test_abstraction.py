@@ -121,26 +121,31 @@ class TestRefine:
         pair = build_initial(forest, sys, no_env())
         return forest, pair
 
+    @staticmethod
+    def _advance(forest, winning=(), losing=()):
+        """Classify the leaves as given (the rest maybe), then split."""
+        for rid in forest.leaves:
+            forest.set_status(rid, Status.WINNING if rid in winning else
+                              Status.LOSING if rid in losing else
+                              Status.MAYBE)
+        advance_iteration(forest, m=4)
+
     def test_all_winning_copies_pessimistic(self):
         sys = park_system()
         forest, pair = self._setup(sys)
-        winning = set(forest.leaves)
-        old_pess = {(a + (1,), b + (1,)) for a, b in pair.pess_pairs()}
-        advance_iteration(forest, winning, set(), set(), m=4,
-                          initial_set=sys.initial_set)
-        nxt = refine(pair, forest, winning, set(), set(), sys)
-        assert {(a, b) for a, b in nxt.pess_pairs()} == old_pess
-        assert {(a, b) for a, b in nxt.opt_pairs()} == old_pess
+        old_pess = set(pair.pess_pairs())
+        self._advance(forest, winning=set(forest.leaves))
+        nxt = refine(pair, forest, sys)
+        assert set(nxt.pess_pairs()) == old_pess
+        assert set(nxt.opt_pairs()) == old_pess
         assert nxt.query_stats.issued == 0
         assert reachability_queries_saved(nxt) == nxt.query_stats.naive
 
     def test_all_losing_drops_every_edge(self):
         sys = park_system()
         forest, pair = self._setup(sys)
-        losing = set(forest.leaves)
-        advance_iteration(forest, set(), losing, set(), m=4,
-                          initial_set=sys.initial_set)
-        nxt = refine(pair, forest, set(), losing, set(), sys)
+        self._advance(forest, losing=set(forest.leaves))
+        nxt = refine(pair, forest, sys)
         assert not any(True for _ in nxt.pess_pairs())
         assert not any(True for _ in nxt.opt_pairs())
 
@@ -149,24 +154,22 @@ class TestRefine:
         forest, pair = self._setup(sys)
         leaves = list(forest.leaves)
         winning = set(leaves[:2])
-        losing = set(leaves[2:3])
-        maybe = set(leaves[3:])
-        advance_iteration(forest, winning, losing, maybe, m=4,
-                          initial_set=sys.initial_set)
-        nxt = refine(pair, forest, winning, losing, maybe, sys)
+        self._advance(forest, winning=winning, losing=set(leaves[2:3]))
+        nxt = refine(pair, forest, sys)
         from dualsynth.geometry import reach_optimistic, reach_pessimistic
-        m_children = [c for r in maybe for c in forest.nodes[r].children]
-        w_children = [forest.nodes[r].children[0] for r in winning]
+        m_children = [r for r in forest.leaves
+                      if forest.status(r) is Status.UNEXPLORED]
+        assert len(m_children) == 4 * len(leaves[3:])
         pess = {(a, b) for a, b in nxt.pess_pairs()}
         opt = {(a, b) for a, b in nxt.opt_pairs()}
         for a in m_children:
-            for b in m_children + w_children:
+            for b in m_children + sorted(winning):
                 assert ((a, b) in pess) == reach_pessimistic(
                     forest.box(a), forest.box(b), sys)
                 assert ((a, b) in opt) == reach_optimistic(
                     forest.box(a), forest.box(b), sys)
-        # no edges from winning children into maybe children, by design
-        for a in w_children:
+        # no edges from winning leaves into maybe children, by design
+        for a in winning:
             for b in m_children:
                 assert (a, b) not in opt
 
@@ -174,10 +177,8 @@ class TestRefine:
         sys = park_system()
         forest, pair = self._setup(sys)
         n = len(forest.leaves)
-        maybe = set(forest.leaves)
-        advance_iteration(forest, set(), set(), maybe, m=4,
-                          initial_set=sys.initial_set)
-        nxt = refine(pair, forest, set(), set(), maybe, sys)
+        self._advance(forest)
+        nxt = refine(pair, forest, sys)
         assert nxt.query_stats.issued_pess == (4 * n) ** 2
         assert nxt.query_stats.issued_opt == (4 * n) ** 2
         assert reachability_queries_saved(nxt) == 0
@@ -187,11 +188,9 @@ class TestRefine:
         forest, pair = self._setup(sys)
         leaves = list(forest.leaves)
         winning = set(leaves[:3])
-        maybe = set(leaves[3:])
-        advance_iteration(forest, winning, set(), maybe, m=4,
-                          initial_set=sys.initial_set)
-        nxt = refine(pair, forest, winning, set(), maybe, sys)
-        m_children = sum(len(forest.nodes[r].children) for r in maybe)
+        self._advance(forest, winning=winning)
+        nxt = refine(pair, forest, sys)
+        m_children = len(forest.leaves) - len(winning)
         w = len(winning)
         expected = m_children * (m_children + w)
         assert nxt.query_stats.issued_pess == expected
@@ -202,7 +201,7 @@ class TestRefine:
         sys = park_system()
         forest, pair = self._setup(sys)
         with pytest.raises(AbstractionError):
-            refine(pair, forest, set(forest.leaves), set(), set(), sys)
+            refine(pair, forest, sys)
 
 
 class TestExports:

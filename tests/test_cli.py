@@ -263,6 +263,18 @@ class TestOptionValidation:
         assert not (tmp_path / "run").exists()
 
 
+def _drop(*path):
+    """A mutation deleting the key at ``path`` from a JSON document."""
+    def mutate(data):
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        del target[key]
+        return data
+    return mutate
+
+
 class TestSimulateCommand:
     @pytest.fixture
     def park_run(self, park_path, tmp_path):
@@ -316,6 +328,52 @@ class TestSimulateCommand:
                      "--steps", "5", "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("start", ["5", "null", "[0.5, true]", "[0.5"])
+    def test_start_must_be_a_list_of_numbers(self, start, park_path, park_run,
+                                             tmp_path, capsys):
+        code = main(["simulate", park_path, str(park_run / "controller.json"),
+                     "--start", start, "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        assert "--start: expected a JSON list of numbers" in \
+            capsys.readouterr().err
+
+    def test_negative_steps_is_input_error(self, park_path, park_run,
+                                           tmp_path, capsys):
+        code = main(["simulate", park_path, str(park_run / "controller.json"),
+                     "--steps", "-4", "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        assert "steps must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_boolean_env_entry_rejected(self, entry, park_path, park_run,
+                                        tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([0, entry]))
+        code = main(["simulate", park_path, str(park_run / "controller.json"),
+                     "--env-script", str(script),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        assert "bad env script entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_drop("strategy"), "missing key 'strategy'"),
+        (lambda data: [], "expected a JSON object"),
+        (_drop("leaves", 0, "box"), "malformed controller (KeyError: 'box')"),
+        (_drop("strategy", "transitions"),
+         "malformed controller (KeyError: 'transitions')"),
+    ])
+    def test_malformed_controller_is_input_error(self, mutate, message,
+                                                 park_path, park_run,
+                                                 tmp_path, capsys):
+        data = json.loads((park_run / "controller.json").read_text())
+        bad = tmp_path / "bad_controller.json"
+        bad.write_text(json.dumps(mutate(data)))
+        code = main(["simulate", park_path, str(bad),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
 
 def _labels_of(problem, region_str, run_dir):
     ctrl = json.loads((run_dir / "controller.json").read_text())
@@ -347,6 +405,18 @@ class TestReportCommand:
 
     def test_missing_dir_is_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("verdict, message", [
+        ([], "expected a JSON object"),
+        ({"outcome": "unknown", "stats": [{"iteration": 0}]},
+         "stats[0]: missing key 'leaves'"),
+    ])
+    def test_malformed_verdict_is_input_error(self, verdict, message,
+                                              tmp_path, capsys):
+        (tmp_path / "verdict.json").write_text(json.dumps(verdict))
+        assert main(["report", str(tmp_path)]) == EXIT_INPUT_ERROR
+        assert f"{tmp_path / 'verdict.json'}: {message}" in \
+            capsys.readouterr().err
 
 
 class TestExitCodeInjectivity:

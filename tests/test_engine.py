@@ -319,17 +319,31 @@ class TestWarmStartEquivalence:
         for t, t2 in zip(verdict.history, verdict.history[1:]):
             assert set(t.boxes("winning")) <= set(t2.boxes("winning"))
 
+    def test_solved_regions_keep_their_ids(self):
+        sys, env, spec = self._refining_problem()
+        verdict = run(sys, env, spec, EngineOptions(max_iters=6))
+        assert verdict.outcome == "realizable"
+        solved = {}
+        for triple in verdict.history:
+            rows = {rid: (box, st) for rid, box, st, _lb in triple.rows}
+            for rid, (box, st) in solved.items():
+                assert rows[rid] == (box, st), (triple.iteration, rid)
+            solved.update((rid, (box, st)) for rid, (box, st) in rows.items()
+                          if st in (Status.WINNING, Status.LOSING))
+        assert solved, "the run must solve some region before it ends"
+
     def test_lost_inheritance_is_caught(self, monkeypatch):
-        # children of winning regions stripped of their copied edges lose
-        # both games, which the loop must refuse rather than report
+        # winning regions stripped of their copied edges lose both games,
+        # which the loop must refuse rather than report
         original = engine.refine
 
-        def drop_copied_edges(pair, forest, winning, losing, maybe, sys):
-            out = original(pair, forest, winning, losing, maybe, sys)
-            kids = {c for r in winning for c in forest.nodes[r].children}
+        def drop_copied_edges(pair, forest, sys):
+            out = original(pair, forest, sys)
+            kept = {r for r in forest.leaves
+                    if forest.status(r) is Status.WINNING}
             for edges in (out.pess_edges, out.opt_edges):
-                for r in kids:
-                    edges[r] = [s for s in edges[r] if s not in kids]
+                for r in kept:
+                    edges[r] = [s for s in edges[r] if s not in kept]
             return out
 
         sys, env, spec = self._refining_problem()
@@ -337,5 +351,5 @@ class TestWarmStartEquivalence:
             .winning, "the check needs a winning region to inherit from"
         monkeypatch.setattr(engine, "refine", drop_copied_edges)
         with pytest.raises(AssertionError, match=r"is not winning at "
-                           r"iteration 1 although its parent"):
+                           r"iteration 1 although it was at iteration 0"):
             run(sys, env, spec, EngineOptions(max_iters=6))

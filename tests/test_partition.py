@@ -113,15 +113,22 @@ class TestSplit:
             split(forest, forest.leaves[0], 4)
 
 
+def classify_leaves(forest, winning=(), losing=()):
+    """Give every leaf a status, as the engine's classify does."""
+    for rid in forest.leaves:
+        forest.set_status(rid, Status.WINNING if rid in winning else
+                          Status.LOSING if rid in losing else Status.MAYBE)
+
+
 class TestAdvanceIteration:
     def test_all_winning_is_bijective_copy(self):
         forest = initial_partition(park_system())
-        n = len(forest.leaves)
-        advance_iteration(forest, set(forest.leaves), set(), set(), m=4)
-        assert len(forest.leaves) == n
-        for rid in forest.leaves:
-            assert rid[-1] == 1
-            assert forest.box(rid) == forest.box(rid[:-1])
+        before = {r: forest.box(r) for r in forest.leaves}
+        classify_leaves(forest, winning=set(forest.leaves))
+        assert advance_iteration(forest, m=4) is False
+        assert forest.iteration == 1
+        assert {r: forest.box(r) for r in forest.leaves} == before
+        assert all(forest.status(r) is Status.WINNING for r in forest.leaves)
 
     def test_fig2_shape_one_of_each(self):
         sys = ControlSystem.create(
@@ -134,11 +141,12 @@ class TestAdvanceIteration:
         forest = initial_partition(sys)
         assert len(forest.leaves) == 3
         by_label = {next(iter(forest.labels(r))): r for r in forest.leaves}
-        advance_iteration(forest,
-                          winning={by_label["top"]},
-                          losing={by_label["bot"]},
-                          maybe={by_label["mid"]}, m=3)
+        classify_leaves(forest, winning={by_label["top"]},
+                        losing={by_label["bot"]})
+        assert advance_iteration(forest, m=3) is True
         assert len(forest.leaves) == 5
+        assert by_label["top"] in forest.leaves
+        assert by_label["bot"] in forest.leaves
         maybe_children = [r for r in forest.leaves if r[:-1] == by_label["mid"]]
         assert len(maybe_children) == 3
 
@@ -146,44 +154,65 @@ class TestAdvanceIteration:
         forest = initial_partition(goal_system())
         leaves = list(forest.leaves)
         k = 5
-        maybe = set(leaves[:k])
-        winning = set(leaves[k:])
-        advance_iteration(forest, winning, set(), maybe, m=4)
+        classify_leaves(forest, winning=set(leaves[k:]))
+        advance_iteration(forest, m=4)
         assert len(forest.leaves) == 16 + 3 * k
 
     def test_non_partition_rejected(self):
+        # a leaf the classification left out is still unexplored
         forest = initial_partition(park_system())
-        with pytest.raises(PartitionError):
-            advance_iteration(forest, set(forest.leaves[:2]), set(), set(), m=4)
+        for rid in forest.leaves[:2]:
+            forest.set_status(rid, Status.WINNING)
+        with pytest.raises(PartitionError, match="never classified"):
+            advance_iteration(forest, m=4)
 
-    def test_min_cell_pass_through(self):
+    def test_min_cell_keeps_leaves(self):
         forest = initial_partition(park_system())
-        advance_iteration(forest, set(), set(), set(forest.leaves), m=4,
-                          min_cell=Fraction(10))
-        # nothing was splittable: every leaf got one pass-through child
-        assert all(rid[-1] == 1 for rid in forest.leaves)
+        before = list(forest.leaves)
+        classify_leaves(forest)
+        assert advance_iteration(forest, m=4, min_cell=Fraction(10)) is False
+        # nothing was splittable: every maybe leaf stays a leaf
+        assert forest.leaves == before
+        assert all(forest.status(r) is Status.MAYBE for r in forest.leaves)
 
     def test_solved_boxes_never_change(self):
         forest = initial_partition(goal_system())
         leaves = list(forest.leaves)
-        winning = {leaves[0]}
-        losing = {leaves[1]}
-        maybe = set(leaves[2:])
-        boxes_before = {r: forest.box(r) for r in (leaves[0], leaves[1])}
+        winning, losing = leaves[0], leaves[1]
+        boxes_before = {r: forest.box(r) for r in (winning, losing)}
+        classify_leaves(forest, winning={winning}, losing={losing})
         for _ in range(3):
-            advance_iteration(forest, winning, losing, maybe, m=4)
-            winning = {r for r in forest.leaves if r[: len(leaves[0])] == leaves[0]}
-            losing = {r for r in forest.leaves if r[: len(leaves[1])] == leaves[1]}
-            maybe = set(forest.leaves) - winning - losing
-            assert len(winning) == 1 and len(losing) == 1
-            assert forest.box(next(iter(winning))) == boxes_before[leaves[0]]
-            assert forest.box(next(iter(losing))) == boxes_before[leaves[1]]
+            advance_iteration(forest, m=4)
+            assert winning in forest.leaves and losing in forest.leaves
+            assert forest.status(winning) is Status.WINNING
+            assert forest.status(losing) is Status.LOSING
+            assert {r: forest.box(r) for r in (winning, losing)} == \
+                boxes_before
+            classify_leaves(forest, winning={winning}, losing={losing})
+
+    def test_children_initial_only_where_they_meet_initial_set(self):
+        sys = ControlSystem.create(
+            A=[[1, 0], [0, 1]], B=[[1, 0], [0, 1]],
+            input_set=[[-1, 1], [-1, 1]],
+            domain=[[0, 3], [0, 2]], initial_set=[[0, 0.5], [0, 0.5]],
+            propositions=[("home", [[0, 1], [0, 1]]),
+                          ("lot", [[2, 3], [1, 2]])])
+        forest = initial_partition(sys)
+        home = forest.initial_leaves()
+        assert [forest.box(r).as_float_bounds() for r in home] == \
+            [[[0, 1], [0, 1]]]
+        classify_leaves(forest, winning=set(forest.leaves) - set(home))
+        advance_iteration(forest, m=4)
+        assert [forest.box(r).as_float_bounds()
+                for r in forest.initial_leaves()] == [[[0, 0.5], [0, 0.5]]]
+        assert sum(1 for r in forest.leaves if r[:-1] == home[0]) == 4
 
     def test_forest_depth_bounded_by_iterations(self):
         forest = initial_partition(park_system())
         for _ in range(3):
-            advance_iteration(forest, set(), set(), set(forest.leaves), m=4)
-        assert all(forest.depth(r) <= forest.iteration for r in forest.leaves)
+            classify_leaves(forest)
+            advance_iteration(forest, m=4)
+        assert all(len(r) - 1 <= forest.iteration for r in forest.leaves)
 
     def test_leaves_tile_domain_across_refinements(self):
         sys = goal_system()
@@ -192,8 +221,9 @@ class TestAdvanceIteration:
         for k in range(3):
             leaves = list(forest.leaves)
             cut = max(1, len(leaves) // 3)
-            advance_iteration(forest, set(leaves[:cut]), set(leaves[cut:2 * cut]),
-                              set(leaves[2 * cut:]), m=int(rng.integers(2, 6)))
+            classify_leaves(forest, winning=set(leaves[:cut]),
+                            losing=set(leaves[cut:2 * cut]))
+            advance_iteration(forest, m=int(rng.integers(2, 6)))
             # exact tiling: volumes sum exactly, interiors stay disjoint
             assert sum(forest.box(r).volume() for r in forest.leaves) == \
                 sys.domain.volume()
@@ -227,7 +257,8 @@ class TestLocate:
     def test_random_points_unique_and_label_consistent(self):
         sys = goal_system()
         forest = initial_partition(sys)
-        advance_iteration(forest, set(), set(), set(forest.leaves), m=4)
+        classify_leaves(forest)
+        advance_iteration(forest, m=4)
         rng = np.random.default_rng(3)
         for _ in range(1000):
             pt = (Fraction(int(rng.integers(0, 4000)), 1000),
