@@ -375,7 +375,12 @@ def cmd_synthesize(args) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
     out_dir = args.out or (os.path.splitext(args.problem)[0] + ".out")
-    _write_artifacts(out_dir, problem, verdict)
+    try:
+        _write_artifacts(out_dir, problem, verdict)
+    except OSError as exc:
+        print(f"error: cannot write artifacts to {out_dir}: {exc}",
+              file=_sys.stderr)
+        return EXIT_INPUT_ERROR
     print(f"{verdict.outcome} after {verdict.iterations} iteration(s); "
           f"artifacts in {out_dir}")
     if verdict.outcome == "unrealizable":
@@ -444,17 +449,21 @@ def cmd_simulate(args) -> int:
     out = args.out or "trace.csv"
     n, m = problem.sys.n, problem.sys.m
     env_names = [name for name, _vals in problem.env.variables]
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"s{i}" for i in range(n)] + env_names
-                        + [f"u{i}" for i in range(m)] + ["region"])
-        for step in execution.steps:
-            env_cols = [step.env_valuation[name] for name in env_names]
-            u_cols = ([repr(float(v)) for v in step.inp]
-                      if step.inp is not None else [""] * m)
-            writer.writerow([step.t] + [repr(float(v)) for v in step.state]
-                            + env_cols + u_cols
-                            + [format_region_id(step.region)])
+    try:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"s{i}" for i in range(n)] + env_names
+                            + [f"u{i}" for i in range(m)] + ["region"])
+            for step in execution.steps:
+                env_cols = [step.env_valuation[name] for name in env_names]
+                u_cols = ([repr(float(v)) for v in step.inp]
+                          if step.inp is not None else [""] * m)
+                writer.writerow([step.t] + [repr(float(v)) for v in step.state]
+                                + env_cols + u_cols
+                                + [format_region_id(step.region)])
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=_sys.stderr)
+        return EXIT_INPUT_ERROR
     print(f"wrote {len(execution.steps)} trace rows to {out}")
     return 0
 

@@ -25,6 +25,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from dualsynth.abstraction import (
@@ -34,7 +35,14 @@ from dualsynth.abstraction import (
     reachability_queries_saved,
     refine,
 )
-from dualsynth.geometry import Box, ControlSystem, input_witness, mat_vec
+from dualsynth.geometry import (
+    Box,
+    ControlSystem,
+    box_vertices,
+    control_input,
+    input_witness,
+    mat_vec,
+)
 from dualsynth.gr1 import (
     GameGraph,
     Gr1Spec,
@@ -318,16 +326,23 @@ def _extract_final_strategy(pair, forest, spec) -> StrategyAutomaton:
 class ContinuousController:
     """Discrete strategy plus a per-step input selector.
 
-    The selector solves for an admissible input that lands exactly in the
-    box the strategy prescribed; feasibility is guaranteed by the
-    pessimistic reachability backing every strategy edge, so an
-    infeasible step is a library bug and raises instead of patching over.
+    Every strategy move from X to Y follows a pessimistic edge, so every
+    point of X has an input landing in Y.  The selector
+    (``control_input``) first tries the probe: per axis for diagonal B,
+    which never misses on such an edge, otherwise the midpoint probe.
+    When it misses, the input is interpolated from a table of inputs at
+    the vertices of X, built once per edge on its first miss by
+    ``input_witness``; building a table is the only place the exact
+    simplex still runs.  An input that fails to land is a library bug and
+    raises instead of patching over.
     """
     sys: ControlSystem
     env: EnvAlphabet
     spec: Gr1Spec
     forest: PartitionForest
     strategy: StrategyAutomaton
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def start_region(self, s0) -> RegionId:
         region = locate(self.forest, s0)
@@ -337,8 +352,43 @@ class ContinuousController:
                 f"{format_region_id(region)} is outside the winning set")
         return region
 
+    @cached_property
+    def _sources(self) -> dict:
+        """Per target, the sorted regions the strategy moves to it from."""
+        sources: dict = {}
+        for (mid, _env), (_mid, target) in self.strategy.transitions.items():
+            sources.setdefault(target, set()).add(
+                self.strategy.memory_states[mid][0])
+        return {target: sorted(regions) for target, regions in sources.items()}
+
+    def _vertex_table(self, s, target: RegionId):
+        """(source box, vertex inputs) for a strategy edge into ``target``
+        whose source contains s.  Every such edge is pessimistic, so any
+        of them serves; ``locate``'s tie-break on a shared face could name
+        a leaf without one."""
+        for source in self._sources.get(target, ()):
+            box = self.forest.box(source)
+            if box.contains(s):
+                break
+        else:
+            raise AssertionError(
+                f"no strategy edge into {format_region_id(target)} starts "
+                f"at {tuple(map(float, s))} (library bug)")
+        key = (source, target)
+        if key not in self._tables:
+            inputs = [input_witness(self.sys, v, self.forest.box(target))
+                      for v in box_vertices(box)]
+            if None in inputs:
+                raise AssertionError(
+                    f"a vertex of {format_region_id(source)} has no input "
+                    f"reaching {format_region_id(target)}; pessimistic "
+                    f"reachability promised one (library bug)")
+            self._tables[key] = inputs
+        return box, self._tables[key]
+
     def select_input(self, s, target: RegionId):
-        u = input_witness(self.sys, s, self.forest.box(target))
+        u = control_input(self.sys, s, self.forest.box(target),
+                          lambda: self._vertex_table(s, target))
         if u is None:
             raise AssertionError(
                 f"no admissible input reaches {format_region_id(target)}; "

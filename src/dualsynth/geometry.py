@@ -29,13 +29,16 @@ are computed once (``_SourceView``), and a target then costs one range
 comparison per normal.  The abstraction asks its queries source-major, and
 the view of the last source is kept.
 
-The controller asks for an input u in U with A x + B u in a box.  The input
-kernel ``_input_toward`` answers it: with diagonal B per axis, at the
-middle of each axis's feasible window; otherwise the row hull of B U as a
-prescreen, the midpoint probe (square invertible B), then an exact phase-1
-simplex over the box (``_box_lp``).  The probe is clamped to U and the
-simplex returns a vertex, so those landings may lie on a face of the
-target, which is sound: boxes are closed.
+The controller asks for an input u in U with A x + B u in a box.
+``_input_probe`` answers without a simplex: with diagonal B per axis, at
+the middle of each axis's feasible window; otherwise the row hull of B U
+as a prescreen, then the midpoint probe (square invertible B).  When the
+probe misses, ``input_witness`` decides by an exact phase-1 simplex over
+the box (``_box_lp``), while ``control_input`` interpolates inputs given at
+the vertices of the source region (vertex control).  So the simplex runs
+in the control loop only when a vertex table is built.  The probe is
+clamped to U and the simplex returns a vertex, so those landings may lie
+on a face of the target, which is sound: boxes are closed.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -451,23 +454,56 @@ def _coarse_pick(lo: Fraction, hi: Fraction) -> Fraction:
     return mid
 
 
-def _input_toward(sys: ControlSystem, shift: Sequence[Fraction],
-                  target: Box) -> tuple[Fraction, ...] | None:
-    """An input u in U with ``shift + B u`` in target, or None if none exists.
+def _window(sys: ControlSystem, x: Sequence[Fraction], target: Box):
+    """(lo, hi) such that A x + B u lies in target ∩ D exactly when
+    ``lo <= B u <= hi`` row by row; None when the target misses D."""
+    shift = mat_vec(sys.A, [to_fraction(v) for v in x])
+    tgt = target.intersect(sys.domain)
+    if tgt.empty:
+        return None
+    return ([c - s for c, s in zip(tgt.lower, shift)],
+            [d - s for d, s in zip(tgt.upper, shift)])
 
-    ``target`` is already clipped to the domain, and the input is snapped
-    to the 2^-20 grid when that stays feasible.  With diagonal B each axis
-    is decided on its own and u_i is the middle of its feasible window, so
-    an axis whose window has positive width lands strictly inside the
-    target.  Otherwise a target missing the row hull of B U is
-    unreachable; the probe solves B u = the target's middle (square
-    invertible B) and clamps u to U, and when that misses, the box LP
-    returns a vertex of the feasible inputs.  Either may land on a face of
-    the target, which is inside it: boxes are closed.
+
+def _lands(sys: ControlSystem, u, lo, hi) -> bool:
+    return all(l <= v <= h for l, v, h in zip(lo, mat_vec(sys.B, u), hi))
+
+
+def _on_grid(u, U: Box) -> tuple[Fraction, ...]:
+    """u rounded to the 2^-20 grid and clamped to U."""
+    return _clamp([Fraction(round(v * _COARSE_GRID), _COARSE_GRID)
+                   for v in u], U)
+
+
+def _snap(sys: ControlSystem, u, lo, hi) -> tuple[Fraction, ...]:
+    """u on the 2^-20 grid, clamped to U, when that still lands; else u."""
+    if all(v.denominator <= _COARSE_GRID for v in u):
+        return tuple(u)
+    snapped = _on_grid(u, sys.input_set)
+    return snapped if _lands(sys, snapped, lo, hi) else tuple(u)
+
+
+def _hull_meets(sys: ControlSystem, lo, hi) -> bool:
+    """The window meets the row hull of B U, which every landing needs."""
+    for (blo, bhi), l, h in zip(sys.input_hull, lo, hi):
+        if bhi < l or blo > h:
+            return False
+    return True
+
+
+def _input_probe(sys: ControlSystem, lo, hi) -> tuple[Fraction, ...] | None:
+    """An input u in U with ``lo <= B u <= hi`` found without the simplex.
+
+    With diagonal B each axis is decided on its own and u_i is the middle
+    of its feasible window, so an axis whose window has positive width
+    lands strictly inside the target, and None means no input exists.
+    Otherwise a window missing the row hull of B U has no input, and the
+    probe solves B u = the window's middle (square invertible B), clamps
+    u to U and snaps it to the 2^-20 grid when that still lands; None then
+    also means the probe missed.  The probe may land on a face of the
+    target, which is inside it: boxes are closed.
     """
     U = sys.input_set
-    lo = [c - s for c, s in zip(target.lower, shift)]
-    hi = [d - s for d, s in zip(target.upper, shift)]
     if sys.diagonal_B:
         u = []
         for i in range(sys.n):
@@ -483,46 +519,98 @@ def _input_toward(sys: ControlSystem, shift: Sequence[Fraction],
                 return None
             u.append(_coarse_pick(wlo, whi))
         return tuple(u)
-    for (blo, bhi), l, h in zip(sys.input_hull, lo, hi):
-        if bhi < l or blo > h:
-            return None
-
-    def lands(u):
-        return all(l <= v <= h for l, v, h in zip(lo, mat_vec(sys.B, u), hi))
-
+    if not _hull_meets(sys, lo, hi):
+        return None
     probe = _solve_square(sys.B, [(a + b) / 2 for a, b in zip(lo, hi)])
-    u = _clamp(probe, U) if probe is not None else None
-    if u is None or not lands(u):
-        u = _box_lp(sys.B, U, lo, hi)
-        if u is None:
-            return None
-    if all(v.denominator <= _COARSE_GRID for v in u):
-        return u
-    snapped = _clamp([Fraction(round(v * _COARSE_GRID), _COARSE_GRID)
-                      for v in u], U)
-    return snapped if lands(snapped) else u
+    if probe is None:
+        return None
+    u = _clamp(probe, U)
+    return _snap(sys, u, lo, hi) if _lands(sys, u, lo, hi) else None
 
 
 def input_witness(sys: ControlSystem, x: Sequence[Fraction],
                   target: Box) -> tuple[Fraction, ...] | None:
     """A concrete u in U with A x + B u in the closed target box, or None.
 
-    Used when lifting discrete strategies to continuous inputs.  With
-    diagonal B the input sits at the middle of each axis's feasible
-    window, which keeps landings off the target's faces wherever that
-    window has positive width; otherwise the landing may lie on a face of
-    the target (see ``_input_toward``), which is sound because boxes are
-    closed.
+    The input of ``_input_probe`` when it finds one.  When the probe
+    misses, an exact phase-1 simplex (``_box_lp``) decides and returns a
+    vertex of the feasible inputs, snapped to the 2^-20 grid when that
+    stays feasible, which may land on a face of the target.  In the
+    control loop this runs only to build vertex tables (``control_input``).
     """
-    shift = mat_vec(sys.A, [to_fraction(v) for v in x])
-    tgt = target.intersect(sys.domain)
-    return None if tgt.empty else _input_toward(sys, shift, tgt)
+    window = _window(sys, x, target)
+    if window is None:
+        return None
+    u = _input_probe(sys, *window)
+    if u is None and not sys.diagonal_B and _hull_meets(sys, *window):
+        u = _box_lp(sys.B, sys.input_set, *window)
+        if u is not None:
+            u = _snap(sys, u, *window)
+    return u
 
 
 def reach_exists_from_point(x: Sequence[Fraction], Y: Box,
                             sys: ControlSystem) -> bool:
     """Exists u in U with A x + B u in Y (Y clipped to the domain)."""
     return input_witness(sys, x, Y) is not None
+
+
+# ---------------------------------------------------------------------------
+# Vertex control
+# ---------------------------------------------------------------------------
+
+def box_vertices(X: Box) -> list[tuple[Fraction, ...]]:
+    """The 2^n corners of X, the first axis varying slowest."""
+    return list(product(*zip(X.lower, X.upper)))
+
+
+def vertex_weights(X: Box, x: Sequence[Fraction]) -> list[Fraction]:
+    """The multilinear weights of a point x of X over ``box_vertices(X)``.
+
+    Per axis, t_i = (x_i - lower_i) / width_i (0 on a flat axis), and a
+    vertex weighs the product of t_i where it takes the upper bound and
+    1 - t_i where it takes the lower.  The weights are >= 0, sum to 1 and
+    give ``sum(w_v v) = x``.
+    """
+    weights = [Fraction(1)]
+    for xi, lo, hi in zip(x, X.lower, X.upper):
+        t = (xi - lo) / (hi - lo) if hi != lo else Fraction(0)
+        weights = [w * f for w in weights for f in (1 - t, t)]
+    return weights
+
+
+def control_input(sys: ControlSystem, x: Sequence[Fraction], target: Box,
+                  vertex_table) -> tuple[Fraction, ...] | None:
+    """The controller's input: u in U with A x + B u in target ∩ D, or None.
+
+    No simplex runs here.  The probe (``_input_probe``) comes first, so a
+    step it decides gets the input ``input_witness`` gives.  When it
+    misses, ``vertex_table()`` returns a box X holding x and one input per
+    vertex of X, in ``box_vertices`` order, and u is their sum under
+    ``vertex_weights``.  When every vertex input lands in target ∩ D, so
+    does u, exactly: U and the target are convex and the step is affine
+    (vertex control: Gutman & Cwikel, IEEE TAC 1986; Belta & Habets, IEEE
+    TAC 2006).  u is snapped to the 2^-20 grid when that still lands,
+    which keeps the state's denominators bounded over long runs, and kept
+    exact otherwise.  None when neither lands, which landing vertex
+    inputs rule out.
+    """
+    window = _window(sys, x, target)
+    if window is None:
+        return None
+    u = _input_probe(sys, *window)
+    if u is not None:
+        return u
+    X, inputs = vertex_table()
+    u = [Fraction(0)] * sys.m
+    weights = vertex_weights(X, [to_fraction(v) for v in x])
+    for w, uv in zip(weights, inputs):
+        if w:
+            u = [a + w * b for a, b in zip(u, uv)]
+    for cand in (_on_grid(u, sys.input_set), tuple(u)):
+        if _lands(sys, cand, *window):
+            return cand
+    return None
 
 
 class _SourceView:

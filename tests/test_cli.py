@@ -118,6 +118,15 @@ class TestSynthesizeCommand:
                   "--out", str(tmp_path / "r")])
         assert exc.value.code == EXIT_INPUT_ERROR
 
+    def test_unwritable_out_is_input_error(self, park_path, tmp_path,
+                                           capsys):
+        # a component of the artifact path is a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code = main(["synthesize", park_path, "--out", str(blocker / "run")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_init_held_by_no_initial_region_exit_three(self, tmp_path,
                                                        capsys):
         # "lot" is a proposition, but no initial leaf carries it
@@ -321,6 +330,15 @@ class TestSimulateCommand:
                          "--start", "[1.5, 1.0]", "--out", str(t)])
             assert code == 0
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_unwritable_out_is_input_error(self, park_path, park_run,
+                                           tmp_path, capsys):
+        trace = tmp_path / "missing" / "t.csv"
+        code = main(["simulate", park_path,
+                     str(park_run / "controller.json"), "--steps", "3",
+                     "--start", "[0.5, 0.5]", "--out", str(trace)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_hash_mismatch_refused(self, park_run, invariant_path, tmp_path):
         code = main(["simulate", invariant_path,

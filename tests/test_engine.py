@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dualsynth import engine
+from dualsynth import engine, geometry
 from dualsynth.abstraction import EnvAlphabet, build_initial
 from dualsynth.engine import (
     EngineError,
@@ -12,7 +13,14 @@ from dualsynth.engine import (
     run,
     simulate,
 )
-from dualsynth.geometry import Box, ControlSystem
+from dualsynth.geometry import (
+    Box,
+    ControlSystem,
+    box_vertices,
+    input_witness,
+    mat_vec,
+    reach_pessimistic,
+)
 from dualsynth.gr1 import RawSpec, check_lasso, convert_to_gr1
 from dualsynth.partition import Status, initial_partition, locate
 
@@ -40,6 +48,22 @@ def invariant_problem():
                       ("start", [[3, 3.5], [3, 3.5]])])
     env = EnvAlphabet.create([])
     spec = convert_to_gr1(RawSpec(guarantees=("goal",), init="start"))
+    return sys, env, spec
+
+
+def coupled_problem():
+    """Coupled A and non-diagonal B: the midpoint probe misses on some
+    steps, which then take the vertex tables."""
+    half = Fraction(1, 2)
+    sys = ControlSystem.create(
+        A=[[1, Fraction(1, 4)], [0, 1]], B=[[1, half], [0, 1]],
+        input_set=[[-half, half], [-half, half]],
+        domain=[[0, 4], [0, 4]], initial_set=[[2, Fraction(5, 2)]] * 2,
+        propositions=[("a", [[0, 1], [0, 1]]), ("b", [[3, 4], [3, 4]]),
+                      ("c", [[1, 2], [1, 2]])])
+    env = EnvAlphabet.create([("req", (False, True))])
+    spec = convert_to_gr1(RawSpec(guarantees=("a",),
+                                  responses=(("req", "b"),)))
     return sys, env, spec
 
 
@@ -353,3 +377,127 @@ class TestWarmStartEquivalence:
         with pytest.raises(AssertionError, match=r"is not winning at "
                            r"iteration 1 although it was at iteration 0"):
             run(sys, env, spec, EngineOptions(max_iters=6))
+
+
+class TestVertexControl:
+    """Steps the probe misses take a vertex table of their strategy edge."""
+
+    START = (Fraction(9, 4), Fraction(9, 4))
+
+    @staticmethod
+    def counting(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_coupled_closed_loop(self, monkeypatch):
+        sys, env, spec = coupled_problem()
+        verdict = run(sys, env, spec, EngineOptions(m=4))
+        assert verdict.outcome == "realizable"
+        ctrl = verdict.controller
+        rng = np.random.default_rng(37)
+        trace = [int(rng.integers(0, 2)) for _ in range(2001)]
+        lp_calls = self.counting(monkeypatch, geometry, "_box_lp")
+        table_steps = self.counting(monkeypatch, engine.ContinuousController,
+                                    "_vertex_table")
+        runs = []
+        for _ in range(2):
+            lp_calls.clear()
+            table_steps.clear()
+            execution = simulate(ctrl, sys, iter(trace), self.START, 2000)
+            steps = execution.steps
+            for step, nxt in zip(steps, steps[1:]):
+                assert sys.input_set.contains(step.inp)
+                assert sys.domain.contains(nxt.state)
+                assert ctrl.forest.box(nxt.region).contains(nxt.state)
+                assert all(v.denominator <= 2**22 for v in nxt.state)
+            runs.append((len(lp_calls), len(table_steps), steps))
+        (lp_first, table_first, first), (lp_again, table_again, again) = runs
+        assert table_first > 0 and lp_first > 0
+        # the tables are cached on the controller: no simplex the second time
+        assert lp_again == 0 and table_again == table_first
+        assert first == again
+
+    def test_probe_decided_steps_keep_the_witness_input(self, monkeypatch):
+        sys, env, spec = coupled_problem()
+        ctrl = run(sys, env, spec, EngineOptions(m=4)).controller
+        rng = np.random.default_rng(41)
+        trace = [int(rng.integers(0, 2)) for _ in range(2001)]
+        execution = simulate(ctrl, sys, iter(trace), self.START, 2000)
+        lp_calls = self.counting(monkeypatch, geometry, "_box_lp")
+        decided = missed = 0
+        for step, nxt in zip(execution.steps, execution.steps[1:]):
+            lp_calls.clear()
+            u = input_witness(sys, step.state, ctrl.forest.box(nxt.region))
+            if lp_calls:
+                missed += 1
+            else:
+                decided += 1
+                assert step.inp == u
+        assert decided and missed
+
+    def test_source_is_a_strategy_edge_not_the_located_leaf(self):
+        # park with a third input that does nothing: B is 2x3, so the probe
+        # always misses and every step takes a table.  At a vertex of a
+        # source that lies on a face of a lower leaf, locate names that
+        # leaf, which need not reach the target pessimistically.
+        park, env, spec = park_problem()
+        sys = ControlSystem.create(
+            A=park.A, B=[[1, 0, 0], [0, 1, 0]], input_set=[[-1, 1]] * 3,
+            domain=park.domain, initial_set=park.initial_set,
+            propositions=park.proposition_regions)
+        ctrl = run(sys, env, spec).controller
+        forest, strategy = ctrl.forest, ctrl.strategy
+        edges = {(strategy.memory_states[mid][0], target)
+                 for (mid, _e), (_m, target) in strategy.transitions.items()}
+        tested = 0
+        for source, target in sorted(edges):
+            goal = forest.box(target)
+            for v in box_vertices(forest.box(source)):
+                located = locate(forest, v)
+                if reach_pessimistic(forest.box(located), goal, sys):
+                    continue
+                tested += 1
+                u = ctrl.select_input(v, target)
+                assert sys.input_set.contains(u)
+                land = tuple(a + b for a, b in
+                             zip(mat_vec(sys.A, v), mat_vec(sys.B, u)))
+                assert goal.contains(land)
+        assert tested
+
+    def test_rebuilt_controller_simulates_identically(self, tmp_path):
+        # controller.json carries no tables; a loaded controller builds
+        # them on its first misses and steps exactly as the fresh one
+        from dualsynth.cli import _rebuild_controller, load_problem, main
+        sys, env, spec = coupled_problem()
+        problem_file = {
+            "dynamics": {"A": [[1, 0.25], [0, 1]], "B": [[1, 0.5], [0, 1]]},
+            "input_set": [[-0.5, 0.5], [-0.5, 0.5]],
+            "domain": [[0, 4], [0, 4]], "initial_set": [[2, 2.5], [2, 2.5]],
+            "propositions": [
+                {"name": name, "box": box.as_float_bounds()}
+                for name, box in sys.proposition_regions],
+            "environment": [{"name": "req", "values": [False, True]}],
+            "spec": {"init": None, "assumptions": [], "guarantees": ["a"],
+                     "responses": [{"trigger": "req", "response": "b"}]},
+            "options": {"m": 4}}
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(problem_file))
+        out = tmp_path / "run"
+        assert main(["synthesize", str(path), "--out", str(out)]) == 0
+        problem = load_problem(str(path))
+        rebuilt = _rebuild_controller(problem, str(out / "controller.json"))
+        fresh = run(sys, env, spec, EngineOptions(m=4)).controller
+        rng = np.random.default_rng(43)
+        trace = [int(rng.integers(0, 2)) for _ in range(501)]
+        runs = [simulate(c, problem.sys, iter(trace), self.START, 500).steps
+                for c in (fresh, rebuilt)]
+        assert rebuilt._tables and rebuilt._tables == fresh._tables
+        assert [(s.state, s.inp, s.region) for s in runs[0]] == \
+            [(s.state, s.inp, s.region) for s in runs[1]]

@@ -10,10 +10,13 @@ from dualsynth.geometry import (
     ControlSystem,
     GeometryError,
     _box_lp,
+    box_vertices,
+    control_input,
     input_witness,
     reach_exists_from_point,
     reach_optimistic,
     reach_pessimistic,
+    vertex_weights,
 )
 
 from oracles import fm_reach, grid_reach, interval_reach, planar_input_reach
@@ -387,6 +390,83 @@ class TestInputWitness:
             assert u is not None and lands_in(sys, pt, u, target)
             coarse = all(v.denominator <= 2**20 for v in u)
             assert coarse == snapped
+
+
+class TestVertexControl:
+    """``control_input`` from a source X that reaches Y pessimistically.
+
+    B is neither diagonal nor square invertible in ``lp_only_systems``, so
+    the probe misses and every input is interpolated from the inputs at
+    the vertices of X.
+    """
+
+    @staticmethod
+    def points(rng, X):
+        """The vertices of X, a point on each of its faces, and three
+        points drawn from X."""
+        pts = box_vertices(X)
+        for i in range(X.dim):
+            for bound in (X.lower[i], X.upper[i]):
+                pt = random_point(rng, X)
+                pt[i] = bound
+                pts.append(tuple(pt))
+        return pts + [tuple(random_point(rng, X)) for _ in range(3)]
+
+    @staticmethod
+    def image_box(rng, sys, X):
+        """A box around A c + B u0 for the centre c of X and some u0."""
+        u0 = random_point(rng, sys.input_set)
+        mid = [sum(a * v for a, v in zip(row, X.center())) +
+               sum(b * w for b, w in zip(rowb, u0))
+               for row, rowb in zip(sys.A, sys.B)]
+        half = [Fraction(int(rng.integers(2, 9)), 4) for _ in mid]
+        return Box(tuple(c - h for c, h in zip(mid, half)),
+                   tuple(c + h for c, h in zip(mid, half)))
+
+    def test_weights_and_landing(self):
+        pessimistic = interpolated = 0
+        for rng, sys in lp_only_systems(73, 40):
+            X = random_box(rng, lo=-3, hi=3)
+            Y = self.image_box(rng, sys, X)
+            if not reach_pessimistic(X, Y, sys):
+                continue
+            pessimistic += 1
+            vertices = box_vertices(X)
+            inputs = [input_witness(sys, v, Y) for v in vertices]
+            assert None not in inputs
+            target = Y.intersect(sys.domain)
+            for x in self.points(rng, X):
+                weights = vertex_weights(X, x)
+                assert all(w >= 0 for w in weights) and sum(weights) == 1
+                assert tuple(sum(w * v[i] for w, v in zip(weights, vertices))
+                             for i in range(X.dim)) == tuple(x)
+                tables = []
+                u = control_input(sys, x, Y,
+                                  lambda: tables.append(X) or (X, inputs))
+                interpolated += len(tables)
+                assert u is not None and sys.input_set.contains(u)
+                assert lands_in(sys, x, u, target)
+        assert pessimistic >= 40
+        assert interpolated == pessimistic * 11
+
+    def test_snap_that_misses_keeps_the_exact_input(self):
+        # the target is 2^-30 high and starts at 1/3, off the 2^-20 grid,
+        # so the interpolated input must stay off the grid: rounding it
+        # would leave the target
+        sys = ControlSystem.create(
+            A=[[1, 0], [0, 1]], B=[[1, 0.5, 0], [0, 1, 0]],
+            input_set=[[-1, 1]] * 3, domain=[[-4, 4], [-4, 4]],
+            initial_set=[[-4, 4], [-4, 4]])
+        X = Box.from_bounds([[0, 0.25], [0, 0.25]])
+        lows = (Fraction(0), Fraction(1, 3))
+        Y = Box(lows, (Fraction(1), lows[1] + Fraction(1, 2**30)))
+        assert reach_pessimistic(X, Y, sys)
+        inputs = [input_witness(sys, v, Y) for v in box_vertices(X)]
+        x = (Fraction(1, 7), Fraction(1, 5))
+        u = control_input(sys, x, Y, lambda: (X, inputs))
+        assert u is not None and sys.input_set.contains(u)
+        assert lands_in(sys, x, u, Y)
+        assert any((v * 2**20).denominator > 1 for v in u)
 
 
 class TestSourceReuse:
