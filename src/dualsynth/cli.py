@@ -79,14 +79,23 @@ def _expect(cond: bool, path: str, message: str):
         raise ProblemError(f"{path}: {message}")
 
 
+def _number(v, path: str):
+    """``v`` is a JSON number with a finite float value.  Python's json
+    reads NaN, Infinity and overflowing literals such as 1e400 as
+    non-finite floats, and an integer literal beyond the float range
+    would overflow where the artifacts print bounds as floats."""
+    _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path,
+            f"expected a number, got {v!r}")
+    _expect(abs(v) <= _sys.float_info.max, path, "expected a finite number")
+
+
 def _num_matrix(value, path: str):
     _expect(isinstance(value, list) and value and
             all(isinstance(r, list) and r for r in value), path,
             "expected a nonempty numeric matrix (list of rows)")
     for i, row in enumerate(value):
         for j, v in enumerate(row):
-            _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-                    f"{path}[{i}][{j}]", f"expected a number, got {v!r}")
+            _number(v, f"{path}[{i}][{j}]")
     return value
 
 
@@ -96,10 +105,9 @@ def _bounds(value, path: str):
     for i, pair in enumerate(value):
         _expect(isinstance(pair, list) and len(pair) == 2,
                 f"{path}[{i}]", "expected [lo, hi]")
+        for k, v in enumerate(pair):
+            _number(v, f"{path}[{i}][{k}]")
         lo, hi = pair
-        for v in (lo, hi):
-            _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-                    f"{path}[{i}]", f"expected numbers, got {pair!r}")
         _expect(lo <= hi, f"{path}[{i}]", f"lower bound {lo} exceeds {hi}")
     return value
 
@@ -464,8 +472,15 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
-    print(f"wrote {len(execution.steps)} trace rows to {out}")
+    print(f"wrote {len(execution.steps)} trace rows to {out} "
+          f"({controller.probe_steps} probe, "
+          f"{_count(controller.table_steps, 'table step')}, "
+          f"{_count(controller.tables_built, 'table')} built)")
     return 0
+
+
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" + ("" if n == 1 else "s")
 
 
 _STATS_KEYS = ("iteration", "leaves", "winning", "maybe", "losing",

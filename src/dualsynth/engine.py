@@ -38,6 +38,7 @@ from dualsynth.abstraction import (
 from dualsynth.geometry import (
     Box,
     ControlSystem,
+    TargetView,
     box_vertices,
     control_input,
     input_witness,
@@ -328,13 +329,17 @@ class ContinuousController:
 
     Every strategy move from X to Y follows a pessimistic edge, so every
     point of X has an input landing in Y.  The selector
-    (``control_input``) first tries the probe: per axis for diagonal B,
-    which never misses on such an edge, otherwise the midpoint probe.
-    When it misses, the input is interpolated from a table of inputs at
-    the vertices of X, built once per edge on its first miss by
-    ``input_witness``; building a table is the only place the exact
-    simplex still runs.  An input that fails to land is a library bug and
-    raises instead of patching over.
+    (``control_input``) first tries the probe, one precomputed affine map
+    of the state per target (``TargetView``, cached per target region):
+    per axis for diagonal B, which never misses on such an edge, otherwise
+    the clamped midpoint probe.  When it misses, the input is interpolated
+    from a table of inputs at the vertices of X, built once per edge on
+    its first miss by ``input_witness``; building a table is the only
+    place the exact simplex still runs.  An input that fails to land is a
+    library bug and raises instead of patching over.
+
+    ``probe_steps``, ``table_steps`` and ``tables_built`` count the steps
+    the probe decided, the steps taken from a table and the tables built.
     """
     sys: ControlSystem
     env: EnvAlphabet
@@ -343,6 +348,10 @@ class ContinuousController:
     strategy: StrategyAutomaton
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    _views: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    probe_steps: int = field(default=0, init=False, compare=False)
+    table_steps: int = field(default=0, init=False, compare=False)
 
     def start_region(self, s0) -> RegionId:
         region = locate(self.forest, s0)
@@ -374,6 +383,7 @@ class ContinuousController:
             raise AssertionError(
                 f"no strategy edge into {format_region_id(target)} starts "
                 f"at {tuple(map(float, s))} (library bug)")
+        self.table_steps += 1
         key = (source, target)
         if key not in self._tables:
             inputs = [input_witness(self.sys, v, self.forest.box(target))
@@ -386,13 +396,24 @@ class ContinuousController:
             self._tables[key] = inputs
         return box, self._tables[key]
 
+    @property
+    def tables_built(self) -> int:
+        return len(self._tables)
+
     def select_input(self, s, target: RegionId):
-        u = control_input(self.sys, s, self.forest.box(target),
+        view = self._views.get(target)
+        if view is None:
+            view = self._views[target] = TargetView(self.forest.box(target),
+                                                    self.sys)
+        table_steps = self.table_steps
+        u = control_input(self.sys, s, view,
                           lambda: self._vertex_table(s, target))
         if u is None:
             raise AssertionError(
                 f"no admissible input reaches {format_region_id(target)}; "
                 f"pessimistic reachability promised one (library bug)")
+        if self.table_steps == table_steps:
+            self.probe_steps += 1
         return u
 
 

@@ -29,24 +29,30 @@ are computed once (``_SourceView``), and a target then costs one range
 comparison per normal.  The abstraction asks its queries source-major, and
 the view of the last source is kept.
 
-The controller asks for an input u in U with A x + B u in a box.
-``_input_probe`` answers without a simplex: with diagonal B per axis, at
-the middle of each axis's feasible window; otherwise the row hull of B U
-as a prescreen, then the midpoint probe (square invertible B).  When the
-probe misses, ``input_witness`` decides by an exact phase-1 simplex over
-the box (``_box_lp``), while ``control_input`` interpolates inputs given at
-the vertices of the source region (vertex control).  So the simplex runs
-in the control loop only when a vertex table is built.  The probe is
-clamped to U and the simplex returns a vertex, so those landings may lie
-on a face of the target, which is sound: boxes are closed.
+The controller asks for an input u in U with A x + B u in a box.  The
+probe (``_probe``) answers with no simplex and no linear solve: on a fixed
+target T it is one affine map of x, u* = B⁻¹c - B⁻¹A x with c the centre
+of T, from ``ControlSystem.probe_map`` (computed once per system, the only
+place the probe runs ``_solve_square``) and a ``TargetView`` (computed once
+per target).  With diagonal B each axis then takes the middle of its
+feasible window; otherwise u* is clamped to U and kept when it still
+lands.  When the probe misses, ``input_witness`` decides by an exact
+phase-1 simplex over the box (``_box_lp``), while ``control_input``
+interpolates inputs given at the vertices of the source region (vertex
+control).  So the simplex runs in the control loop only when a vertex
+table is built.  The probe is clamped to U and the simplex returns a
+vertex, so those landings may lie on a face of the target, which is
+sound: boxes are closed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -61,6 +67,8 @@ def to_fraction(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise GeometryError(f"expected a number, got bool {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise GeometryError(f"expected a finite number, got {value!r}")
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise GeometryError(f"cannot interpret {value!r} as a rational number")
@@ -261,6 +269,34 @@ class ControlSystem:
         return tuple(_row_range(row, self.input_set) for row in self.B)
 
     @cached_property
+    def probe_map(self) -> tuple[tuple, tuple] | None:
+        """(N, B⁻¹) with N = -B⁻¹A, the affine map of the midpoint probe.
+
+        For a target with centre c, u = B⁻¹c + N x sends x to c (N is kept
+        negated so that u is one sum started at B⁻¹c).  With square
+        invertible B, B⁻¹ comes from one ``_solve_square`` per column,
+        here and never per step.  With diagonal B, row i of N and of B⁻¹
+        is that of -A and of e_i, scaled by 1 / b_ii, or None where
+        b_ii = 0.  None when B is neither diagonal nor square and
+        invertible.
+        """
+        n = self.n
+        if self.diagonal_B:
+            binv = [tuple(Fraction(int(i == j)) / b for j in range(n))
+                    if (b := self.B[i][i]) else None for i in range(n)]
+        else:
+            cols = [_solve_square(self.B, [Fraction(int(i == j))
+                                           for i in range(n)])
+                    for j in range(n)]
+            if None in cols:
+                return None
+            binv = list(zip(*cols))
+        N = tuple(None if row is None else
+                  tuple(-_dot(row, col) for col in zip(*self.A))
+                  for row in binv)
+        return N, tuple(binv)
+
+    @cached_property
     def reach_normals(self) -> tuple[tuple[tuple[Fraction, ...], bool], ...]:
         """The facet normals of the reach zonotopes, as (normal, pessimistic).
 
@@ -454,15 +490,12 @@ def _coarse_pick(lo: Fraction, hi: Fraction) -> Fraction:
     return mid
 
 
-def _window(sys: ControlSystem, x: Sequence[Fraction], target: Box):
-    """(lo, hi) such that A x + B u lies in target ∩ D exactly when
-    ``lo <= B u <= hi`` row by row; None when the target misses D."""
-    shift = mat_vec(sys.A, [to_fraction(v) for v in x])
-    tgt = target.intersect(sys.domain)
-    if tgt.empty:
-        return None
-    return ([c - s for c, s in zip(tgt.lower, shift)],
-            [d - s for d, s in zip(tgt.upper, shift)])
+def _window(sys: ControlSystem, x: Sequence[Fraction], T: Box):
+    """(lo, hi) such that A x + B u lies in T exactly when
+    ``lo <= B u <= hi`` row by row."""
+    shift = mat_vec(sys.A, x)
+    return ([c - s for c, s in zip(T.lower, shift)],
+            [d - s for d, s in zip(T.upper, shift)])
 
 
 def _lands(sys: ControlSystem, u, lo, hi) -> bool:
@@ -475,12 +508,13 @@ def _on_grid(u, U: Box) -> tuple[Fraction, ...]:
                    for v in u], U)
 
 
-def _snap(sys: ControlSystem, u, lo, hi) -> tuple[Fraction, ...]:
-    """u on the 2^-20 grid, clamped to U, when that still lands; else u."""
+def _snap(U: Box, u, lands) -> tuple[Fraction, ...]:
+    """u on the 2^-20 grid, clamped to U, when ``lands`` accepts that;
+    else u."""
     if all(v.denominator <= _COARSE_GRID for v in u):
         return tuple(u)
-    snapped = _on_grid(u, sys.input_set)
-    return snapped if _lands(sys, snapped, lo, hi) else tuple(u)
+    snapped = _on_grid(u, U)
+    return snapped if lands(snapped) else tuple(u)
 
 
 def _hull_meets(sys: ControlSystem, lo, hi) -> bool:
@@ -491,61 +525,118 @@ def _hull_meets(sys: ControlSystem, lo, hi) -> bool:
     return True
 
 
-def _input_probe(sys: ControlSystem, lo, hi) -> tuple[Fraction, ...] | None:
-    """An input u in U with ``lo <= B u <= hi`` found without the simplex.
+class TargetView:
+    """What the probe reads of one target box Y under one system.
 
-    With diagonal B each axis is decided on its own and u_i is the middle
-    of its feasible window, so an axis whose window has positive width
-    lands strictly inside the target, and None means no input exists.
-    Otherwise a window missing the row hull of B U has no input, and the
-    probe solves B u = the window's middle (square invertible B), clamps
-    u to U and snaps it to the 2^-20 grid when that still lands; None then
-    also means the probe missed.  The probe may land on a face of the
-    target, which is inside it: boxes are closed.
+    * ``T``: Y ∩ D, or None when Y misses the domain;
+    * ``k``: B⁻¹ c for the centre c of T, one entry per row of
+      ``sys.probe_map`` (None for a row the map lacks, or with no map);
+    * ``h``: the half-widths of T; for diagonal B, entry i is h_i / |b_ii|,
+      the radius of axis i's input window (None where b_ii = 0).
     """
+
+    __slots__ = ("T", "k", "h")
+
+    def __init__(self, Y: Box, sys: ControlSystem):
+        T = Y.intersect(sys.domain)
+        self.T = self.k = self.h = None
+        if T.empty:
+            return
+        self.T = T
+        half = [(hi - lo) / 2 for lo, hi in zip(T.lower, T.upper)]
+        if sys.diagonal_B:
+            half = [h / abs(row[i]) if row[i] else None
+                    for i, (h, row) in enumerate(zip(half, sys.B))]
+        self.h = tuple(half)
+        if sys.probe_map is not None:
+            centre = T.center()
+            self.k = tuple(None if row is None else _dot(row, centre)
+                           for row in sys.probe_map[1])
+
+
+def _dot(row: Sequence[Fraction], vec: Sequence[Fraction],
+         start: Fraction | int = 0) -> Fraction:
+    """start + row . vec"""
+    return sum(map(mul, row, vec), start)
+
+
+def _lands_near(B: Matrix, u, star, h) -> bool:
+    """|B (u - star)| <= h row by row: u lands in the box of half-widths h
+    centred on B star.  Only the columns where u differs from star count."""
+    d = [(j, v - s) for j, (v, s) in enumerate(zip(u, star)) if v != s]
+    if not d:
+        return True
+    return all(abs(sum(row[j] * dj for j, dj in d)) <= hw
+               for row, hw in zip(B, h))
+
+
+def _probe(sys: ControlSystem, view: TargetView,
+           x: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """An input u in U with A x + B u in the view's target, found without
+    the simplex or any linear solve.
+
+    u* = k + N x (``probe_map``, N = -B⁻¹A) is the input that sends x to
+    the centre c of T: B u* = c - A x.  With diagonal B each axis is
+    decided on its own and u_i is the middle of its feasible window
+    [u*_i - r_i, u*_i + r_i] ∩ U_i, so an axis whose window has positive
+    width lands strictly inside the target, and None means no input
+    exists; an axis with b_ii = 0 lands only when A_i x already lies in
+    T, and takes U's lower bound.  Otherwise u* is clamped to U, and the
+    clamped u lands exactly when |B (u - u*)| <= h (``_lands_near``),
+    which reads the clamped columns alone: no A x and no B u is computed.
+    u is then snapped to the 2^-20 grid when that still lands, by the
+    same test.  None then also means the probe missed, as it always does
+    when B is not square and invertible.  The probe may land on a face of
+    the target, which is inside it: boxes are closed.
+    """
+    T, pm = view.T, sys.probe_map
+    if T is None:
+        return None
     U = sys.input_set
     if sys.diagonal_B:
         u = []
-        for i in range(sys.n):
-            b = sys.B[i][i]
-            if b == 0:
-                if lo[i] > 0 or hi[i] < 0:
+        for i, (row, k, r) in enumerate(zip(pm[0], view.k, view.h)):
+            if row is None:
+                if not T.lower[i] <= _dot(sys.A[i], x) <= T.upper[i]:
                     return None
                 u.append(U.lower[i])
                 continue
-            cand_lo, cand_hi = sorted((lo[i] / b, hi[i] / b))
-            wlo, whi = max(cand_lo, U.lower[i]), min(cand_hi, U.upper[i])
+            mid = _dot(row, x, k)
+            wlo, whi = max(mid - r, U.lower[i]), min(mid + r, U.upper[i])
             if wlo > whi:
                 return None
             u.append(_coarse_pick(wlo, whi))
         return tuple(u)
-    if not _hull_meets(sys, lo, hi):
+    if pm is None:
         return None
-    probe = _solve_square(sys.B, [(a + b) / 2 for a, b in zip(lo, hi)])
-    if probe is None:
+    star = [_dot(row, x, k) for k, row in zip(view.k, pm[0])]
+    u = _clamp(star, U)
+    if not _lands_near(sys.B, u, star, view.h):
         return None
-    u = _clamp(probe, U)
-    return _snap(sys, u, lo, hi) if _lands(sys, u, lo, hi) else None
+    return _snap(U, u, lambda v: _lands_near(sys.B, v, star, view.h))
 
 
 def input_witness(sys: ControlSystem, x: Sequence[Fraction],
                   target: Box) -> tuple[Fraction, ...] | None:
     """A concrete u in U with A x + B u in the closed target box, or None.
 
-    The input of ``_input_probe`` when it finds one.  When the probe
-    misses, an exact phase-1 simplex (``_box_lp``) decides and returns a
-    vertex of the feasible inputs, snapped to the 2^-20 grid when that
-    stays feasible, which may land on a face of the target.  In the
-    control loop this runs only to build vertex tables (``control_input``).
+    The input of ``_probe`` on a throwaway ``TargetView`` when it finds
+    one.  When the probe misses, an exact phase-1 simplex (``_box_lp``)
+    decides, gated by the row hull of B U, and returns a vertex of the
+    feasible inputs, snapped to the 2^-20 grid when that stays feasible,
+    which may land on a face of the target.  In the control loop this runs
+    only to build vertex tables (``control_input``).
     """
-    window = _window(sys, x, target)
-    if window is None:
-        return None
-    u = _input_probe(sys, *window)
-    if u is None and not sys.diagonal_B and _hull_meets(sys, *window):
-        u = _box_lp(sys.B, sys.input_set, *window)
-        if u is not None:
-            u = _snap(sys, u, *window)
+    x = [to_fraction(v) for v in x]
+    view = TargetView(target, sys)
+    u = _probe(sys, view, x)
+    if u is None and view.T is not None and not sys.diagonal_B:
+        window = _window(sys, x, view.T)
+        if _hull_meets(sys, *window):
+            u = _box_lp(sys.B, sys.input_set, *window)
+            if u is not None:
+                u = _snap(sys.input_set, u,
+                          lambda v: _lands(sys, v, *window))
     return u
 
 
@@ -579,34 +670,35 @@ def vertex_weights(X: Box, x: Sequence[Fraction]) -> list[Fraction]:
     return weights
 
 
-def control_input(sys: ControlSystem, x: Sequence[Fraction], target: Box,
+def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
                   vertex_table) -> tuple[Fraction, ...] | None:
-    """The controller's input: u in U with A x + B u in target ∩ D, or None.
+    """The controller's input: u in U with A x + B u in the view's target
+    T = Y ∩ D, or None.
 
-    No simplex runs here.  The probe (``_input_probe``) comes first, so a
-    step it decides gets the input ``input_witness`` gives.  When it
-    misses, ``vertex_table()`` returns a box X holding x and one input per
-    vertex of X, in ``box_vertices`` order, and u is their sum under
-    ``vertex_weights``.  When every vertex input lands in target ∩ D, so
-    does u, exactly: U and the target are convex and the step is affine
-    (vertex control: Gutman & Cwikel, IEEE TAC 1986; Belta & Habets, IEEE
-    TAC 2006).  u is snapped to the 2^-20 grid when that still lands,
-    which keeps the state's denominators bounded over long runs, and kept
-    exact otherwise.  None when neither lands, which landing vertex
-    inputs rule out.
+    No simplex and no linear solve runs here.  The probe (``_probe``)
+    comes first, so a step it decides gets the input ``input_witness``
+    gives.  When it misses, ``vertex_table()`` returns a box X holding x
+    and one input per vertex of X, in ``box_vertices`` order, and u is
+    their sum under ``vertex_weights``.  When every vertex input lands in
+    T, so does u, exactly: U and the target are convex and the step is
+    affine (vertex control: Gutman & Cwikel, IEEE TAC 1986; Belta &
+    Habets, IEEE TAC 2006).  u is snapped to the 2^-20 grid when that
+    still lands, which keeps the state's denominators bounded over long
+    runs, and kept exact otherwise.  None when neither lands, which
+    landing vertex inputs rule out.
     """
-    window = _window(sys, x, target)
-    if window is None:
+    if view.T is None:
         return None
-    u = _input_probe(sys, *window)
+    x = [to_fraction(v) for v in x]
+    u = _probe(sys, view, x)
     if u is not None:
         return u
     X, inputs = vertex_table()
     u = [Fraction(0)] * sys.m
-    weights = vertex_weights(X, [to_fraction(v) for v in x])
-    for w, uv in zip(weights, inputs):
+    for w, uv in zip(vertex_weights(X, x), inputs):
         if w:
             u = [a + w * b for a, b in zip(u, uv)]
+    window = _window(sys, x, view.T)
     for cand in (_on_grid(u, sys.input_set), tuple(u)):
         if _lands(sys, cand, *window):
             return cand

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own decision procedures:
 reachability is re-decided by dense grid sampling, exact per-axis
 interval arithmetic or exact Fourier-Motzkin elimination, games by
 exhaustive strategy enumeration with lasso checking or by a textbook sweep
-of the GR(1) fixpoint over explicit (region, env, bits) triples, and
-losing-set soundness by an exact backward-reachability fixpoint.  Keep it
+of the GR(1) fixpoint over explicit (region, env, bits) triples,
+losing-set soundness by an exact backward-reachability fixpoint, and the
+controller's probe by a linear solve per query.  Keep it
 that way; the value of these tests is the independent route to the same
 answer.
 """
@@ -461,3 +462,100 @@ def backward_reach_interval(a, b, ulo, uhi, goal_lo, goal_hi, dom_lo, dom_hi,
         lo = max(dom_lo, min(lo, new_lo))
         hi = min(dom_hi, max(hi, new_hi))
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# the controller's midpoint probe, restated
+# ---------------------------------------------------------------------------
+
+_GRID = 2 ** 20
+
+
+def _gauss_solve(M, rhs):
+    """Exact solution of M z = rhs by Gauss-Jordan elimination with the
+    first nonzero pivot, or None when M is singular."""
+    n = len(M)
+    rows = [list(row) + [r] for row, r in zip(M, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / top[col]
+                rows[r] = [v - f * p for v, p in zip(rows[r], top)]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def midpoint_probe(A, B, U, D, T, x):
+    """The input the controller's probe picks to move x into box T, or None.
+
+    ``U``, ``D`` and ``T`` are ``[[lo, hi], ...]`` bounds (input set,
+    domain, target).  T is clipped to D; A x + B u lies in the clip exactly
+    when ``lo <= B u <= hi`` for the window lo, hi = clip - A x.
+    * Diagonal B: per axis, an axis with b_ii = 0 needs 0 in its window and
+      takes U's lower bound; otherwise u_i is the middle of the window / b_ii
+      intersected with U_i, moved to the 2^-20 grid when the grid point
+      stays in that interval.
+    * Otherwise B must be square and invertible: u solves B u = the
+      window's middle, is clamped to U and must land in the window; it is
+      then rounded to the 2^-20 grid and clamped to U, kept when that still
+      lands.
+    None when no step lands this way.
+    """
+    F = Fraction
+    A = [[F(v) for v in row] for row in A]
+    B = [[F(v) for v in row] for row in B]
+    U = [(F(lo), F(hi)) for lo, hi in U]
+    lo = [max(F(t[0]), F(d[0])) for t, d in zip(T, D)]
+    hi = [min(F(t[1]), F(d[1])) for t, d in zip(T, D)]
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    x = [F(v) for v in x]
+    ax = [sum(a * v for a, v in zip(row, x)) for row in A]
+    lo = [a - s for a, s in zip(lo, ax)]
+    hi = [b - s for b, s in zip(hi, ax)]
+    n, m = len(B), len(B[0])
+    if m == n and all(B[i][j] == 0 for i in range(n) for j in range(n)
+                      if i != j):
+        u = []
+        for i in range(n):
+            b = B[i][i]
+            if b == 0:
+                if lo[i] > 0 or hi[i] < 0:
+                    return None
+                u.append(U[i][0])
+                continue
+            ends = sorted((lo[i] / b, hi[i] / b))
+            left, right = max(ends[0], U[i][0]), min(ends[1], U[i][1])
+            if left > right:
+                return None
+            mid = (left + right) / 2
+            if mid.denominator > _GRID:
+                grid = F(round(mid * _GRID), _GRID)
+                if left <= grid <= right:
+                    mid = grid
+            u.append(mid)
+        return tuple(u)
+    if m != n:
+        return None
+    sol = _gauss_solve(B, [(a + b) / 2 for a, b in zip(lo, hi)])
+    if sol is None:
+        return None
+
+    def clamped(vec):
+        return tuple(min(max(v, ulo), uhi) for v, (ulo, uhi) in zip(vec, U))
+
+    def lands(u):
+        return all(a <= sum(c * v for c, v in zip(row, u)) <= b
+                   for row, a, b in zip(B, lo, hi))
+
+    u = clamped(sol)
+    if not lands(u):
+        return None
+    if all(v.denominator <= _GRID for v in u):
+        return u
+    grid = clamped([F(round(v * _GRID), _GRID) for v in u])
+    return grid if lands(grid) else u

@@ -14,6 +14,7 @@ from dualsynth.cli import (
     main,
     parse_problem,
 )
+from dualsynth.geometry import Box, GeometryError, to_fraction
 
 
 def bundled(name: str) -> str:
@@ -206,6 +207,59 @@ class TestMeaningfulNames:
         assert problem.raw_spec.init == "home | !lot"
 
 
+def _put(*path):
+    """A mutation putting the placeholder ``"@"`` at ``path``."""
+    def mutate(data):
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = "@"
+    return mutate
+
+
+# where a non-finite number goes in park.json, and the JSON path it is
+# rejected at
+NON_FINITE_AT = [
+    (_put("dynamics", "A", 0, 0), "dynamics.A[0][0]"),
+    (_put("dynamics", "B", 1, 1), "dynamics.B[1][1]"),
+    (_put("domain", 0, 1), "domain[0][1]"),
+    (_put("input_set", 1, 0), "input_set[1][0]"),
+    (_put("propositions", 0, "box", 1, 1), "propositions[0].box[1][1]"),
+]
+
+
+class TestNonFiniteNumbers:
+    """Python's json reads NaN, Infinity and 1e400 as non-finite floats;
+    an integer literal beyond the float range has no finite float value."""
+
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e400", "-1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "-10**400"])
+    @pytest.mark.parametrize("mutate, path", NON_FINITE_AT,
+                             ids=[p for _m, p in NON_FINITE_AT])
+    def test_rejected_with_path_and_exit_three(self, mutate, path, literal,
+                                               tmp_path, capsys):
+        data = json.loads(open(bundled("park.json")).read())
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"@"', literal))
+        message = f"{path}: expected a finite number"
+        with pytest.raises(ProblemError, match=rf"^{re.escape(message)}$"):
+            load_problem(str(bad))
+        assert main(["synthesize", str(bad), "--out",
+                     str(tmp_path / "r")]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_library_rejects_non_finite_floats(self, value):
+        with pytest.raises(GeometryError, match="finite"):
+            to_fraction(value)
+        with pytest.raises(GeometryError, match="finite"):
+            Box.from_bounds([[0, value]])
+
+
 BAD_OPTIONS = [
     ("m", 0), ("m", -2), ("m", 1.5), ("m", True), ("m", "4"),
     ("max_iters", -1), ("max_iters", 1.5), ("max_iters", "3"),
@@ -284,6 +338,21 @@ def _drop(*path):
     return mutate
 
 
+# a problem with coupled A and non-diagonal B, whose controller takes
+# vertex tables on some steps
+COUPLED = {
+    "dynamics": {"A": [[1, 0.25], [0, 1]], "B": [[1, 0.5], [0, 1]]},
+    "input_set": [[-0.5, 0.5], [-0.5, 0.5]],
+    "domain": [[0, 4], [0, 4]], "initial_set": [[2, 2.5], [2, 2.5]],
+    "propositions": [{"name": "a", "box": [[0, 1], [0, 1]]},
+                     {"name": "b", "box": [[3, 4], [3, 4]]},
+                     {"name": "c", "box": [[1, 2], [1, 2]]}],
+    "environment": [{"name": "req", "values": [False, True]}],
+    "spec": {"init": None, "assumptions": [], "guarantees": ["a"],
+             "responses": [{"trigger": "req", "response": "b"}]},
+    "options": {"m": 4}}
+
+
 class TestSimulateCommand:
     @pytest.fixture
     def park_run(self, park_path, tmp_path):
@@ -310,6 +379,38 @@ class TestSimulateCommand:
             r for r in rows
             if "lot" in _labels_of(problem, r["region"], park_run)]
         assert any(int(r["t"]) > 5 for r in lot_rows)
+
+    def test_closing_line_counts_controller_paths(self, park_path, park_run,
+                                                  tmp_path, capsys):
+        # diagonal B: the probe decides every step and no table is built
+        trace = tmp_path / "t.csv"
+        code = main(["simulate", park_path,
+                     str(park_run / "controller.json"), "--steps", "30",
+                     "--random", "2", "--out", str(trace)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"wrote 31 trace rows to {trace} "
+            f"(30 probe, 0 table steps, 0 tables built)\n")
+
+    def test_closing_line_counts_table_steps(self, tmp_path, capsys):
+        # coupled A and non-diagonal B: the probe misses some steps
+        problem = tmp_path / "coupled.json"
+        problem.write_text(json.dumps(COUPLED))
+        out = tmp_path / "run"
+        assert main(["synthesize", str(problem), "--out", str(out)]) == 0
+        capsys.readouterr()
+        trace = tmp_path / "t.csv"
+        code = main(["simulate", str(problem), str(out / "controller.json"),
+                     "--steps", "200", "--random", "5", "--start",
+                     "[2.25, 2.25]", "--out", str(trace)])
+        assert code == 0
+        line = capsys.readouterr().out
+        match = re.fullmatch(
+            rf"wrote 201 trace rows to {re.escape(str(trace))} \((\d+) "
+            rf"probe, (\d+) table steps?, (\d+) tables? built\)\n", line)
+        assert match, line
+        probe, table, built = map(int, match.groups())
+        assert probe + table == 200 and table > 0 and built > 0
 
     def test_zero_steps_single_row(self, park_path, park_run, tmp_path):
         trace = tmp_path / "t.csv"

@@ -404,11 +404,13 @@ class TestVertexControl:
         rng = np.random.default_rng(37)
         trace = [int(rng.integers(0, 2)) for _ in range(2001)]
         lp_calls = self.counting(monkeypatch, geometry, "_box_lp")
+        solves = self.counting(monkeypatch, geometry, "_solve_square")
         table_steps = self.counting(monkeypatch, engine.ContinuousController,
                                     "_vertex_table")
         runs = []
         for _ in range(2):
             lp_calls.clear()
+            solves.clear()
             table_steps.clear()
             execution = simulate(ctrl, sys, iter(trace), self.START, 2000)
             steps = execution.steps
@@ -417,12 +419,18 @@ class TestVertexControl:
                 assert sys.domain.contains(nxt.state)
                 assert ctrl.forest.box(nxt.region).contains(nxt.state)
                 assert all(v.denominator <= 2**22 for v in nxt.state)
-            runs.append((len(lp_calls), len(table_steps), steps))
-        (lp_first, table_first, first), (lp_again, table_again, again) = runs
-        assert table_first > 0 and lp_first > 0
-        # the tables are cached on the controller: no simplex the second time
-        assert lp_again == 0 and table_again == table_first
+            runs.append((len(lp_calls), len(solves), len(table_steps), steps,
+                         ctrl.tables_built))
+        ((lp_first, _solves, table_first, first, built_first),
+         (lp_again, solves_again, table_again, again, built_again)) = runs
+        assert table_first > 0 and lp_first > 0 and built_first > 0
+        # the tables and the probe's maps are cached on the controller and
+        # the system: no simplex and no linear solve the second time
+        assert lp_again == 0 and solves_again == 0
+        assert table_again == table_first and built_again == built_first
         assert first == again
+        assert ctrl.table_steps == 2 * table_first
+        assert ctrl.probe_steps + ctrl.table_steps == 2 * 2000
 
     def test_probe_decided_steps_keep_the_witness_input(self, monkeypatch):
         sys, env, spec = coupled_problem()
@@ -499,5 +507,8 @@ class TestVertexControl:
         runs = [simulate(c, problem.sys, iter(trace), self.START, 500).steps
                 for c in (fresh, rebuilt)]
         assert rebuilt._tables and rebuilt._tables == fresh._tables
+        counts = [(c.probe_steps, c.table_steps, c.tables_built)
+                  for c in (fresh, rebuilt)]
+        assert counts[0] == counts[1] and counts[0][1] > 0
         assert [(s.state, s.inp, s.region) for s in runs[0]] == \
             [(s.state, s.inp, s.region) for s in runs[1]]

@@ -9,17 +9,26 @@ from dualsynth.geometry import (
     Box,
     ControlSystem,
     GeometryError,
+    TargetView,
     _box_lp,
+    _probe,
     box_vertices,
     control_input,
     input_witness,
+    mat_vec,
     reach_exists_from_point,
     reach_optimistic,
     reach_pessimistic,
     vertex_weights,
 )
 
-from oracles import fm_reach, grid_reach, interval_reach, planar_input_reach
+from oracles import (
+    fm_reach,
+    grid_reach,
+    interval_reach,
+    midpoint_probe,
+    planar_input_reach,
+)
 
 
 def identity_system(dom=((0, 3), (0, 2)), u=1):
@@ -441,7 +450,7 @@ class TestVertexControl:
                 assert tuple(sum(w * v[i] for w, v in zip(weights, vertices))
                              for i in range(X.dim)) == tuple(x)
                 tables = []
-                u = control_input(sys, x, Y,
+                u = control_input(sys, x, TargetView(Y, sys),
                                   lambda: tables.append(X) or (X, inputs))
                 interpolated += len(tables)
                 assert u is not None and sys.input_set.contains(u)
@@ -463,10 +472,108 @@ class TestVertexControl:
         assert reach_pessimistic(X, Y, sys)
         inputs = [input_witness(sys, v, Y) for v in box_vertices(X)]
         x = (Fraction(1, 7), Fraction(1, 5))
-        u = control_input(sys, x, Y, lambda: (X, inputs))
+        u = control_input(sys, x, TargetView(Y, sys), lambda: (X, inputs))
         assert u is not None and sys.input_set.contains(u)
         assert lands_in(sys, x, u, Y)
         assert any((v * 2**20).denominator > 1 for v in u)
+
+
+class TestProbeOracle:
+    """The probe kernel against ``oracles.midpoint_probe``, which restates
+    the probe as a linear solve per query, on seeded random queries."""
+
+    @staticmethod
+    def systems(rng):
+        """(shape, system) pairs: diagonal B with a zero diagonal entry,
+        the bench's coupled system, random square invertible coupled B and
+        the LP-only shapes."""
+        vals = [Fraction(v) for v in (1, -1, 2, "1/2", "-1/2", "3/4", "1/4")]
+
+        def pick():
+            return vals[int(rng.integers(len(vals)))]
+
+        def create(A, B, dom=((-4, 4), (-4, 4))):
+            U = [[-Fraction(int(rng.integers(1, 9)), 4),
+                  Fraction(int(rng.integers(1, 9)), 4)] for _ in B[0]]
+            return ControlSystem.create(A=A, B=B, input_set=U, domain=dom,
+                                        initial_set=dom)
+
+        for zero in range(2):
+            B = [[pick(), 0], [0, pick()]]
+            B[zero][zero] = 0
+            yield "diagonal", create([[pick(), pick()], [0, pick()]], B)
+        yield "coupled", ControlSystem.create(
+            A=[[1, 0.25], [0, 1]], B=[[1, 0.5], [0, 1]],
+            input_set=[[-0.5, 0.5]] * 2, domain=[[0, 4]] * 2,
+            initial_set=[[0, 4]] * 2)
+        for _ in range(2):
+            B = [[pick(), pick()], [pick(), pick()]]
+            if B[0][0] * B[1][1] != B[0][1] * B[1][0] and (B[0][1] or B[1][0]):
+                yield "coupled", create([[pick(), pick()], [pick(), pick()]],
+                                        B)
+        for shape in LP_ONLY_SHAPES:
+            yield shape, lp_only_system(rng, shape)
+
+    @staticmethod
+    def targets(rng, sys, X):
+        """Boxes around an image of X, inside, straddling, touching and
+        beyond the domain, with off-grid corners so that the snap is
+        exercised, and a box with a corner at the image of X's centre under
+        a vertex of U whose centre needs an input beyond that vertex: the
+        probe clamps back to the vertex and lands on the corner."""
+        domain, U = sys.domain, sys.input_set
+        vertex = [lo if rng.random() < 0.5 else hi
+                  for lo, hi in zip(U.lower, U.upper)]
+        out = [Fraction(1, 4) if v == hi else -Fraction(1, 4)
+               for v, hi in zip(vertex, U.upper)]
+        near = mat_vec(sys.A, X.center())
+        near = [a + b for a, b in zip(near, mat_vec(sys.B, vertex))]
+        far = [a + b for a, b in zip(near, mat_vec(sys.B, out))]
+        corner = Box(tuple(map(min, near, far)), tuple(map(max, near, far)))
+        odd = Fraction(1, int(rng.integers(3, 10**7)))
+        image = TestVertexControl.image_box(rng, sys, X)
+        image = Box(tuple(v + odd for v in image.lower), image.upper)
+        inside = domain.intersect(random_box(rng, lo=-4, hi=4))
+        if inside.empty:
+            inside = shrunk(domain)
+        inside = Box(inside.lower, tuple(max(lo, hi - odd) for lo, hi
+                                         in zip(inside.lower, inside.upper)))
+        straddling = random_box(rng, lo=-6, hi=6)
+        straddling = Box(tuple(v + odd for v in straddling.lower),
+                         tuple(v + 2 * odd for v in straddling.upper))
+        beyond = Box(tuple(hi + 1 for hi in domain.upper),
+                     tuple(hi + 2 for hi in domain.upper))
+        return (image, corner, inside, straddling,
+                touching_box(rng, domain), beyond)
+
+    def test_kernel_matches_oracle(self):
+        rng = np.random.default_rng(83)
+        decided, queries = {}, 0
+        for _ in range(12):
+            for shape, sys in list(self.systems(rng)):
+                U = sys.input_set.as_float_bounds()
+                D = [[lo, hi] for lo, hi in zip(sys.domain.lower,
+                                                sys.domain.upper)]
+                X = sys.domain.intersect(random_box(rng, lo=-4, hi=4))
+                if X.empty:
+                    X = shrunk(sys.domain)
+                for Y in self.targets(rng, sys, X):
+                    view = TargetView(Y, sys)
+                    T = list(zip(Y.lower, Y.upper))
+                    for x in TestVertexControl.points(rng, X):
+                        want = midpoint_probe(sys.A, sys.B, U, D, T, x)
+                        assert _probe(sys, view, x) == want, (sys, Y, x)
+                        if want is not None:
+                            assert input_witness(sys, x, Y) == want
+                        queries += 1
+                        hits = decided.setdefault(shape, [0, 0])
+                        hits[want is None] += 1
+        assert queries >= 6000
+        assert set(decided) == {"diagonal", "coupled", *LP_ONLY_SHAPES}
+        for shape in ("diagonal", "coupled"):
+            assert all(decided[shape]), decided
+        for shape in LP_ONLY_SHAPES:
+            assert decided[shape][0] == 0
 
 
 class TestSourceReuse:
