@@ -437,6 +437,8 @@ def _start_state(text: str) -> tuple:
         isinstance(v, (int, float)) and not isinstance(v, bool)
         for v in start), "--start",
         f"expected a JSON list of numbers, got {text}")
+    for i, v in enumerate(start):
+        _number(v, f"--start[{i}]")
     return tuple(Fraction(str(v)) for v in start)
 
 
@@ -496,8 +498,11 @@ def cmd_report(args) -> int:
         _expect(isinstance(rows, list), verdict_path,
                 f"key 'stats' holds {rows!r}")
         for i, row in enumerate(rows):
-            _fields(row, f"{verdict_path}: stats[{i}]",
-                    dict.fromkeys(_STATS_KEYS, (int, float)))
+            where = f"{verdict_path}: stats[{i}]"
+            _fields(row, where, dict.fromkeys(_STATS_KEYS, (int, float)))
+            # absent from artifacts written before abstraction_s existed
+            if "abstraction_s" in row:
+                _fields(row, where, {"abstraction_s": (int, float)})
     except ProblemError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
@@ -505,14 +510,16 @@ def cmd_report(args) -> int:
     if incomplete:
         print("warning: run directory looks incomplete; partial report",
               file=_sys.stderr)
-    header = ["iter", "leaves", "W", "M", "L", "queries", "saved", "time_s"]
+    header = ["iter", "leaves", "W", "M", "L", "queries", "saved",
+              "abstr_s", "time_s"]
     table = [header]
     for row in rows:
         table.append([str(row["iteration"]), str(row["leaves"]),
                       str(row["winning"]), str(row["maybe"]),
                       str(row["losing"]), str(row["queries_issued"]),
                       str(row["queries_saved"]),
-                      f"{row['wall_time_s']:.3f}"])
+                      f"{row['abstraction_s']:.3f}" if "abstraction_s" in row
+                      else "-", f"{row['wall_time_s']:.3f}"])
     widths = [max(len(r[c]) for r in table) for c in range(len(header))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths))
              for r in table]

@@ -116,6 +116,16 @@ class SetTriple:
 
 @dataclass
 class IterationStats:
+    """One iteration's counts and times.
+
+    ``abstraction_s`` is the time of the ``build_initial`` or ``refine``
+    call that produced the iteration's FTS pair.  ``wall_time`` runs from
+    the end of the previous iteration (or the start of the run) to this
+    iteration's decision: the split and the abstraction that made its
+    partition and FTS pair, then the classification.  A run that stops
+    because no region can be split charges that attempt to its last
+    iteration.
+    """
     iteration: int
     leaves: int
     n_winning: int
@@ -123,6 +133,7 @@ class IterationStats:
     n_maybe: int
     queries_issued: int
     queries_saved: int
+    abstraction_s: float
     wall_time: float
 
     def to_json(self) -> dict:
@@ -131,6 +142,7 @@ class IterationStats:
             "winning": self.n_winning, "losing": self.n_losing,
             "maybe": self.n_maybe, "queries_issued": self.queries_issued,
             "queries_saved": self.queries_saved,
+            "abstraction_s": round(self.abstraction_s, 6),
             "wall_time_s": round(self.wall_time, 6),
         }
 
@@ -253,12 +265,14 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
     """Decide realizability by iterative dual-abstraction refinement."""
     _check_names(sys, env, spec)
     m = opts.m if opts.m is not None else 2 ** sys.n
+    t0 = time.perf_counter()
     forest = initial_partition(sys)
+    a0 = time.perf_counter()
     pair = build_initial(forest, sys, env)
+    abstraction_s = time.perf_counter() - a0
     verdict = Verdict(outcome="unknown", iterations=0)
 
     for iteration in range(opts.max_iters + 1):
-        t0 = time.perf_counter()
         triple = classify(pair, forest, spec)
         if verdict.history:
             _check_inheritance(verdict.history[-1], triple)
@@ -269,7 +283,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             n_maybe=len(triple.maybe),
             queries_issued=pair.query_stats.issued,
             queries_saved=reachability_queries_saved(pair),
-            wall_time=0.0)
+            abstraction_s=abstraction_s, wall_time=0.0)
         verdict.stats.append(stats)
         verdict.iterations = iteration + 1
 
@@ -300,14 +314,19 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             stats.wall_time = time.perf_counter() - t0
             return verdict
 
+        # the split and the refinement belong to the next iteration
+        t_split = time.perf_counter()
+        stats.wall_time = t_split - t0
         # no maybe leaf could be split: a finer partition is unreachable
         if not advance_iteration(forest, m, opts.min_cell):
             verdict.reason = (f"every undecided region is already at the "
                               f"minimum cell size (min_cell={opts.min_cell})")
             stats.wall_time = time.perf_counter() - t0
             return verdict
+        a0 = time.perf_counter()
         pair = refine(pair, forest, sys)
-        stats.wall_time = time.perf_counter() - t0
+        abstraction_s = time.perf_counter() - a0
+        t0 = t_split
     return verdict
 
 

@@ -4,7 +4,13 @@ Everything in this module is decided in exact rational arithmetic
 (`fractions.Fraction`).  Reachability booleans feed the game solver, and a
 single misclassified transition can flip a realizability verdict, so there
 is no feasibility tolerance anywhere: float inputs are converted exactly
-(every binary float is a rational) and all comparisons are exact.
+(every binary float is a rational), and every decision is the one the
+exact values give.  The axis slab test compares float shadows first: each
+bound rounded to the nearest float (``_shadow``).  Rounding to nearest is
+monotone, so a strict inequality between two shadows proves the same
+strict inequality between the exact values, and decides the comparison.
+Equal shadows prove nothing; on such a tie the ``Fraction``s are compared
+(a certified float filter in the sense of Shewchuk, DCG 1997).
 
 The two relations of interest between regions X and Y of an affine system
 s' = A s + B u, u constrained to a box U, with T = Y ∩ D the target
@@ -26,8 +32,9 @@ generators of the boxes, so the normals depend on the system alone
 or T) keep the test exact: such a zonotope is the limit of
 full-dimensional ones with the same normals.  The slabs of a source box X
 are computed once (``_SourceView``), and a target then costs one range
-comparison per normal.  The abstraction asks its queries source-major, and
-the view of the last source is kept.
+comparison per normal, made on the float shadows first along the axes.
+The abstraction asks its queries source-major, and the view of the last
+source is kept.
 
 The controller asks for an input u in U with A x + B u in a box.  The
 probe (``_probe``) answers with no simplex and no linear solve: on a fixed
@@ -48,6 +55,7 @@ sound: boxes are closed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -62,16 +70,35 @@ class GeometryError(ValueError):
     """Malformed geometric input (dimension mismatch, bad bounds, ...)."""
 
 
+# The strings ``float`` reads as a non-finite value.
+_NON_FINITE = re.compile(r"\s*[+-]?(inf(inity)?|nan)\s*", re.IGNORECASE)
+
+
 def to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise GeometryError(f"expected a number, got bool {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value) or \
+            isinstance(value, str) and _NON_FINITE.fullmatch(value):
         raise GeometryError(f"expected a finite number, got {value!r}")
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise GeometryError(f"cannot interpret {value!r} as a rational number")
+
+
+def _shadow(v: Fraction) -> float:
+    """v rounded to the nearest float, or ±inf beyond the float range.
+
+    CPython rounds integer true division correctly, so this is monotone:
+    a <= b gives ``_shadow(a) <= _shadow(b)``.  A strict inequality
+    between shadows therefore proves the same one between the exact
+    values; equal shadows prove nothing.
+    """
+    try:
+        return v.numerator / v.denominator
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def to_matrix(rows) -> Matrix:
@@ -132,6 +159,12 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.lower)
+
+    @cached_property
+    def shadows(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The bounds rounded to the nearest float (``_shadow``), as
+        (lower, upper); computed on first use, once per box."""
+        return tuple(map(_shadow, self.lower)), tuple(map(_shadow, self.upper))
 
     def widths(self) -> tuple[Fraction, ...]:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
@@ -716,11 +749,13 @@ class _SourceView:
     has ``tlo <= hi`` and ``thi >= lo``.
 
     * ``opt_axes`` / ``pess_axes``: per axis i, the slab along e_i already
-      clipped to the domain, as (max(lo, D_i low), min(hi, D_i high)); Y
+      clipped to the domain, (lo, hi) = (max(lo, D_i low), min(hi, D_i
+      high)), stored with its shadows as (lo, hi, fl(lo), fl(hi)); Y
       passes it exactly when Y ∩ D does, so axis tests read Y unclipped.
       None when some axis slab misses the domain: then no target passes.
     * ``opt_others`` / ``pess_others``: (ν, lo, hi) per non-axis normal,
-      tested against the range of ν over Y ∩ D.
+      tested exactly against the range of ν over Y ∩ D, which is
+      computed per query.
     """
 
     __slots__ = ("opt_axes", "pess_axes", "opt_others", "pess_others")
@@ -746,11 +781,13 @@ class _SourceView:
 
 
 def _clip_axes(slabs, domain: Box):
-    """Axis slabs clipped to the domain, or None when one misses it."""
+    """Axis slabs clipped to the domain, each as (lo, hi, fl(lo), fl(hi)),
+    or None when one misses it."""
     bounds = list(zip(slabs, domain.lower, domain.upper))
     if any(lo > dh or hi < dl for (lo, hi), dl, dh in bounds):
         return None
-    return [(max(lo, dl), min(hi, dh)) for (lo, hi), dl, dh in bounds]
+    clipped = [(max(lo, dl), min(hi, dh)) for (lo, hi), dl, dh in bounds]
+    return [(lo, hi, _shadow(lo), _shadow(hi)) for lo, hi in clipped]
 
 
 # One-entry memo: the view of the last source queried.  Callers issue
@@ -776,14 +813,21 @@ def _passes(axes, others, Y: Box, domain: Box) -> bool:
     """Y ∩ D meets every slab: the axis slabs of ``axes`` (clipped to D,
     so Y is read unclipped) and the (normal, lo, hi) slabs of ``others``.
 
-    Passing every axis slab implies Y meets D, so Y ∩ D is nonempty when
-    the other normals read their ranges off it.
+    An axis compares the shadows of Y's bounds (``Box.shadows``) with the
+    slab's first.  A strict float inequality decides, because rounding is
+    monotone; when a shadow ties with the slab bound it faces, the exact
+    bounds decide the axis.  The non-axis normals compare exact values
+    only.  Passing every axis slab implies Y meets D, so Y ∩ D is
+    nonempty when the other normals read their ranges off it.
     """
     if axes is None:
         return False
-    for (lo, hi), yl, yh in zip(axes, Y.lower, Y.upper):
-        if yh < lo or yl > hi:
-            return False
+    fyl, fyh = Y.shadows
+    for (lo, hi, flo, fhi), yl, yh, fl, fh in zip(axes, Y.lower, Y.upper,
+                                                  fyl, fyh):
+        if fh <= flo or fl >= fhi:  # a tie is decided by the Fractions
+            if fh < flo or fl > fhi or yh < lo or yl > hi:
+                return False
     if not others:
         return True
     target = Y.intersect(domain)

@@ -259,6 +259,19 @@ class TestNonFiniteNumbers:
         with pytest.raises(GeometryError, match="finite"):
             Box.from_bounds([[0, value]])
 
+    @pytest.mark.parametrize("text", ["inf", "-Infinity", "nan", " +NaN "])
+    def test_library_rejects_non_finite_strings(self, text):
+        # the same error as a non-finite float, not Fraction's ValueError
+        message = rf"^expected a finite number, got {re.escape(repr(text))}$"
+        with pytest.raises(GeometryError, match=message):
+            to_fraction(text)
+        with pytest.raises(GeometryError, match=message):
+            Box.from_bounds([[0, text]])
+
+    def test_library_reads_long_decimal_strings_exactly(self):
+        # beyond the float range, but a finite rational
+        assert to_fraction("1e400") == 10 ** 400
+
 
 BAD_OPTIONS = [
     ("m", 0), ("m", -2), ("m", 1.5), ("m", True), ("m", "4"),
@@ -456,6 +469,19 @@ class TestSimulateCommand:
         assert "--start: expected a JSON list of numbers" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("start, element", [
+        ("[Infinity, 1]", 0), ("[0.5, NaN]", 1), ("[0.5, -Infinity]", 1),
+        ("[1e400, 0.5]", 0), ("[0.5, 1" + "0" * 400 + "]", 1)],
+        ids=["Infinity", "NaN", "-Infinity", "1e400", "10**400"])
+    def test_start_must_be_finite(self, start, element, park_path, park_run,
+                                  tmp_path, capsys):
+        code = main(["simulate", park_path, str(park_run / "controller.json"),
+                     "--start", start, "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: --start[{element}]: expected a finite number\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_negative_steps_is_input_error(self, park_path, park_run,
                                            tmp_path, capsys):
         code = main(["simulate", park_path, str(park_run / "controller.json"),
@@ -522,6 +548,33 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert "incomplete" in err
 
+    def test_abstraction_time_column(self, invariant_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["synthesize", invariant_path, "--out", str(out)])
+        rows = json.loads((out / "verdict.json").read_text())["stats"]
+        assert rows and all(0 <= r["abstraction_s"] <= r["wall_time_s"]
+                            for r in rows)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        header, first = capsys.readouterr().out.splitlines()[:2]
+        assert header.split()[-2:] == ["abstr_s", "time_s"]
+        assert first.split()[-2] == f"{rows[0]['abstraction_s']:.3f}"
+
+    def test_report_reads_rows_without_abstraction_time(self, invariant_path,
+                                                        tmp_path, capsys):
+        # verdict.json files written before abstraction_s was recorded
+        out = tmp_path / "run"
+        main(["synthesize", invariant_path, "--out", str(out)])
+        verdict = json.loads((out / "verdict.json").read_text())
+        for row in verdict["stats"]:
+            del row["abstraction_s"]
+        (out / "verdict.json").write_text(json.dumps(verdict))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].split()[-2] == "-"
+
     def test_missing_dir_is_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_INPUT_ERROR
 
@@ -529,6 +582,11 @@ class TestReportCommand:
         ([], "expected a JSON object"),
         ({"outcome": "unknown", "stats": [{"iteration": 0}]},
          "stats[0]: missing key 'leaves'"),
+        ({"outcome": "unknown", "stats": [dict.fromkeys(
+            ("iteration", "leaves", "winning", "maybe", "losing",
+             "queries_issued", "queries_saved", "wall_time_s"), 0)
+            | {"abstraction_s": "0.1"}]},
+         "stats[0]: key 'abstraction_s' holds '0.1'"),
     ])
     def test_malformed_verdict_is_input_error(self, verdict, message,
                                               tmp_path, capsys):

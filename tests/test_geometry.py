@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -726,6 +727,120 @@ class TestExactOracle:
                 got = (reach_pessimistic(x, y, sys), reach_optimistic(x, y, sys))
                 assert got == fm_reach(sys, x, y)
                 seen.add(got)
+        assert seen == {(False, False), (False, True), (True, True)}
+
+
+def diagonal_system(a, b, u, domain):
+    """A = diag(a), B = diag(b), U = the box u, on the box domain."""
+    n = len(a)
+    diag = [[[v if i == j else 0 for j in range(n)] for i, v in
+             enumerate(d)] for d in (a, b)]
+    return ControlSystem.create(A=diag[0], B=diag[1], input_set=u,
+                                domain=domain, initial_set=domain)
+
+
+def grid_box(rng, values, n):
+    """A box whose bounds are drawn from ``values``, possibly flat."""
+    pairs = [sorted(rng.choice(len(values), 2)) for _ in range(n)]
+    return Box(tuple(values[i] for i, _ in pairs),
+               tuple(values[j] for _, j in pairs))
+
+
+class TestFloatShadows:
+    """The axis slab test compares float shadows of the bounds and the
+    exact values only on a tie.  Every answer here is checked against the
+    exact interval oracle, on bounds chosen so that the shadows tie often:
+    bounds within 2^-80 of each other, non-dyadic grids, values beyond the
+    float range and widths below the smallest normal float."""
+
+    @staticmethod
+    def answers(sys, X, Y):
+        got = reach_pessimistic(X, Y, sys), reach_optimistic(X, Y, sys)
+        assert got == interval_reach(sys, X, Y), (str(X), str(Y))
+        return got
+
+    def test_shadows_round_each_bound(self):
+        big = Fraction(10 ** 400)
+        box = Box((-big, Fraction(1, 3)), (Fraction(1, 3), big))
+        assert box.shadows == ((-math.inf, 1 / 3), (1 / 3, math.inf))
+        assert box.shadows is box.shadows
+
+    # axis 0 below: the optimistic slab is [7/30, 8/15], the pessimistic
+    # one [1/3, 13/30]; (slab bound, index of its relation in (pess, opt),
+    # the end of the target put on it)
+    TIES = [(Fraction(7, 30), 1, "upper"), (Fraction(8, 15), 1, "lower"),
+            (Fraction(1, 3), 0, "upper"), (Fraction(13, 30), 0, "lower")]
+
+    @pytest.mark.parametrize("bound, relation, end", TIES)
+    def test_bounds_that_differ_below_float_resolution(self, bound, relation,
+                                                       end):
+        tenth, eps = Fraction(1, 10), Fraction(1, 2 ** 80)
+        sys = diagonal_system((1, 1), (1, 1), [[-tenth, tenth]] * 2,
+                              [[-5, 5]] * 2)
+        X = Box((Fraction(1, 3), Fraction(0)), (Fraction(13, 30), tenth))
+        passes = []
+        for offset in (-eps, 0, eps):
+            at = bound + offset
+            assert float(at) == float(bound)  # the shadows tie
+            lo, hi = (at - 1, at) if end == "upper" else (at, at + 1)
+            Y = Box((lo, Fraction(-1)), (hi, Fraction(1)))
+            passes.append(self.answers(sys, X, Y)[relation])
+        # the target misses the slab only when its end lies 2^-80 outside
+        assert passes == ([False, True, True] if end == "upper"
+                          else [True, True, False])
+
+    def test_non_dyadic_domains(self):
+        rng = np.random.default_rng(83)
+        F = Fraction
+        coefficients = (F(1), F(1, 3), F(-7, 10), F(3, 2), F(0))
+        gains = (F(1), F(2, 3), F(-1, 10), F(0))
+        values = [F(k, 30) for k in range(-50, 95)]
+        seen = set()
+        for _ in range(40):
+            a = [coefficients[int(rng.integers(5))] for _ in range(2)]
+            b = [gains[int(rng.integers(4))] for _ in range(2)]
+            u = [[F(-int(rng.integers(0, 4)), 3), F(int(rng.integers(0, 4)), 10)]
+                 for _ in range(2)]
+            sys = diagonal_system(a, b, u, [[F(-4, 3), F(7, 3)],
+                                            [F(1, 10), F(29, 10)]])
+            X = grid_box(rng, values[20:120], 2)
+            for _ in range(50):
+                seen.add(self.answers(sys, X, grid_box(rng, values, 2)))
+        assert seen == {(False, False), (False, True), (True, True)}
+
+    def test_coordinates_beyond_float_range(self):
+        big, top = 10 ** 400, 2 ** 1024 - 2 ** 971  # top: the largest float
+        assert float(top) == 1.7976931348623157e308
+        values = sorted({Fraction(v) for v in (
+            -big - 1, -big, -big + 1, -top, -1, 0, Fraction(1, 3), 1,
+            top - 1, top, top + 2 ** 969, 2 ** 1024, big // 3, big - 1, big,
+            big + 1)})
+        sys = diagonal_system((1, -1), (1, Fraction(1, 3)),
+                              [[-1, 1], [-big, big]],
+                              [[-big, big], [-big, big]])
+        rng = np.random.default_rng(89)
+        seen = set()
+        for _ in range(30):
+            X = grid_box(rng, values, 2)
+            for _ in range(30):
+                seen.add(self.answers(sys, X, grid_box(rng, values, 2)))
+        assert seen == {(False, False), (False, True), (True, True)}
+
+    def test_subnormal_widths(self):
+        # bounds k 2^-1076: below 2^-1075 they round to 0, and the
+        # shadows of neighbouring bounds tie on most pairs
+        tick = Fraction(1, 2 ** 1076)
+        values = [k * tick for k in range(-12, 13)]
+        assert float(values[13]) == float(values[12]) == 0.0
+        sys = diagonal_system((1, 1), (1, Fraction(1, 2)),
+                              [[-2 * tick, 2 * tick]] * 2,
+                              [[-10 * tick, 10 * tick]] * 2)
+        rng = np.random.default_rng(97)
+        seen = set()
+        for _ in range(40):
+            X = grid_box(rng, values[2:-2], 2)
+            for _ in range(40):
+                seen.add(self.answers(sys, X, grid_box(rng, values, 2)))
         assert seen == {(False, False), (False, True), (True, True)}
 
 
