@@ -9,9 +9,11 @@ dynamics constrains the environment.
 
 Refinement reads the partition leaves' statuses and recomputes as little
 as possible: edges between winning leaves are copied from the previous
-pessimistic relation (in both systems), edges out of undecided leaves are
-recomputed, and losing leaves keep no edges at all, which is what keeps
-them losing.
+pessimistic relation (in both systems), and losing leaves keep no edges at
+all, which is what keeps them losing.  Edges out of undecided leaves are
+recomputed, but only towards the targets the previous optimistic relation
+leaves open: a pair the previous relation rules out is false in both new
+relations and is counted as pruned instead of queried.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ class QueryStats:
     """Reachability-query accounting for one build or refine step."""
     issued_pess: int = 0
     issued_opt: int = 0
+    pruned: int = 0     # undecided-row pairs the previous relation decided
     n_states: int = 0
 
     @property
@@ -192,7 +195,8 @@ def _run_queries(forest, sys, pairs, stats):
     """Decide every (source, target) pair, in the order given.
 
     ``geometry`` keeps the last source's view, so ``pairs`` should list
-    each source's targets together.
+    each source's targets together.  ``refine`` passes only the pairs its
+    pruning rule leaves open; the rule and its proof are in ``refine``.
     """
     stats.issued_pess += len(pairs)
     stats.issued_opt += len(pairs)
@@ -214,6 +218,19 @@ def refine(pair: AbstractionPair, forest: PartitionForest,
     copied pessimistic edges between winning leaves (deliberately not the
     old optimistic ones), recomputed existential reachability for the
     undecided rows.  Losing leaves get no edges in either system.
+
+    An undecided row a is queried only against the targets b with P(b)
+    in the old optimistic row of P(a), where P(r) is the previous leaf
+    holding r (r itself, or its parent after a split).  Every other pair
+    is false in both relations:
+
+    - b lies in P(b) and a in P(a), so opt(a, b) implies opt(P(a), P(b));
+    - P(a) was undecided when its row was built, so that row was queried
+      against every leaf that is still non-losing, P(b) among them;
+    - pess(a, b) implies opt(a, b).
+
+    Those pairs are counted in ``QueryStats.pruned``.  Ids are paths, so
+    expanding the old row leaf by leaf keeps the current leaf order.
     """
     if forest.iteration != pair.iteration + 1:
         raise AbstractionError(
@@ -232,10 +249,23 @@ def refine(pair: AbstractionPair, forest: PartitionForest,
                        if status.get(b) is Status.WINNING]
             opt[a] = list(pess[a])
 
-    # undecided rows need fresh reachability queries
-    targets = [r for r in regions if status[r] is not Status.LOSING]
-    pairs = [(a, b) for a in targets if status[a] is not Status.WINNING
-             for b in targets]
+    # undecided rows: query the non-losing leaves of the previous leaves
+    # that the old optimistic row of the source's previous leaf holds
+    held = {q: [b for b in forest.nodes[q].children or (q,)
+                if status[b] is not Status.LOSING] for q in pair.regions}
+    n_targets = sum(map(len, held.values()))
+    candidates = {}
+    pairs = []
+    for a in regions:
+        if status[a] in (Status.WINNING, Status.LOSING):
+            continue
+        q = a if a in held else a[:-1]
+        row = candidates.get(q)
+        if row is None:
+            row = candidates[q] = [b for p in pair.opt_edges[q]
+                                   for b in held[p]]
+        pairs.extend((a, b) for b in row)
+        stats.pruned += n_targets - len(row)
     for a, b, p, o in _run_queries(forest, sys, pairs, stats):
         if p:
             pess[a].append(b)
@@ -247,8 +277,9 @@ def refine(pair: AbstractionPair, forest: PartitionForest,
                           env=pair.env, pess_edges=pess, opt_edges=opt,
                           iteration=pair.iteration + 1, query_stats=stats)
     out.check_invariants()
-    logger.info("refined abstraction: %d regions, %d queries issued "
-                "(%d saved vs naive)", len(regions), stats.issued,
+    logger.info("refined abstraction: %d regions, %d queries issued, %d "
+                "pairs pruned (%d saved vs naive)", len(regions),
+                stats.issued, stats.pruned,
                 reachability_queries_saved(out, stats))
     return out
 

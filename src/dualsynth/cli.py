@@ -44,6 +44,7 @@ from dualsynth.partition import (
     Status,
     format_region_id,
     parse_region_id,
+    partition_to_json,
     render_svg,
 )
 
@@ -339,17 +340,10 @@ def _write_artifacts(out_dir: str, problem: ProblemFile, verdict: Verdict):
     verdict_payload["problem_sha256"] = problem.sha256
     write_json("verdict.json", verdict_payload)
     for triple in verdict.history:
-        rows = [{
-            "region_id": format_region_id(rid),
-            "box": box.as_float_bounds(),
-            "status": status.value,
-            "labels": sorted(labels),
-        } for rid, box, status, labels in triple.rows]
-        write_json(f"partition_{triple.iteration:03d}.json", rows)
+        write_json(f"partition_{triple.iteration:03d}.json",
+                   partition_to_json(triple.rows))
         if problem.sys.domain.dim == 2:
-            svg = render_svg(problem.sys.domain,
-                             [(format_region_id(rid), box, status, labels)
-                              for rid, box, status, labels in triple.rows])
+            svg = render_svg(problem.sys.domain, triple.rows)
             path = os.path.join(out_dir,
                                 f"partition_{triple.iteration:03d}.svg")
             with open(path, "w", encoding="utf-8") as fh:
@@ -487,6 +481,8 @@ def _count(n: int, noun: str) -> str:
 
 _STATS_KEYS = ("iteration", "leaves", "winning", "maybe", "losing",
                "queries_issued", "queries_saved", "wall_time_s")
+# absent from artifacts written before these were recorded; shown as "-"
+_OPTIONAL_STATS = ("queries_pruned", "abstraction_s")
 
 
 def cmd_report(args) -> int:
@@ -500,9 +496,8 @@ def cmd_report(args) -> int:
         for i, row in enumerate(rows):
             where = f"{verdict_path}: stats[{i}]"
             _fields(row, where, dict.fromkeys(_STATS_KEYS, (int, float)))
-            # absent from artifacts written before abstraction_s existed
-            if "abstraction_s" in row:
-                _fields(row, where, {"abstraction_s": (int, float)})
+            _fields(row, where, {key: (int, float) for key in _OPTIONAL_STATS
+                                 if key in row})
     except ProblemError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
@@ -510,7 +505,7 @@ def cmd_report(args) -> int:
     if incomplete:
         print("warning: run directory looks incomplete; partial report",
               file=_sys.stderr)
-    header = ["iter", "leaves", "W", "M", "L", "queries", "saved",
+    header = ["iter", "leaves", "W", "M", "L", "queries", "saved", "pruned",
               "abstr_s", "time_s"]
     table = [header]
     for row in rows:
@@ -518,6 +513,7 @@ def cmd_report(args) -> int:
                       str(row["winning"]), str(row["maybe"]),
                       str(row["losing"]), str(row["queries_issued"]),
                       str(row["queries_saved"]),
+                      str(row.get("queries_pruned", "-")),
                       f"{row['abstraction_s']:.3f}" if "abstraction_s" in row
                       else "-", f"{row['wall_time_s']:.3f}"])
     widths = [max(len(r[c]) for r in table) for c in range(len(header))]

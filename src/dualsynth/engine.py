@@ -133,6 +133,7 @@ class IterationStats:
     n_maybe: int
     queries_issued: int
     queries_saved: int
+    queries_pruned: int
     abstraction_s: float
     wall_time: float
 
@@ -142,6 +143,7 @@ class IterationStats:
             "winning": self.n_winning, "losing": self.n_losing,
             "maybe": self.n_maybe, "queries_issued": self.queries_issued,
             "queries_saved": self.queries_saved,
+            "queries_pruned": self.queries_pruned,
             "abstraction_s": round(self.abstraction_s, 6),
             "wall_time_s": round(self.wall_time, 6),
         }
@@ -283,6 +285,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             n_maybe=len(triple.maybe),
             queries_issued=pair.query_stats.issued,
             queries_saved=reachability_queries_saved(pair),
+            queries_pruned=pair.query_stats.pruned,
             abstraction_s=abstraction_s, wall_time=0.0)
         verdict.stats.append(stats)
         verdict.iterations = iteration + 1

@@ -169,14 +169,6 @@ class Box:
     def widths(self) -> tuple[Fraction, ...]:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
 
-    def volume(self) -> Fraction:
-        if self.empty:
-            return Fraction(0)
-        vol = Fraction(1)
-        for w in self.widths():
-            vol *= w
-        return vol
-
     def center(self) -> tuple[Fraction, ...]:
         return tuple((lo + hi) / 2 for lo, hi in zip(self.lower, self.upper))
 
@@ -288,9 +280,6 @@ class ControlSystem:
     @property
     def m(self) -> int:
         return len(self.B[0])
-
-    def is_diagonal(self) -> bool:
-        return is_diagonal(self.A) and is_diagonal(self.B)
 
     @cached_property
     def diagonal_B(self) -> bool:

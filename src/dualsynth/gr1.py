@@ -50,6 +50,7 @@ _TOKEN = re.compile(r"\s*(->|&&|\|\||[()&|!=]|[A-Za-z_][A-Za-z0-9_]*|-?\d+)")
 
 TRUE = ("true",)
 FALSE = ("false",)
+MAX_FORMULA_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[str]:
@@ -72,9 +73,22 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_formula(text: str):
-    """Parse ``!``, ``&``, ``|``, ``->``, parentheses, atoms, ``var=value``."""
+    """Parse ``!``, ``&``, ``|``, ``->``, parentheses, atoms, ``var=value``.
+
+    A formula nesting deeper than ``MAX_FORMULA_DEPTH`` raises SpecError,
+    so that no recursive walk over it can exhaust the interpreter's stack.
+    """
     tokens = _tokenize(text)
     pos = [0]
+    depth = [0]     # the parser's own nesting, through "(" and "!"
+
+    def nested(parse):
+        depth[0] += 1
+        if depth[0] > MAX_FORMULA_DEPTH:
+            raise _too_deep(text)
+        e = parse()
+        depth[0] -= 1
+        return e
 
     def peek():
         return tokens[pos[0]] if pos[0] < len(tokens) else None
@@ -91,11 +105,11 @@ def parse_formula(text: str):
     def primary():
         tok = take()
         if tok == "(":
-            e = implication()
+            e = nested(implication)
             take(")")
             return e
         if tok == "!":
-            return ("not", primary())
+            return ("not", nested(primary))
         if tok in ("true", "True"):
             return TRUE
         if tok in ("false", "False"):
@@ -131,16 +145,37 @@ def parse_formula(text: str):
         return e
 
     def implication():
-        e = disjunction()
-        if peek() == "->":
+        # "->" groups to the right; parsed in a loop, like "&" and "|"
+        parts = [disjunction()]
+        while peek() == "->":
             take()
-            return ("imp", e, implication())
+            parts.append(disjunction())
+        e = parts.pop()
+        while parts:
+            e = ("imp", parts.pop(), e)
         return e
 
     expr = implication()
     if peek() is not None:
         raise SpecError(f"trailing token {peek()!r} in formula {text!r}")
+    if _depth(expr) > MAX_FORMULA_DEPTH:  # a long chain of "&" or "|"
+        raise _too_deep(text)
     return expr
+
+
+def _too_deep(text: str) -> SpecError:
+    return SpecError(f"formula of {len(text)} characters nests deeper than "
+                     f"{MAX_FORMULA_DEPTH} levels")
+
+
+def _depth(expr) -> int:
+    """Nesting depth of a parsed formula, found without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        e, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((sub, d + 1) for sub in e[1:] if isinstance(sub, tuple))
+    return deepest
 
 
 def eval_formula(expr, labels, env, bits) -> bool:

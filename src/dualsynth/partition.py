@@ -235,17 +235,13 @@ _STATUS_COLORS = {
 }
 
 
-def partition_to_json(forest: PartitionForest) -> list[dict]:
-    out = []
-    for rid in forest.leaves:
-        node = forest.nodes[rid]
-        out.append({
-            "region_id": format_region_id(rid),
-            "box": node.box.as_float_bounds(),
-            "status": node.status.value,
-            "labels": sorted(node.labels),
-        })
-    return out
+def partition_to_json(rows) -> list[dict]:
+    """JSON rows of labeled status boxes; ``rows`` holds (id, Box, Status,
+    labels), as for ``render_svg``."""
+    return [{"region_id": format_region_id(rid),
+             "box": box.as_float_bounds(),
+             "status": status.value,
+             "labels": sorted(labels)} for rid, box, status, labels in rows]
 
 
 def render_svg(domain: Box, rows, width: int = 480) -> str:

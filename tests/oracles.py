@@ -167,9 +167,26 @@ def fm_reach(sys, X, Y):
     return pess, opt
 
 
+def is_diagonal_system(sys) -> bool:
+    """A and B are square with zeros off the diagonal."""
+    return all(len(mat) == len(mat[0]) and all(
+        v == 0 for i, row in enumerate(mat) for j, v in enumerate(row)
+        if i != j) for mat in (sys.A, sys.B))
+
+
+def box_volume(box) -> Fraction:
+    """Exact volume of a ``Box``; 0 for the empty box."""
+    if box.empty:
+        return Fraction(0)
+    vol = Fraction(1)
+    for lo, hi in zip(box.lower, box.upper):
+        vol *= hi - lo
+    return vol
+
+
 def interval_reach(sys, X, Y):
     """Exact per-axis verdicts for diagonal A, B (Fraction arithmetic)."""
-    assert sys.is_diagonal()
+    assert is_diagonal_system(sys)
     target = Y.intersect(sys.domain)
     if target.empty:
         return False, False

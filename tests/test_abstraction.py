@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dualsynth import engine
 from dualsynth.abstraction import (
     AbstractionError,
     EnvAlphabet,
@@ -10,10 +11,16 @@ from dualsynth.abstraction import (
     reachability_queries_saved,
     refine,
 )
-from dualsynth.geometry import Box, ControlSystem
+from dualsynth.geometry import (
+    Box,
+    ControlSystem,
+    reach_optimistic,
+    reach_pessimistic,
+)
 from dualsynth.partition import Status, advance_iteration, initial_partition
 
 from oracles import grid_reach
+from problem_gen import random_problem
 
 
 def park_system():
@@ -42,6 +49,35 @@ def quadrant_system():
 
 def no_env():
     return EnvAlphabet.create([])
+
+
+def all_pairs_rows(forest, sys):
+    """Unpruned pess/opt rows: every undecided leaf queried against every
+    non-losing leaf, in leaf order, as ``refine`` did before pruning."""
+    undecided = (Status.MAYBE, Status.UNEXPLORED)
+    targets = [b for b in forest.leaves
+               if forest.status(b) is not Status.LOSING]
+    pess, opt = {}, {}
+    for a in forest.leaves:
+        if forest.status(a) in undecided:
+            X = forest.box(a)
+            pess[a] = [b for b in targets
+                       if reach_pessimistic(X, forest.box(b), sys)]
+            opt[a] = [b for b in targets
+                      if reach_optimistic(X, forest.box(b), sys)]
+    return pess, opt, len(targets)
+
+
+def assert_pruning_exact(pair, forest, sys):
+    """``pair``'s undecided rows equal the unpruned rows, and its issued
+    and pruned counts add up to the unpruned query count."""
+    pess, opt, n_targets = all_pairs_rows(forest, sys)
+    for a in pess:
+        assert pair.pess_edges[a] == pess[a], a
+        assert pair.opt_edges[a] == opt[a], a
+    stats = pair.query_stats
+    assert stats.issued_pess == stats.issued_opt
+    assert stats.issued_pess + stats.pruned == len(pess) * n_targets
 
 
 class TestEnvAlphabet:
@@ -179,9 +215,11 @@ class TestRefine:
         n = len(forest.leaves)
         self._advance(forest)
         nxt = refine(pair, forest, sys)
-        assert nxt.query_stats.issued_pess == (4 * n) ** 2
-        assert nxt.query_stats.issued_opt == (4 * n) ** 2
-        assert reachability_queries_saved(nxt) == 0
+        stats = nxt.query_stats
+        assert stats.issued_pess + stats.pruned == (4 * n) ** 2
+        assert stats.issued_opt == stats.issued_pess
+        assert reachability_queries_saved(nxt) == 2 * stats.pruned
+        assert_pruning_exact(nxt, forest, sys)
 
     def test_issued_queries_touch_only_maybe_sources(self):
         sys = park_system()
@@ -192,16 +230,61 @@ class TestRefine:
         nxt = refine(pair, forest, sys)
         m_children = len(forest.leaves) - len(winning)
         w = len(winning)
-        expected = m_children * (m_children + w)
-        assert nxt.query_stats.issued_pess == expected
+        stats = nxt.query_stats
+        assert stats.issued_pess + stats.pruned == m_children * (m_children + w)
         assert reachability_queries_saved(nxt) == \
-            nxt.query_stats.naive - 2 * expected
+            stats.naive - 2 * stats.issued_pess
+        assert_pruning_exact(nxt, forest, sys)
+
+    def test_unsplit_maybe_rows_are_pruned_exactly(self):
+        # leaves too small to split stay maybe under their own ids, so
+        # their previous leaf is themselves: roots, then depth-2 paths
+        sys = park_system()
+        forest, pair = self._setup(sys)
+        for min_cell in (1, Fraction(1, 2), Fraction(1, 2)):
+            for rid in forest.leaves:
+                forest.set_status(rid, Status.MAYBE)
+            split_any = advance_iteration(forest, m=4, min_cell=min_cell)
+            nxt = refine(pair, forest, sys)
+            assert_pruning_exact(nxt, forest, sys)
+            if not split_any:
+                assert forest.leaves == pair.regions
+                assert nxt.opt_edges == pair.opt_edges
+                assert nxt.query_stats.pruned == sum(
+                    len(forest.leaves) - len(row)
+                    for row in pair.opt_edges.values())
+            pair = nxt
+        assert {len(rid) for rid in forest.leaves} == {2}
 
     def test_iteration_mismatch_is_error(self):
         sys = park_system()
         forest, pair = self._setup(sys)
         with pytest.raises(AbstractionError):
             refine(pair, forest, sys)
+
+
+class TestPruning:
+    def test_engine_refinements_equal_all_pairs_queries(self, monkeypatch):
+        """At every refine of real runs, the pruned rows equal the rows of
+        every undecided leaf queried against every non-losing leaf."""
+        pruned = []
+
+        def checked_refine(pair, forest, sys):
+            nxt = refine(pair, forest, sys)
+            assert_pruning_exact(nxt, forest, sys)
+            pruned.append(nxt.query_stats.pruned)
+            return nxt
+
+        monkeypatch.setattr(engine, "refine", checked_refine)
+        runs = [(k, engine.EngineOptions(max_iters=3, min_cell=Fraction(1, 8)))
+                for k in (0, 1, 2, 3, 10, 24)]
+        # the deep rung: 637 leaves after three splits
+        runs.append((5, engine.EngineOptions(max_iters=4,
+                                             min_cell=Fraction(1, 64))))
+        for k, opts in runs:
+            engine.run(*random_problem(k, with_env=True), opts)
+        assert len(pruned) == 12
+        assert sum(pruned) > 0
 
 
 class TestExports:

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -560,20 +561,53 @@ class TestReportCommand:
         assert header.split()[-2:] == ["abstr_s", "time_s"]
         assert first.split()[-2] == f"{rows[0]['abstraction_s']:.3f}"
 
-    def test_report_reads_rows_without_abstraction_time(self, invariant_path,
-                                                        tmp_path, capsys):
-        # verdict.json files written before abstraction_s was recorded
+    def test_pruned_column_follows_saved(self, park_path, tmp_path, capsys):
+        # half park's inputs: the first partition is too coarse to decide
+        data = json.loads(Path(park_path).read_text())
+        data["input_set"] = [[-0.5, 0.5], [-0.5, 0.5]]
+        path = tmp_path / "slow_park.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["synthesize", str(path), "--out", str(out)]) == 0
+        rows = json.loads((out / "verdict.json").read_text())["stats"]
+        assert rows[0]["queries_pruned"] == 0   # build_initial prunes nothing
+        assert any(r["queries_pruned"] > 0 for r in rows[1:])
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        header = header.split()
+        assert header[header.index("saved") + 1] == "pruned"
+        col = header.index("pruned")
+        for row, line in zip(rows, lines):
+            assert line.split()[col] == str(row["queries_pruned"])
+
+    @staticmethod
+    def _report_without(key, invariant_path, tmp_path, capsys):
+        """The report line of iteration 0 once ``key`` is deleted from every
+        stats row, as in verdict.json files written before it existed."""
         out = tmp_path / "run"
         main(["synthesize", invariant_path, "--out", str(out)])
         verdict = json.loads((out / "verdict.json").read_text())
         for row in verdict["stats"]:
-            del row["abstraction_s"]
+            del row[key]
         (out / "verdict.json").write_text(json.dumps(verdict))
         capsys.readouterr()
         assert main(["report", str(out)]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out.splitlines()[1].split()[-2] == "-"
+        return captured.out.splitlines()[1].split()
+
+    def test_report_reads_rows_without_abstraction_time(self, invariant_path,
+                                                        tmp_path, capsys):
+        line = self._report_without("abstraction_s", invariant_path,
+                                    tmp_path, capsys)
+        assert line[-2] == "-"
+
+    def test_report_reads_rows_without_pruned_count(self, invariant_path,
+                                                    tmp_path, capsys):
+        line = self._report_without("queries_pruned", invariant_path,
+                                    tmp_path, capsys)
+        assert line[-3] == "-"
 
     def test_missing_dir_is_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_INPUT_ERROR
@@ -587,6 +621,11 @@ class TestReportCommand:
              "queries_issued", "queries_saved", "wall_time_s"), 0)
             | {"abstraction_s": "0.1"}]},
          "stats[0]: key 'abstraction_s' holds '0.1'"),
+        ({"outcome": "unknown", "stats": [dict.fromkeys(
+            ("iteration", "leaves", "winning", "maybe", "losing",
+             "queries_issued", "queries_saved", "wall_time_s"), 0)
+            | {"queries_pruned": None}]},
+         "stats[0]: key 'queries_pruned' holds None"),
     ])
     def test_malformed_verdict_is_input_error(self, verdict, message,
                                               tmp_path, capsys):

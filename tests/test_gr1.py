@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualsynth.gr1 import (
+    MAX_FORMULA_DEPTH,
     GameGraph,
     Gr1Spec,
     RawSpec,
@@ -50,6 +51,23 @@ class TestFormulas:
         for text in ("!a & b | c -> d", "x=3 | y=false", "true & !false"):
             e = parse_formula(text)
             assert parse_formula(format_formula(e)) == e
+
+    @pytest.mark.parametrize("nest", [
+        lambda f, k: "!" * k + f,
+        lambda f, k: "(" * k + f + ")" * k,
+        lambda f, k: " & ".join([f] * (k + 1)),
+        lambda f, k: " | ".join([f] * (k + 1)),
+        lambda f, k: " -> ".join([f] * (k + 1)),
+    ], ids=["not", "parens", "and", "or", "imp"])
+    def test_nesting_is_bounded(self, nest):
+        # at the bound the formula parses and evaluates; one level more,
+        # or thousands, is a SpecError and never a RecursionError
+        e = parse_formula(nest("a", MAX_FORMULA_DEPTH - 1))
+        eval_formula(e, frozenset("a"), {}, {})
+        assert parse_formula(format_formula(e)) == e
+        for k in (MAX_FORMULA_DEPTH + 1, 20 * MAX_FORMULA_DEPTH):
+            with pytest.raises(SpecError, match="nests deeper than"):
+                parse_formula(nest("a", k))
 
 
 class TestConvertToGr1:
