@@ -43,6 +43,7 @@ from dualsynth.geometry import (
     control_input,
     input_witness,
     mat_vec,
+    to_fraction,
 )
 from dualsynth.gr1 import (
     GameGraph,
@@ -352,9 +353,10 @@ class ContinuousController:
     Every strategy move from X to Y follows a pessimistic edge, so every
     point of X has an input landing in Y.  The selector
     (``control_input``) first tries the probe, one precomputed affine map
-    of the state per target (``TargetView``, cached per target region):
-    per axis for diagonal B, which never misses on such an edge, otherwise
-    the clamped midpoint probe.  When it misses, the input is interpolated
+    of the state per target (``TargetView``, cached per target region)
+    whose input is clamped to U.  With invertible diagonal B it never
+    misses on such an edge; with singular or non-square B it always
+    misses.  When it misses, the input is interpolated
     from a table of inputs at the vertices of X, built once per edge on
     its first miss by ``input_witness``; building a table is the only
     place the exact simplex still runs.  An input that fails to land is a
@@ -474,7 +476,7 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     """
     if steps < 0:
         raise EngineError(f"steps must be >= 0, got {steps}")
-    s = tuple(Fraction(v) if not isinstance(v, Fraction) else v for v in s0)
+    s = tuple(map(to_fraction, s0))
     if not sys.initial_set.contains(s):
         raise EngineError(f"initial state {s0!r} is outside the initial set")
     region = controller.start_region(s)

@@ -41,9 +41,10 @@ probe (``_probe``) answers with no simplex and no linear solve: on a fixed
 target T it is one affine map of x, u* = B⁻¹c - B⁻¹A x with c the centre
 of T, from ``ControlSystem.probe_map`` (computed once per system, the only
 place the probe runs ``_solve_square``) and a ``TargetView`` (computed once
-per target).  With diagonal B each axis then takes the middle of its
-feasible window; otherwise u* is clamped to U and kept when it still
-lands.  When the probe misses, ``input_witness`` decides by an exact
+per target).  u* is clamped to U and kept when it still lands.  With
+invertible diagonal B that misses only when no input lands; otherwise it
+may miss where inputs land, and always does when B is not square and
+invertible.  When the probe misses, ``input_witness`` decides by an exact
 phase-1 simplex over the box (``_box_lp``), while ``control_input``
 interpolates inputs given at the vertices of the source region (vertex
 control).  So the simplex runs in the control loop only when a vertex
@@ -112,12 +113,6 @@ def mat_vec(mat: Matrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if any(len(row) != len(vec) for row in mat):
         raise GeometryError("matrix/vector dimension mismatch")
     return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat)
-
-
-def is_diagonal(mat: Matrix) -> bool:
-    return all(
-        mat[i][j] == 0 for i in range(len(mat)) for j in range(len(mat[i])) if i != j
-    ) and len(mat) == len(mat[0])
 
 
 @dataclass(frozen=True)
@@ -282,41 +277,28 @@ class ControlSystem:
         return len(self.B[0])
 
     @cached_property
-    def diagonal_B(self) -> bool:
-        return is_diagonal(self.B)
-
-    @cached_property
     def input_hull(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Per row i, the exact range ``(lo, hi)`` of ``B_i . u`` over U."""
         return tuple(_row_range(row, self.input_set) for row in self.B)
 
     @cached_property
     def probe_map(self) -> tuple[tuple, tuple] | None:
-        """(N, B⁻¹) with N = -B⁻¹A, the affine map of the midpoint probe.
+        """(N, B⁻¹) with N = -B⁻¹A, the affine map of the probe.
 
         For a target with centre c, u = B⁻¹c + N x sends x to c (N is kept
-        negated so that u is one sum started at B⁻¹c).  With square
-        invertible B, B⁻¹ comes from one ``_solve_square`` per column,
-        here and never per step.  With diagonal B, row i of N and of B⁻¹
-        is that of -A and of e_i, scaled by 1 / b_ii, or None where
-        b_ii = 0.  None when B is neither diagonal nor square and
-        invertible.
+        negated so that u is one sum started at B⁻¹c).  B⁻¹ comes from one
+        ``_solve_square`` per column, here and never per step.  None when
+        B is not square and invertible.
         """
         n = self.n
-        if self.diagonal_B:
-            binv = [tuple(Fraction(int(i == j)) / b for j in range(n))
-                    if (b := self.B[i][i]) else None for i in range(n)]
-        else:
-            cols = [_solve_square(self.B, [Fraction(int(i == j))
-                                           for i in range(n)])
-                    for j in range(n)]
-            if None in cols:
-                return None
-            binv = list(zip(*cols))
-        N = tuple(None if row is None else
-                  tuple(-_dot(row, col) for col in zip(*self.A))
+        cols = [_solve_square(self.B, [Fraction(int(i == j)) for i in range(n)])
+                for j in range(n)]
+        if None in cols:
+            return None
+        binv = tuple(zip(*cols))
+        N = tuple(tuple(-_dot(row, col) for col in zip(*self.A))
                   for row in binv)
-        return N, tuple(binv)
+        return N, binv
 
     @cached_property
     def reach_normals(self) -> tuple[tuple[tuple[Fraction, ...], bool], ...]:
@@ -493,23 +475,10 @@ def _solve_square(mat: Matrix, rhs: Sequence[Fraction]) -> list[Fraction] | None
     return [aug[r][n] for r in range(n)]
 
 
+# Inputs are snapped to this grid when they still land (``_snap``): long
+# exact simulations would otherwise grow the state's denominators at every
+# step.
 _COARSE_GRID = 1 << 20
-
-
-def _coarse_pick(lo: Fraction, hi: Fraction) -> Fraction:
-    """A point of [lo, hi] with a small denominator when the width allows.
-
-    Long exact simulations would otherwise double denominators at every
-    midpoint halving; snapping to a 2^-20 grid keeps state arithmetic
-    bounded without ever leaving the feasible interval.
-    """
-    mid = (lo + hi) / 2
-    if mid.denominator <= _COARSE_GRID:
-        return mid
-    snapped = Fraction(round(mid * _COARSE_GRID), _COARSE_GRID)
-    if lo <= snapped <= hi:
-        return snapped
-    return mid
 
 
 def _window(sys: ControlSystem, x: Sequence[Fraction], T: Box):
@@ -524,18 +493,13 @@ def _lands(sys: ControlSystem, u, lo, hi) -> bool:
     return all(l <= v <= h for l, v, h in zip(lo, mat_vec(sys.B, u), hi))
 
 
-def _on_grid(u, U: Box) -> tuple[Fraction, ...]:
-    """u rounded to the 2^-20 grid and clamped to U."""
-    return _clamp([Fraction(round(v * _COARSE_GRID), _COARSE_GRID)
-                   for v in u], U)
-
-
 def _snap(U: Box, u, lands) -> tuple[Fraction, ...]:
-    """u on the 2^-20 grid, clamped to U, when ``lands`` accepts that;
-    else u."""
+    """u rounded to the 2^-20 grid and clamped to U, when ``lands``
+    accepts that; else u."""
     if all(v.denominator <= _COARSE_GRID for v in u):
         return tuple(u)
-    snapped = _on_grid(u, U)
+    snapped = _clamp([Fraction(round(v * _COARSE_GRID), _COARSE_GRID)
+                      for v in u], U)
     return snapped if lands(snapped) else tuple(u)
 
 
@@ -551,10 +515,9 @@ class TargetView:
     """What the probe reads of one target box Y under one system.
 
     * ``T``: Y ∩ D, or None when Y misses the domain;
-    * ``k``: B⁻¹ c for the centre c of T, one entry per row of
-      ``sys.probe_map`` (None for a row the map lacks, or with no map);
-    * ``h``: the half-widths of T; for diagonal B, entry i is h_i / |b_ii|,
-      the radius of axis i's input window (None where b_ii = 0).
+    * ``k``: B⁻¹ c for the centre c of T, or None with no T or no
+      ``sys.probe_map``;
+    * ``h``: the half-widths of T.
     """
 
     __slots__ = ("T", "k", "h")
@@ -565,15 +528,10 @@ class TargetView:
         if T.empty:
             return
         self.T = T
-        half = [(hi - lo) / 2 for lo, hi in zip(T.lower, T.upper)]
-        if sys.diagonal_B:
-            half = [h / abs(row[i]) if row[i] else None
-                    for i, (h, row) in enumerate(zip(half, sys.B))]
-        self.h = tuple(half)
+        self.h = tuple((hi - lo) / 2 for lo, hi in zip(T.lower, T.upper))
         if sys.probe_map is not None:
             centre = T.center()
-            self.k = tuple(None if row is None else _dot(row, centre)
-                           for row in sys.probe_map[1])
+            self.k = tuple(_dot(row, centre) for row in sys.probe_map[1])
 
 
 def _dot(row: Sequence[Fraction], vec: Sequence[Fraction],
@@ -598,40 +556,20 @@ def _probe(sys: ControlSystem, view: TargetView,
     the simplex or any linear solve.
 
     u* = k + N x (``probe_map``, N = -B⁻¹A) is the input that sends x to
-    the centre c of T: B u* = c - A x.  With diagonal B each axis is
-    decided on its own and u_i is the middle of its feasible window
-    [u*_i - r_i, u*_i + r_i] ∩ U_i, so an axis whose window has positive
-    width lands strictly inside the target, and None means no input
-    exists; an axis with b_ii = 0 lands only when A_i x already lies in
-    T, and takes U's lower bound.  Otherwise u* is clamped to U, and the
+    the centre c of T: B u* = c - A x.  u* is clamped to U, and the
     clamped u lands exactly when |B (u - u*)| <= h (``_lands_near``),
     which reads the clamped columns alone: no A x and no B u is computed.
     u is then snapped to the 2^-20 grid when that still lands, by the
-    same test.  None then also means the probe missed, as it always does
-    when B is not square and invertible.  The probe may land on a face of
-    the target, which is inside it: boxes are closed.
+    same test.  None means the probe missed, as it always does when B is
+    not square and invertible.  With diagonal B the axes are independent
+    and clamping picks the point of U_i nearest u*_i, so the probe misses
+    only when no input lands.  The probe may land on a face of the
+    target, which is inside it: boxes are closed.
     """
-    T, pm = view.T, sys.probe_map
-    if T is None:
+    if view.k is None:
         return None
     U = sys.input_set
-    if sys.diagonal_B:
-        u = []
-        for i, (row, k, r) in enumerate(zip(pm[0], view.k, view.h)):
-            if row is None:
-                if not T.lower[i] <= _dot(sys.A[i], x) <= T.upper[i]:
-                    return None
-                u.append(U.lower[i])
-                continue
-            mid = _dot(row, x, k)
-            wlo, whi = max(mid - r, U.lower[i]), min(mid + r, U.upper[i])
-            if wlo > whi:
-                return None
-            u.append(_coarse_pick(wlo, whi))
-        return tuple(u)
-    if pm is None:
-        return None
-    star = [_dot(row, x, k) for k, row in zip(view.k, pm[0])]
+    star = [_dot(row, x, k) for k, row in zip(view.k, sys.probe_map[0])]
     u = _clamp(star, U)
     if not _lands_near(sys.B, u, star, view.h):
         return None
@@ -646,13 +584,15 @@ def input_witness(sys: ControlSystem, x: Sequence[Fraction],
     one.  When the probe misses, an exact phase-1 simplex (``_box_lp``)
     decides, gated by the row hull of B U, and returns a vertex of the
     feasible inputs, snapped to the 2^-20 grid when that stays feasible,
-    which may land on a face of the target.  In the control loop this runs
-    only to build vertex tables (``control_input``).
+    which may land on a face of the target.  With invertible diagonal B
+    the probe misses only when no input lands, and the gate turns every
+    such miss away, so the simplex never runs.  In the control loop this
+    runs only to build vertex tables (``control_input``).
     """
     x = [to_fraction(v) for v in x]
     view = TargetView(target, sys)
     u = _probe(sys, view, x)
-    if u is None and view.T is not None and not sys.diagonal_B:
+    if u is None and view.T is not None:
         window = _window(sys, x, view.T)
         if _hull_meets(sys, *window):
             u = _box_lp(sys.B, sys.input_set, *window)
@@ -706,8 +646,8 @@ def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
     affine (vertex control: Gutman & Cwikel, IEEE TAC 1986; Belta &
     Habets, IEEE TAC 2006).  u is snapped to the 2^-20 grid when that
     still lands, which keeps the state's denominators bounded over long
-    runs, and kept exact otherwise.  None when neither lands, which
-    landing vertex inputs rule out.
+    runs, and kept exact otherwise (``_snap``).  None when u does not
+    land, which landing vertex inputs rule out.
     """
     if view.T is None:
         return None
@@ -721,10 +661,8 @@ def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
         if w:
             u = [a + w * b for a, b in zip(u, uv)]
     window = _window(sys, x, view.T)
-    for cand in (_on_grid(u, sys.input_set), tuple(u)):
-        if _lands(sys, cand, *window):
-            return cand
-    return None
+    u = _snap(sys.input_set, u, lambda v: _lands(sys, v, *window))
+    return u if _lands(sys, u, *window) else None
 
 
 class _SourceView:

@@ -12,12 +12,13 @@ paths, so the whole history stays addressable.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 
-from dualsynth.geometry import Box, ControlSystem
+from dualsynth.geometry import Box, ControlSystem, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -129,11 +130,13 @@ def _split_counts(box: Box, m: int) -> list[int]:
     counts = [1] * box.dim
     factors = []
     k, p = m, 2
-    while k > 1:
+    while p * p <= k:
         while k % p == 0:
             factors.append(p)
             k //= p
         p += 1
+    if k > 1:
+        factors.append(k)
     for f in sorted(factors, reverse=True):
         widths = box.widths()
         axis = max(range(box.dim),
@@ -174,13 +177,23 @@ def split(forest: PartitionForest, region: RegionId, m: int) -> list[RegionId]:
     return list(node.children)
 
 
+def _max_cells(box: Box, min_cell: Fraction) -> int | float:
+    """An upper bound on the children of ``box`` that stay ``min_cell``
+    wide: an axis cut into c > 1 slices has c <= width / min_cell."""
+    if not min_cell:
+        return math.inf
+    return math.prod(max(1, w // min_cell) for w in box.widths())
+
+
 def advance_iteration(forest: PartitionForest, m: int,
                       min_cell: Fraction | float = 0) -> bool:
     """Split every maybe leaf whose children stay at least ``min_cell`` wide.
 
     Solved leaves, and maybe leaves too small to split, stay leaves under
-    their own ids.  Returns whether any leaf was split; a leaf the engine
-    never classified raises PartitionError.
+    their own ids.  A leaf that cannot hold m children that wide
+    (``_max_cells``) stays a leaf before m is factored.  Returns whether
+    any leaf was split; a leaf the engine never classified raises
+    PartitionError.
     """
     min_cell = Fraction(min_cell)
     new_leaves: list[RegionId] = []
@@ -189,7 +202,8 @@ def advance_iteration(forest: PartitionForest, m: int,
         if node.status is Status.UNEXPLORED:
             raise PartitionError(
                 f"leaf {format_region_id(rid)} was never classified")
-        if node.status is Status.MAYBE and m > 1:
+        if node.status is Status.MAYBE and \
+                1 < m <= _max_cells(node.box, min_cell):
             counts = _split_counts(node.box, m)
             widths = node.box.widths()
             if all(Fraction(widths[d], counts[d]) >= min_cell
@@ -210,7 +224,7 @@ def locate(forest: PartitionForest, point) -> RegionId:
     Boundary ties resolve to the lexicographically smallest region path,
     which the sorted scan below yields for free.
     """
-    pt = tuple(Fraction(v) if not isinstance(v, Fraction) else v for v in point)
+    pt = tuple(map(to_fraction, point))
     if not forest.domain.contains(pt):
         raise PartitionError(f"point {point} lies outside the domain")
     root = next((r for r in sorted(forest.roots)

@@ -511,16 +511,11 @@ def midpoint_probe(A, B, U, D, T, x):
 
     ``U``, ``D`` and ``T`` are ``[[lo, hi], ...]`` bounds (input set,
     domain, target).  T is clipped to D; A x + B u lies in the clip exactly
-    when ``lo <= B u <= hi`` for the window lo, hi = clip - A x.
-    * Diagonal B: per axis, an axis with b_ii = 0 needs 0 in its window and
-      takes U's lower bound; otherwise u_i is the middle of the window / b_ii
-      intersected with U_i, moved to the 2^-20 grid when the grid point
-      stays in that interval.
-    * Otherwise B must be square and invertible: u solves B u = the
-      window's middle, is clamped to U and must land in the window; it is
-      then rounded to the 2^-20 grid and clamped to U, kept when that still
-      lands.
-    None when no step lands this way.
+    when ``lo <= B u <= hi`` for the window lo, hi = clip - A x.  B must
+    be square and invertible, diagonal or not: u solves B u = the window's
+    middle, is clamped to U and must land in the window; it is then
+    rounded to the 2^-20 grid and clamped to U, kept when that still
+    lands.  None when no step lands this way.
     """
     F = Fraction
     A = [[F(v) for v in row] for row in A]
@@ -534,29 +529,7 @@ def midpoint_probe(A, B, U, D, T, x):
     ax = [sum(a * v for a, v in zip(row, x)) for row in A]
     lo = [a - s for a, s in zip(lo, ax)]
     hi = [b - s for b, s in zip(hi, ax)]
-    n, m = len(B), len(B[0])
-    if m == n and all(B[i][j] == 0 for i in range(n) for j in range(n)
-                      if i != j):
-        u = []
-        for i in range(n):
-            b = B[i][i]
-            if b == 0:
-                if lo[i] > 0 or hi[i] < 0:
-                    return None
-                u.append(U[i][0])
-                continue
-            ends = sorted((lo[i] / b, hi[i] / b))
-            left, right = max(ends[0], U[i][0]), min(ends[1], U[i][1])
-            if left > right:
-                return None
-            mid = (left + right) / 2
-            if mid.denominator > _GRID:
-                grid = F(round(mid * _GRID), _GRID)
-                if left <= grid <= right:
-                    mid = grid
-            u.append(mid)
-        return tuple(u)
-    if m != n:
+    if len(B) != len(B[0]):
         return None
     sol = _gauss_solve(B, [(a + b) / 2 for a, b in zip(lo, hi)])
     if sol is None:

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from dualsynth.cli import (
     EXIT_INPUT_ERROR,
     EXIT_REALIZABLE,
+    EXIT_UNKNOWN,
     EXIT_UNREALIZABLE,
     ProblemError,
     load_problem,
@@ -316,6 +318,20 @@ class TestOptionValidation:
         path.write_text(json.dumps(data))
         with pytest.raises(ProblemError, match=r"^options: "):
             load_problem(str(path))
+
+    def test_split_count_beyond_min_cell_ends_unknown(self, tmp_path):
+        # with its inputs halved park leaves regions undecided, and no
+        # region holds 10^9 + 7 cells min_cell wide: the run ends unknown
+        # without factoring m
+        data = json.loads(open(bundled("park.json")).read())
+        data["input_set"] = [[-0.5, 0.5], [-0.5, 0.5]]
+        data["options"]["m"] = 1000000007
+        path = tmp_path / "prime.json"
+        path.write_text(json.dumps(data))
+        t0 = time.perf_counter()
+        assert main(["synthesize", str(path), "--out",
+                     str(tmp_path / "run")]) == EXIT_UNKNOWN
+        assert time.perf_counter() - t0 < 30
 
     @pytest.mark.parametrize("flag", [
         ["--m", "0"], ["--max-iters", "-1"], ["--min-cell", "0"],

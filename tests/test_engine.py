@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from dualsynth.engine import (
 from dualsynth.geometry import (
     Box,
     ControlSystem,
+    GeometryError,
     box_vertices,
     input_witness,
     mat_vec,
@@ -170,6 +172,14 @@ class TestRunParkExample:
             keyed[key] = i
         assert cycle, "no lasso detected within the horizon"
         assert check_lasso(states[:keyed[key]], cycle, spec)
+
+    @pytest.mark.parametrize("start", [(math.inf, 1), (math.nan, 1),
+                                       (True, 1)])
+    def test_start_must_be_a_finite_number(self, start):
+        sys, env, spec = park_problem()
+        ctrl = run(sys, env, spec).controller
+        with pytest.raises(GeometryError):
+            simulate(ctrl, sys, iter([0]), start, 0)
 
     def test_zero_steps_single_record(self):
         sys, env, spec = park_problem()
@@ -478,6 +488,36 @@ class TestVertexControl:
                              zip(mat_vec(sys.A, v), mat_vec(sys.B, u)))
                 assert goal.contains(land)
         assert tested
+
+    def test_singular_diagonal_B_steps_from_tables(self):
+        # B = diag(1, 0) has no inverse, so the probe misses every step and
+        # every input comes from a vertex table; the goals span the whole
+        # height, which no input moves.  Park's invertible diagonal B never
+        # needs a table.
+        sys = ControlSystem.create(
+            A=[[1, 0], [0, 1]], B=[[1, 0], [0, 0]], input_set=[[-1, 1]] * 2,
+            domain=[[0, 4], [0, 2]], initial_set=[[0, 4], [0, 2]],
+            propositions=[("a", [[0, 1], [0, 2]]), ("b", [[3, 4], [0, 2]])])
+        env = EnvAlphabet.create([("req", (False, True))])
+        spec = convert_to_gr1(RawSpec(guarantees=("a",),
+                                      responses=(("req", "b"),)))
+        verdict = run(sys, env, spec)
+        assert verdict.outcome == "realizable"
+        ctrl = verdict.controller
+        rng = np.random.default_rng(47)
+        trace = [int(rng.integers(0, 2)) for _ in range(301)]
+        steps = simulate(ctrl, sys, iter(trace),
+                         (Fraction(5, 2), Fraction(1, 3)), 300).steps
+        for step, nxt in zip(steps, steps[1:]):
+            assert sys.input_set.contains(step.inp)
+            assert ctrl.forest.box(nxt.region).contains(nxt.state)
+        assert ctrl.table_steps == 300 and ctrl.probe_steps == 0
+        assert ctrl.tables_built > 0
+        park, env, spec = park_problem()
+        ctrl = run(park, env, spec).controller
+        simulate(ctrl, park, iter(trace), (0.5, 0.5), 300)
+        assert ctrl.probe_steps == 300
+        assert ctrl.table_steps == ctrl.tables_built == 0
 
     def test_rebuilt_controller_simulates_identically(self, tmp_path):
         # controller.json carries no tables; a loaded controller builds

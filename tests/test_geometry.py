@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualsynth import geometry
 from dualsynth.cli import load_problem
 from dualsynth.geometry import (
     Box,
@@ -61,9 +62,8 @@ LP_ONLY_SHAPES = ("m=1", "m=3", "singular")
 def lp_only_system(rng, shape):
     """A 2-D system whose input decisions all fall to the box LP.
 
-    B is 2x1, 2x3 or a singular 2x2 matrix, so it is neither diagonal nor
-    square invertible and neither the per-axis path nor the midpoint
-    probe applies.
+    B is 2x1, 2x3 or a singular 2x2 matrix, so it is not square and
+    invertible and the probe never applies.
     """
     vals = [Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4)]
 
@@ -485,11 +485,14 @@ class TestProbeOracle:
     """The probe kernel against ``oracles.midpoint_probe``, which restates
     the probe as a linear solve per query, on seeded random queries."""
 
+    # B is not invertible: the probe never decides, the simplex does
+    UNDECIDED = ("singular diagonal", *LP_ONLY_SHAPES)
+
     @staticmethod
     def systems(rng):
-        """(shape, system) pairs: diagonal B with a zero diagonal entry,
-        the bench's coupled system, random square invertible coupled B and
-        the LP-only shapes."""
+        """(shape, system) pairs: invertible diagonal B, the bench's
+        coupled system, random square invertible coupled B, diagonal B
+        with a zero diagonal entry and the LP-only shapes."""
         vals = [Fraction(v) for v in (1, -1, 2, "1/2", "-1/2", "3/4", "1/4")]
 
         def pick():
@@ -502,9 +505,11 @@ class TestProbeOracle:
                                         initial_set=dom)
 
         for zero in range(2):
+            A = [[pick(), pick()], [0, pick()]]
             B = [[pick(), 0], [0, pick()]]
+            yield "diagonal", create(A, B)
             B[zero][zero] = 0
-            yield "diagonal", create([[pick(), pick()], [0, pick()]], B)
+            yield "singular diagonal", create(A, B)
         yield "coupled", ControlSystem.create(
             A=[[1, 0.25], [0, 1]], B=[[1, 0.5], [0, 1]],
             input_set=[[-0.5, 0.5]] * 2, domain=[[0, 4]] * 2,
@@ -549,34 +554,65 @@ class TestProbeOracle:
         return (image, corner, inside, straddling,
                 touching_box(rng, domain), beyond)
 
-    def test_kernel_matches_oracle(self):
-        rng = np.random.default_rng(83)
-        decided, queries = {}, 0
+    @classmethod
+    def queries(cls, seed):
+        """(shape, system, target, point) for 12 rounds of ``systems``."""
+        rng = np.random.default_rng(seed)
         for _ in range(12):
-            for shape, sys in list(self.systems(rng)):
-                U = sys.input_set.as_float_bounds()
-                D = [[lo, hi] for lo, hi in zip(sys.domain.lower,
-                                                sys.domain.upper)]
+            for shape, sys in list(cls.systems(rng)):
                 X = sys.domain.intersect(random_box(rng, lo=-4, hi=4))
                 if X.empty:
                     X = shrunk(sys.domain)
-                for Y in self.targets(rng, sys, X):
-                    view = TargetView(Y, sys)
-                    T = list(zip(Y.lower, Y.upper))
+                for Y in cls.targets(rng, sys, X):
                     for x in TestVertexControl.points(rng, X):
-                        want = midpoint_probe(sys.A, sys.B, U, D, T, x)
-                        assert _probe(sys, view, x) == want, (sys, Y, x)
-                        if want is not None:
-                            assert input_witness(sys, x, Y) == want
-                        queries += 1
-                        hits = decided.setdefault(shape, [0, 0])
-                        hits[want is None] += 1
+                        yield shape, sys, Y, x
+
+    @staticmethod
+    def reaches(sys, x, Y):
+        """Some input lands, by ``oracles.fm_reach`` on the point box."""
+        return fm_reach(sys, Box(tuple(x), tuple(x)), Y)[1]
+
+    def test_kernel_matches_oracle(self):
+        decided, found, queries = {}, {}, 0
+        for shape, sys, Y, x in self.queries(83):
+            U = sys.input_set.as_float_bounds()
+            D = [[lo, hi] for lo, hi in zip(sys.domain.lower,
+                                            sys.domain.upper)]
+            T = list(zip(Y.lower, Y.upper))
+            want = midpoint_probe(sys.A, sys.B, U, D, T, x)
+            assert _probe(sys, TargetView(Y, sys), x) == want, (sys, Y, x)
+            if want is not None:
+                assert input_witness(sys, x, Y) == want
+            elif shape in self.UNDECIDED:
+                lands = self.reaches(sys, x, Y)
+                assert (input_witness(sys, x, Y) is not None) == lands, \
+                    (sys, Y, x)
+                found.setdefault(shape, [0, 0])[lands] += 1
+            queries += 1
+            hits = decided.setdefault(shape, [0, 0])
+            hits[want is None] += 1
         assert queries >= 6000
-        assert set(decided) == {"diagonal", "coupled", *LP_ONLY_SHAPES}
+        assert set(decided) == {"diagonal", "coupled", *self.UNDECIDED}
         for shape in ("diagonal", "coupled"):
             assert all(decided[shape]), decided
-        for shape in LP_ONLY_SHAPES:
+        for shape in self.UNDECIDED:
             assert decided[shape][0] == 0
+            assert all(found[shape]), found
+
+    def test_diagonal_misses_need_no_simplex(self, monkeypatch):
+        # with invertible diagonal B the probe misses only where no input
+        # lands, and the row-hull gate turns every such miss away
+        lp_calls = []
+        box_lp = geometry._box_lp
+        monkeypatch.setattr(geometry, "_box_lp",
+                            lambda *a: lp_calls.append(a) or box_lp(*a))
+        missed = 0
+        for shape, sys, Y, x in self.queries(89):
+            if shape == "diagonal":
+                u = input_witness(sys, x, Y)
+                assert (u is not None) == self.reaches(sys, x, Y), (sys, Y, x)
+                missed += u is None
+        assert missed and not lp_calls
 
 
 class TestSourceReuse:

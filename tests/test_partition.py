@@ -1,12 +1,15 @@
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dualsynth.geometry import Box, ControlSystem
+from dualsynth.geometry import Box, ControlSystem, GeometryError
 from dualsynth.partition import (
     PartitionError,
     Status,
+    _split_counts,
     advance_iteration,
     format_region_id,
     initial_partition,
@@ -177,6 +180,37 @@ class TestAdvanceIteration:
         assert forest.leaves == before
         assert all(forest.status(r) is Status.MAYBE for r in forest.leaves)
 
+    def test_large_prime_split_count_factors_fast(self):
+        # trial division stops at the square root and keeps the prime left
+        p = 10**9 + 7
+        t0 = time.perf_counter()
+        assert _split_counts(Box.from_bounds([[0, 2], [0, 1]]), p) == [p, 1]
+        assert _split_counts(Box.from_bounds([[0, 1], [0, 1]]), 6 * p) == \
+            [p, 6]
+        assert time.perf_counter() - t0 < 5
+
+    def test_split_count_beyond_min_cell_is_not_factored(self):
+        # no leaf holds that many children 1/1000 wide, so no leaf splits
+        # and m, the product of two primes near 10^9, is never factored
+        forest = initial_partition(park_system())
+        before = list(forest.leaves)
+        classify_leaves(forest)
+        t0 = time.perf_counter()
+        assert advance_iteration(forest, m=(10**9 + 7) * (10**9 + 9),
+                                 min_cell=Fraction(1, 1000)) is False
+        assert time.perf_counter() - t0 < 5
+        assert forest.leaves == before
+
+    @pytest.mark.parametrize("m, cell", [(4, Fraction(1, 2)),
+                                         (9, Fraction(1, 3))])
+    def test_leaf_holding_exactly_m_children_still_splits(self, m, cell):
+        # park's 1x1 leaves hold 2 x 2 children 1/2 wide, 3 x 3 children
+        # 1/3 wide and no more
+        forest = initial_partition(park_system())
+        classify_leaves(forest)
+        assert advance_iteration(forest, m=m, min_cell=cell) is True
+        assert len(forest.leaves) == 6 * m
+
     def test_solved_boxes_never_change(self):
         forest = initial_partition(goal_system())
         leaves = list(forest.leaves)
@@ -255,6 +289,12 @@ class TestLocate:
         forest = initial_partition(park_system())
         with pytest.raises(PartitionError):
             locate(forest, (10, 10))
+
+    @pytest.mark.parametrize("point", [(math.inf, 1), (math.nan, 1),
+                                       (True, 1)])
+    def test_point_must_be_a_finite_number(self, point):
+        with pytest.raises(GeometryError):
+            locate(initial_partition(park_system()), point)
 
     def test_random_points_unique_and_label_consistent(self):
         sys = goal_system()
