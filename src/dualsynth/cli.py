@@ -482,7 +482,8 @@ def _count(n: int, noun: str) -> str:
 _STATS_KEYS = ("iteration", "leaves", "winning", "maybe", "losing",
                "queries_issued", "queries_saved", "wall_time_s")
 # absent from artifacts written before these were recorded; shown as "-"
-_OPTIONAL_STATS = ("queries_pruned", "abstraction_s")
+_OPTIONAL_STATS = ("queries_pruned", "advance_s", "abstraction_s",
+                   "classify_s")
 
 
 def cmd_report(args) -> int:
@@ -506,7 +507,7 @@ def cmd_report(args) -> int:
         print("warning: run directory looks incomplete; partial report",
               file=_sys.stderr)
     header = ["iter", "leaves", "W", "M", "L", "queries", "saved", "pruned",
-              "abstr_s", "time_s"]
+              "adv_s", "abstr_s", "class_s", "time_s"]
     table = [header]
     for row in rows:
         table.append([str(row["iteration"]), str(row["leaves"]),
@@ -514,8 +515,9 @@ def cmd_report(args) -> int:
                       str(row["losing"]), str(row["queries_issued"]),
                       str(row["queries_saved"]),
                       str(row.get("queries_pruned", "-")),
-                      f"{row['abstraction_s']:.3f}" if "abstraction_s" in row
-                      else "-", f"{row['wall_time_s']:.3f}"])
+                      *(f"{row[key]:.3f}" if key in row else "-" for key in
+                        ("advance_s", "abstraction_s", "classify_s")),
+                      f"{row['wall_time_s']:.3f}"])
     widths = [max(len(r[c]) for r in table) for c in range(len(header))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths))
              for r in table]

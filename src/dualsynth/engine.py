@@ -119,13 +119,16 @@ class SetTriple:
 class IterationStats:
     """One iteration's counts and times.
 
-    ``abstraction_s`` is the time of the ``build_initial`` or ``refine``
-    call that produced the iteration's FTS pair.  ``wall_time`` runs from
-    the end of the previous iteration (or the start of the run) to this
-    iteration's decision: the split and the abstraction that made its
-    partition and FTS pair, then the classification.  A run that stops
-    because no region can be split charges that attempt to its last
-    iteration.
+    Three layer times split ``wall_time``: ``advance_s`` is the time of
+    the partition step that made the iteration's leaves
+    (``initial_partition``, then ``advance_iteration``), ``abstraction_s``
+    that of the ``build_initial`` or ``refine`` call that produced its FTS
+    pair, and ``classify_s`` that of ``classify``, which solves both
+    games.  ``wall_time`` runs from the end of the previous iteration (or
+    the start of the run) to this iteration's decision, so it holds the
+    three and the bookkeeping between them.  A run that stops because no
+    region can be split charges that attempt to the ``wall_time`` of its
+    last iteration.
     """
     iteration: int
     leaves: int
@@ -135,7 +138,9 @@ class IterationStats:
     queries_issued: int
     queries_saved: int
     queries_pruned: int
+    advance_s: float
     abstraction_s: float
+    classify_s: float
     wall_time: float
 
     def to_json(self) -> dict:
@@ -145,7 +150,9 @@ class IterationStats:
             "maybe": self.n_maybe, "queries_issued": self.queries_issued,
             "queries_saved": self.queries_saved,
             "queries_pruned": self.queries_pruned,
+            "advance_s": round(self.advance_s, 6),
             "abstraction_s": round(self.abstraction_s, 6),
+            "classify_s": round(self.classify_s, 6),
             "wall_time_s": round(self.wall_time, 6),
         }
 
@@ -271,12 +278,15 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
     t0 = time.perf_counter()
     forest = initial_partition(sys)
     a0 = time.perf_counter()
+    advance_s = a0 - t0
     pair = build_initial(forest, sys, env)
     abstraction_s = time.perf_counter() - a0
     verdict = Verdict(outcome="unknown", iterations=0)
 
     for iteration in range(opts.max_iters + 1):
+        c0 = time.perf_counter()
         triple = classify(pair, forest, spec)
+        classify_s = time.perf_counter() - c0
         if verdict.history:
             _check_inheritance(verdict.history[-1], triple)
         verdict.history.append(triple)
@@ -286,10 +296,17 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             n_maybe=len(triple.maybe),
             queries_issued=pair.query_stats.issued,
             queries_saved=reachability_queries_saved(pair),
-            queries_pruned=pair.query_stats.pruned,
-            abstraction_s=abstraction_s, wall_time=0.0)
+            queries_pruned=pair.query_stats.pruned, advance_s=advance_s,
+            abstraction_s=abstraction_s, classify_s=classify_s,
+            wall_time=0.0)
         verdict.stats.append(stats)
         verdict.iterations = iteration + 1
+        logger.info("iteration %d: %d leaves, W/M/L %d/%d/%d, %d queries, "
+                    "%d pairs pruned, advance %.3f s, abstraction %.3f s, "
+                    "classify %.3f s", iteration, stats.leaves,
+                    stats.n_winning, stats.n_maybe, stats.n_losing,
+                    stats.queries_issued, stats.queries_pruned, advance_s,
+                    abstraction_s, classify_s)
 
         initial_regions = _initial_regions_under(forest, spec)
         if not initial_regions:
@@ -328,6 +345,7 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             stats.wall_time = time.perf_counter() - t0
             return verdict
         a0 = time.perf_counter()
+        advance_s = a0 - t_split
         pair = refine(pair, forest, sys)
         abstraction_s = time.perf_counter() - a0
         t0 = t_split
@@ -472,7 +490,11 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     ``env_trace`` yields an environment-valuation index per time step.
     The final record carries no input.  State arithmetic is exact, so the
     region trace is the strategy's discrete trace by construction, not by
-    numerical luck.
+    numerical luck.  The price is that the state's denominator grows by
+    A's denominator at every step (inputs are snapped to a 2^-20 grid when
+    they still land, so they add little): with a decimal entry in A,
+    read from a float with a denominator near 2^55, that is about 55 bits
+    per step, and each step costs more than the last.
     """
     if steps < 0:
         raise EngineError(f"steps must be >= 0, got {steps}")

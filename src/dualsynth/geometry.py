@@ -1,16 +1,18 @@
 """Box geometry and exact one-step reachability.
 
-Everything in this module is decided in exact rational arithmetic
-(`fractions.Fraction`).  Reachability booleans feed the game solver, and a
-single misclassified transition can flip a realizability verdict, so there
-is no feasibility tolerance anywhere: float inputs are converted exactly
-(every binary float is a rational), and every decision is the one the
-exact values give.  The axis slab test compares float shadows first: each
-bound rounded to the nearest float (``_shadow``).  Rounding to nearest is
-monotone, so a strict inequality between two shadows proves the same
-strict inequality between the exact values, and decides the comparison.
-Equal shadows prove nothing; on such a tie the ``Fraction``s are compared
-(a certified float filter in the sense of Shewchuk, DCG 1997).
+Everything in this module is decided in exact rational arithmetic.
+Reachability booleans feed the game solver, and a single misclassified
+transition can flip a realizability verdict, so there is no feasibility
+tolerance anywhere and no float takes part in any decision: float inputs
+are converted exactly (every binary float is a rational), and every
+decision is the one the exact values give.  The hot loops (the slab test, the
+probe and ``mat_vec``) run on integers rather than ``Fraction`` objects
+(exact computation in the sense of Yap, CGTA 1997).  Each box keeps its
+bounds as integer numerators over one denominator (``Box.ints``), each
+system the integer rows of its slabs and its probe (``slab_rows``,
+``probe_map``), and every comparison of two rationals over positive
+denominators is one cross-multiplication: a/b <= c/d exactly when
+a d <= c b.
 
 The two relations of interest between regions X and Y of an affine system
 s' = A s + B u, u constrained to a box U, with T = Y ∩ D the target
@@ -32,9 +34,8 @@ generators of the boxes, so the normals depend on the system alone
 or T) keep the test exact: such a zonotope is the limit of
 full-dimensional ones with the same normals.  The slabs of a source box X
 are computed once (``_SourceView``), and a target then costs one range
-comparison per normal, made on the float shadows first along the axes.
-The abstraction asks its queries source-major, and the view of the last
-source is kept.
+comparison per normal (``_passes``).  The abstraction asks its queries
+source-major, and the view of the last source is kept.
 
 The controller asks for an input u in U with A x + B u in a box.  The
 probe (``_probe``) answers with no simplex and no linear solve: on a fixed
@@ -45,12 +46,12 @@ per target).  u* is clamped to U and kept when it still lands.  With
 invertible diagonal B that misses only when no input lands; otherwise it
 may miss where inputs land, and always does when B is not square and
 invertible.  When the probe misses, ``input_witness`` decides by an exact
-phase-1 simplex over the box (``_box_lp``), while ``control_input``
-interpolates inputs given at the vertices of the source region (vertex
-control).  So the simplex runs in the control loop only when a vertex
-table is built.  The probe is clamped to U and the simplex returns a
-vertex, so those landings may lie on a face of the target, which is
-sound: boxes are closed.
+phase-1 simplex over the box (``_box_lp``, still in ``Fraction``s), while
+``control_input`` interpolates inputs given at the vertices of the source
+region (vertex control).  So the simplex runs in the control loop only
+when a vertex table is built.  The probe is clamped to U and the simplex
+returns a vertex, so those landings may lie on a face of the target,
+which is sound: boxes are closed.
 """
 
 from __future__ import annotations
@@ -88,18 +89,18 @@ def to_fraction(value) -> Fraction:
     raise GeometryError(f"cannot interpret {value!r} as a rational number")
 
 
-def _shadow(v: Fraction) -> float:
-    """v rounded to the nearest float, or ±inf beyond the float range.
+def _integers(values) -> tuple[tuple[int, ...], int]:
+    """(nums, d) with ``values[i] == nums[i] / d`` and d > 0 the least
+    common denominator of the values."""
+    d = math.lcm(*[v.denominator for v in values])
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
-    CPython rounds integer true division correctly, so this is monotone:
-    a <= b gives ``_shadow(a) <= _shadow(b)``.  A strict inequality
-    between shadows therefore proves the same one between the exact
-    values; equal shadows prove nothing.
-    """
-    try:
-        return v.numerator / v.denominator
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
+
+def _int_rows(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, d): the matrix as integer rows over one denominator d > 0."""
+    nums, d = _integers([v for row in mat for v in row])
+    width = len(mat[0])
+    return tuple(nums[i:i + width] for i in range(0, len(nums), width)), d
 
 
 def to_matrix(rows) -> Matrix:
@@ -110,9 +111,19 @@ def to_matrix(rows) -> Matrix:
 
 
 def mat_vec(mat: Matrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The exact product ``mat vec``.
+
+    The vector is put over one denominator per call, and each row over
+    its own, so a row costs integer products and one ``Fraction``.
+    """
     if any(len(row) != len(vec) for row in mat):
         raise GeometryError("matrix/vector dimension mismatch")
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in mat)
+    xs, d = _integers(vec)
+    out = []
+    for row in mat:
+        nums, e = _integers(row)
+        out.append(Fraction(sum(map(mul, nums, xs)), e * d))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -156,10 +167,12 @@ class Box:
         return len(self.lower)
 
     @cached_property
-    def shadows(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The bounds rounded to the nearest float (``_shadow``), as
-        (lower, upper); computed on first use, once per box."""
-        return tuple(map(_shadow, self.lower)), tuple(map(_shadow, self.upper))
+    def ints(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(lower, upper, d): the bounds as integer numerators over one
+        denominator d > 0, so ``self.lower[i] == lower[i] / d``; computed
+        on first use, once per box."""
+        nums, d = _integers(self.lower + self.upper)
+        return nums[:self.dim], nums[self.dim:], d
 
     def widths(self) -> tuple[Fraction, ...]:
         return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
@@ -279,16 +292,19 @@ class ControlSystem:
     @cached_property
     def input_hull(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Per row i, the exact range ``(lo, hi)`` of ``B_i . u`` over U."""
-        return tuple(_row_range(row, self.input_set) for row in self.B)
+        U = self.input_set
+        return tuple(_row_range(row, U.lower, U.upper) for row in self.B)
 
     @cached_property
-    def probe_map(self) -> tuple[tuple, tuple] | None:
-        """(N, B⁻¹) with N = -B⁻¹A, the affine map of the probe.
+    def probe_map(self):
+        """(N, B⁻¹, B) with N = -B⁻¹A, the integer matrices of the probe,
+        each as (rows, d): integer rows over one denominator (``_int_rows``).
 
         For a target with centre c, u = B⁻¹c + N x sends x to c (N is kept
-        negated so that u is one sum started at B⁻¹c).  B⁻¹ comes from one
-        ``_solve_square`` per column, here and never per step.  None when
-        B is not square and invertible.
+        negated so that u is one sum started at B⁻¹c); the probe checks
+        its landing with B.  B⁻¹ comes from one ``_solve_square`` per
+        column, here and never per step.  None when B is not square and
+        invertible.
         """
         n = self.n
         cols = [_solve_square(self.B, [Fraction(int(i == j)) for i in range(n)])
@@ -296,9 +312,29 @@ class ControlSystem:
         if None in cols:
             return None
         binv = tuple(zip(*cols))
-        N = tuple(tuple(-_dot(row, col) for col in zip(*self.A))
-                  for row in binv)
-        return N, binv
+        N = [[-_dot(row, col) for col in zip(*self.A)] for row in binv]
+        return _int_rows(N), _int_rows(binv), _int_rows(self.B)
+
+    @cached_property
+    def slab_rows(self) -> tuple[tuple, ...]:
+        """Per normal of ``reach_normals``, in its order, the integers of
+        its slab: (ν, a, blo, bhi, q, pessimistic).
+
+        ν is the normal scaled by a positive integer to integer entries,
+        which scales both sides of its slab test alike.  νᵀA = a / q, and
+        [blo, bhi] / (q d) is the range of νᵀB u over U, whose bounds are
+        integers over d (``Box.ints``).  The unit axes come first, so
+        their rows a are the rows of A.
+        """
+        ul, uh, _ = self.input_set.ints
+        cols = [*zip(*self.A), *zip(*self.B)]
+        out = []
+        for normal, pessimistic in self.reach_normals:
+            nu, _ = _integers(normal)
+            rows, q = _integers([_dot(nu, col) for col in cols])
+            out.append((nu, rows[:self.n], *_row_range(rows[self.n:], ul, uh),
+                        q, pessimistic))
+        return tuple(out)
 
     @cached_property
     def reach_normals(self) -> tuple[tuple[tuple[Fraction, ...], bool], ...]:
@@ -436,23 +472,18 @@ def _box_lp(M: Sequence[Sequence[Fraction]], box: Box, lo: Sequence[Fraction],
 # Reachability relations
 # ---------------------------------------------------------------------------
 
-def _row_range(row: Sequence[Fraction], box: Box) -> tuple[Fraction, Fraction]:
-    """Exact range of ``row . z`` over z in box."""
-    lo = hi = Fraction(0)
-    for c, zl, zh in zip(row, box.lower, box.upper):
-        lo += c * (zl if c >= 0 else zh)
-        hi += c * (zh if c >= 0 else zl)
+def _row_range(row, lower, upper):
+    """Exact range ``(lo, hi)`` of ``row . z`` over the box of bounds
+    ``lower``, ``upper``: integers for integer inputs."""
+    lo = hi = 0
+    for c, zl, zh in zip(row, lower, upper):
+        if c >= 0:
+            lo += c * zl
+            hi += c * zh
+        else:
+            lo += c * zh
+            hi += c * zl
     return lo, hi
-
-
-def _project(normal: Sequence[Fraction], mat: Matrix) -> list[Fraction]:
-    """The row ``normal^T mat``, so ``normal . (mat z) = row . z``."""
-    return [sum(v * c for v, c in zip(normal, col)) for col in zip(*mat)]
-
-
-def _clamp(vec: Sequence[Fraction], box: Box) -> tuple[Fraction, ...]:
-    return tuple(min(max(v, lo), hi)
-                 for v, lo, hi in zip(vec, box.lower, box.upper))
 
 
 def _solve_square(mat: Matrix, rhs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -493,13 +524,38 @@ def _lands(sys: ControlSystem, u, lo, hi) -> bool:
     return all(l <= v <= h for l, v, h in zip(lo, mat_vec(sys.B, u), hi))
 
 
+def _clamp(nums, d: int, U: Box) -> list[int]:
+    """The point ``nums / d`` clamped to U, as numerators over d d_U, with
+    U's bounds integers over d_U (``Box.ints``)."""
+    ul, uh, ud = U.ints
+    return [min(max(v * ud, lo * d), hi * d)
+            for v, lo, hi in zip(nums, ul, uh)]
+
+
+def _to_grid(nums, d: int, U: Box) -> list[int] | None:
+    """The point ``nums / d`` rounded to the 2^-20 grid and clamped to U
+    (``_clamp``), as numerators over 2^20 d_U; None when every coordinate
+    already has a denominator of at most 2^20.  Ties round to even, as
+    ``round(Fraction)`` does."""
+    if all(d // math.gcd(v, d) <= _COARSE_GRID for v in nums):
+        return None
+    grid = []
+    for v in nums:
+        q, r = divmod(v * _COARSE_GRID, d)
+        if 2 * r > d or 2 * r == d and q & 1:
+            q += 1
+        grid.append(q)
+    return _clamp(grid, _COARSE_GRID, U)
+
+
 def _snap(U: Box, u, lands) -> tuple[Fraction, ...]:
-    """u rounded to the 2^-20 grid and clamped to U, when ``lands``
-    accepts that; else u."""
-    if all(v.denominator <= _COARSE_GRID for v in u):
+    """u rounded to the 2^-20 grid and clamped to U (``_to_grid``), when
+    ``lands`` accepts that; else u."""
+    grid = _to_grid(*_integers(u), U)
+    if grid is None:
         return tuple(u)
-    snapped = _clamp([Fraction(round(v * _COARSE_GRID), _COARSE_GRID)
-                      for v in u], U)
+    d = _COARSE_GRID * U.ints[2]
+    snapped = tuple(Fraction(v, d) for v in grid)
     return snapped if lands(snapped) else tuple(u)
 
 
@@ -515,39 +571,49 @@ class TargetView:
     """What the probe reads of one target box Y under one system.
 
     * ``T``: Y ∩ D, or None when Y misses the domain;
-    * ``k``: B⁻¹ c for the centre c of T, or None with no T or no
-      ``sys.probe_map``;
-    * ``h``: the half-widths of T.
+    * ``k``, ``kd``, ``kq``: the integers of B⁻¹ c = k / kd for the centre
+      c of T, where kd = kq d_N is a multiple of the denominator d_N of
+      ``probe_map``'s N; k is None with no T or no ``sys.probe_map``;
+    * ``h``, ``hd``: the half-widths of T times B's denominator d_B, as
+      integers over hd, so that |B_i v| <= h_i / hd exactly when
+      ``|B'_i v| hd <= h_i`` for B's integer rows B'.
     """
 
-    __slots__ = ("T", "k", "h")
+    __slots__ = ("T", "k", "kd", "kq", "h", "hd")
 
     def __init__(self, Y: Box, sys: ControlSystem):
         T = Y.intersect(sys.domain)
-        self.T = self.k = self.h = None
+        self.T = self.k = None
         if T.empty:
             return
         self.T = T
-        self.h = tuple((hi - lo) / 2 for lo, hi in zip(T.lower, T.upper))
-        if sys.probe_map is not None:
-            centre = T.center()
-            self.k = tuple(_dot(row, centre) for row in sys.probe_map[1])
+        if sys.probe_map is None:
+            return
+        (_, nd), (binv, bd), (_, qb) = sys.probe_map
+        lo, hi, td = T.ints
+        twice_centre = [a + b for a, b in zip(lo, hi)]  # over 2 td
+        self.kd = math.lcm(nd, 2 * td * bd)
+        scale = self.kd // (2 * td * bd)
+        self.k = [_dot(row, twice_centre) * scale for row in binv]
+        self.kq = self.kd // nd
+        self.h = [(b - a) * qb for a, b in zip(lo, hi)]
+        self.hd = 2 * td
 
 
-def _dot(row: Sequence[Fraction], vec: Sequence[Fraction],
-         start: Fraction | int = 0) -> Fraction:
-    """start + row . vec"""
+def _dot(row, vec, start=0):
+    """start + row . vec, an integer for integer inputs"""
     return sum(map(mul, row, vec), start)
 
 
-def _lands_near(B: Matrix, u, star, h) -> bool:
-    """|B (u - star)| <= h row by row: u lands in the box of half-widths h
-    centred on B star.  Only the columns where u differs from star count."""
-    d = [(j, v - s) for j, (v, s) in enumerate(zip(u, star)) if v != s]
-    if not d:
+def _lands_near(B, view: TargetView, diff, d: int) -> bool:
+    """|B v| <= h row by row for v = ``diff / d``, with B's integer rows
+    and the half-widths h of the view's target: an input u = star + v
+    lands in the box of half-widths h centred on B star."""
+    if not any(diff):
         return True
-    return all(abs(sum(row[j] * dj for j, dj in d)) <= hw
-               for row, hw in zip(B, h))
+    dh = view.hd
+    return all(abs(_dot(row, diff)) * dh <= h * d
+               for row, h in zip(B, view.h))
 
 
 def _probe(sys: ControlSystem, view: TargetView,
@@ -558,22 +624,37 @@ def _probe(sys: ControlSystem, view: TargetView,
     u* = k + N x (``probe_map``, N = -B⁻¹A) is the input that sends x to
     the centre c of T: B u* = c - A x.  u* is clamped to U, and the
     clamped u lands exactly when |B (u - u*)| <= h (``_lands_near``),
-    which reads the clamped columns alone: no A x and no B u is computed.
-    u is then snapped to the 2^-20 grid when that still lands, by the
-    same test.  None means the probe missed, as it always does when B is
-    not square and invertible.  With diagonal B the axes are independent
-    and clamping picks the point of U_i nearest u*_i, so the probe misses
-    only when no input lands.  The probe may land on a face of the
-    target, which is inside it: boxes are closed.
+    where only the clamped columns of u - u* are nonzero: no A x and no
+    B u is computed.  u is then snapped to the 2^-20 grid when that
+    still lands, by the same test (``_to_grid``).  All of it is integer
+    arithmetic: x is put over one denominator per call, u* over kd times
+    that, and a value becomes a ``Fraction`` only on return.  None means
+    the probe missed, as it always does when B is not square and
+    invertible.  With diagonal B the axes are independent and clamping
+    picks the point of U_i nearest u*_i, so the probe misses only when
+    no input lands.  The probe may land on a face of the target, which
+    is inside it: boxes are closed.
     """
     if view.k is None:
         return None
+    (N, _), _, (B, _) = sys.probe_map
     U = sys.input_set
-    star = [_dot(row, x, k) for k, row in zip(view.k, sys.probe_map[0])]
-    u = _clamp(star, U)
-    if not _lands_near(sys.B, u, star, view.h):
+    ud = U.ints[2]
+    xs, xd = _integers(x)
+    s = view.kd * xd  # u* = star / s
+    star = [k * xd + _dot(row, xs) * view.kq for k, row in zip(view.k, N)]
+    w = s * ud  # u = clamped / w
+    clamped = _clamp(star, s, U)
+    if not _lands_near(B, view, [c - v * ud for c, v in zip(clamped, star)],
+                       w):
         return None
-    return _snap(U, u, lambda v: _lands_near(sys.B, v, star, view.h))
+    grid = _to_grid(clamped, w, U)
+    if grid is not None:
+        g = _COARSE_GRID * ud  # the snapped u = grid / g
+        if _lands_near(B, view, [a * s - v * g for a, v in zip(grid, star)],
+                       g * s):
+            return tuple(Fraction(v, g) for v in grid)
+    return tuple(Fraction(v, w) for v in clamped)
 
 
 def input_witness(sys: ControlSystem, x: Sequence[Fraction],
@@ -666,55 +747,57 @@ def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
 
 
 class _SourceView:
-    """The slabs of one source box X under one system.
+    """The slabs of one source box X under one system, in integers.
 
-    Per normal ν of ``sys.reach_normals``, with (alo, ahi) the range of
+    Per normal ν of ``sys.slab_rows``, with (alo, ahi) the range of
     ν·A x over X and (blo, bhi) that of ν·B u over U, the optimistic slab
     is [alo + blo, ahi + bhi] and the pessimistic slab [ahi + blo,
     alo + bhi], the window every vertex reaches, which may be inverted.
-    A target passes a slab (lo, hi) when its range (tlo, thi) along ν
-    has ``tlo <= hi`` and ``thi >= lo``.
+    Each slab is kept as integer numerators over one denominator,
+    q d_X d_U, from X's integer bounds (``Box.ints``).  A target passes a
+    slab (lo, hi) when its range (tlo, thi) along ν has ``tlo <= hi`` and
+    ``thi >= lo``.
 
     * ``opt_axes`` / ``pess_axes``: per axis i, the slab along e_i already
       clipped to the domain, (lo, hi) = (max(lo, D_i low), min(hi, D_i
-      high)), stored with its shadows as (lo, hi, fl(lo), fl(hi)); Y
+      high)), stored as (lo, lo's denominator, hi, hi's denominator); Y
       passes it exactly when Y ∩ D does, so axis tests read Y unclipped.
       None when some axis slab misses the domain: then no target passes.
-    * ``opt_others`` / ``pess_others``: (ν, lo, hi) per non-axis normal,
-      tested exactly against the range of ν over Y ∩ D, which is
+    * ``opt_others`` / ``pess_others``: (ν, lo, hi, denominator) per
+      non-axis normal, tested against the range of ν over Y ∩ D, which is
       computed per query.
     """
 
     __slots__ = ("opt_axes", "pess_axes", "opt_others", "pess_others")
 
     def __init__(self, X: Box, sys: ControlSystem):
-        n, normals = sys.n, sys.reach_normals
+        xl, xh, xd = X.ints
+        ud = sys.input_set.ints[2]
         opt, pess = [], []
-        for i, (normal, pessimistic) in enumerate(normals):
-            if i < n:  # the unit axis e_i
-                alo, ahi = _row_range(sys.A[i], X)
-                blo, bhi = sys.input_hull[i]
-            else:
-                alo, ahi = _row_range(_project(normal, sys.A), X)
-                blo, bhi = _row_range(_project(normal, sys.B), sys.input_set)
-            opt.append((alo + blo, ahi + bhi))
-            pess.append((ahi + blo, alo + bhi) if pessimistic else None)
+        for nu, a, blo, bhi, q, pessimistic in sys.slab_rows:
+            alo, ahi = _row_range(a, xl, xh)  # over q xd
+            alo, ahi, blo, bhi = alo * ud, ahi * ud, blo * xd, bhi * xd
+            d = q * xd * ud
+            opt.append((nu, alo + blo, ahi + bhi, d))
+            pess.append((nu, ahi + blo, alo + bhi, d) if pessimistic else None)
+        n = sys.n
         self.opt_axes = _clip_axes(opt[:n], sys.domain)
         self.pess_axes = _clip_axes(pess[:n], sys.domain)
-        self.opt_others = [(normal, *slab) for (normal, _), slab
-                           in zip(normals[n:], opt[n:])]
-        self.pess_others = [(normal, *slab) for (normal, _), slab
-                            in zip(normals[n:], pess[n:]) if slab]
+        self.opt_others = opt[n:]
+        self.pess_others = [slab for slab in pess[n:] if slab]
 
 
 def _clip_axes(slabs, domain: Box):
-    """Axis slabs clipped to the domain, each as (lo, hi, fl(lo), fl(hi)),
-    or None when one misses it."""
-    bounds = list(zip(slabs, domain.lower, domain.upper))
-    if any(lo > dh or hi < dl for (lo, hi), dl, dh in bounds):
-        return None
-    clipped = [(max(lo, dl), min(hi, dh)) for (lo, hi), dl, dh in bounds]
-    return [(lo, hi, _shadow(lo), _shadow(hi)) for lo, hi in clipped]
+    """Axis slabs clipped to the domain, each as (lo, lo's denominator,
+    hi, hi's denominator), or None when one misses it."""
+    dl, dh, dd = domain.ints
+    out = []
+    for (_, lo, hi, d), a, b in zip(slabs, dl, dh):
+        if lo * dd > b * d or hi * dd < a * d:
+            return None
+        out.append((*((lo, d) if lo * dd >= a * d else (a, dd)),
+                    *((hi, d) if hi * dd <= b * d else (b, dd))))
+    return out
 
 
 # One-entry memo: the view of the last source queried.  Callers issue
@@ -738,29 +821,30 @@ def _source_view(X: Box, sys: ControlSystem) -> _SourceView:
 
 def _passes(axes, others, Y: Box, domain: Box) -> bool:
     """Y ∩ D meets every slab: the axis slabs of ``axes`` (clipped to D,
-    so Y is read unclipped) and the (normal, lo, hi) slabs of ``others``.
+    so Y is read unclipped) and the (ν, lo, hi, d) slabs of ``others``.
 
-    An axis compares the shadows of Y's bounds (``Box.shadows``) with the
-    slab's first.  A strict float inequality decides, because rounding is
-    monotone; when a shadow ties with the slab bound it faces, the exact
-    bounds decide the axis.  The non-axis normals compare exact values
-    only.  Passing every axis slab implies Y meets D, so Y ∩ D is
-    nonempty when the other normals read their ranges off it.
+    Every comparison is of two rationals over positive denominators, made
+    by cross-multiplying integers: a/b <= c/d exactly when a d <= c b.
+    Y's bounds are read as integers over one denominator (``Box.ints``),
+    and Y ∩ D is clipped in integers over the product of Y's and D's.
+    Passing every axis slab implies Y meets D, so Y ∩ D is nonempty when
+    the other normals read their ranges off it.
     """
     if axes is None:
         return False
-    fyl, fyh = Y.shadows
-    for (lo, hi, flo, fhi), yl, yh, fl, fh in zip(axes, Y.lower, Y.upper,
-                                                  fyl, fyh):
-        if fh <= flo or fl >= fhi:  # a tie is decided by the Fractions
-            if fh < flo or fl > fhi or yh < lo or yl > hi:
-                return False
+    yl, yh, yd = Y.ints
+    for (lo, ld, hi, hd), a, b in zip(axes, yl, yh):
+        if b * ld < lo * yd or a * hd > hi * yd:
+            return False
     if not others:
         return True
-    target = Y.intersect(domain)
-    for normal, lo, hi in others:
-        tlo, thi = _row_range(normal, target)
-        if thi < lo or tlo > hi:
+    dl, dh, dd = domain.ints
+    td = yd * dd
+    tl = [max(a * dd, c * yd) for a, c in zip(yl, dl)]
+    th = [min(b * dd, c * yd) for b, c in zip(yh, dh)]
+    for nu, lo, hi, d in others:
+        tlo, thi = _row_range(nu, tl, th)
+        if thi * d < lo * td or tlo * d > hi * td:
             return False
     return True
 

@@ -574,8 +574,32 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", str(out)]) == 0
         header, first = capsys.readouterr().out.splitlines()[:2]
-        assert header.split()[-2:] == ["abstr_s", "time_s"]
-        assert first.split()[-2] == f"{rows[0]['abstraction_s']:.3f}"
+        assert header.split()[-4:] == ["adv_s", "abstr_s", "class_s",
+                                       "time_s"]
+        assert first.split()[-3] == f"{rows[0]['abstraction_s']:.3f}"
+
+    def test_layer_time_columns(self, park_path, tmp_path, capsys):
+        # half park's inputs, so the run splits and refines
+        data = json.loads(Path(park_path).read_text())
+        data["input_set"] = [[-0.5, 0.5], [-0.5, 0.5]]
+        path = tmp_path / "slow_park.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        main(["synthesize", str(path), "--out", str(out)])
+        rows = json.loads((out / "verdict.json").read_text())["stats"]
+        assert len(rows) > 1
+        for r in rows:
+            layers = r["advance_s"] + r["abstraction_s"] + r["classify_s"]
+            assert min(r["advance_s"], r["classify_s"]) > 0
+            assert layers <= r["wall_time_s"]
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        header = header.split()
+        for row, line in zip(rows, lines):
+            cells = dict(zip(header, line.split()))
+            assert cells["adv_s"] == f"{row['advance_s']:.3f}"
+            assert cells["class_s"] == f"{row['classify_s']:.3f}"
 
     def test_pruned_column_follows_saved(self, park_path, tmp_path, capsys):
         # half park's inputs: the first partition is too coarse to decide
@@ -611,19 +635,29 @@ class TestReportCommand:
         assert main(["report", str(out)]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        return captured.out.splitlines()[1].split()
+        header, line = captured.out.splitlines()[:2]
+        return dict(zip(header.split(), line.split()))
 
     def test_report_reads_rows_without_abstraction_time(self, invariant_path,
                                                         tmp_path, capsys):
         line = self._report_without("abstraction_s", invariant_path,
                                     tmp_path, capsys)
-        assert line[-2] == "-"
+        assert line["abstr_s"] == "-"
 
     def test_report_reads_rows_without_pruned_count(self, invariant_path,
                                                     tmp_path, capsys):
         line = self._report_without("queries_pruned", invariant_path,
                                     tmp_path, capsys)
-        assert line[-3] == "-"
+        assert line["pruned"] == "-"
+
+    @pytest.mark.parametrize("key, column", [("advance_s", "adv_s"),
+                                             ("classify_s", "class_s")])
+    def test_report_reads_rows_without_layer_time(self, key, column,
+                                                  invariant_path, tmp_path,
+                                                  capsys):
+        line = self._report_without(key, invariant_path, tmp_path, capsys)
+        assert line[column] == "-"
+        assert line["abstr_s"] != "-"
 
     def test_missing_dir_is_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_INPUT_ERROR
@@ -642,6 +676,16 @@ class TestReportCommand:
              "queries_issued", "queries_saved", "wall_time_s"), 0)
             | {"queries_pruned": None}]},
          "stats[0]: key 'queries_pruned' holds None"),
+        ({"outcome": "unknown", "stats": [dict.fromkeys(
+            ("iteration", "leaves", "winning", "maybe", "losing",
+             "queries_issued", "queries_saved", "wall_time_s"), 0)
+            | {"classify_s": [0.1]}]},
+         "stats[0]: key 'classify_s' holds [0.1]"),
+        ({"outcome": "unknown", "stats": [dict.fromkeys(
+            ("iteration", "leaves", "winning", "maybe", "losing",
+             "queries_issued", "queries_saved", "wall_time_s"), 0)
+            | {"advance_s": "fast"}]},
+         "stats[0]: key 'advance_s' holds 'fast'"),
     ])
     def test_malformed_verdict_is_input_error(self, verdict, message,
                                               tmp_path, capsys):

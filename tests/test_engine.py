@@ -287,6 +287,23 @@ class TestBudgets:
         assert verdict.outcome == "unknown"
 
 
+    def test_one_log_line_per_iteration(self, caplog):
+        sys, env, spec = self._hard_problem()
+        with caplog.at_level("INFO", logger="dualsynth.engine"):
+            verdict = run(sys, env, spec, EngineOptions(max_iters=2))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("iteration ")]
+        assert len(lines) == verdict.iterations == 3
+        for line, stats in zip(lines, verdict.stats):
+            assert line.startswith(
+                f"iteration {stats.iteration}: {stats.leaves} leaves, W/M/L "
+                f"{stats.n_winning}/{stats.n_maybe}/{stats.n_losing}, "
+                f"{stats.queries_issued} queries, {stats.queries_pruned} "
+                f"pairs pruned, advance {stats.advance_s:.3f} s, ")
+            assert f"abstraction {stats.abstraction_s:.3f} s, classify " \
+                f"{stats.classify_s:.3f} s" in line
+
+
 class TestOptionRanges:
     @pytest.mark.parametrize("key, value", [
         ("m", 0), ("m", 1.5), ("m", True), ("max_iters", -1),

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -785,11 +784,11 @@ def grid_box(rng, values, n):
 
 
 class TestFloatShadows:
-    """The axis slab test compares float shadows of the bounds and the
-    exact values only on a tie.  Every answer here is checked against the
-    exact interval oracle, on bounds chosen so that the shadows tie often:
-    bounds within 2^-80 of each other, non-dyadic grids, values beyond the
-    float range and widths below the smallest normal float."""
+    """The slab test decides in integers, on bounds chosen so that their
+    float roundings tie often: bounds within 2^-80 of each other,
+    non-dyadic grids, values beyond the float range and widths below the
+    smallest normal float.  Every answer here is checked against the
+    exact interval oracle."""
 
     @staticmethod
     def answers(sys, X, Y):
@@ -797,11 +796,15 @@ class TestFloatShadows:
         assert got == interval_reach(sys, X, Y), (str(X), str(Y))
         return got
 
-    def test_shadows_round_each_bound(self):
-        big = Fraction(10 ** 400)
-        box = Box((-big, Fraction(1, 3)), (Fraction(1, 3), big))
-        assert box.shadows == ((-math.inf, 1 / 3), (1 / 3, math.inf))
-        assert box.shadows is box.shadows
+    def test_integer_form_gives_back_each_bound(self):
+        big, tick = Fraction(10 ** 400), Fraction(1, 2 ** 1076)
+        box = Box((-big, Fraction(1, 3), 5 * tick),
+                  (Fraction(1, 3), big, 7 * tick))
+        lower, upper, d = box.ints
+        assert d > 0 and all(type(v) is int for v in lower + upper)
+        assert tuple(Fraction(v, d) for v in lower) == box.lower
+        assert tuple(Fraction(v, d) for v in upper) == box.upper
+        assert box.ints is box.ints  # computed once per box
 
     # axis 0 below: the optimistic slab is [7/30, 8/15], the pessimistic
     # one [1/3, 13/30]; (slab bound, index of its relation in (pess, opt),
@@ -880,6 +883,132 @@ class TestFloatShadows:
             for _ in range(40):
                 seen.add(self.answers(sys, X, grid_box(rng, values, 2)))
         assert seen == {(False, False), (False, True), (True, True)}
+
+
+class TestIntegerKernel:
+    """The integer slab test, probe and ``mat_vec`` on the inputs where
+    an inexact kernel would go wrong: non-axis ties, decimal entries whose
+    denominators are near 2^55, and snaps exactly half-way between grid
+    points."""
+
+    @staticmethod
+    def coupled():
+        return ControlSystem.create(
+            A=[[1, 0.25], [0, 1]], B=[[1, 0.5], [0, 1]],
+            input_set=[[-0.5, 0.5]] * 2, domain=[[0, 4]] * 2,
+            initial_set=[[0, 4]] * 2)
+
+    # From X = [1, 2]^2 the optimistic slab along the non-axis normal
+    # (1, -1/4) is [3/8, 21/8]; each target's range along it has the end
+    # named touch that slab, and passes every other slab.  (target, axis-0
+    # end moved by the offset)
+    NON_AXIS_TIES = [(((0, Fraction(5, 8)), (1, 2)), "upper"),
+                     (((Fraction(25, 8), 4), (1, 2)), "lower")]
+
+    @pytest.mark.parametrize("bounds, end", NON_AXIS_TIES)
+    def test_non_axis_ties(self, bounds, end):
+        sys = self.coupled()
+        assert dict(sys.reach_normals)[(1, Fraction(-1, 4))] is False
+        X = Box.from_bounds([[1, 2], [1, 2]])
+        eps = Fraction(1, 2 ** 80)
+        opt = []
+        for offset in (-eps, 0, eps):
+            (lo, hi), row = bounds
+            lo, hi = (Fraction(lo) + offset, Fraction(hi)) if end == "lower" \
+                else (Fraction(lo), Fraction(hi) + offset)
+            Y = Box.from_bounds([[lo, hi], row])
+            got = reach_pessimistic(X, Y, sys), reach_optimistic(X, Y, sys)
+            assert got == fm_reach(sys, X, Y), (str(Y), got)
+            opt.append(got[1])
+        # the target misses only when its end lies 2^-80 outside the slab
+        assert opt == ([False, True, True] if end == "upper"
+                       else [True, True, False])
+
+    @staticmethod
+    def decimal_system(rng):
+        """A coupled 2-D system with float-read decimal entries."""
+        vals = (0.1, 0.3, 0.7, -0.3, 1.1)
+
+        def pick():
+            return vals[int(rng.integers(len(vals)))]
+
+        return ControlSystem.create(
+            A=[[pick(), pick()], [pick(), pick()]],
+            B=[[pick(), pick()], [0.0, pick()]],
+            input_set=[[-0.7, 0.3], [-0.3, 0.7]],
+            domain=[[-2.1, 2.3], [-1.9, 2.7]],
+            initial_set=[[-2.1, 2.3], [-1.9, 2.7]])
+
+    @staticmethod
+    def decimal_box(rng):
+        lows = [0.1 * int(rng.integers(-25, 25)) for _ in range(2)]
+        return Box.from_bounds([[lo, lo + 0.1 * int(rng.integers(1, 12))]
+                                for lo in lows])
+
+    def test_decimal_systems_match_fm_oracle(self):
+        rng = np.random.default_rng(101)
+        seen = set()
+        for _ in range(30):
+            sys = self.decimal_system(rng)
+            assert max(v.denominator for row in sys.A for v in row) >= 2 ** 52
+            for _ in range(12):
+                X, Y = self.decimal_box(rng), self.decimal_box(rng)
+                got = reach_pessimistic(X, Y, sys), reach_optimistic(X, Y, sys)
+                assert got == fm_reach(sys, X, Y), (str(X), str(Y))
+                seen.add(got)
+        assert seen == {(False, False), (False, True), (True, True)}
+
+    def test_decimal_probe_matches_oracle(self):
+        rng = np.random.default_rng(103)
+        landed = 0
+        for _ in range(30):
+            sys = self.decimal_system(rng)
+            U = sys.input_set.as_float_bounds()
+            D = list(zip(sys.domain.lower, sys.domain.upper))
+            for _ in range(8):
+                X, Y = self.decimal_box(rng), self.decimal_box(rng)
+                x = random_point(rng, X)
+                want = midpoint_probe(sys.A, sys.B, U, D,
+                                      list(zip(Y.lower, Y.upper)), x)
+                assert _probe(sys, TargetView(Y, sys), x) == want
+                landed += want is not None
+        assert landed
+
+    def test_mat_vec_matches_fraction_sum(self):
+        F = Fraction
+        rng = np.random.default_rng(107)
+        values = [F(0), F(1), F(-7), F(0.1), F(0.7), F(-0.3), F(1, 3),
+                  F(10 ** 40, 7), F(1, 2 ** 1076), 5, -2]
+        for n, m in ((1, 1), (2, 2), (3, 2), (2, 4)):
+            for _ in range(40):
+                mat = [[values[int(rng.integers(len(values)))]
+                        for _ in range(m)] for _ in range(n)]
+                vec = [values[int(rng.integers(len(values)))]
+                       for _ in range(m)]
+                want = tuple(sum((F(a) * F(v) for a, v in zip(row, vec)),
+                                 F(0)) for row in mat)
+                got = mat_vec(mat, vec)
+                assert got == want
+                assert all(type(v) is Fraction for v in got)
+        with pytest.raises(GeometryError):
+            mat_vec([[1, 2]], [1])
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, -1, -2, 2 ** 19 - 1])
+    def test_snap_ties_round_half_to_even(self, k):
+        # the centre of the target needs u = (2k + 1) 2^-21 on axis 0, half
+        # way between the grid points k 2^-20 and (k + 1) 2^-20
+        sys = identity_system(dom=((-4, 4), (-4, 4)), u=1)
+        half = Fraction(2 * k + 1, 2 ** 21)
+        Y = Box((half - Fraction(1, 8), Fraction(-1, 8)),
+                (half + Fraction(1, 8), Fraction(1, 8)))
+        x = (Fraction(0), Fraction(0))
+        u = _probe(sys, TargetView(Y, sys), x)
+        even = k if k % 2 == 0 else k + 1
+        assert u == (Fraction(even, 2 ** 20), Fraction(0))
+        assert u == midpoint_probe(sys.A, sys.B, [[-1, 1]] * 2,
+                                   [[-4, 4]] * 2, list(zip(Y.lower, Y.upper)),
+                                   x)
+        assert input_witness(sys, x, Y) == u
 
 
 class TestReachNormals:
