@@ -482,8 +482,8 @@ def _count(n: int, noun: str) -> str:
 _STATS_KEYS = ("iteration", "leaves", "winning", "maybe", "losing",
                "queries_issued", "queries_saved", "wall_time_s")
 # absent from artifacts written before these were recorded; shown as "-"
-_OPTIONAL_STATS = ("queries_pruned", "advance_s", "abstraction_s",
-                   "classify_s")
+_OPTIONAL_STATS = ("queries_pruned", "game_nodes", "mu_y_runs", "advance_s",
+                   "abstraction_s", "classify_s", "strategy_s")
 
 
 def cmd_report(args) -> int:
@@ -507,16 +507,19 @@ def cmd_report(args) -> int:
         print("warning: run directory looks incomplete; partial report",
               file=_sys.stderr)
     header = ["iter", "leaves", "W", "M", "L", "queries", "saved", "pruned",
-              "adv_s", "abstr_s", "class_s", "time_s"]
+              "nodes", "muY", "adv_s", "abstr_s", "class_s", "strat_s",
+              "time_s"]
     table = [header]
     for row in rows:
         table.append([str(row["iteration"]), str(row["leaves"]),
                       str(row["winning"]), str(row["maybe"]),
                       str(row["losing"]), str(row["queries_issued"]),
                       str(row["queries_saved"]),
-                      str(row.get("queries_pruned", "-")),
+                      *(str(row.get(key, "-")) for key in
+                        ("queries_pruned", "game_nodes", "mu_y_runs")),
                       *(f"{row[key]:.3f}" if key in row else "-" for key in
-                        ("advance_s", "abstraction_s", "classify_s")),
+                        ("advance_s", "abstraction_s", "classify_s",
+                         "strategy_s")),
                       f"{row['wall_time_s']:.3f}"])
     widths = [max(len(r[c]) for r in table) for c in range(len(header))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths))

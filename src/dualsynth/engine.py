@@ -13,10 +13,13 @@ three-case decision:
 
 The forest's node statuses carry the classification from one step to
 the next: ``classify`` writes them, and the split and the refinement
-read them.  Every iteration solves both games from scratch.  Solved
-regions stay leaves under their own ids and have their edges copied or
-removed wholesale, so they must come out of the next classification with
-the same verdict; the loop checks that and raises if one does not.
+read them.  Every iteration builds and solves both games afresh; only
+the realizable iteration solves its pessimistic game a second time, on
+the graph ``classify`` built, so the fixpoint that graph holds is reused
+and only the rank tables and the strategy are added.  Solved regions
+stay leaves under their own ids and have their edges copied or removed
+wholesale, so they must come out of the next classification with the
+same verdict; the loop checks that and raises if one does not.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -99,9 +102,15 @@ class EngineOptions:
 
 @dataclass(frozen=True)
 class SetTriple:
-    """One iteration's classified leaves, as a snapshot of the forest."""
+    """One iteration's classified leaves, as a snapshot of the forest.
+
+    ``games`` holds the solved (pessimistic, optimistic) game graphs when
+    ``classify`` returns the triple; ``run`` takes them out before it
+    keeps the triple in ``Verdict.history``.
+    """
     iteration: int
     rows: tuple  # (region id, Box, Status, labels) per leaf
+    games: tuple = field(default=(), compare=False, repr=False)
 
     def ids(self, which: str) -> frozenset:
         return frozenset(rid for rid, _box, st, _lb in self.rows
@@ -124,11 +133,17 @@ class IterationStats:
     (``initial_partition``, then ``advance_iteration``), ``abstraction_s``
     that of the ``build_initial`` or ``refine`` call that produced its FTS
     pair, and ``classify_s`` that of ``classify``, which solves both
-    games.  ``wall_time`` runs from the end of the previous iteration (or
-    the start of the run) to this iteration's decision, so it holds the
-    three and the bookkeeping between them.  A run that stops because no
-    region can be split charges that attempt to the ``wall_time`` of its
-    last iteration.
+    games.  On the realizable iteration ``strategy_s`` times the
+    extraction of the controller's strategy from the pessimistic game;
+    it is 0 on every other iteration.  ``wall_time`` runs from the end of
+    the previous iteration (or the start of the run) to this iteration's
+    decision, so it holds these and the bookkeeping between them.  A run
+    that stops because no region can be split charges that attempt to the
+    ``wall_time`` of its last iteration.
+
+    ``game_nodes`` counts the nodes of both games, and ``mu_y_runs`` the
+    muY runs of every solve of them, the strategy's recording pass
+    included.
     """
     iteration: int
     leaves: int
@@ -142,6 +157,9 @@ class IterationStats:
     abstraction_s: float
     classify_s: float
     wall_time: float
+    game_nodes: int = 0
+    mu_y_runs: int = 0
+    strategy_s: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -153,7 +171,9 @@ class IterationStats:
             "advance_s": round(self.advance_s, 6),
             "abstraction_s": round(self.abstraction_s, 6),
             "classify_s": round(self.classify_s, 6),
+            "strategy_s": round(self.strategy_s, 6),
             "wall_time_s": round(self.wall_time, 6),
+            "game_nodes": self.game_nodes, "mu_y_runs": self.mu_y_runs,
         }
 
 
@@ -210,7 +230,8 @@ def classify(pair: AbstractionPair, forest: PartitionForest,
                           Status.LOSING if rid in losing else Status.MAYBE)
     rows = tuple((rid, forest.box(rid), forest.status(rid), forest.labels(rid))
                  for rid in pair.regions)
-    return SetTriple(iteration=pair.iteration, rows=rows)
+    return SetTriple(iteration=pair.iteration, rows=rows,
+                     games=(pess_graph, opt_graph))
 
 
 def _initial_regions_under(forest: PartitionForest, spec: Gr1Spec):
@@ -287,6 +308,8 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         c0 = time.perf_counter()
         triple = classify(pair, forest, spec)
         classify_s = time.perf_counter() - c0
+        games = triple.games
+        triple = replace(triple, games=())
         if verdict.history:
             _check_inheritance(verdict.history[-1], triple)
         verdict.history.append(triple)
@@ -298,29 +321,42 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             queries_saved=reachability_queries_saved(pair),
             queries_pruned=pair.query_stats.pruned, advance_s=advance_s,
             abstraction_s=abstraction_s, classify_s=classify_s,
-            wall_time=0.0)
+            wall_time=0.0, game_nodes=sum(g.n_nodes for g in games))
         verdict.stats.append(stats)
         verdict.iterations = iteration + 1
-        logger.info("iteration %d: %d leaves, W/M/L %d/%d/%d, %d queries, "
-                    "%d pairs pruned, advance %.3f s, abstraction %.3f s, "
-                    "classify %.3f s", iteration, stats.leaves,
-                    stats.n_winning, stats.n_maybe, stats.n_losing,
-                    stats.queries_issued, stats.queries_pruned, advance_s,
-                    abstraction_s, classify_s)
 
         initial_regions = _initial_regions_under(forest, spec)
+        realizable = bool(initial_regions) and all(
+            forest.status(r) is Status.WINNING for r in initial_regions)
+        if realizable:
+            # classify solved this pessimistic graph without rank tables;
+            # solving it again reuses its winning nodes and adds only the
+            # recording pass and the extraction
+            s0 = time.perf_counter()
+            strategy = solve_game(games[0], extract_strategy=True).strategy
+            stats.strategy_s = time.perf_counter() - s0
+        stats.mu_y_runs = sum(g.mu_y_runs for g in games)
+        logger.info("iteration %d: %d leaves, W/M/L %d/%d/%d, %d queries, "
+                    "%d pairs pruned, advance %.3f s, abstraction %.3f s, "
+                    "classify %.3f s, %d game nodes, %d muY runs", iteration,
+                    stats.leaves, stats.n_winning, stats.n_maybe,
+                    stats.n_losing, stats.queries_issued,
+                    stats.queries_pruned, advance_s, abstraction_s,
+                    classify_s, stats.game_nodes, stats.mu_y_runs)
+        del games  # no iteration keeps its graphs past its decision
+
         if not initial_regions:
             raise EngineError("no initial region satisfies the init "
                               "assumption; check the problem file")
-        if all(forest.status(r) is Status.WINNING for r in initial_regions):
-            strategy = _extract_final_strategy(pair, forest, spec)
+        if realizable:
             controller = ContinuousController(
                 sys=sys, env=env, spec=spec, forest=forest,
                 strategy=strategy)
             verdict.outcome = "realizable"
             verdict.controller = controller
             stats.wall_time = time.perf_counter() - t0
-            logger.info("realizable after %d iteration(s)", iteration + 1)
+            logger.info("realizable after %d iteration(s); strategy %.3f s",
+                        iteration + 1, stats.strategy_s)
             return verdict
         witness = _losing_witness(forest, spec)
         if witness:
@@ -350,14 +386,6 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         abstraction_s = time.perf_counter() - a0
         t0 = t_split
     return verdict
-
-
-def _extract_final_strategy(pair, forest, spec) -> StrategyAutomaton:
-    # classify solves without recording rank tables; the shipped strategy
-    # comes from one more solve of the final pessimistic game that records them
-    graph = _region_graph(pair, forest, spec, "pess")
-    sol = solve_game(graph, extract_strategy=True)
-    return sol.strategy
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ sweep for cpre(Z).  With assumptions, each layer's trap nuX is the
 complement of a removal worklist, O(nodes + edges * bit values) per
 layer and assumption.  The number of muY runs is the number of goals
 times the rounds until Z is stable, plus one per goal when a strategy
-is extracted.
+is extracted.  Z is computed once per graph (``GameGraph.winning_nodes``),
+so solving a graph a second time to extract a strategy runs only those
+last muY runs.
 
 Strategies are extracted from rank tables recorded in that last pass
 against the converged Z: each node's layer and case, and per assumption
@@ -34,6 +36,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 logger = logging.getLogger(__name__)
 
@@ -351,6 +354,13 @@ class GameGraph:
     next one), then the environment picks any next valuation.  A node
     whose region has no successors loses: no consistent controller exists
     there.
+
+    Formulas read a region only through its labels, so the bit updates
+    and the assumption and guarantee tables are evaluated once per
+    distinct label set, env valuation and bit value; regions with equal
+    labels share those rows.  ``winning_nodes`` is computed on first use
+    and kept, and ``mu_y_runs`` counts the muY runs of every solve of the
+    graph.
     """
 
     def __init__(self, regions, region_succ, labels, env_valuations, spec):
@@ -368,6 +378,7 @@ class GameGraph:
         self.n_bits = len(spec.memory_bits)
         self.n_bitvals = 1 << self.n_bits
         self.n_nodes = self.n_regions * self.n_env * self.n_bitvals
+        self.mu_y_runs = 0
         self._build_tables()
 
     # node indexing -------------------------------------------------------
@@ -390,16 +401,27 @@ class GameGraph:
     def _build_tables(self):
         spec = self.spec
         nbv = self.n_bitvals
+        envs = self.env_valuations
         bit_dicts = [self._bits_dict(b) for b in range(nbv)]
+        # label_sets: each distinct label set, in order of first region
+        label_sets: dict = {}
+        set_of = [label_sets.setdefault(self.labels[r], len(label_sets))
+                  for r in self.regions]
         # bit update on entering (region, env), from previous bit value
-        self.bit_next = [
-            [[self._bits_val(spec.update_bits(bits, self.labels[r], env))
-              for bits in bit_dicts] for env in self.env_valuations]
-            for r in self.regions]
-        self.assumption_preds = [self._pred_array(a, bit_dicts)
-                                 for a in spec.assumptions]
-        self.guarantee_preds = [self._pred_array(g, bit_dicts)
-                                for g in spec.guarantees]
+        rows = [[[self._bits_val(spec.update_bits(bits, labels, env))
+                  for bits in bit_dicts] for env in envs]
+                for labels in label_sets]
+        self.bit_next = [rows[k] for k in set_of]
+
+        def pred_array(expr):
+            # node order: region, then env, then bits
+            blocks = [[eval_formula(expr, labels, env, bits)
+                       for env in envs for bits in bit_dicts]
+                      for labels in label_sets]
+            return [x for k in set_of for x in blocks[k]]
+
+        self.assumption_preds = [pred_array(a) for a in spec.assumptions]
+        self.guarantee_preds = [pred_array(g) for g in spec.guarantees]
         # pred_idx[s]: the regions with an edge to s, once per edge
         self.pred_idx = [[] for _ in range(self.n_regions)]
         for ri, row in enumerate(self.succ_idx):
@@ -408,16 +430,11 @@ class GameGraph:
         # fan_in[v]: the (region s, bits b) pairs, as s * n_bitvals + b,
         # whose env fan-out next_nodes(s, b) contains node v
         self.fan_in = [[] for _ in range(self.n_nodes)]
-        for si in range(self.n_regions):
-            for ei, row in enumerate(self.bit_next[si]):
-                for b in range(nbv):
-                    self.fan_in[self.node(si, ei, row[b])].append(si * nbv + b)
-
-    def _pred_array(self, expr, bit_dicts):
-        # node order: region, then env, then bits
-        return [eval_formula(expr, self.labels[r], env, bits)
-                for r in self.regions for env in self.env_valuations
-                for bits in bit_dicts]
+        for si, bn in enumerate(self.bit_next):
+            for ei, row in enumerate(bn):
+                base = self.node(si, ei, 0)
+                for b, b_next in enumerate(row):
+                    self.fan_in[base + b_next].append(si * nbv + b)
 
     def pair_of(self, v: int) -> int:
         """The pair of node v = (r, e, b), as r * n_bitvals + b."""
@@ -453,6 +470,19 @@ class GameGraph:
         """All nodes the adversary can pick after moving to region s_idx."""
         bn = self.bit_next[s_idx]
         return [self.node(s_idx, ei, bn[ei][b_val]) for ei in range(self.n_env)]
+
+    @cached_property
+    def winning_nodes(self) -> list[bool]:
+        """The winning nodes Z, computed once per graph: cycle through the
+        guarantees, each goal's muY reading the Z the previous goal left,
+        until Z is stable.  Every solution of the graph shares this list."""
+        Z = [True] * self.n_nodes
+        while True:
+            prev = Z
+            for q in self.guarantee_preds:
+                Z = _mu_y(self, q, Z, self.assumption_preds)
+            if Z == prev:
+                return Z
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +554,7 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
     proportional to the nodes it adds.  ``record`` = (rank, case,
     trap_layer) is filled in place when given.
     """
+    graph.mu_y_runs += 1
     nbv = graph.n_bitvals
     fan_in, pred = graph.fan_in, graph.pred_idx
     n_pairs = graph.n_regions * nbv
@@ -600,35 +631,32 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
         add(layer)
 
 
-def _solve_nodes(graph: GameGraph, record: bool):
-    """The winning nodes Z, each goal's muY reading the Z the previous goal
-    left, and, when ``record``, every goal's rank tables against it."""
+def _record_ranks(graph: GameGraph, Z: list[bool]):
+    """Every goal's rank tables against the converged Z: one recording
+    muY per goal."""
     n = graph.n_nodes
-    q_preds = graph.guarantee_preds
     p_preds = graph.assumption_preds
-
-    Z = [True] * n
-    while True:
-        prev = Z
-        for q in q_preds:
-            Z = _mu_y(graph, q, Z, p_preds)
-        if Z == prev:
-            break
     ranks, cases, trap_layers = [], [], []
-    if record:
-        for q in q_preds:
-            tables = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
-            y = _mu_y(graph, q, Z, p_preds, tables)
-            assert y == Z, "converged Z must be a fixpoint of every goal"
-            ranks.append(tables[0])
-            cases.append(tables[1])
-            trap_layers.append(tables[2])
-    return Z, ranks, cases, trap_layers
+    for q in graph.guarantee_preds:
+        tables = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
+        y = _mu_y(graph, q, Z, p_preds, tables)
+        assert y == Z, "converged Z must be a fixpoint of every goal"
+        ranks.append(tables[0])
+        cases.append(tables[1])
+        trap_layers.append(tables[2])
+    return ranks, cases, trap_layers
 
 
 def solve_game(graph: GameGraph, extract_strategy=True):
-    """Largest winning set of the game plus a finite-memory strategy."""
-    Z, ranks, cases, trap_layers = _solve_nodes(graph, record=extract_strategy)
+    """Largest winning set of the game plus a finite-memory strategy.
+
+    Z is ``graph.winning_nodes``, so only the first solve of a graph runs
+    the fixpoint; a later one with ``extract_strategy`` runs only the
+    recording pass and the extraction.
+    """
+    Z = graph.winning_nodes
+    ranks, cases, trap_layers = (_record_ranks(graph, Z) if extract_strategy
+                                 else ([], [], []))
     winning = set()
     for ri, r in enumerate(graph.regions):
         for ei in range(graph.n_env):
@@ -644,45 +672,65 @@ def solve_game(graph: GameGraph, extract_strategy=True):
     return sol
 
 
+def _worst(table, fan):
+    """The largest entry of ``table`` over the nodes of ``fan``, or None
+    when one of them has none."""
+    worst = 0
+    for v in fan:
+        x = table[v]
+        if x is None:
+            return None
+        worst = max(worst, x)
+    return worst
+
+
 def _extract_strategy(sol: GameSolution):
-    """Deterministic finite-memory strategy over (region, bits, goal)."""
+    """Deterministic finite-memory strategy over (region, bits, goal).
+
+    Each pair (s, b) a move may enter is tabulated once, on first use:
+    its env fan-out ``next_nodes(s, b)``, whether that fan-out lies inside
+    Z, and, when it does, each goal's worst rank over it.
+    """
     graph = sol.graph
+    nbv = graph.n_bitvals
     n_goals = len(graph.guarantee_preds)
     Z = sol.z_nodes
+    pairs: dict = {}
 
-    def worst_rank(j, fan):
-        worst = 0
-        for v in fan:
-            r = sol.rank[j][v]
-            if r is None:
-                return None
-            worst = max(worst, r)
-        return worst
+    def pair(s, b):
+        """(fan-out of (s, b), each goal's worst rank over it), the ranks
+        None when the fan-out leaves Z."""
+        q = s * nbv + b
+        if q not in pairs:
+            fan = graph.next_nodes(s, b)
+            pairs[q] = (fan, [_worst(rank, fan) for rank in sol.rank]
+                        if all(Z[v] for v in fan) else None)
+        return pairs[q]
 
     def next_move(node, j):
         ri, ei, b = graph.decode(node)
         kind, trap_i = sol.case[j][node]
-        fans = [(s, graph.next_nodes(s, b)) for s in graph.succ_idx[ri]]
-        options = [(s, fan) for s, fan in fans if all(Z[v] for v in fan)]
+        options = [(s, *pair(s, b)) for s in graph.succ_idx[ri]]
+        options = [(s, fan, ranks) for s, fan, ranks in options
+                   if ranks is not None]
         if not options:
             raise AssertionError("winning node without admissible successor")
         if kind == _GOAL:
             j2 = (j + 1) % n_goals
-            ranked = [(worst_rank(j2, fan), s) for s, fan in options]
-            ranked = [(w, s) for w, s in ranked if w is not None]
+            ranked = [(ranks[j2], s) for s, _fan, ranks in options
+                      if ranks[j2] is not None]
             assert ranked, "successor escaping all goal ranks"
             return min(ranked)[1], j2
         k = sol.rank[j][node]
         if kind == _DESCEND:
             assert k >= 2, "rank-1 nodes satisfy the goal or sit in a trap"
-            ranked = [(worst_rank(j, fan), s) for s, fan in options]
-            cands = [(w, s) for w, s in ranked if w is not None and w < k]
+            cands = [(ranks[j], s) for s, _fan, ranks in options
+                     if ranks[j] is not None and ranks[j] < k]
             assert cands, "descend case without a descending successor"
             return min(cands)[1], j
         entered = sol.trap_layer[j][trap_i]
-        cands = [s for s, fan in options
-                 if all(entered[v] is not None and entered[v] <= k
-                        for v in fan)]
+        layers = [(_worst(entered, fan), s) for s, fan, _ranks in options]
+        cands = [s for w, s in layers if w is not None and w <= k]
         assert cands, "trap case without a trap-preserving successor"
         return cands[0], j
 

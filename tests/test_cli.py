@@ -574,9 +574,9 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", str(out)]) == 0
         header, first = capsys.readouterr().out.splitlines()[:2]
-        assert header.split()[-4:] == ["adv_s", "abstr_s", "class_s",
-                                       "time_s"]
-        assert first.split()[-3] == f"{rows[0]['abstraction_s']:.3f}"
+        assert header.split()[-5:] == ["adv_s", "abstr_s", "class_s",
+                                       "strat_s", "time_s"]
+        assert first.split()[-4] == f"{rows[0]['abstraction_s']:.3f}"
 
     def test_layer_time_columns(self, park_path, tmp_path, capsys):
         # half park's inputs, so the run splits and refines
@@ -600,6 +600,32 @@ class TestReportCommand:
             cells = dict(zip(header, line.split()))
             assert cells["adv_s"] == f"{row['advance_s']:.3f}"
             assert cells["class_s"] == f"{row['classify_s']:.3f}"
+
+    def test_game_columns(self, park_path, tmp_path, capsys):
+        # half park's inputs, so the strategy comes after a refinement
+        data = json.loads(Path(park_path).read_text())
+        data["input_set"] = [[-0.5, 0.5], [-0.5, 0.5]]
+        path = tmp_path / "slow_park.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["synthesize", str(path), "--out", str(out)]) == 0
+        rows = json.loads((out / "verdict.json").read_text())["stats"]
+        assert len(rows) > 1
+        assert all(r["game_nodes"] > 0 and r["mu_y_runs"] > 0 for r in rows)
+        assert [r["strategy_s"] > 0 for r in rows] == \
+            [False] * (len(rows) - 1) + [True]
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        header = header.split()
+        assert header[header.index("pruned") + 1:header.index("adv_s")] == \
+            ["nodes", "muY"]
+        assert header[header.index("class_s") + 1] == "strat_s"
+        for row, line in zip(rows, lines):
+            cells = dict(zip(header, line.split()))
+            assert cells["nodes"] == str(row["game_nodes"])
+            assert cells["muY"] == str(row["mu_y_runs"])
+            assert cells["strat_s"] == f"{row['strategy_s']:.3f}"
 
     def test_pruned_column_follows_saved(self, park_path, tmp_path, capsys):
         # half park's inputs: the first partition is too coarse to decide
@@ -659,6 +685,16 @@ class TestReportCommand:
         assert line[column] == "-"
         assert line["abstr_s"] != "-"
 
+    @pytest.mark.parametrize("key, column", [("game_nodes", "nodes"),
+                                             ("mu_y_runs", "muY"),
+                                             ("strategy_s", "strat_s")])
+    def test_report_reads_rows_without_game_counts(self, key, column,
+                                                   invariant_path, tmp_path,
+                                                   capsys):
+        line = self._report_without(key, invariant_path, tmp_path, capsys)
+        assert line[column] == "-"
+        assert line["class_s"] != "-"
+
     def test_missing_dir_is_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_INPUT_ERROR
 
@@ -686,6 +722,21 @@ class TestReportCommand:
              "queries_issued", "queries_saved", "wall_time_s"), 0)
             | {"advance_s": "fast"}]},
          "stats[0]: key 'advance_s' holds 'fast'"),
+        ({"outcome": "unknown", "stats": [dict.fromkeys(
+            ("iteration", "leaves", "winning", "maybe", "losing",
+             "queries_issued", "queries_saved", "wall_time_s"), 0)
+            | {"game_nodes": "96"}]},
+         "stats[0]: key 'game_nodes' holds '96'"),
+        ({"outcome": "unknown", "stats": [dict.fromkeys(
+            ("iteration", "leaves", "winning", "maybe", "losing",
+             "queries_issued", "queries_saved", "wall_time_s"), 0)
+            | {"mu_y_runs": True}]},
+         "stats[0]: key 'mu_y_runs' holds True"),
+        ({"outcome": "unknown", "stats": [dict.fromkeys(
+            ("iteration", "leaves", "winning", "maybe", "losing",
+             "queries_issued", "queries_saved", "wall_time_s"), 0)
+            | {"strategy_s": None}]},
+         "stats[0]: key 'strategy_s' holds None"),
     ])
     def test_malformed_verdict_is_input_error(self, verdict, message,
                                               tmp_path, capsys):

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualsynth import engine, geometry
+from dualsynth import engine, geometry, gr1
 from dualsynth.abstraction import EnvAlphabet, build_initial
 from dualsynth.engine import (
     EngineError,
@@ -24,9 +27,16 @@ from dualsynth.geometry import (
     reach_pessimistic,
 )
 from dualsynth.gr1 import RawSpec, check_lasso, convert_to_gr1
-from dualsynth.partition import Status, initial_partition, locate
+from dualsynth.cli import load_problem
+from dualsynth.partition import (
+    Status,
+    format_region_id,
+    initial_partition,
+    locate,
+)
 
 from oracles import interval_reach
+from problem_gen import random_problem
 
 
 def park_problem():
@@ -304,6 +314,84 @@ class TestBudgets:
                 f"{stats.classify_s:.3f} s" in line
 
 
+class TestGameTelemetry:
+    @staticmethod
+    def _refining_park():
+        # half park's inputs, so the run refines before it is realizable
+        sys, env, spec = park_problem()
+        half = Fraction(1, 2)
+        sys = ControlSystem.create(
+            A=sys.A, B=sys.B, input_set=[[-half, half]] * 2,
+            domain=[[0, 3], [0, 2]], initial_set=[[0, 3], [0, 2]],
+            propositions=[(name, box.as_float_bounds())
+                          for name, box in sys.proposition_regions])
+        return sys, env, spec
+
+    def test_realizable_run_builds_two_graphs_per_iteration(self,
+                                                            monkeypatch):
+        built = []
+        original = engine.GameGraph
+
+        def counted(*args, **kwargs):
+            graph = original(*args, **kwargs)
+            built.append(graph)
+            return graph
+
+        monkeypatch.setattr(engine, "GameGraph", counted)
+        verdict = run(*self._refining_park(), EngineOptions(m=4))
+        assert verdict.outcome == "realizable" and verdict.iterations > 1
+        assert len(built) == 2 * verdict.iterations
+        assert all(t.games == () for t in verdict.history)
+
+    def test_game_counts_and_strategy_time(self, monkeypatch, caplog):
+        runs = []
+        original = gr1._mu_y
+
+        def counted(graph, *args, **kwargs):
+            runs.append(graph)
+            return original(graph, *args, **kwargs)
+
+        recording = []
+        solve = engine.solve_game
+
+        def final(graph, extract_strategy):
+            before = len(runs)
+            solution = solve(graph, extract_strategy)
+            if extract_strategy:
+                recording.append(len(runs) - before)
+            return solution
+
+        monkeypatch.setattr(gr1, "_mu_y", counted)
+        monkeypatch.setattr(engine, "solve_game", final)
+        sys, env, spec = self._refining_park()
+        with caplog.at_level("INFO", logger="dualsynth.engine"):
+            verdict = run(sys, env, spec, EngineOptions(m=4))
+        assert verdict.outcome == "realizable"
+        *earlier, last = verdict.stats
+        for stats in verdict.stats:
+            # both games have a node per leaf, env valuation and bit value
+            assert stats.game_nodes == 2 * stats.leaves * len(env) * 2
+        assert sum(s.mu_y_runs for s in verdict.stats) == len(runs)
+        assert all(s.mu_y_runs > 0 for s in verdict.stats)
+        # the strategy's recording pass: one muY per goal, nothing more
+        assert recording == [len(spec.guarantees)]
+        assert all(s.strategy_s == 0 for s in earlier)
+        assert 0 < last.strategy_s <= last.wall_time
+        rows = verdict.to_json()["stats"]
+        for stats, row in zip(verdict.stats, rows):
+            assert (row["game_nodes"], row["mu_y_runs"]) == \
+                (stats.game_nodes, stats.mu_y_runs)
+            assert row["strategy_s"] == round(stats.strategy_s, 6)
+        lines = [r.getMessage() for r in caplog.records]
+        iteration_lines = [m for m in lines if m.startswith("iteration ")]
+        for line, stats in zip(iteration_lines, verdict.stats, strict=True):
+            assert line.endswith(f", {stats.game_nodes} game nodes, "
+                                 f"{stats.mu_y_runs} muY runs")
+        assert lines[-1] == (f"realizable after {verdict.iterations} "
+                             f"iteration(s); strategy "
+                             f"{last.strategy_s:.3f} s")
+
+
 class TestOptionRanges:
     @pytest.mark.parametrize("key, value", [
         ("m", 0), ("m", 1.5), ("m", True), ("max_iters", -1),
@@ -569,3 +657,72 @@ class TestVertexControl:
         assert counts[0] == counts[1] and counts[0][1] > 0
         assert [(s.state, s.inp, s.region) for s in runs[0]] == \
             [(s.state, s.inp, s.region) for s in runs[1]]
+
+
+def sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()
+                          ).hexdigest()
+
+
+def _problem_file(path):
+    problem = load_problem(str(path))
+    o = problem.options
+    return (problem.sys, problem.env, convert_to_gr1(problem.raw_spec),
+            EngineOptions(m=o["m"], max_iters=o["max_iters"],
+                          min_cell=Fraction(str(o["min_cell"]))))
+
+
+def _random(seed):
+    return (*random_problem(seed, with_env=True),
+            EngineOptions(max_iters=2, min_cell=Fraction(1, 8)))
+
+
+PINNED_PROBLEMS = {
+    "coupled": lambda: _problem_file(
+        Path(__file__).resolve().parent.parent / "bench" / "coupled.json"),
+    "park": lambda: _problem_file(
+        resources.files("dualsynth") / "problems" / "park.json"),
+    "random_2": lambda: _random(2),
+    "random_24": lambda: _random(24),
+}
+
+
+class TestPinnedStrategies:
+    """The final game's winning regions and the shipped strategy, pinned
+    by SHA-256 digests of ``region_winning`` (sorted region ids) and of
+    ``strategy.to_json()``: a change to the game layer must leave both
+    unchanged."""
+
+    @pytest.mark.parametrize("name, regions_sha, strategy_sha", [
+        ("coupled",
+         "9681ab24559f09d8dd9f7c8f3d968797c76828f8b38f7aa488e1f6dea88c597a",
+         "958d504cd09c921e9c1b64e4860972183dffc03882a2c0704aef937dd2ddfbcc"),
+        ("park",
+         "f452067ccf47c06f0d357bf4f4c4bee3832fa944261362a155df12fbe182486c",
+         "a6f7902ab9edd81d965727422e5f2694517020034dff58a13e2203bb919b01d4"),
+        ("random_2",
+         "b3612c27a2c750c8ce26c177c3fc769c1ed717ddf1c86385b5f276b0c113484e",
+         "41f902031f93fe3e77447d322c34179d27aa21c3c3f89ffeab56933cdd304e2f"),
+        ("random_24",
+         "d0c778b7905989af06f84a8a3b689b84e9b843fb381d9aa6f4a95d5c9a6a02d5",
+         "943cf75f8c7492078a13ca1a06202ab9f715a94d37b15af6d86abff2d4317b42"),
+    ])
+    def test_final_game_is_pinned(self, name, regions_sha, strategy_sha,
+                                  monkeypatch):
+        captured = []
+        original = engine.solve_game
+
+        def capture(graph, *args, **kwargs):
+            solution = original(graph, *args, **kwargs)
+            if solution.strategy is not None:
+                captured.append(solution)
+            return solution
+
+        monkeypatch.setattr(engine, "solve_game", capture)
+        verdict = run(*PINNED_PROBLEMS[name]())
+        assert verdict.outcome == "realizable"
+        solution, = captured
+        assert solution.strategy is verdict.controller.strategy
+        regions = sorted(map(format_region_id, solution.region_winning))
+        assert (sha256_json(regions), sha256_json(
+            solution.strategy.to_json())) == (regions_sha, strategy_sha)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -324,6 +327,108 @@ class TestSolverAgainstSweepOracle:
         assert {w for *_, w in kinds} == {False, True}
 
 
+class TestLabelSetTables:
+    def test_tables_match_per_node_evaluation(self):
+        # the graph evaluates formulas once per label set; here every node
+        # (r, e, b) evaluates them itself, regions absent from ``labels``
+        # with no labels
+        rng = np.random.default_rng(505)
+        pool = ["a", "b", "p", "m=0", "m=1", "a | m=1", "!b & m=0", "p -> b"]
+
+        def pick(k):
+            return tuple(pool[int(i)] for i in rng.choice(len(pool), size=k))
+
+        for _ in range(80):
+            n_regions = int(rng.integers(1, 9))
+            n_env = int(rng.integers(1, 4))
+            env_vals = [{"m": i} for i in range(n_env)]
+            labels = {r: {a for a in ("a", "b", "p") if rng.random() < 0.5}
+                      for r in range(n_regions) if rng.random() < 0.7}
+            succ = {r: sorted(int(s) for s in rng.choice(
+                n_regions, size=int(rng.integers(0, n_regions + 1)),
+                replace=False)) for r in range(n_regions)}
+            spec = convert_to_gr1(RawSpec(
+                assumptions=pick(int(rng.integers(0, 3))),
+                guarantees=pick(int(rng.integers(0, 2))),
+                responses=tuple(zip(pick(2), pick(2)))[
+                    :int(rng.integers(1, 3))]))
+            graph = GameGraph(list(range(n_regions)), succ, labels,
+                              env_vals, spec)
+            nbv = 1 << len(spec.memory_bits)
+            assert graph.n_bitvals == nbv
+
+            def node(r, e, b):
+                return (r * n_env + e) * nbv + b
+
+            def holds(expr, r, e, b):
+                bits = {name: bool(b >> k & 1)
+                        for k, name in enumerate(spec.bit_names)}
+                return eval_formula(expr, frozenset(labels.get(r, ())),
+                                    env_vals[e], bits)
+
+            states = [(r, e, b) for r in range(n_regions)
+                      for e in range(n_env) for b in range(nbv)]
+            bit_next = {(r, e, b): sum(1 << k for k, (_name, upd) in
+                                       enumerate(spec.memory_bits)
+                                       if holds(upd, r, e, b))
+                        for r, e, b in states}
+            assert graph.bit_next == [[[bit_next[r, e, b]
+                                        for b in range(nbv)]
+                                       for e in range(n_env)]
+                                      for r in range(n_regions)]
+            for preds, exprs in ((graph.assumption_preds, spec.assumptions),
+                                 (graph.guarantee_preds, spec.guarantees)):
+                assert preds == [[holds(x, *v) for v in states]
+                                 for x in exprs]
+            fan_in = [[] for _ in states]
+            for s, e, b in states:
+                fan_in[node(s, e, bit_next[s, e, b])].append(s * nbv + b)
+            assert graph.fan_in == fan_in
+
+
+class TestOneFinalSolve:
+    def test_second_solve_of_a_graph_is_identical(self):
+        # a second solve reuses the graph's winning nodes; everything it
+        # returns equals the first solve's and a fresh graph's
+        rng = np.random.default_rng(606)
+        for k in range(60):
+            graph, _expected, _wins = random_response_game(rng)
+            fresh = GameGraph(graph.regions, dict(zip(graph.regions,
+                                                      graph.succ)),
+                              graph.labels, graph.env_valuations, graph.spec)
+            solutions = [solve_game(fresh), solve_game(graph),
+                         solve_game(graph)]
+            assert solutions[1].z_nodes is solutions[2].z_nodes
+            for sol in solutions[1:]:
+                for name in ("z_nodes", "winning", "region_winning", "rank",
+                             "case", "trap_layer"):
+                    assert getattr(sol, name) == getattr(solutions[0], name), \
+                        f"{name} differs on game {k}"
+                assert sol.strategy.to_json() == \
+                    solutions[0].strategy.to_json()
+
+    def test_second_solve_makes_one_cpre_call_per_goal(self, monkeypatch):
+        calls = []
+        original = GameGraph.cpre
+
+        def counted(self, S):
+            calls.append(self.n_regions)
+            return original(self, S)
+
+        monkeypatch.setattr(GameGraph, "cpre", counted)
+        rng = np.random.default_rng(707)
+        for _ in range(30):
+            graph, _expected, _wins = random_response_game(rng)
+            solve_game(graph, extract_strategy=False)
+            runs = graph.mu_y_runs
+            assert len(calls) == runs > 0
+            calls.clear()
+            solve_game(graph, extract_strategy=True)
+            n_goals = len(graph.spec.guarantees)
+            assert len(calls) == n_goals == graph.mu_y_runs - runs
+            calls.clear()
+
+
 def line_arena(n, ends, response):
     """Regions 0..n-1 on a line with edges to both neighbours, goal ``a`` at
     0 and ``b`` at n-1, and dead end n+k hanging off region ends[k].
@@ -399,6 +504,25 @@ class TestLineArenas:
             assert sol.region_winning == line
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("response, regions_sha, strategy_sha", [
+        (False,
+         "1aac576c334004f3a7c88e25d5ef9ff8efeea6ea5f1e9978daeaad2b3321b781",
+         "b900ca4a0ca9190d82108e68f6031d986d1a9332d34b23340a98113838569318"),
+        (True,
+         "1aac576c334004f3a7c88e25d5ef9ff8efeea6ea5f1e9978daeaad2b3321b781",
+         "35761b01ce4807e45783a66c639de1604a98c33fbe4f58a60bcbcd4d06bb563b"),
+    ])
+    def test_strategy_is_pinned(self, response, regions_sha, strategy_sha):
+        # SHA-256 digests of region_winning (sorted) and strategy.to_json()
+        *_, sol, line, _losing = solve_arena(80, [5, 17, 18, 40, 61, 77],
+                                             response)
+        assert sol.region_winning == line
+        digests = [hashlib.sha256(json.dumps(value, sort_keys=True).encode()
+                                  ).hexdigest()
+                   for value in (sorted(sol.region_winning),
+                                 sol.strategy.to_json())]
+        assert digests == [regions_sha, strategy_sha]
 
 
 class TestEdgeMonotonicity:
