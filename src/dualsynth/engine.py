@@ -47,6 +47,7 @@ from dualsynth.geometry import (
     input_witness,
     mat_vec,
     to_fraction,
+    to_matrix,
 )
 from dualsynth.gr1 import (
     GameGraph,
@@ -404,9 +405,13 @@ class ContinuousController:
     misses on such an edge; with singular or non-square B it always
     misses.  When it misses, the input is interpolated
     from a table of inputs at the vertices of X, built once per edge on
-    its first miss by ``input_witness``; building a table is the only
-    place the exact simplex still runs.  An input that fails to land is a
-    library bug and raises instead of patching over.
+    its first miss by ``input_witness`` and kept as a ``Matrix``, whose
+    integer rows over one denominator (``Matrix.ints``) every later step
+    reads; building a table is the only place the exact simplex still
+    runs.  Such a table step runs on integers from the source lookup
+    (``Box.holds``) to the landing test, and only the returned input is
+    made of ``Fraction``s (``control_input``).  An input that fails to
+    land is a library bug and raises instead of patching over.
 
     ``probe_steps``, ``table_steps`` and ``tables_built`` count the steps
     the probe decided, the steps taken from a table and the tables built.
@@ -440,19 +445,21 @@ class ContinuousController:
                 self.strategy.memory_states[mid][0])
         return {target: sorted(regions) for target, regions in sources.items()}
 
-    def _vertex_table(self, s, target: RegionId):
-        """(source box, vertex inputs) for a strategy edge into ``target``
-        whose source contains s.  Every such edge is pessimistic, so any
-        of them serves; ``locate``'s tie-break on a shared face could name
-        a leaf without one."""
+    def _vertex_table(self, target: RegionId, xs, xd: int):
+        """(source box, ``Matrix`` of vertex inputs) for a strategy edge
+        into ``target``
+        whose source contains the state x = xs / xd, tested in integers
+        (``Box.holds``).  Every such edge is pessimistic, so any of them
+        serves; ``locate``'s tie-break on a shared face could name a leaf
+        without one."""
         for source in self._sources.get(target, ()):
             box = self.forest.box(source)
-            if box.contains(s):
+            if box.holds(xs, xd):
                 break
         else:
             raise AssertionError(
                 f"no strategy edge into {format_region_id(target)} starts "
-                f"at {tuple(map(float, s))} (library bug)")
+                f"at {tuple(v / xd for v in xs)} (library bug)")
         self.table_steps += 1
         key = (source, target)
         if key not in self._tables:
@@ -463,7 +470,7 @@ class ContinuousController:
                     f"a vertex of {format_region_id(source)} has no input "
                     f"reaching {format_region_id(target)}; pessimistic "
                     f"reachability promised one (library bug)")
-            self._tables[key] = inputs
+            self._tables[key] = to_matrix(inputs)
         return box, self._tables[key]
 
     @property
@@ -477,7 +484,7 @@ class ContinuousController:
                                                     self.sys)
         table_steps = self.table_steps
         u = control_input(self.sys, s, view,
-                          lambda: self._vertex_table(s, target))
+                          lambda xs, xd: self._vertex_table(target, xs, xd))
         if u is None:
             raise AssertionError(
                 f"no admissible input reaches {format_region_id(target)}; "
@@ -518,8 +525,10 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     ``env_trace`` yields an environment-valuation index per time step.
     The final record carries no input.  State arithmetic is exact, so the
     region trace is the strategy's discrete trace by construction, not by
-    numerical luck.  The price is that the state's denominator grows by
-    A's denominator at every step (inputs are snapped to a 2^-20 grid when
+    numerical luck.  A step is ``select_input`` plus A s + B u by two
+    ``mat_vec`` calls, which read the integer rows cached on A and B.
+    The price of exactness is that the state's denominator grows by A's
+    denominator at every step (inputs are snapped to a 2^-20 grid when
     they still land, so they add little): with a decimal entry in A,
     read from a float with a denominator near 2^55, that is about 55 bits
     per step, and each step costs more than the last.

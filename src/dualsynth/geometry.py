@@ -5,14 +5,18 @@ Reachability booleans feed the game solver, and a single misclassified
 transition can flip a realizability verdict, so there is no feasibility
 tolerance anywhere and no float takes part in any decision: float inputs
 are converted exactly (every binary float is a rational), and every
-decision is the one the exact values give.  The hot loops (the slab test, the
-probe and ``mat_vec``) run on integers rather than ``Fraction`` objects
-(exact computation in the sense of Yap, CGTA 1997).  Each box keeps its
-bounds as integer numerators over one denominator (``Box.ints``), each
-system the integer rows of its slabs and its probe (``slab_rows``,
-``probe_map``), and every comparison of two rationals over positive
-denominators is one cross-multiplication: a/b <= c/d exactly when
-a d <= c b.
+decision is the one the exact values give.  The hot loops (the slab test,
+the probe, the vertex-table step with its weights, snap and landing test,
+and ``mat_vec``) run on integers rather than ``Fraction`` objects (exact
+computation in the sense of Yap, CGTA 1997).  Each box keeps its bounds
+as integer numerators over one denominator (``Box.ints``), each matrix
+its integer rows over one denominator (``Matrix.ints``: A, B and every
+vertex table), each system the integer rows of its slabs and its probe
+(``slab_rows``, ``probe_map``), and every comparison of two rationals
+over positive denominators is one cross-multiplication: a/b <= c/d
+exactly when a d <= c b.  Apart from building the inputs it returns,
+the control path's only ``Fraction`` arithmetic is the simplex of
+``_box_lp`` and its window, which run only to build a vertex table.
 
 The two relations of interest between regions X and Y of an affine system
 s' = A s + B u, u constrained to a box U, with T = Y ∩ D the target
@@ -46,12 +50,14 @@ per target).  u* is clamped to U and kept when it still lands.  With
 invertible diagonal B that misses only when no input lands; otherwise it
 may miss where inputs land, and always does when B is not square and
 invertible.  When the probe misses, ``input_witness`` decides by an exact
-phase-1 simplex over the box (``_box_lp``, still in ``Fraction``s), while
+phase-1 simplex over the box (``_box_lp``, in ``Fraction``s), while
 ``control_input`` interpolates inputs given at the vertices of the source
-region (vertex control).  So the simplex runs in the control loop only
-when a vertex table is built.  The probe is clamped to U and the simplex
-returns a vertex, so those landings may lie on a face of the target,
-which is sound: boxes are closed.
+region (vertex control), in integers.  So the simplex runs in the control
+loop only when a vertex table is built.  Both snap their input to the
+2^-20 grid when it still lands, by one landing test of A x + B u in T
+(``_landing_input``).  The probe is clamped to U and the simplex returns
+a vertex, so those landings may lie on a face of the target, which is
+sound: boxes are closed.
 """
 
 from __future__ import annotations
@@ -64,9 +70,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 from typing import Sequence
-
-Matrix = tuple[tuple[Fraction, ...], ...]
-
 
 class GeometryError(ValueError):
     """Malformed geometric input (dimension mismatch, bad bounds, ...)."""
@@ -96,34 +99,44 @@ def _integers(values) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
-def _int_rows(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows, d): the matrix as integer rows over one denominator d > 0."""
-    nums, d = _integers([v for row in mat for v in row])
-    width = len(mat[0])
-    return tuple(nums[i:i + width] for i in range(0, len(nums), width)), d
+class Matrix(tuple):
+    """A matrix as a tuple of rows of ``Fraction``s (``to_matrix``) that
+    also keeps its integer rows (``ints``)."""
+
+    @cached_property
+    def ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, d): the matrix as integer rows over one denominator
+        d > 0, so ``self[i][j] == rows[i][j] / d``; computed on first
+        use, once per matrix."""
+        nums, d = _integers([v for row in self for v in row])
+        width = len(self[0])
+        return tuple(nums[i:i + width]
+                     for i in range(0, len(nums), width)), d
 
 
 def to_matrix(rows) -> Matrix:
-    mat = tuple(tuple(to_fraction(v) for v in row) for row in rows)
+    if isinstance(rows, Matrix):
+        return rows
+    mat = Matrix(tuple(to_fraction(v) for v in row) for row in rows)
     if not mat or any(len(r) != len(mat[0]) for r in mat):
         raise GeometryError("matrix rows must be nonempty and equal length")
     return mat
 
 
-def mat_vec(mat: Matrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def mat_vec(mat, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """The exact product ``mat vec``.
 
-    The vector is put over one denominator per call, and each row over
-    its own, so a row costs integer products and one ``Fraction``.
+    The matrix's integer rows (``Matrix.ints``) are computed once per
+    matrix and the vector is put over one denominator per call, so a row
+    costs integer products and one ``Fraction``.
     """
-    if any(len(row) != len(vec) for row in mat):
+    mat = to_matrix(mat)
+    if len(mat[0]) != len(vec):
         raise GeometryError("matrix/vector dimension mismatch")
+    rows, e = mat.ints
     xs, d = _integers(vec)
-    out = []
-    for row in mat:
-        nums, e = _integers(row)
-        out.append(Fraction(sum(map(mul, nums, xs)), e * d))
-    return tuple(out)
+    e *= d
+    return tuple(Fraction(_dot(row, xs), e) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -184,6 +197,15 @@ class Box:
         if self.empty or len(point) != self.dim:
             return False
         return all(lo <= x <= hi for lo, x, hi in zip(self.lower, point, self.upper))
+
+    def holds(self, xs, xd: int) -> bool:
+        """``contains`` for the point x = xs / xd, given as integers with
+        xd > 0: one cross-multiplication per bound against ``ints``."""
+        if self.empty:
+            return False
+        lows, highs, d = self.ints
+        return all(a * xd <= v * d <= b * xd
+                   for a, v, b in zip(lows, xs, highs))
 
     def contains_box(self, other: "Box") -> bool:
         if other.empty:
@@ -248,6 +270,10 @@ class ControlSystem:
     proposition_regions: tuple[tuple[str, Box], ...]
 
     def __post_init__(self):
+        # A and B are Matrix objects however the system is built, so
+        # every product reads their cached integer rows
+        object.__setattr__(self, "A", to_matrix(self.A))
+        object.__setattr__(self, "B", to_matrix(self.B))
         n = len(self.A)
         if any(len(row) != n for row in self.A):
             raise GeometryError("A must be square")
@@ -278,8 +304,8 @@ class ControlSystem:
         def _box(b):
             return b if isinstance(b, Box) else Box.from_bounds(b)
 
-        return ControlSystem(to_matrix(A), to_matrix(B), _box(input_set),
-                             _box(domain), _box(initial_set), props)
+        return ControlSystem(A, B, _box(input_set), _box(domain),
+                             _box(initial_set), props)
 
     @property
     def n(self) -> int:
@@ -298,7 +324,8 @@ class ControlSystem:
     @cached_property
     def probe_map(self):
         """(N, B⁻¹, B) with N = -B⁻¹A, the integer matrices of the probe,
-        each as (rows, d): integer rows over one denominator (``_int_rows``).
+        each as (rows, d): integer rows over one denominator
+        (``Matrix.ints``).
 
         For a target with centre c, u = B⁻¹c + N x sends x to c (N is kept
         negated so that u is one sum started at B⁻¹c); the probe checks
@@ -313,7 +340,7 @@ class ControlSystem:
             return None
         binv = tuple(zip(*cols))
         N = [[-_dot(row, col) for col in zip(*self.A)] for row in binv]
-        return _int_rows(N), _int_rows(binv), _int_rows(self.B)
+        return to_matrix(N).ints, to_matrix(binv).ints, self.B.ints
 
     @cached_property
     def slab_rows(self) -> tuple[tuple, ...]:
@@ -506,22 +533,10 @@ def _solve_square(mat: Matrix, rhs: Sequence[Fraction]) -> list[Fraction] | None
     return [aug[r][n] for r in range(n)]
 
 
-# Inputs are snapped to this grid when they still land (``_snap``): long
+# Inputs are snapped to this grid when they still land (``_to_grid``): long
 # exact simulations would otherwise grow the state's denominators at every
 # step.
 _COARSE_GRID = 1 << 20
-
-
-def _window(sys: ControlSystem, x: Sequence[Fraction], T: Box):
-    """(lo, hi) such that A x + B u lies in T exactly when
-    ``lo <= B u <= hi`` row by row."""
-    shift = mat_vec(sys.A, x)
-    return ([c - s for c, s in zip(T.lower, shift)],
-            [d - s for d, s in zip(T.upper, shift)])
-
-
-def _lands(sys: ControlSystem, u, lo, hi) -> bool:
-    return all(l <= v <= h for l, v, h in zip(lo, mat_vec(sys.B, u), hi))
 
 
 def _clamp(nums, d: int, U: Box) -> list[int]:
@@ -548,15 +563,43 @@ def _to_grid(nums, d: int, U: Box) -> list[int] | None:
     return _clamp(grid, _COARSE_GRID, U)
 
 
-def _snap(U: Box, u, lands) -> tuple[Fraction, ...]:
-    """u rounded to the 2^-20 grid and clamped to U (``_to_grid``), when
-    ``lands`` accepts that; else u."""
-    grid = _to_grid(*_integers(u), U)
-    if grid is None:
-        return tuple(u)
-    d = _COARSE_GRID * U.ints[2]
-    snapped = tuple(Fraction(v, d) for v in grid)
-    return snapped if lands(snapped) else tuple(u)
+def _shift(sys: ControlSystem, xs, xd: int) -> tuple[list[int], int]:
+    """(ax, d): A x as integers over one denominator, for x = xs / xd."""
+    rows, d = sys.A.ints
+    return [_dot(row, xs) for row in rows], d * xd
+
+
+def _in_target(sys: ControlSystem, T: Box, ax, axd: int, us, ud: int
+               ) -> bool:
+    """A x + B u lies in T, for A x = ax / axd (``_shift``) and
+    u = us / ud: per row one sum of integers over axd d_B ud, compared
+    with T's integer bounds (``Box.ints``) by cross-multiplication."""
+    B, bd = sys.B.ints
+    tl, th, td = T.ints
+    e = bd * ud  # B u = (B' us) / e
+    d = axd * e
+    for a, row, lo, hi in zip(ax, B, tl, th):
+        y = (a * e + _dot(row, us) * axd) * td
+        if y < lo * d or y > hi * d:
+            return False
+    return True
+
+
+def _landing_input(sys: ControlSystem, T: Box, ax, axd: int, us, ud: int
+                   ) -> tuple[Fraction, ...] | None:
+    """u = us / ud rounded to the 2^-20 grid and clamped to U
+    (``_to_grid``) when that lands in T, else u when it lands, else None.
+    Landing is ``_in_target`` with A x = ax / axd; only the returned input
+    is made of ``Fraction``s."""
+    U = sys.input_set
+    grid = _to_grid(us, ud, U)
+    if grid is not None:
+        g = _COARSE_GRID * U.ints[2]
+        if _in_target(sys, T, ax, axd, grid, g):
+            return tuple(Fraction(v, g) for v in grid)
+    if _in_target(sys, T, ax, axd, us, ud):
+        return tuple(Fraction(v, ud) for v in us)
+    return None
 
 
 def _hull_meets(sys: ControlSystem, lo, hi) -> bool:
@@ -664,22 +707,27 @@ def input_witness(sys: ControlSystem, x: Sequence[Fraction],
     The input of ``_probe`` on a throwaway ``TargetView`` when it finds
     one.  When the probe misses, an exact phase-1 simplex (``_box_lp``)
     decides, gated by the row hull of B U, and returns a vertex of the
-    feasible inputs, snapped to the 2^-20 grid when that stays feasible,
-    which may land on a face of the target.  With invertible diagonal B
-    the probe misses only when no input lands, and the gate turns every
-    such miss away, so the simplex never runs.  In the control loop this
-    runs only to build vertex tables (``control_input``).
+    feasible inputs, snapped to the 2^-20 grid when that stays feasible
+    (``_landing_input``; A x is computed once, in integers, for both the
+    simplex's window and the landing test), which may land on a face of
+    the target.  With invertible diagonal B the probe misses only when no
+    input lands, and the gate turns every such miss away, so the simplex
+    never runs.  In the control loop this runs only to build vertex
+    tables (``control_input``).
     """
     x = [to_fraction(v) for v in x]
     view = TargetView(target, sys)
     u = _probe(sys, view, x)
-    if u is None and view.T is not None:
-        window = _window(sys, x, view.T)
-        if _hull_meets(sys, *window):
-            u = _box_lp(sys.B, sys.input_set, *window)
+    T = view.T
+    if u is None and T is not None:
+        ax, axd = _shift(sys, *_integers(x))
+        shift = [Fraction(a, axd) for a in ax]
+        lo = [c - v for c, v in zip(T.lower, shift)]
+        hi = [c - v for c, v in zip(T.upper, shift)]
+        if _hull_meets(sys, lo, hi):
+            u = _box_lp(sys.B, sys.input_set, lo, hi)
             if u is not None:
-                u = _snap(sys.input_set, u,
-                          lambda v: _lands(sys, v, *window))
+                u = _landing_input(sys, T, ax, axd, *_integers(u))
     return u
 
 
@@ -698,19 +746,30 @@ def box_vertices(X: Box) -> list[tuple[Fraction, ...]]:
     return list(product(*zip(X.lower, X.upper)))
 
 
-def vertex_weights(X: Box, x: Sequence[Fraction]) -> list[Fraction]:
-    """The multilinear weights of a point x of X over ``box_vertices(X)``.
+def _weights(X: Box, xs, xd: int) -> tuple[list[int], int]:
+    """(weights, q): the multilinear weights of the point x = xs / xd of
+    X over ``box_vertices(X)``, as integers over one denominator q > 0.
 
-    Per axis, t_i = (x_i - lower_i) / width_i (0 on a flat axis), and a
-    vertex weighs the product of t_i where it takes the upper bound and
-    1 - t_i where it takes the lower.  The weights are >= 0, sum to 1 and
-    give ``sum(w_v v) = x``.
+    Per axis, t_i = (x_i - lower_i) / width_i = p_i / q_i, read off X's
+    integer bounds (``Box.ints``), with p_i = 0 and q_i = 1 on a flat
+    axis.  A vertex weighs the product of p_i where it takes the upper
+    bound and q_i - p_i where it takes the lower, over q = prod q_i.
     """
-    weights = [Fraction(1)]
-    for xi, lo, hi in zip(x, X.lower, X.upper):
-        t = (xi - lo) / (hi - lo) if hi != lo else Fraction(0)
-        weights = [w * f for w in weights for f in (1 - t, t)]
-    return weights
+    lows, highs, d = X.ints
+    weights, q = [1], 1
+    for v, lo, hi in zip(xs, lows, highs):
+        p, qi = (v * d - lo * xd, (hi - lo) * xd) if hi != lo else (0, 1)
+        weights = [w * f for w in weights for f in (qi - p, p)]
+        q *= qi
+    return weights, q
+
+
+def vertex_weights(X: Box, x: Sequence[Fraction]) -> list[Fraction]:
+    """The multilinear weights of a point x of X over ``box_vertices(X)``
+    (``_weights``) as ``Fraction``s.  The weights are >= 0, sum to 1 and
+    give ``sum(w_v v) = x``."""
+    weights, q = _weights(X, *_integers([to_fraction(v) for v in x]))
+    return [Fraction(w, q) for w in weights]
 
 
 def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
@@ -720,15 +779,19 @@ def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
 
     No simplex and no linear solve runs here.  The probe (``_probe``)
     comes first, so a step it decides gets the input ``input_witness``
-    gives.  When it misses, ``vertex_table()`` returns a box X holding x
-    and one input per vertex of X, in ``box_vertices`` order, and u is
-    their sum under ``vertex_weights``.  When every vertex input lands in
-    T, so does u, exactly: U and the target are convex and the step is
-    affine (vertex control: Gutman & Cwikel, IEEE TAC 1986; Belta &
-    Habets, IEEE TAC 2006).  u is snapped to the 2^-20 grid when that
-    still lands, which keeps the state's denominators bounded over long
-    runs, and kept exact otherwise (``_snap``).  None when u does not
-    land, which landing vertex inputs rule out.
+    gives.  When it misses, ``vertex_table(xs, xd)``, called with x as
+    integers over one denominator, returns a box X holding x and a
+    ``Matrix`` of one input per vertex of X, in ``box_vertices`` order,
+    and u is their sum under the multilinear weights of x (``_weights``).
+    When every vertex input lands in T, so does u, exactly: U and the
+    target are convex and the step is affine (vertex control: Gutman &
+    Cwikel, IEEE TAC 1986; Belta & Habets, IEEE TAC 2006).  u is snapped
+    to the 2^-20 grid when that still lands, which keeps the state's
+    denominators bounded over long runs, and kept exact otherwise; None
+    when u does not land, which landing vertex inputs rule out
+    (``_landing_input``).  All of it runs on integers: the weights over
+    one denominator, the table's integer rows (``Matrix.ints``), and A x
+    once per step; only the returned input is made of ``Fraction``s.
     """
     if view.T is None:
         return None
@@ -736,14 +799,12 @@ def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
     u = _probe(sys, view, x)
     if u is not None:
         return u
-    X, inputs = vertex_table()
-    u = [Fraction(0)] * sys.m
-    for w, uv in zip(vertex_weights(X, x), inputs):
-        if w:
-            u = [a + w * b for a, b in zip(u, uv)]
-    window = _window(sys, x, view.T)
-    u = _snap(sys.input_set, u, lambda v: _lands(sys, v, *window))
-    return u if _lands(sys, u, *window) else None
+    xs, xd = _integers(x)
+    X, table = vertex_table(xs, xd)
+    rows, d = table.ints
+    weights, q = _weights(X, xs, xd)
+    us = [_dot(weights, col) for col in zip(*rows)]  # u = us / (q d)
+    return _landing_input(sys, view.T, *_shift(sys, xs, xd), us, q * d)
 
 
 class _SourceView:

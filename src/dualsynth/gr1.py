@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 logger = logging.getLogger(__name__)
 
@@ -689,7 +689,9 @@ def _extract_strategy(sol: GameSolution):
 
     Each pair (s, b) a move may enter is tabulated once, on first use:
     its env fan-out ``next_nodes(s, b)``, whether that fan-out lies inside
-    Z, and, when it does, each goal's worst rank over it.
+    Z, and, when it does, each goal's worst rank over it.  A move depends
+    on its node and goal alone, so it is chosen once per (node, goal),
+    however many memory states enter that node with that goal.
     """
     graph = sol.graph
     nbv = graph.n_bitvals
@@ -707,6 +709,7 @@ def _extract_strategy(sol: GameSolution):
                         if all(Z[v] for v in fan) else None)
         return pairs[q]
 
+    @cache
     def next_move(node, j):
         ri, ei, b = graph.decode(node)
         kind, trap_i = sol.case[j][node]

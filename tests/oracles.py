@@ -5,10 +5,10 @@ reachability is re-decided by dense grid sampling, exact per-axis
 interval arithmetic or exact Fourier-Motzkin elimination, games by
 exhaustive strategy enumeration with lasso checking or by a textbook sweep
 of the GR(1) fixpoint over explicit (region, env, bits) triples,
-losing-set soundness by an exact backward-reachability fixpoint, and the
-controller's probe by a linear solve per query.  Keep it
-that way; the value of these tests is the independent route to the same
-answer.
+losing-set soundness by an exact backward-reachability fixpoint, the
+controller's probe by a linear solve per query, and its vertex control by
+a weighted sum in plain ``Fraction``s.  Keep it that way; the value of
+these tests is the independent route to the same answer.
 """
 
 from __future__ import annotations
@@ -549,3 +549,47 @@ def midpoint_probe(A, B, U, D, T, x):
         return u
     grid = clamped([F(round(v * _GRID), _GRID) for v in u])
     return grid if lands(grid) else u
+
+
+# ---------------------------------------------------------------------------
+# the controller's vertex control, restated
+# ---------------------------------------------------------------------------
+
+def vertex_control_input(A, B, U, D, T, X, inputs, x):
+    """The input the controller interpolates from a vertex table, or None.
+
+    ``U``, ``D``, ``T`` and ``X`` are ``[[lo, hi], ...]`` bounds (input
+    set, domain, target, source box); ``inputs`` holds one input per
+    vertex of X, the first axis varying slowest.  Per axis,
+    t = (x - lo) / (hi - lo) (0 on a flat axis), a vertex weighs the
+    product of t where it takes the upper bound and 1 - t where it takes
+    the lower, and u is the weighted sum of the vertex inputs.  u must
+    land in T clipped to D; it is then rounded to the 2^-20 grid and
+    clamped to U, kept when that still lands.  None when u does not land.
+    """
+    F = Fraction
+    A = [[F(v) for v in row] for row in A]
+    B = [[F(v) for v in row] for row in B]
+    U = [(F(lo), F(hi)) for lo, hi in U]
+    lo = [max(F(t[0]), F(d[0])) for t, d in zip(T, D)]
+    hi = [min(F(t[1]), F(d[1])) for t, d in zip(T, D)]
+    x = [F(v) for v in x]
+    weights = [F(1)]
+    for v, (a, b) in zip(x, X):
+        a, b = F(a), F(b)
+        t = (v - a) / (b - a) if b != a else F(0)
+        weights = [w * f for w in weights for f in (1 - t, t)]
+    u = [sum((w * F(inp[j]) for w, inp in zip(weights, inputs)), F(0))
+         for j in range(len(U))]
+    ax = [sum(a * v for a, v in zip(row, x)) for row in A]
+
+    def lands(vec):
+        return all(l <= s + sum(c * v for c, v in zip(row, vec)) <= h
+                   for row, s, l, h in zip(B, ax, lo, hi))
+
+    if not all(v.denominator <= _GRID for v in u):
+        grid = tuple(min(max(F(round(v * _GRID), _GRID), ulo), uhi)
+                     for v, (ulo, uhi) in zip(u, U))
+        if lands(grid):
+            return grid
+    return tuple(u) if lands(u) else None

@@ -79,6 +79,30 @@ def coupled_problem():
     return sys, env, spec
 
 
+def singular_B_problem():
+    """B = diag(1, 0): no inverse, so every control step takes a vertex
+    table; the goals span the whole height, which no input moves."""
+    sys = ControlSystem.create(
+        A=[[1, 0], [0, 1]], B=[[1, 0], [0, 0]], input_set=[[-1, 1]] * 2,
+        domain=[[0, 4], [0, 2]], initial_set=[[0, 4], [0, 2]],
+        propositions=[("a", [[0, 1], [0, 2]]), ("b", [[3, 4], [0, 2]])])
+    env = EnvAlphabet.create([("req", (False, True))])
+    spec = convert_to_gr1(RawSpec(guarantees=("a",),
+                                  responses=(("req", "b"),)))
+    return sys, env, spec
+
+
+def wide_B_problem():
+    """Park with a third input that does nothing: B is 2x3, so the probe
+    always misses and every step takes a table."""
+    park, env, spec = park_problem()
+    sys = ControlSystem.create(
+        A=park.A, B=[[1, 0, 0], [0, 1, 0]], input_set=[[-1, 1]] * 3,
+        domain=park.domain, initial_set=park.initial_set,
+        propositions=park.proposition_regions)
+    return sys, env, spec
+
+
 class TestClassify:
     def test_all_winning_when_fts_identical_and_connected(self):
         sys, env, _ = park_problem()
@@ -566,15 +590,10 @@ class TestVertexControl:
         assert decided and missed
 
     def test_source_is_a_strategy_edge_not_the_located_leaf(self):
-        # park with a third input that does nothing: B is 2x3, so the probe
-        # always misses and every step takes a table.  At a vertex of a
-        # source that lies on a face of a lower leaf, locate names that
-        # leaf, which need not reach the target pessimistically.
-        park, env, spec = park_problem()
-        sys = ControlSystem.create(
-            A=park.A, B=[[1, 0, 0], [0, 1, 0]], input_set=[[-1, 1]] * 3,
-            domain=park.domain, initial_set=park.initial_set,
-            propositions=park.proposition_regions)
+        # B is 2x3, so every step takes a table.  At a vertex of a source
+        # that lies on a face of a lower leaf, locate names that leaf,
+        # which need not reach the target pessimistically.
+        sys, env, spec = wide_B_problem()
         ctrl = run(sys, env, spec).controller
         forest, strategy = ctrl.forest, ctrl.strategy
         edges = {(strategy.memory_states[mid][0], target)
@@ -596,16 +615,9 @@ class TestVertexControl:
 
     def test_singular_diagonal_B_steps_from_tables(self):
         # B = diag(1, 0) has no inverse, so the probe misses every step and
-        # every input comes from a vertex table; the goals span the whole
-        # height, which no input moves.  Park's invertible diagonal B never
-        # needs a table.
-        sys = ControlSystem.create(
-            A=[[1, 0], [0, 1]], B=[[1, 0], [0, 0]], input_set=[[-1, 1]] * 2,
-            domain=[[0, 4], [0, 2]], initial_set=[[0, 4], [0, 2]],
-            propositions=[("a", [[0, 1], [0, 2]]), ("b", [[3, 4], [0, 2]])])
-        env = EnvAlphabet.create([("req", (False, True))])
-        spec = convert_to_gr1(RawSpec(guarantees=("a",),
-                                      responses=(("req", "b"),)))
+        # every input comes from a vertex table.  Park's invertible
+        # diagonal B never needs a table.
+        sys, env, spec = singular_B_problem()
         verdict = run(sys, env, spec)
         assert verdict.outcome == "realizable"
         ctrl = verdict.controller
@@ -726,3 +738,44 @@ class TestPinnedStrategies:
         regions = sorted(map(format_region_id, solution.region_winning))
         assert (sha256_json(regions), sha256_json(
             solution.strategy.to_json())) == (regions_sha, strategy_sha)
+
+
+class TestPinnedController:
+    """Every state and input of seeded closed-loop runs, pinned by a
+    SHA-256 digest of the (state, input) sequence: a change to the
+    control step must leave both unchanged, table steps included."""
+
+    @staticmethod
+    def digest(steps) -> str:
+        return sha256_json([[[str(v) for v in step.state],
+                             None if step.inp is None
+                             else [str(v) for v in step.inp]]
+                            for step in steps])
+
+    def test_coupled_episodes(self):
+        sys, env, spec = coupled_problem()
+        ctrl = run(sys, env, spec, EngineOptions(m=4)).controller
+        rng = np.random.default_rng(53)
+        steps = []
+        for _ in range(10):  # 100-step episodes from the same start
+            trace = [int(rng.integers(0, 2)) for _ in range(101)]
+            steps += simulate(ctrl, sys, iter(trace),
+                              TestVertexControl.START, 100).steps
+        assert ctrl.table_steps > 0 and ctrl.probe_steps > 0
+        assert self.digest(steps) == \
+            "8d4b1d6934ffac95ce6fb0a604ef9c7f54fe9a1e9dc1b9e3e2b806c01af2493a"
+
+    @pytest.mark.parametrize("problem, start, sha", [
+        (singular_B_problem, (Fraction(5, 2), Fraction(1, 3)),
+         "2465e1a6625a7ddcf54926aed7be5fc38cf2977e51f107c34426a54c767f80b5"),
+        (wide_B_problem, (Fraction(1, 2), Fraction(1, 2)),
+         "d26b39104d420dbc9471155a47c9da26e8a5528110e0ec415822b1add7066ce5"),
+    ])
+    def test_table_only_runs(self, problem, start, sha):
+        sys, env, spec = problem()
+        ctrl = run(sys, env, spec).controller
+        rng = np.random.default_rng(59)
+        trace = [int(rng.integers(0, 2)) for _ in range(501)]
+        steps = simulate(ctrl, sys, iter(trace), start, 500).steps
+        assert ctrl.table_steps == 500 and ctrl.probe_steps == 0
+        assert self.digest(steps) == sha

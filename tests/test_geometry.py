@@ -31,6 +31,7 @@ from oracles import (
     is_diagonal_system,
     midpoint_probe,
     planar_input_reach,
+    vertex_control_input,
 )
 
 
@@ -148,6 +149,22 @@ class TestBox:
         assert a.contains((Fraction(2), Fraction(0)))
         assert not a.contains_box(b)
         assert a.intersect(Box.from_bounds([[5, 6], [5, 6]])).empty
+
+    def test_holds_is_contains_in_integers(self):
+        rng = np.random.default_rng(83)
+        seen = set()
+        for _ in range(200):
+            box = random_box(rng)
+            # points on, inside and just outside a corner, over varied
+            # denominators
+            corner = box.lower if rng.random() < 0.5 else box.upper
+            pt = [v + Fraction(int(rng.integers(-1, 2)),
+                               int(rng.integers(1, 9))) for v in corner]
+            inside = box.contains(pt)
+            assert box.holds(*geometry._integers(pt)) == inside
+            seen.add(inside)
+        assert seen == {False, True}
+        assert not Box.make_empty(2).holds((0, 0), 1)
 
     def test_interior_overlap_vs_face_touch(self):
         a = Box.from_bounds([[0, 1], [0, 1]])
@@ -408,7 +425,8 @@ class TestVertexControl:
 
     B is neither diagonal nor square invertible in ``lp_only_systems``, so
     the probe misses and every input is interpolated from the inputs at
-    the vertices of X.
+    the vertices of X, given as a ``Matrix`` whose integer rows
+    (``Matrix.ints``) the interpolation reads.
     """
 
     @staticmethod
@@ -434,6 +452,22 @@ class TestVertexControl:
         return Box(tuple(c - h for c, h in zip(mid, half)),
                    tuple(c + h for c, h in zip(mid, half)))
 
+    @staticmethod
+    def table(sys, X, Y):
+        """The vertex table of (X, Y): the ``input_witness`` of each
+        vertex, as a ``Matrix``."""
+        inputs = [input_witness(sys, v, Y) for v in box_vertices(X)]
+        assert None not in inputs
+        return geometry.to_matrix(inputs)
+
+    @staticmethod
+    def oracle(sys, Y, X, table, x):
+        def bounds(box):
+            return list(zip(box.lower, box.upper))
+        return vertex_control_input(sys.A, sys.B, bounds(sys.input_set),
+                                    bounds(sys.domain), bounds(Y),
+                                    bounds(X), table, x)
+
     def test_weights_and_landing(self):
         pessimistic = interpolated = 0
         for rng, sys in lp_only_systems(73, 40):
@@ -443,8 +477,7 @@ class TestVertexControl:
                 continue
             pessimistic += 1
             vertices = box_vertices(X)
-            inputs = [input_witness(sys, v, Y) for v in vertices]
-            assert None not in inputs
+            table = self.table(sys, X, Y)
             target = Y.intersect(sys.domain)
             for x in self.points(rng, X):
                 weights = vertex_weights(X, x)
@@ -452,13 +485,43 @@ class TestVertexControl:
                 assert tuple(sum(w * v[i] for w, v in zip(weights, vertices))
                              for i in range(X.dim)) == tuple(x)
                 tables = []
-                u = control_input(sys, x, TargetView(Y, sys),
-                                  lambda: tables.append(X) or (X, inputs))
+
+                def vertex_table(xs, xd):
+                    assert X.holds(xs, xd)
+                    tables.append(X)
+                    return X, table
+
+                u = control_input(sys, x, TargetView(Y, sys), vertex_table)
                 interpolated += len(tables)
                 assert u is not None and sys.input_set.contains(u)
                 assert lands_in(sys, x, u, target)
+                assert u == self.oracle(sys, Y, X, table, x)
         assert pessimistic >= 40
         assert interpolated == pessimistic * 11
+
+    def test_matches_vertex_control_oracle(self):
+        # targets 2^-30 high on one axis, off the 2^-20 grid, make the snap
+        # miss; the wide targets of ``image_box`` take it
+        seen = set()
+        for rng, sys in lp_only_systems(79, 40):
+            X = random_box(rng, lo=-1, hi=1)
+            Y = self.image_box(rng, sys, X)
+            axis = int(rng.integers(2))
+            lows, highs = list(Y.lower), list(Y.upper)
+            mid = (lows[axis] + highs[axis]) / 2
+            lows[axis] = mid + Fraction(1, 3 * 2**21)
+            highs[axis] = lows[axis] + Fraction(1, 2**30)
+            for Y in (Y, Box(tuple(lows), tuple(highs))):
+                if not reach_pessimistic(X, Y, sys):
+                    continue
+                table = self.table(sys, X, Y)
+                for x in self.points(rng, X):
+                    u = control_input(sys, x, TargetView(Y, sys),
+                                      lambda xs, xd: (X, table))
+                    assert u is not None
+                    assert u == self.oracle(sys, Y, X, table, x)
+                    seen.add(all(v.denominator <= 2**20 for v in u))
+        assert seen == {False, True}
 
     def test_snap_that_misses_keeps_the_exact_input(self):
         # the target is 2^-30 high and starts at 1/3, off the 2^-20 grid,
@@ -472,12 +535,14 @@ class TestVertexControl:
         lows = (Fraction(0), Fraction(1, 3))
         Y = Box(lows, (Fraction(1), lows[1] + Fraction(1, 2**30)))
         assert reach_pessimistic(X, Y, sys)
-        inputs = [input_witness(sys, v, Y) for v in box_vertices(X)]
+        table = self.table(sys, X, Y)
         x = (Fraction(1, 7), Fraction(1, 5))
-        u = control_input(sys, x, TargetView(Y, sys), lambda: (X, inputs))
+        u = control_input(sys, x, TargetView(Y, sys),
+                          lambda xs, xd: (X, table))
         assert u is not None and sys.input_set.contains(u)
         assert lands_in(sys, x, u, Y)
         assert any((v * 2**20).denominator > 1 for v in u)
+        assert u == self.oracle(sys, Y, X, table, x)
 
 
 class TestProbeOracle:
@@ -1009,6 +1074,48 @@ class TestIntegerKernel:
                                    [[-4, 4]] * 2, list(zip(Y.lower, Y.upper)),
                                    x)
         assert input_witness(sys, x, Y) == u
+
+
+class TestMatrix:
+    """A and B are ``Matrix`` objects however a system is built, with
+    their integer rows cached on them."""
+
+    ROWS = {"A": [[1, 0.25], [Fraction(1, 3), 1]],
+            "B": [[1, 0.5, 0], [0, 1, 2]]}
+
+    def test_direct_construction_matches_create(self):
+        made = ControlSystem.create(
+            A=self.ROWS["A"], B=self.ROWS["B"], input_set=[[-1, 1]] * 3,
+            domain=[[0, 4]] * 2, initial_set=[[0, 4]] * 2)
+        rows = {name: [[Fraction(v) for v in row] for row in mat]
+                for name, mat in self.ROWS.items()}
+        for wrap in (list, lambda mat: tuple(map(tuple, mat))):
+            sys = ControlSystem(
+                A=wrap(rows["A"]), B=wrap(rows["B"]),
+                input_set=made.input_set, domain=made.domain,
+                initial_set=made.initial_set, proposition_regions=())
+            assert sys == made and hash(sys) == hash(made)
+            for name in ("A", "B"):
+                mat = getattr(sys, name)
+                assert isinstance(mat, geometry.Matrix)
+                ints, d = mat.ints
+                assert [[Fraction(v, d) for v in row] for row in ints] == \
+                    rows[name]
+                assert mat_vec(mat, [1] * len(mat[0])) == \
+                    tuple(sum(row, Fraction(0)) for row in rows[name])
+
+    def test_ints_are_cached_and_kept_by_to_matrix(self):
+        mat = geometry.to_matrix([[Fraction(1, 6), 2], [0, Fraction(-3, 4)]])
+        assert mat.ints == (((2, 24), (0, -9)), 12)
+        assert mat.ints is mat.ints
+        assert geometry.to_matrix(mat) is mat
+
+    def test_dimension_mismatch_raises(self):
+        sys = identity_system()
+        with pytest.raises(GeometryError):
+            mat_vec(sys.A, [1, 2, 3])
+        with pytest.raises(GeometryError):
+            mat_vec(sys.B, [1])
 
 
 class TestReachNormals:
