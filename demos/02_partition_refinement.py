@@ -27,7 +27,7 @@ for rid in forest.leaves:
 print("\nlocate((0.5, 0.5)) ->", format_region_id(locate(forest, (0.5, 0.5))),
       "which carries", set(forest.labels(locate(forest, (0.5, 0.5)))))
 
-# split_m produces equal sub-boxes, slicing longest sides first
+# split_box cuts a box into m equal sub-boxes, slicing longest sides first
 print("\nsplit_3 of a 4.5 x 1 strip:",
       [str(b) for b in split_box(Box.from_bounds([[0, 4.5], [1, 2]]), 3)])
 

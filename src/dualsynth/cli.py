@@ -266,13 +266,13 @@ def load_problem(path: str) -> ProblemFile:
 # ---------------------------------------------------------------------------
 
 def _controller_json(problem: ProblemFile, controller: ContinuousController) -> dict:
-    forest = controller.forest
+    forest = controller.forest  # bounds exact: a float may shift a proved box
     return {
         "problem_sha256": problem.sha256,
         "strategy": controller.strategy.to_json(),
         "leaves": [{
             "region_id": format_region_id(rid),
-            "box": forest.box(rid).as_float_bounds(),
+            "box": forest.box(rid).as_exact_bounds(),
             "labels": sorted(forest.labels(rid)),
             "status": forest.status(rid).value,
         } for rid in forest.leaves],

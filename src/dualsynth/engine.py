@@ -45,7 +45,7 @@ from dualsynth.geometry import (
     box_vertices,
     control_input,
     input_witness,
-    mat_vec,
+    next_state,
     to_fraction,
     to_matrix,
 )
@@ -403,15 +403,15 @@ class ContinuousController:
     of the state per target (``TargetView``, cached per target region)
     whose input is clamped to U.  With invertible diagonal B it never
     misses on such an edge; with singular or non-square B it always
-    misses.  When it misses, the input is interpolated
-    from a table of inputs at the vertices of X, built once per edge on
-    its first miss by ``input_witness`` and kept as a ``Matrix``, whose
-    integer rows over one denominator (``Matrix.ints``) every later step
-    reads; building a table is the only place the exact simplex still
-    runs.  Such a table step runs on integers from the source lookup
-    (``Box.holds``) to the landing test, and only the returned input is
-    made of ``Fraction``s (``control_input``).  An input that fails to
-    land is a library bug and raises instead of patching over.
+    misses.  When it misses, the input is interpolated from a table of
+    inputs at the vertices of X, built once per edge on its first miss by
+    ``input_witness`` and kept as a ``Matrix``, whose integer rows over
+    one denominator (``Matrix.ints``) every later step reads; building a
+    table is the only place the exact simplex still runs.  Such a table
+    step runs on integers from the source lookup (``Box.holds``) to the
+    landing test of A x + B u (``geometry._affine``, also ``simulate``'s
+    step); only the returned input is made of ``Fraction``s.  An input
+    that fails to land is a library bug and raises.
 
     ``probe_steps``, ``table_steps`` and ``tables_built`` count the steps
     the probe decided, the steps taken from a table and the tables built.
@@ -447,11 +447,10 @@ class ContinuousController:
 
     def _vertex_table(self, target: RegionId, xs, xd: int):
         """(source box, ``Matrix`` of vertex inputs) for a strategy edge
-        into ``target``
-        whose source contains the state x = xs / xd, tested in integers
-        (``Box.holds``).  Every such edge is pessimistic, so any of them
-        serves; ``locate``'s tie-break on a shared face could name a leaf
-        without one."""
+        into ``target`` whose source contains the state x = xs / xd,
+        tested in integers (``Box.holds``).  Every such edge is
+        pessimistic, so any of them serves; ``locate``'s tie-break on a
+        shared face could name a leaf without one."""
         for source in self._sources.get(target, ()):
             box = self.forest.box(source)
             if box.holds(xs, xd):
@@ -525,13 +524,14 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     ``env_trace`` yields an environment-valuation index per time step.
     The final record carries no input.  State arithmetic is exact, so the
     region trace is the strategy's discrete trace by construction, not by
-    numerical luck.  A step is ``select_input`` plus A s + B u by two
-    ``mat_vec`` calls, which read the integer rows cached on A and B.
-    The price of exactness is that the state's denominator grows by A's
-    denominator at every step (inputs are snapped to a 2^-20 grid when
-    they still land, so they add little): with a decimal entry in A,
-    read from a float with a denominator near 2^55, that is about 55 bits
-    per step, and each step costs more than the last.
+    numerical luck.  A step is ``select_input`` plus ``next_state``, the
+    integer sum of A s + B u that the landing test reads
+    (``geometry._affine``).  The price of exactness is that the state's
+    denominator grows by A's denominator at every step (inputs are
+    snapped to a 2^-20 grid when they still land, so they add little):
+    with a decimal entry in A, read from a float with a denominator near
+    2^55, that is about 55 bits per step, and each step costs more than
+    the last.
     """
     if steps < 0:
         raise EngineError(f"steps must be >= 0, got {steps}")
@@ -560,11 +560,9 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
             break
         memory, target = controller.strategy.step(memory, e_idx)
         u = controller.select_input(s, target)
-        s_next = tuple(a + b for a, b in
-                       zip(mat_vec(sys.A, s), mat_vec(sys.B, u)))
         records.append(SimStep(t, s, e_idx, env_val, u, region, dict(bits)))
-        if not sys.domain.contains(s_next):
+        s = next_state(sys, s, u)
+        if not sys.domain.contains(s):
             raise AssertionError("controlled step left the domain (library bug)")
         region = target
-        s = s_next
     return Execution(records)

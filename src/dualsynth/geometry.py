@@ -7,16 +7,16 @@ tolerance anywhere and no float takes part in any decision: float inputs
 are converted exactly (every binary float is a rational), and every
 decision is the one the exact values give.  The hot loops (the slab test,
 the probe, the vertex-table step with its weights, snap and landing test,
-and ``mat_vec``) run on integers rather than ``Fraction`` objects (exact
-computation in the sense of Yap, CGTA 1997).  Each box keeps its bounds
-as integer numerators over one denominator (``Box.ints``), each matrix
-its integer rows over one denominator (``Matrix.ints``: A, B and every
-vertex table), each system the integer rows of its slabs and its probe
-(``slab_rows``, ``probe_map``), and every comparison of two rationals
-over positive denominators is one cross-multiplication: a/b <= c/d
-exactly when a d <= c b.  Apart from building the inputs it returns,
-the control path's only ``Fraction`` arithmetic is the simplex of
-``_box_lp`` and its window, which run only to build a vertex table.
+and the state update) run on integers rather than ``Fraction`` objects
+(exact computation in the sense of Yap, CGTA 1997).  Each box keeps its
+bounds as integer numerators over one denominator (``Box.ints``), each
+matrix its integer rows over one denominator (``Matrix.ints``: A, B and
+every vertex table), each system the integer rows of its slabs and its
+probe (``slab_rows``, ``probe_map``), and every comparison of two
+rationals over positive denominators is one cross-multiplication:
+a/b <= c/d exactly when a d <= c b.  Apart from building what it
+returns, the control path's only ``Fraction`` arithmetic is the simplex
+of ``_box_lp`` and its window, which run only to build a vertex table.
 
 The two relations of interest between regions X and Y of an affine system
 s' = A s + B u, u constrained to a box U, with T = Y ∩ D the target
@@ -54,10 +54,11 @@ phase-1 simplex over the box (``_box_lp``, in ``Fraction``s), while
 ``control_input`` interpolates inputs given at the vertices of the source
 region (vertex control), in integers.  So the simplex runs in the control
 loop only when a vertex table is built.  Both snap their input to the
-2^-20 grid when it still lands, by one landing test of A x + B u in T
-(``_landing_input``).  The probe is clamped to U and the simplex returns
-a vertex, so those landings may lie on a face of the target, which is
-sound: boxes are closed.
+2^-20 grid when it still lands, by one landing test (``_landing_input``):
+T holds A x + B u, formed by ``_affine``, the one integer sum that also
+gives ``next_state``, the step ``engine.simulate`` takes.  The probe is
+clamped to U and the simplex returns a vertex, so those landings may lie
+on a face of the target, which is sound: boxes are closed.
 """
 
 from __future__ import annotations
@@ -199,13 +200,15 @@ class Box:
         return all(lo <= x <= hi for lo, x, hi in zip(self.lower, point, self.upper))
 
     def holds(self, xs, xd: int) -> bool:
-        """``contains`` for the point x = xs / xd, given as integers with
-        xd > 0: one cross-multiplication per bound against ``ints``."""
+        """``contains`` for x = xs / xd (xd > 0), cross-multiplied with
+        ``ints``; a plain loop, as the control step's landing test."""
         if self.empty:
             return False
         lows, highs, d = self.ints
-        return all(a * xd <= v * d <= b * xd
-                   for a, v, b in zip(lows, xs, highs))
+        for a, v, b in zip(lows, xs, highs):
+            if not a * xd <= v * d <= b * xd:
+                return False
+        return True
 
     def contains_box(self, other: "Box") -> bool:
         if other.empty:
@@ -245,6 +248,9 @@ class Box:
 
     def as_float_bounds(self) -> list[list[float]]:
         return [[float(lo), float(hi)] for lo, hi in zip(self.lower, self.upper)]
+
+    def as_exact_bounds(self) -> list[list[str]]:
+        return [[str(lo), str(hi)] for lo, hi in zip(self.lower, self.upper)]
 
     def __str__(self):
         if self.empty:
@@ -323,15 +329,14 @@ class ControlSystem:
 
     @cached_property
     def probe_map(self):
-        """(N, B⁻¹, B) with N = -B⁻¹A, the integer matrices of the probe,
-        each as (rows, d): integer rows over one denominator
-        (``Matrix.ints``).
+        """(N, B⁻¹) with N = -B⁻¹A, the integer matrices of the probe, each
+        as (rows, d): integer rows over one denominator (``Matrix.ints``).
 
         For a target with centre c, u = B⁻¹c + N x sends x to c (N is kept
         negated so that u is one sum started at B⁻¹c); the probe checks
-        its landing with B.  B⁻¹ comes from one ``_solve_square`` per
-        column, here and never per step.  None when B is not square and
-        invertible.
+        its landing with ``B.ints``.  B⁻¹ comes from one ``_solve_square``
+        per column, here and never per step.  None when B is not square
+        and invertible.
         """
         n = self.n
         cols = [_solve_square(self.B, [Fraction(int(i == j)) for i in range(n)])
@@ -340,7 +345,7 @@ class ControlSystem:
             return None
         binv = tuple(zip(*cols))
         N = [[-_dot(row, col) for col in zip(*self.A)] for row in binv]
-        return to_matrix(N).ints, to_matrix(binv).ints, self.B.ints
+        return to_matrix(N).ints, to_matrix(binv).ints
 
     @cached_property
     def slab_rows(self) -> tuple[tuple, ...]:
@@ -569,35 +574,39 @@ def _shift(sys: ControlSystem, xs, xd: int) -> tuple[list[int], int]:
     return [_dot(row, xs) for row in rows], d * xd
 
 
-def _in_target(sys: ControlSystem, T: Box, ax, axd: int, us, ud: int
-               ) -> bool:
-    """A x + B u lies in T, for A x = ax / axd (``_shift``) and
-    u = us / ud: per row one sum of integers over axd d_B ud, compared
-    with T's integer bounds (``Box.ints``) by cross-multiplication."""
+def _affine(sys: ControlSystem, ax, axd: int, us, ud: int
+            ) -> tuple[list[int], int]:
+    """(ys, yd): A x + B u as integers over one denominator yd > 0, for
+    A x = ax / axd (``_shift``) and u = us / ud; per row one integer sum
+    over axd d_B ud, with B's integer rows (``Matrix.ints``)."""
     B, bd = sys.B.ints
-    tl, th, td = T.ints
     e = bd * ud  # B u = (B' us) / e
-    d = axd * e
-    for a, row, lo, hi in zip(ax, B, tl, th):
-        y = (a * e + _dot(row, us) * axd) * td
-        if y < lo * d or y > hi * d:
-            return False
-    return True
+    return [a * e + _dot(row, us) * axd for a, row in zip(ax, B)], axd * e
+
+
+def next_state(sys: ControlSystem, x: Sequence[Fraction],
+               u: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The exact A x + B u (``_affine``), made ``Fraction``s on return."""
+    if len(x) != sys.n or len(u) != sys.m:
+        raise GeometryError("state/input dimension mismatch")
+    xs, xd = _integers([to_fraction(v) for v in x])
+    ys, yd = _affine(sys, *_shift(sys, xs, xd),
+                     *_integers([to_fraction(v) for v in u]))
+    return tuple(Fraction(v, yd) for v in ys)
 
 
 def _landing_input(sys: ControlSystem, T: Box, ax, axd: int, us, ud: int
                    ) -> tuple[Fraction, ...] | None:
     """u = us / ud rounded to the 2^-20 grid and clamped to U
-    (``_to_grid``) when that lands in T, else u when it lands, else None.
-    Landing is ``_in_target`` with A x = ax / axd; only the returned input
-    is made of ``Fraction``s."""
+    (``_to_grid``) when that lands in T, else u when it lands, else None;
+    u lands when T holds A x + B u (``_affine``, with A x = ax / axd)."""
     U = sys.input_set
     grid = _to_grid(us, ud, U)
     if grid is not None:
         g = _COARSE_GRID * U.ints[2]
-        if _in_target(sys, T, ax, axd, grid, g):
+        if T.holds(*_affine(sys, ax, axd, grid, g)):
             return tuple(Fraction(v, g) for v in grid)
-    if _in_target(sys, T, ax, axd, us, ud):
+    if T.holds(*_affine(sys, ax, axd, us, ud)):
         return tuple(Fraction(v, ud) for v in us)
     return None
 
@@ -632,14 +641,14 @@ class TargetView:
         self.T = T
         if sys.probe_map is None:
             return
-        (_, nd), (binv, bd), (_, qb) = sys.probe_map
+        (_, nd), (binv, bd) = sys.probe_map
         lo, hi, td = T.ints
         twice_centre = [a + b for a, b in zip(lo, hi)]  # over 2 td
         self.kd = math.lcm(nd, 2 * td * bd)
         scale = self.kd // (2 * td * bd)
         self.k = [_dot(row, twice_centre) * scale for row in binv]
         self.kq = self.kd // nd
-        self.h = [(b - a) * qb for a, b in zip(lo, hi)]
+        self.h = [(b - a) * sys.B.ints[1] for a, b in zip(lo, hi)]
         self.hd = 2 * td
 
 
@@ -680,7 +689,8 @@ def _probe(sys: ControlSystem, view: TargetView,
     """
     if view.k is None:
         return None
-    (N, _), _, (B, _) = sys.probe_map
+    (N, _), _ = sys.probe_map
+    B = sys.B.ints[0]
     U = sys.input_set
     ud = U.ints[2]
     xs, xd = _integers(x)
@@ -721,9 +731,8 @@ def input_witness(sys: ControlSystem, x: Sequence[Fraction],
     T = view.T
     if u is None and T is not None:
         ax, axd = _shift(sys, *_integers(x))
-        shift = [Fraction(a, axd) for a in ax]
-        lo = [c - v for c, v in zip(T.lower, shift)]
-        hi = [c - v for c, v in zip(T.upper, shift)]
+        lo = [c - Fraction(a, axd) for c, a in zip(T.lower, ax)]
+        hi = [c - Fraction(a, axd) for c, a in zip(T.upper, ax)]
         if _hull_meets(sys, lo, hi):
             u = _box_lp(sys.B, sys.input_set, lo, hi)
             if u is not None:
@@ -762,14 +771,6 @@ def _weights(X: Box, xs, xd: int) -> tuple[list[int], int]:
         weights = [w * f for w in weights for f in (qi - p, p)]
         q *= qi
     return weights, q
-
-
-def vertex_weights(X: Box, x: Sequence[Fraction]) -> list[Fraction]:
-    """The multilinear weights of a point x of X over ``box_vertices(X)``
-    (``_weights``) as ``Fraction``s.  The weights are >= 0, sum to 1 and
-    give ``sum(w_v v) = x``."""
-    weights, q = _weights(X, *_integers([to_fraction(v) for v in x]))
-    return [Fraction(w, q) for w in weights]
 
 
 def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualsynth import engine
+from dualsynth import abstraction, engine
 from dualsynth.abstraction import (
     AbstractionError,
     EnvAlphabet,
@@ -69,15 +69,35 @@ def all_pairs_rows(forest, sys):
 
 
 def assert_pruning_exact(pair, forest, sys):
-    """``pair``'s undecided rows equal the unpruned rows, and its issued
-    and pruned counts add up to the unpruned query count."""
+    """``pair``'s undecided rows equal the unpruned rows, its issued and
+    pruned counts add up to the unpruned query count, and an optimistic
+    query was made for every queried pair without a pessimistic edge."""
     pess, opt, n_targets = all_pairs_rows(forest, sys)
     for a in pess:
         assert pair.pess_edges[a] == pess[a], a
         assert pair.opt_edges[a] == opt[a], a
     stats = pair.query_stats
-    assert stats.issued_pess == stats.issued_opt
+    assert stats.issued_opt == stats.issued_pess - sum(map(len, pess.values()))
     assert stats.issued_pess + stats.pruned == len(pess) * n_targets
+
+
+def counted(step, *args):
+    """``step(*args)`` (``build_initial`` or ``refine``), with the
+    ``reach_*`` calls it makes counted and checked against the queries its
+    ``QueryStats`` report."""
+    calls = {"reach_pessimistic": 0, "reach_optimistic": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counting(X, Y, sys, real=getattr(abstraction, name),
+                         name=name):
+                calls[name] += 1
+                return real(X, Y, sys)
+            mp.setattr(abstraction, name, counting)
+        pair = step(*args)
+    stats = pair.query_stats
+    assert (stats.issued_pess, stats.issued_opt) == \
+        (calls["reach_pessimistic"], calls["reach_optimistic"])
+    return pair
 
 
 class TestEnvAlphabet:
@@ -124,6 +144,15 @@ class TestBuildInitial:
         pess = {(a, b) for a, b in pair.pess_pairs()}
         for r in forest.leaves:
             assert (r, r) in pess
+
+    def test_optimistic_queries_counted_where_pessimistic_fails(self):
+        sys = park_system()
+        forest = initial_partition(sys)
+        pair = counted(build_initial, forest, sys, no_env())
+        n, n_pess = len(forest.leaves), len(list(pair.pess_pairs()))
+        assert n_pess > 0
+        assert pair.query_stats.issued_pess == n * n
+        assert pair.query_stats.issued_opt == n * n - n_pess
 
     def test_park_edges_match_grid_oracle(self):
         sys = park_system()
@@ -214,11 +243,13 @@ class TestRefine:
         forest, pair = self._setup(sys)
         n = len(forest.leaves)
         self._advance(forest)
-        nxt = refine(pair, forest, sys)
+        nxt = counted(refine, pair, forest, sys)
         stats = nxt.query_stats
         assert stats.issued_pess + stats.pruned == (4 * n) ** 2
-        assert stats.issued_opt == stats.issued_pess
-        assert reachability_queries_saved(nxt) == 2 * stats.pruned
+        # a pruned pair saves both queries, a pessimistic edge the
+        # optimistic one
+        assert reachability_queries_saved(nxt) == \
+            2 * stats.pruned + len(list(nxt.pess_pairs()))
         assert_pruning_exact(nxt, forest, sys)
 
     def test_issued_queries_touch_only_maybe_sources(self):
@@ -227,13 +258,15 @@ class TestRefine:
         leaves = list(forest.leaves)
         winning = set(leaves[:3])
         self._advance(forest, winning=winning)
-        nxt = refine(pair, forest, sys)
+        nxt = counted(refine, pair, forest, sys)
         m_children = len(forest.leaves) - len(winning)
         w = len(winning)
         stats = nxt.query_stats
         assert stats.issued_pess + stats.pruned == m_children * (m_children + w)
+        queried_pess = sum(len(nxt.pess_edges[a]) for a in forest.leaves
+                           if a not in winning)
         assert reachability_queries_saved(nxt) == \
-            stats.naive - 2 * stats.issued_pess
+            stats.naive - 2 * stats.issued_pess + queried_pess
         assert_pruning_exact(nxt, forest, sys)
 
     def test_unsplit_maybe_rows_are_pruned_exactly(self):
@@ -245,7 +278,7 @@ class TestRefine:
             for rid in forest.leaves:
                 forest.set_status(rid, Status.MAYBE)
             split_any = advance_iteration(forest, m=4, min_cell=min_cell)
-            nxt = refine(pair, forest, sys)
+            nxt = counted(refine, pair, forest, sys)
             assert_pruning_exact(nxt, forest, sys)
             if not split_any:
                 assert forest.leaves == pair.regions
@@ -270,7 +303,7 @@ class TestPruning:
         pruned = []
 
         def checked_refine(pair, forest, sys):
-            nxt = refine(pair, forest, sys)
+            nxt = counted(refine, pair, forest, sys)
             assert_pruning_exact(nxt, forest, sys)
             pruned.append(nxt.query_stats.pruned)
             return nxt

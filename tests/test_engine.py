@@ -670,6 +670,44 @@ class TestVertexControl:
         assert [(s.state, s.inp, s.region) for s in runs[0]] == \
             [(s.state, s.inp, s.region) for s in runs[1]]
 
+    def test_rebuilt_controller_keeps_the_proved_boxes(self, tmp_path):
+        # m = 9 cuts each axis into thirds, which no double holds:
+        # controller.json must give back the leaf boxes synthesize proved,
+        # and one written with float bounds must still load
+        from dualsynth.cli import _rebuild_controller, load_problem, main
+        root = Path(__file__).resolve().parent.parent
+        data = json.loads((root / "bench" / "coupled.json").read_text())
+        data["options"]["m"] = 9
+        path = tmp_path / "coupled9.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["synthesize", str(path), "--out", str(out)]) == 0
+        sys, env, spec, opts = _problem_file(path)
+        fresh = run(sys, env, spec, opts).controller
+        problem = load_problem(str(path))
+        rebuilt = _rebuild_controller(problem, str(out / "controller.json"))
+        boxes = [{rid: c.forest.box(rid) for rid in c.forest.leaves}
+                 for c in (fresh, rebuilt)]
+        assert boxes[0] == boxes[1]
+        assert any(v.denominator % 3 == 0 for box in boxes[0].values()
+                   for v in box.upper)
+        rng = np.random.default_rng(61)
+        trace = [int(rng.integers(0, 2)) for _ in range(301)]
+        runs = [simulate(c, sys, iter(trace), self.START, 300).steps
+                for c in (fresh, rebuilt)]
+        assert [(s.state, s.inp, s.region) for s in runs[0]] == \
+            [(s.state, s.inp, s.region) for s in runs[1]]
+
+        ctrl = json.loads((out / "controller.json").read_text())
+        for leaf in ctrl["leaves"]:
+            leaf["box"] = Box.from_bounds(leaf["box"]).as_float_bounds()
+        old = tmp_path / "float_controller.json"
+        old.write_text(json.dumps(ctrl))
+        loaded = _rebuild_controller(problem, str(old))
+        assert {rid: loaded.forest.box(rid) for rid in loaded.forest.leaves} \
+            == {rid: Box.from_bounds(box.as_float_bounds())
+                for rid, box in boxes[0].items()}
+
 
 def sha256_json(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()
@@ -779,3 +817,87 @@ class TestPinnedController:
         steps = simulate(ctrl, sys, iter(trace), start, 500).steps
         assert ctrl.table_steps == 500 and ctrl.probe_steps == 0
         assert self.digest(steps) == sha
+
+
+def plain_step(A, B, x, u):
+    """A x + B u in plain ``Fraction`` arithmetic, from the rows as given."""
+    F = Fraction
+    return tuple(sum((F(a) * F(v) for a, v in zip(row_a, x)), F(0)) +
+                 sum((F(b) * F(w) for b, w in zip(row_b, u)), F(0))
+                 for row_a, row_b in zip(A, B))
+
+
+class TestNextState:
+    """``geometry.next_state``, the step ``simulate`` takes, against
+    ``plain_step``."""
+
+    VALUES = [0, 1, -2, 0.3, -0.7, 0.1, Fraction(1, 3), Fraction(-5, 12),
+              Fraction(10 ** 30, 7), Fraction(1, 2 ** 70)]
+
+    def draw(self, rng, k):
+        return [self.VALUES[int(rng.integers(len(self.VALUES)))]
+                for _ in range(k)]
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(67)
+        shapes = [(1, 1), (2, 2), (2, 1), (2, 3), (3, 3), (3, 2)]
+        checked = 0
+        for n, m in shapes * 20:
+            A = [self.draw(rng, n) for _ in range(n)]
+            B = [self.draw(rng, m) for _ in range(n)]
+            sys = ControlSystem.create(
+                A=A, B=B, input_set=[[-1, 1]] * m, domain=[[-4, 4]] * n,
+                initial_set=[[-4, 4]] * n)
+            for _ in range(5):
+                x = [Fraction(v) for v in self.draw(rng, n)]
+                u = [Fraction(v) for v in self.draw(rng, m)]
+                got = geometry.next_state(sys, x, u)
+                assert got == plain_step(A, B, x, u)
+                assert all(type(v) is Fraction for v in got)
+                checked += 1
+        assert checked == 600
+
+    def test_float_read_decimal_A(self):
+        # the decimal coupled system: 0.3 and 0.1 are read as the doubles
+        # they name, and long runs grow the state's denominator
+        A, B = [[1, 0.3], [0.1, 1]], [[1, 0.5], [0, 1]]
+        sys = ControlSystem.create(
+            A=A, B=B, input_set=[[-0.5, 0.5]] * 2, domain=[[0, 4]] * 2,
+            initial_set=[[0, 4]] * 2)
+        rng = np.random.default_rng(71)
+        x = (Fraction(9, 4), Fraction(9, 4))
+        for _ in range(60):
+            u = tuple(Fraction(int(rng.integers(-8, 9)), 16)
+                      for _ in range(2))
+            want = plain_step(A, B, x, u)
+            assert geometry.next_state(sys, x, u) == want
+            # keep the state bounded without changing its denominator
+            x = tuple(v - math.floor(v) + 2 for v in want)
+        assert max(v.denominator for v in x) > 2 ** 1000
+
+    @pytest.mark.parametrize("problem, start", [
+        (singular_B_problem, (Fraction(5, 2), Fraction(1, 3))),
+        (wide_B_problem, (Fraction(1, 2), Fraction(1, 2))),
+        (coupled_problem, TestVertexControl.START),
+    ])
+    def test_simulated_steps(self, problem, start):
+        sys, env, spec = problem()
+        rows = [[[Fraction(v) for v in row] for row in mat]
+                for mat in (sys.A, sys.B)]
+        ctrl = run(sys, env, spec).controller
+        rng = np.random.default_rng(73)
+        trace = [int(rng.integers(0, 2)) for _ in range(201)]
+        steps = simulate(ctrl, sys, iter(trace), start, 200).steps
+        for step, nxt in zip(steps, steps[1:]):
+            assert nxt.state == plain_step(*rows, step.state, step.inp)
+            assert nxt.state == geometry.next_state(sys, step.state,
+                                                    step.inp)
+
+    def test_floats_and_dimensions(self):
+        sys, _env, _spec = wide_B_problem()
+        assert geometry.next_state(sys, (0.5, 0.25), (0.5, -1, 1)) == \
+            (Fraction(1), Fraction(-3, 4))
+        for x, u in (((1,), (0, 0, 0)), ((1, 1), (0, 0)),
+                     ((1, 1, 1), (0, 0, 0))):
+            with pytest.raises(GeometryError):
+                geometry.next_state(sys, x, u)

@@ -20,7 +20,6 @@ from dualsynth.geometry import (
     reach_exists_from_point,
     reach_optimistic,
     reach_pessimistic,
-    vertex_weights,
 )
 
 from oracles import (
@@ -480,7 +479,8 @@ class TestVertexControl:
             table = self.table(sys, X, Y)
             target = Y.intersect(sys.domain)
             for x in self.points(rng, X):
-                weights = vertex_weights(X, x)
+                ws, q = geometry._weights(X, *geometry._integers(x))
+                weights = [Fraction(w, q) for w in ws]
                 assert all(w >= 0 for w in weights) and sum(weights) == 1
                 assert tuple(sum(w * v[i] for w, v in zip(weights, vertices))
                              for i in range(X.dim)) == tuple(x)
