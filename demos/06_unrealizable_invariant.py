@@ -32,7 +32,7 @@ verdict = run(sys, env, spec)
 print("verdict:", verdict.outcome)
 print("witness (losing boxes meeting the initial set):")
 for box in verdict.witness:
-    print("  ", box.as_float_bounds())
+    print("  ", box.as_exact_bounds())
 
 triple = verdict.history[-1]
 print(f"\nclassification on {len(triple.rows)} cells: "

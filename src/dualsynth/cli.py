@@ -387,7 +387,7 @@ def cmd_synthesize(args) -> int:
           f"artifacts in {out_dir}")
     if verdict.outcome == "unrealizable":
         for box in verdict.witness:
-            print(f"  losing initial box: {box.as_float_bounds()}")
+            print(f"  losing initial box: {json.dumps(box.as_exact_bounds())}")
     if verdict.reason:
         print(f"  reason: {verdict.reason}")
     return {"realizable": EXIT_REALIZABLE,

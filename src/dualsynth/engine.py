@@ -192,7 +192,7 @@ class Verdict:
         return {
             "outcome": self.outcome,
             "iterations": self.iterations,
-            "witness": [b.as_float_bounds() for b in self.witness],
+            "witness": [b.as_exact_bounds() for b in self.witness],
             "reason": self.reason,
             "stats": [s.to_json() for s in self.stats],
         }

@@ -211,12 +211,17 @@ class Box:
         return True
 
     def contains_box(self, other: "Box") -> bool:
+        """Whether ``other`` lies inside, cross-multiplied with ``ints``."""
         if other.empty:
             return True
         if self.empty:
             return False
-        return all(a <= c and d <= b for a, b, c, d in
-                   zip(self.lower, self.upper, other.lower, other.upper))
+        lows, highs, d = self.ints
+        olows, ohighs, e = other.ints
+        for a, b, c, f in zip(lows, highs, olows, ohighs):
+            if not (a * e <= c * d and f * d <= b * e):
+                return False
+        return True
 
     def intersect(self, other: "Box") -> "Box":
         if self.empty or other.empty:
@@ -237,9 +242,13 @@ class Box:
         """
         if self.empty or other.empty:
             return False
-        for a, b, c, d in zip(self.lower, self.upper, other.lower, other.upper):
-            lo, hi = max(a, c), min(b, d)
-            if c == d:
+        # both boxes over the common denominator d e, cross-multiplied
+        lows, highs, d = self.ints
+        olows, ohighs, e = other.ints
+        for a, b, c, f in zip(lows, highs, olows, ohighs):
+            a, b, c, f = a * e, b * e, c * d, f * d
+            lo, hi = max(a, c), min(b, f)
+            if c == f:
                 if lo > hi:
                     return False
             elif lo >= hi:

@@ -7,6 +7,13 @@ inherit the parent's labels.  Solved leaves (winning or losing) stay
 leaves under their own ids and keep the status the engine gave them, as
 do maybe leaves too small to split.  Region ids are root-to-leaf index
 paths, so the whole history stays addressable.
+
+The layer decides on the integer kernel of ``geometry``: every box test
+(``Box.contains_box`` and ``Box.overlaps_interior`` for labels and
+initial flags, ``Box.holds`` for ``locate``), the choice of the axes to
+cut (``_split_counts``) and the ``min_cell`` tests cross-multiply the
+integer bounds of ``Box.ints``.  Its only ``Fraction`` arithmetic builds
+the cut points of a split, once per axis, shared by every child.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 
-from dualsynth.geometry import Box, ControlSystem, to_fraction
+from dualsynth.geometry import Box, ControlSystem, _integers, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +64,7 @@ class Node:
 class PartitionForest:
     domain: Box
     nodes: dict[RegionId, Node]
-    roots: list[RegionId]
+    roots: list[RegionId]           # sorted by path
     leaves: list[RegionId]          # current layer, sorted by path
     initial_set: Box
     iteration: int = 0
@@ -79,15 +86,12 @@ class PartitionForest:
 
 
 def _axis_cuts(domain: Box, boxes) -> list[list[Fraction]]:
-    cuts = []
-    for d in range(domain.dim):
-        coords = {domain.lower[d], domain.upper[d]}
-        for b in boxes:
-            for v in (b.lower[d], b.upper[d]):
-                if domain.lower[d] < v < domain.upper[d]:
-                    coords.add(v)
-        cuts.append(sorted(coords))
-    return cuts
+    # every nonempty proposition region lies inside the domain
+    # (``ControlSystem`` checks it), so its bounds are the grid's cuts
+    return [sorted({domain.lower[d], domain.upper[d],
+                    *(v for b in boxes if not b.empty
+                      for v in (b.lower[d], b.upper[d]))})
+            for d in range(domain.dim)]
 
 
 def initial_partition(sys: ControlSystem) -> PartitionForest:
@@ -117,14 +121,19 @@ def initial_partition(sys: ControlSystem) -> PartitionForest:
                           initial=box.overlaps_interior(sys.initial_set))
         roots.append(rid)
     forest = PartitionForest(domain=sys.domain, nodes=nodes, roots=roots,
-                             leaves=sorted(roots),
+                             leaves=list(roots),
                              initial_set=sys.initial_set)
     logger.debug("initial partition: %d leaves", len(roots))
     return forest
 
 
 def _split_counts(box: Box, m: int) -> list[int]:
-    """Per-axis slice counts with product m, longest effective side first."""
+    """Per-axis slice counts with product m, longest effective side first.
+
+    Each prime factor of m, largest first, goes to the axis of the widest
+    slice, the lowest such axis on a tie: w_a / c_a > w_b / c_b exactly
+    when w_a c_b > w_b c_a, on the integer widths of ``Box.ints``.
+    """
     if m < 1:
         raise PartitionError("split count must be >= 1")
     counts = [1] * box.dim
@@ -137,27 +146,60 @@ def _split_counts(box: Box, m: int) -> list[int]:
         p += 1
     if k > 1:
         factors.append(k)
+    lows, highs, _d = box.ints
+    widths = [hi - lo for lo, hi in zip(lows, highs)]
     for f in sorted(factors, reverse=True):
-        widths = box.widths()
-        axis = max(range(box.dim),
-                   key=lambda d: (Fraction(widths[d], counts[d]), -d))
+        axis = 0
+        for d in range(1, box.dim):
+            if widths[d] * counts[axis] > widths[axis] * counts[d]:
+                axis = d
         if widths[axis] == 0:
             raise PartitionError(f"cannot split degenerate box {box} into {m}")
         counts[axis] *= f
     return counts
 
 
-def split_box(box: Box, m: int) -> list[Box]:
-    """m interior-disjoint equal-volume sub-boxes covering ``box``."""
-    counts = _split_counts(box, m)
+def _slices(box: Box, counts: list[int]) -> list[Box]:
+    """The boxes cutting axis i of ``box`` into counts[i] equal slices.
+
+    Each axis's k + 1 cut points are built once, lo + i (hi - lo) / k as
+    (lo k + i (hi - lo)) / (d k) on the integers of ``Box.ints``, and
+    every child shares them; an uncut axis keeps the box's own bounds.
+    """
+    lows, highs, d = box.ints
     axis_slices = []
-    for d, k in enumerate(counts):
-        lo, hi = box.lower[d], box.upper[d]
-        step = (hi - lo) / k
-        axis_slices.append([(lo + i * step, lo + (i + 1) * step)
-                            for i in range(k)])
+    for k, lo, hi, first, last in zip(counts, lows, highs, box.lower,
+                                      box.upper):
+        cuts = [first, *(Fraction(lo * k + i * (hi - lo), d * k)
+                         for i in range(1, k)), last]
+        axis_slices.append(list(zip(cuts, cuts[1:])))
     return [Box(tuple(lo for lo, _ in cell), tuple(hi for _, hi in cell))
             for cell in product(*axis_slices)]
+
+
+def split_box(box: Box, m: int) -> list[Box]:
+    """m interior-disjoint equal-volume sub-boxes covering ``box``."""
+    return _slices(box, _split_counts(box, m))
+
+
+def _attach(forest: PartitionForest, region: RegionId,
+            boxes: list[Box]) -> list[RegionId]:
+    """Make ``boxes`` the children of leaf ``region``, with its labels.
+
+    A child is initial when it meets the initial set with positive
+    measure, which needs its parent to (``overlaps_interior`` only grows
+    with its box), so the children of a parent that is not initial are
+    not tested.
+    """
+    node = forest.nodes[region]
+    for j, cbox in enumerate(boxes, start=1):
+        cid = region + (j,)
+        forest.nodes[cid] = Node(
+            box=cbox, labels=node.labels,
+            initial=node.initial and
+            cbox.overlaps_interior(forest.initial_set))
+        node.children.append(cid)
+    return list(node.children)
 
 
 def split(forest: PartitionForest, region: RegionId, m: int) -> list[RegionId]:
@@ -168,21 +210,18 @@ def split(forest: PartitionForest, region: RegionId, m: int) -> list[RegionId]:
     if node.status in (Status.WINNING, Status.LOSING):
         raise PartitionError(
             f"refusing to split solved leaf {format_region_id(region)}")
-    for j, cbox in enumerate(split_box(node.box, m), start=1):
-        cid = region + (j,)
-        forest.nodes[cid] = Node(
-            box=cbox, labels=node.labels,
-            initial=cbox.overlaps_interior(forest.initial_set))
-        node.children.append(cid)
-    return list(node.children)
+    return _attach(forest, region, split_box(node.box, m))
 
 
-def _max_cells(box: Box, min_cell: Fraction) -> int | float:
-    """An upper bound on the children of ``box`` that stay ``min_cell``
-    wide: an axis cut into c > 1 slices has c <= width / min_cell."""
-    if not min_cell:
+def _max_cells(box: Box, p: int, q: int) -> int | float:
+    """An upper bound on the children of ``box`` that stay p / q wide
+    (``min_cell``): an axis cut into c > 1 slices has c <= width / min_cell,
+    that is floor(w q / (d p)) on the integers of ``Box.ints``."""
+    if not p:
         return math.inf
-    return math.prod(max(1, w // min_cell) for w in box.widths())
+    lows, highs, d = box.ints
+    return math.prod(max(1, (hi - lo) * q // (d * p))
+                     for lo, hi in zip(lows, highs))
 
 
 def advance_iteration(forest: PartitionForest, m: int,
@@ -191,11 +230,13 @@ def advance_iteration(forest: PartitionForest, m: int,
 
     Solved leaves, and maybe leaves too small to split, stay leaves under
     their own ids.  A leaf that cannot hold m children that wide
-    (``_max_cells``) stays a leaf before m is factored.  Returns whether
-    any leaf was split; a leaf the engine never classified raises
-    PartitionError.
+    (``_max_cells``) stays a leaf before m is factored.  Every width test
+    is an integer cross-multiplication over ``Box.ints`` and min_cell's
+    numerator and denominator.  Returns whether any leaf was split; a leaf
+    the engine never classified raises PartitionError.
     """
     min_cell = Fraction(min_cell)
+    p, q = min_cell.numerator, min_cell.denominator
     new_leaves: list[RegionId] = []
     for rid in forest.leaves:
         node = forest.nodes[rid]
@@ -203,12 +244,14 @@ def advance_iteration(forest: PartitionForest, m: int,
             raise PartitionError(
                 f"leaf {format_region_id(rid)} was never classified")
         if node.status is Status.MAYBE and \
-                1 < m <= _max_cells(node.box, min_cell):
+                1 < m <= _max_cells(node.box, p, q):
             counts = _split_counts(node.box, m)
-            widths = node.box.widths()
-            if all(Fraction(widths[d], counts[d]) >= min_cell
-                   for d in range(node.box.dim) if counts[d] > 1):
-                new_leaves.extend(split(forest, rid, m))
+            lows, highs, d = node.box.ints
+            # a slice (hi - lo) / (d c) wide is at least p / q wide
+            if all((hi - lo) * q >= p * d * c
+                   for lo, hi, c in zip(lows, highs, counts) if c > 1):
+                new_leaves.extend(_attach(forest, rid,
+                                          _slices(node.box, counts)))
                 continue
         new_leaves.append(rid)
     split_any = len(new_leaves) > len(forest.leaves)
@@ -221,20 +264,30 @@ def advance_iteration(forest: PartitionForest, m: int,
 def locate(forest: PartitionForest, point) -> RegionId:
     """The unique current leaf containing the point.
 
-    Boundary ties resolve to the lexicographically smallest region path,
-    which the sorted scan below yields for free.
+    The point is put over one denominator once and every box test is
+    ``Box.holds``.  Boundary ties resolve to the lexicographically
+    smallest region path, which the scan of the sorted roots and of each
+    node's children in order yields for free.  A point that no root, or
+    no child of the node holding it, contains raises PartitionError.
     """
     pt = tuple(map(to_fraction, point))
-    if not forest.domain.contains(pt):
-        raise PartitionError(f"point {point} lies outside the domain")
-    root = next((r for r in sorted(forest.roots)
-                 if forest.nodes[r].box.contains(pt)), None)
-    assert root is not None, "roots tile the domain"
-    rid = root
-    while forest.nodes[rid].children:
-        rid = next(c for c in forest.nodes[rid].children
-                   if forest.nodes[c].box.contains(pt))
+    xs, xd = _integers(pt)
+    if len(pt) != forest.domain.dim or not forest.domain.holds(xs, xd):
+        raise PartitionError(f"point {_point_text(pt)} lies outside the "
+                             f"domain")
+    nodes = forest.nodes
+    rid, level = None, forest.roots
+    while level:
+        rid = next((r for r in level if nodes[r].box.holds(xs, xd)), None)
+        level = nodes[rid].children if rid is not None else ()
+    if rid is None:
+        raise PartitionError(f"no region of the partition holds point "
+                             f"{_point_text(pt)}")
     return rid
+
+
+def _point_text(pt) -> str:
+    return "(" + ", ".join(map(str, pt)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +306,7 @@ def partition_to_json(rows) -> list[dict]:
     """JSON rows of labeled status boxes; ``rows`` holds (id, Box, Status,
     labels), as for ``render_svg``."""
     return [{"region_id": format_region_id(rid),
-             "box": box.as_float_bounds(),
+             "box": box.as_exact_bounds(),
              "status": status.value,
              "labels": sorted(labels)} for rid, box, status, labels in rows]
 

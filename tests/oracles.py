@@ -6,9 +6,11 @@ interval arithmetic or exact Fourier-Motzkin elimination, games by
 exhaustive strategy enumeration with lasso checking or by a textbook sweep
 of the GR(1) fixpoint over explicit (region, env, bits) triples,
 losing-set soundness by an exact backward-reachability fixpoint, the
-controller's probe by a linear solve per query, and its vertex control by
-a weighted sum in plain ``Fraction``s.  Keep it that way; the value of
-these tests is the independent route to the same answer.
+controller's probe by a linear solve per query, its vertex control by
+a weighted sum in plain ``Fraction``s, and the partition layer's box
+tests and splits by comparisons and arithmetic on the ``Fraction``
+bounds.  Keep it that way; the value of these tests is the independent
+route to the same answer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+# the only library import: the split oracle returns boxes, and reads and
+# tests nothing of them but their bounds
+from dualsynth.geometry import Box
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +188,75 @@ def box_volume(box) -> Fraction:
     for lo, hi in zip(box.lower, box.upper):
         vol *= hi - lo
     return vol
+
+
+# ---------------------------------------------------------------------------
+# the partition layer's box tests and splits, restated
+# ---------------------------------------------------------------------------
+
+def contains_box_plain(outer, inner) -> bool:
+    """``inner`` lies inside ``outer``, on the ``Fraction`` bounds; the
+    empty box lies inside every box and holds none."""
+    if inner.empty:
+        return True
+    if outer.empty:
+        return False
+    return all(a <= c and d <= b for a, b, c, d in
+               zip(outer.lower, outer.upper, inner.lower, inner.upper))
+
+
+def overlaps_interior_plain(box, other) -> bool:
+    """``box`` and ``other`` share a piece of ``other`` of full dimension
+    relative to ``other``: per axis, the overlap is no interval at all
+    (length below 0) nowhere, and a point (length 0) only where ``other``
+    is flat."""
+    if box.empty or other.empty:
+        return False
+    for a, b, c, d in zip(box.lower, box.upper, other.lower, other.upper):
+        length = min(b, d) - max(a, c)
+        if length < 0 or length == 0 and c != d:
+            return False
+    return True
+
+
+def _prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while m > 1:
+        while m % p == 0:
+            out.append(p)
+            m //= p
+        p += 1
+    return out
+
+
+def split_counts_plain(box, m: int):
+    """Per-axis slice counts with product m: each prime factor of m,
+    largest first, multiplies the count of the axis whose slices are
+    widest, the lowest such axis on a tie.  None when that axis has width
+    0 (the box cannot be split into m)."""
+    widths = [hi - lo for lo, hi in zip(box.lower, box.upper)]
+    counts = [1] * len(widths)
+    for f in sorted(_prime_factors(m), reverse=True):
+        slices = [w / c for w, c in zip(widths, counts)]
+        axis = slices.index(max(slices))
+        if widths[axis] == 0:
+            return None
+        counts[axis] *= f
+    return counts
+
+
+def split_box_plain(box, m: int):
+    """The boxes cutting ``box`` into ``split_counts_plain`` equal slices
+    per axis, the first axis varying slowest; None as there."""
+    counts = split_counts_plain(box, m)
+    if counts is None:
+        return None
+    axes = []
+    for lo, hi, k in zip(box.lower, box.upper, counts):
+        step = (hi - lo) / k
+        axes.append([(lo + i * step, lo + (i + 1) * step) for i in range(k)])
+    return [Box(tuple(lo for lo, _ in cell), tuple(hi for _, hi in cell))
+            for cell in product(*axes)]
 
 
 def interval_reach(sys, X, Y):

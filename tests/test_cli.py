@@ -105,7 +105,7 @@ class TestSynthesizeCommand:
         assert code == EXIT_UNREALIZABLE
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["outcome"] == "unrealizable"
-        assert [[3.0, 3.5], [3.0, 3.5]] in verdict["witness"]
+        assert [["3", "7/2"], ["3", "7/2"]] in verdict["witness"]
         assert not (out / "controller.json").exists()
 
     def test_init_violation_exit_three(self, tmp_path):
@@ -535,6 +535,27 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_INPUT_ERROR
         assert f"{bad}: {message}" in capsys.readouterr().err
+
+    def test_controller_without_the_start_leaf_is_input_error(
+            self, park_path, park_run, tmp_path, capsys):
+        # every leaf holding the start state is dropped, so no region of
+        # the rebuilt partition holds it
+        problem = load_problem(park_path)
+        start = problem.sys.initial_set.center()
+        data = json.loads((park_run / "controller.json").read_text())
+        kept = [leaf for leaf in data["leaves"]
+                if not Box.from_bounds(leaf["box"]).contains(start)]
+        assert 0 < len(kept) < len(data["leaves"])
+        data["leaves"] = kept
+        bad = tmp_path / "holed_controller.json"
+        bad.write_text(json.dumps(data))
+        code = main(["simulate", park_path, str(bad),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        point = "(" + ", ".join(map(str, start)) + ")"
+        assert f"no region of the partition holds point {point}" in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 def _labels_of(problem, region_str, run_dir):

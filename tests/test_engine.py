@@ -732,9 +732,57 @@ PINNED_PROBLEMS = {
         Path(__file__).resolve().parent.parent / "bench" / "coupled.json"),
     "park": lambda: _problem_file(
         resources.files("dualsynth") / "problems" / "park.json"),
+    "random_1": lambda: _random(1),
     "random_2": lambda: _random(2),
+    "random_5": lambda: _random(5),
     "random_24": lambda: _random(24),
 }
+
+
+class TestPinnedPartitions:
+    """Every iteration's classified leaves, pinned by one SHA-256 digest
+    per iteration of the (region id, exact bounds, labels, status,
+    initial) rows: a change to the partition layer must leave every
+    split, label and initial flag unchanged."""
+
+    @pytest.mark.parametrize("name, digests", [
+        ("coupled", [
+          "1bfe1f532d10104183785f501792727aee4f6f44d2d32e7e9a55aa7c3302cf13",
+          "4614472d5c1080e220db7df8978d0c975d8c9d67922908ed211711ac77ef1e6c"]),
+        ("park", [
+          "104d0baf860494b3fceda3be854cfd505a8faa0a3bfed24f497bbbc951c9e8fb"]),
+        ("random_1", [
+          "2a3503f309a1d0026ece5124700794ee1439d57ca3022fd0c20b40e376e837ee",
+          "7e1ef612593b4571130bb551caaabb898ef322a1a1d8b0b38c7e497989d7c03a",
+          "b3d9beaac94ac68c6d2d50f3d5477df68bacbc85eea5e608044d2cf87fabe19e"]),
+        ("random_2", [
+          "3af4adeebd31cf5abf304613f625adcaafa0725aab85c1d0dc613c569564226f",
+          "9bd80e9b8eae62cc969c4899bc90ccaef97b840768b9d8c45817002e5ff8d03f",
+          "8ef49acf6b74eb7a76c59550ff89b1dd07daca3df5bf3694ce9437678c710c27"]),
+        ("random_5", [
+          "b81d1d10f7061adced0ac640b9cdffaac997b470e86f7b6e8d56e2b822cde0ee",
+          "62da4913c46c8ac63e6c276d8ada03de836997fc4e2dd39cb1a433436eb71a52",
+          "294fac8ad490f2f4baaa2f8ed090975d90c1dbfae117b61ec83701a52c5d5a1d"]),
+        ("random_24", [
+          "dc5d36dcd7d42df0fb15bd958beac19fd53af6e6e76cbeb1751bfb0488d09edd",
+          "ff9631371238cceaeee3af7203216bfe42e2765ada4f7f552c7448b3b9a5d6d6",
+          "599d90ec79403ba21725e0ff2e4379e89ca25eb638334b6150fcb75e1ae84ea2"]),
+    ])
+    def test_iterations_are_pinned(self, name, digests, monkeypatch):
+        seen = []
+        original = engine.classify
+
+        def capture(pair, forest, spec):
+            triple = original(pair, forest, spec)
+            seen.append(sha256_json([
+                [format_region_id(rid), forest.box(rid).as_exact_bounds(),
+                 sorted(forest.labels(rid)), forest.status(rid).value,
+                 forest.nodes[rid].initial] for rid in pair.regions]))
+            return triple
+
+        monkeypatch.setattr(engine, "classify", capture)
+        run(*PINNED_PROBLEMS[name]())
+        assert seen == digests
 
 
 class TestPinnedStrategies:
@@ -801,7 +849,7 @@ class TestPinnedController:
                               TestVertexControl.START, 100).steps
         assert ctrl.table_steps > 0 and ctrl.probe_steps > 0
         assert self.digest(steps) == \
-            "8d4b1d6934ffac95ce6fb0a604ef9c7f54fe9a1e9dc1b9e3e2b806c01af2493a"
+          "8d4b1d6934ffac95ce6fb0a604ef9c7f54fe9a1e9dc1b9e3e2b806c01af2493a"
 
     @pytest.mark.parametrize("problem, start, sha", [
         (singular_B_problem, (Fraction(5, 2), Fraction(1, 3)),

@@ -21,7 +21,13 @@ from dualsynth.partition import (
     split_box,
 )
 
-from oracles import box_volume
+from oracles import (
+    box_volume,
+    contains_box_plain,
+    overlaps_interior_plain,
+    split_box_plain,
+    split_counts_plain,
+)
 
 
 def park_system():
@@ -118,6 +124,101 @@ class TestSplit:
             split(forest, forest.leaves[0], 4)
 
 
+# bounds and widths with denominators 3 and 7 as well as powers of two,
+# so the integer kernel's common denominators are not all dyadic
+VALUES = [Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2),
+          Fraction(1), Fraction(-5, 4), Fraction(7, 3)]
+WIDTHS = [Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2),
+          Fraction(1), Fraction(3, 2), Fraction(2, 3)]
+OFFSETS = [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(-1, 3),
+           Fraction(2, 7), Fraction(-2, 7), Fraction(1, 2)]
+SPLITS = [1, 2, 3, 4, 6, 9, 12]
+
+
+def pick(rng, values):
+    return values[int(rng.integers(len(values)))]
+
+
+def random_box(rng, dim):
+    """A box with flat axes, equal widths on every axis (exact ties
+    between axes) or the empty box, each now and then."""
+    if rng.random() < 0.05:
+        return Box.make_empty(dim)
+    tied = pick(rng, WIDTHS)
+    lows = [pick(rng, VALUES) for _ in range(dim)]
+    widths = [tied if rng.random() < 0.4 else pick(rng, WIDTHS)
+              for _ in range(dim)]
+    return Box(tuple(lows), tuple(lo + w for lo, w in zip(lows, widths)))
+
+
+def nearby_box(rng, box):
+    """A box whose bounds often meet ``box``'s: shared faces, nested
+    boxes, flat slices of it, or the empty box."""
+    if box.empty or rng.random() < 0.05:
+        return random_box(rng, box.dim)
+    lows, highs = [], []
+    for lo, hi in zip(box.lower, box.upper):
+        a, b = sorted((lo + pick(rng, OFFSETS), hi + pick(rng, OFFSETS)))
+        if rng.random() < 0.15:
+            b = a
+        lows.append(a)
+        highs.append(b)
+    return Box(tuple(lows), tuple(highs))
+
+
+class TestAgainstPlainFractions:
+    """The partition layer's integer box tests and splits against the
+    plain ``Fraction`` restatements in ``oracles``."""
+
+    def test_split_counts_and_boxes(self):
+        rng = np.random.default_rng(89)
+        split = unsplittable = 0
+        for _ in range(300):
+            box = random_box(rng, int(rng.integers(1, 4)))
+            for m in SPLITS:
+                want = split_counts_plain(box, m)
+                if want is None:
+                    with pytest.raises(PartitionError, match="degenerate"):
+                        _split_counts(box, m)
+                    unsplittable += 1
+                    continue
+                assert _split_counts(box, m) == want
+                assert split_box(box, m) == split_box_plain(box, m)
+                split += 1
+        assert split > 1500 and unsplittable > 50
+
+    @pytest.mark.parametrize("bounds, m, counts", [
+        # equal widths: the lowest axis takes the factor
+        ([[0, Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]], 2, [2, 1]),
+        # 2/7 against 4/7 cut in two: a tie after the first factor
+        ([[0, Fraction(2, 7)], [0, Fraction(4, 7)]], 4, [2, 2]),
+        ([[0, Fraction(1, 3)], [0, Fraction(2, 7)], [0, Fraction(1, 3)]],
+         12, [3, 2, 2]),
+        # a flat axis is never cut
+        ([[0, 0], [0, Fraction(2, 7)]], 9, [1, 9]),
+    ])
+    def test_ties_go_to_the_lowest_axis(self, bounds, m, counts):
+        box = Box.from_bounds(bounds)
+        assert split_counts_plain(box, m) == counts
+        assert _split_counts(box, m) == counts
+        assert split_box(box, m) == split_box_plain(box, m)
+
+    def test_box_tests(self):
+        rng = np.random.default_rng(97)
+        seen = {"contains": 0, "overlaps": 0, "neither": 0}
+        for _ in range(3000):
+            box = random_box(rng, int(rng.integers(1, 4)))
+            other = nearby_box(rng, box)
+            for a, b in ((box, other), (other, box)):
+                contains = a.contains_box(b)
+                overlaps = a.overlaps_interior(b)
+                assert contains == contains_box_plain(a, b)
+                assert overlaps == overlaps_interior_plain(a, b)
+                seen["contains" if contains else
+                     "overlaps" if overlaps else "neither"] += 1
+        assert min(seen.values()) > 500
+
+
 def classify_leaves(forest, winning=(), losing=()):
     """Give every leaf a status, as the engine's classify does."""
     for rid in forest.leaves:
@@ -210,6 +311,23 @@ class TestAdvanceIteration:
         classify_leaves(forest)
         assert advance_iteration(forest, m=m, min_cell=cell) is True
         assert len(forest.leaves) == 6 * m
+
+    @pytest.mark.parametrize("m, cell, splits", [
+        # the 1/2 x 1/2 leaf has room for 2 x 2 cells 1/4 wide, but its
+        # 3 slices are 1/6 wide
+        (4, Fraction(1, 4), True),
+        (3, Fraction(1, 4), False),
+        (3, Fraction(1, 6), True),
+    ])
+    def test_min_cell_on_a_leaf_of_non_integer_bounds(self, m, cell, splits):
+        sys = ControlSystem.create(
+            A=[[1, 0], [0, 1]], B=[[1, 0], [0, 1]],
+            input_set=[[-1, 1], [-1, 1]],
+            domain=[[0, 0.5], [0, 0.5]], initial_set=[[0, 0.5], [0, 0.5]])
+        forest = initial_partition(sys)
+        classify_leaves(forest)
+        assert advance_iteration(forest, m=m, min_cell=cell) is splits
+        assert len(forest.leaves) == (m if splits else 1)
 
     def test_solved_boxes_never_change(self):
         forest = initial_partition(goal_system())
