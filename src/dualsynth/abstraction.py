@@ -122,11 +122,14 @@ class AbstractionPair:
                 yield (r, e)
 
     def check_invariants(self) -> None:
-        pess = {(a, b) for a, b in self.pess_pairs()}
-        opt = {(a, b) for a, b in self.opt_pairs()}
-        if not pess <= opt:
-            raise AssertionError("pessimistic edges must be a subset of "
-                                 "optimistic edges")
+        """Every pessimistic edge is an optimistic one, checked row by
+        row; a row that equals its optimistic row, as every winning row
+        does, costs one list comparison."""
+        for a, outs in self.pess_edges.items():
+            row = self.opt_edges.get(a, ())
+            if outs != row and not set(outs).issubset(row):
+                raise AssertionError("pessimistic edges must be a subset of "
+                                     "optimistic edges")
 
     def to_json(self) -> dict:
         n_env = len(self.env)
@@ -150,8 +153,9 @@ class AbstractionPair:
 
     def to_dot(self) -> str:
         lines = ["digraph abstraction {"]
+        initial = set(self.initial_regions)
         for r in self.regions:
-            shape = "doublecircle" if r in set(self.initial_regions) else "circle"
+            shape = "doublecircle" if r in initial else "circle"
             lines.append(f'  "{format_region_id(r)}" [shape={shape}];')
         pess = {(a, b) for a, b in self.pess_pairs()}
         for a, b in sorted(pess):
@@ -174,12 +178,8 @@ def build_initial(forest: PartitionForest, sys: ControlSystem,
     stats = QueryStats(n_states=len(regions))
     pess = {r: [] for r in regions}
     opt = {r: [] for r in regions}
-    pairs = [(a, b) for a in regions for b in regions]
-    for a, b, p, o in _run_queries(forest, sys, pairs, stats):
-        if p:
-            pess[a].append(b)
-        if o:
-            opt[a].append(b)
+    _run_queries(forest, sys, [(a, regions) for a in regions], pess, opt,
+                 stats)
     pair = AbstractionPair(regions=regions,
                            initial_regions=list(forest.initial_leaves()),
                            env=env, pess_edges=pess, opt_edges=opt,
@@ -191,21 +191,33 @@ def build_initial(forest: PartitionForest, sys: ControlSystem,
     return pair
 
 
-def _run_queries(forest, sys, pairs, stats):
-    """Decide every (source, target) pair, in the order given.
+def _run_queries(forest, sys, rows, pess, opt, stats):
+    """Decide every (source, targets) row, appending each edge to the
+    source's rows of ``pess`` and ``opt`` in the order of its targets.
 
-    ``geometry`` keeps the last source's view, so ``pairs`` should list
-    each source's targets together.  ``refine`` passes only the pairs its
-    pruning rule leaves open; the rule and its proof are in ``refine``.
+    The source box is fetched once per row, and ``geometry`` keeps the
+    last source's view, so a row's queries share one view; each target
+    keeps its own ranges (``geometry._target_ranges``).  The optimistic
+    query is made only where the pessimistic one fails, since a
+    pessimistic edge is an optimistic one.  Both are looked up as this
+    module's bindings at call time.  ``refine`` passes only the targets
+    its pruning rule leaves open; the rule and its proof are in
+    ``refine``.
     """
-    stats.issued_pess += len(pairs)
-    out = []
-    for a, b in pairs:
-        X, Y = forest.box(a), forest.box(b)
-        p = reach_pessimistic(X, Y, sys)
-        stats.issued_opt += not p
-        out.append((a, b, p, p or reach_optimistic(X, Y, sys)))
-    return out
+    nodes = forest.nodes
+    for a, targets in rows:
+        X = nodes[a].box
+        p_row, o_row = pess[a], opt[a]
+        stats.issued_pess += len(targets)
+        for b in targets:
+            Y = nodes[b].box
+            if reach_pessimistic(X, Y, sys):
+                p_row.append(b)
+                o_row.append(b)
+            else:
+                stats.issued_opt += 1
+                if reach_optimistic(X, Y, sys):
+                    o_row.append(b)
 
 
 def refine(pair: AbstractionPair, forest: PartitionForest,
@@ -255,7 +267,7 @@ def refine(pair: AbstractionPair, forest: PartitionForest,
                 if status[b] is not Status.LOSING] for q in pair.regions}
     n_targets = sum(map(len, held.values()))
     candidates = {}
-    pairs = []
+    rows = []
     for a in regions:
         if status[a] in (Status.WINNING, Status.LOSING):
             continue
@@ -264,13 +276,9 @@ def refine(pair: AbstractionPair, forest: PartitionForest,
         if row is None:
             row = candidates[q] = [b for p in pair.opt_edges[q]
                                    for b in held[p]]
-        pairs.extend((a, b) for b in row)
+        rows.append((a, row))
         stats.pruned += n_targets - len(row)
-    for a, b, p, o in _run_queries(forest, sys, pairs, stats):
-        if p:
-            pess[a].append(b)
-        if o:
-            opt[a].append(b)
+    _run_queries(forest, sys, rows, pess, opt, stats)
 
     out = AbstractionPair(regions=regions,
                           initial_regions=list(forest.initial_leaves()),

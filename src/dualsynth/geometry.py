@@ -37,9 +37,11 @@ generators of the boxes, so the normals depend on the system alone
 (``ControlSystem.reach_normals``).  Generators of zero length (a flat X, U
 or T) keep the test exact: such a zonotope is the limit of
 full-dimensional ones with the same normals.  The slabs of a source box X
-are computed once (``_SourceView``), and a target then costs one range
-comparison per normal (``_passes``).  The abstraction asks its queries
-source-major, and the view of the last source is kept.
+are computed once (``_SourceView``), and the ranges of a target's Y ∩ D
+along the non-axis normals once per target (``_target_ranges``), so a
+query costs one comparison of two ranges per normal (``_passes``).  The
+abstraction asks its queries one source row at a time, and the view of
+the last source is kept.
 
 The controller asks for an input u in U with A x + B u in a box.  The
 probe (``_probe``) answers with no simplex and no linear solve: on a fixed
@@ -834,9 +836,10 @@ class _SourceView:
       high)), stored as (lo, lo's denominator, hi, hi's denominator); Y
       passes it exactly when Y ∩ D does, so axis tests read Y unclipped.
       None when some axis slab misses the domain: then no target passes.
-    * ``opt_others`` / ``pess_others``: (ν, lo, hi, denominator) per
-      non-axis normal, tested against the range of ν over Y ∩ D, which is
-      computed per query.
+    * ``opt_others`` / ``pess_others``: (k, lo, hi, denominator) per
+      non-axis normal, k its index among the non-axis normals, tested
+      against the range of Y ∩ D along that normal, which is computed
+      once per target (``_target_ranges``).
     """
 
     __slots__ = ("opt_axes", "pess_axes", "opt_others", "pess_others")
@@ -845,13 +848,15 @@ class _SourceView:
         xl, xh, xd = X.ints
         ud = sys.input_set.ints[2]
         opt, pess = [], []
-        for nu, a, blo, bhi, q, pessimistic in sys.slab_rows:
+        n = sys.n
+        # k counts the non-axis normals from 0; the axes get -n .. -1
+        for k, (_, a, blo, bhi, q, pessimistic) in enumerate(sys.slab_rows,
+                                                              -n):
             alo, ahi = _row_range(a, xl, xh)  # over q xd
             alo, ahi, blo, bhi = alo * ud, ahi * ud, blo * xd, bhi * xd
             d = q * xd * ud
-            opt.append((nu, alo + blo, ahi + bhi, d))
-            pess.append((nu, ahi + blo, alo + bhi, d) if pessimistic else None)
-        n = sys.n
+            opt.append((k, alo + blo, ahi + bhi, d))
+            pess.append((k, ahi + blo, alo + bhi, d) if pessimistic else None)
         self.opt_axes = _clip_axes(opt[:n], sys.domain)
         self.pess_axes = _clip_axes(pess[:n], sys.domain)
         self.opt_others = opt[n:]
@@ -872,34 +877,57 @@ def _clip_axes(slabs, domain: Box):
 
 
 # One-entry memo: the view of the last source queried.  Callers issue
-# their queries source-major, so consecutive queries share it.  The key is
-# the identity of X and of the system (both immutable, and kept alive by
-# the entry itself); hashing Fraction tuples per query would cost about
-# what the memo saves.  Key and view are read and written as one tuple,
-# so a key is never paired with another source's view.
+# their queries source-major, so consecutive queries share it, and the
+# ``reach_*`` functions read it inline.  The key is the identity of X and
+# of the system (both immutable, and kept alive by the entry itself);
+# hashing Fraction tuples per query would cost about what the memo saves.
+# Key and view are read and written as one tuple, so a key is never
+# paired with another source's view.
 _last_view: tuple = (None, None, None)
 
 
 def _source_view(X: Box, sys: ControlSystem) -> _SourceView:
+    """A fresh view of X under sys, kept as ``_last_view``."""
     global _last_view
-    last_X, last_sys, view = _last_view
-    if last_X is X and last_sys is sys:
-        return view
     view = _SourceView(X, sys)
     _last_view = (X, sys, view)
     return view
 
 
-def _passes(axes, others, Y: Box, domain: Box) -> bool:
+def _target_ranges(Y: Box, sys: ControlSystem) -> tuple[list, int]:
+    """(ranges, td): per non-axis normal ν of ``sys.slab_rows``, in its
+    order, the range (tlo, thi) of ν over Y ∩ D as integers over td, the
+    product of Y's and D's denominators (``Box.ints``).
+
+    The range is Y ∩ D's support function along ±ν, which depends on Y
+    and the system alone, so it is kept in a one-entry memo on Y, keyed
+    by (and holding) the system object: an id cannot be reused while the
+    entry lives, and a query under another system recomputes it.  The
+    memo is not a dataclass field, so ``Box`` equality, hash and
+    ``repr`` do not see it.  The caller has checked that Y meets D.
+    """
+    memo = Y.__dict__.get("_target_ranges")
+    if memo is not None and memo[0] is sys:
+        return memo[1]
+    yl, yh, yd = Y.ints
+    dl, dh, dd = sys.domain.ints
+    tl = [max(a * dd, c * yd) for a, c in zip(yl, dl)]
+    th = [min(b * dd, c * yd) for b, c in zip(yh, dh)]
+    out = [_row_range(nu, tl, th) for nu, *_ in sys.slab_rows[sys.n:]], yd * dd
+    Y.__dict__["_target_ranges"] = (sys, out)  # as ``cached_property`` does
+    return out
+
+
+def _passes(axes, others, Y: Box, sys: ControlSystem) -> bool:
     """Y ∩ D meets every slab: the axis slabs of ``axes`` (clipped to D,
-    so Y is read unclipped) and the (ν, lo, hi, d) slabs of ``others``.
+    so Y is read unclipped) and the (k, lo, hi, d) slabs of ``others``.
 
     Every comparison is of two rationals over positive denominators, made
     by cross-multiplying integers: a/b <= c/d exactly when a d <= c b.
     Y's bounds are read as integers over one denominator (``Box.ints``),
-    and Y ∩ D is clipped in integers over the product of Y's and D's.
-    Passing every axis slab implies Y meets D, so Y ∩ D is nonempty when
-    the other normals read their ranges off it.
+    and the non-axis normals read Y ∩ D's ranges off ``_target_ranges``,
+    computed once per target.  Passing every axis slab implies Y meets D,
+    so Y ∩ D is nonempty when they are read.
     """
     if axes is None:
         return False
@@ -909,12 +937,9 @@ def _passes(axes, others, Y: Box, domain: Box) -> bool:
             return False
     if not others:
         return True
-    dl, dh, dd = domain.ints
-    td = yd * dd
-    tl = [max(a * dd, c * yd) for a, c in zip(yl, dl)]
-    th = [min(b * dd, c * yd) for b, c in zip(yh, dh)]
-    for nu, lo, hi, d in others:
-        tlo, thi = _row_range(nu, tl, th)
+    ranges, td = _target_ranges(Y, sys)
+    for k, lo, hi, d in others:
+        tlo, thi = ranges[k]
         if thi * d < lo * td or tlo * d > hi * td:
             return False
     return True
@@ -933,8 +958,10 @@ def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
         raise GeometryError("pessimistic reach from an empty region is undefined")
     if Y.empty:
         return False
-    view = _source_view(X, sys)
-    return _passes(view.pess_axes, view.pess_others, Y, sys.domain)
+    last_X, last_sys, view = _last_view
+    if last_X is not X or last_sys is not sys:
+        view = _source_view(X, sys)
+    return _passes(view.pess_axes, view.pess_others, Y, sys)
 
 
 def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
@@ -945,5 +972,7 @@ def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     """
     if X.empty or Y.empty:
         raise GeometryError("optimistic reach needs nonempty regions")
-    view = _source_view(X, sys)
-    return _passes(view.opt_axes, view.opt_others, Y, sys.domain)
+    last_X, last_sys, view = _last_view
+    if last_X is not X or last_sys is not sys:
+        view = _source_view(X, sys)
+    return _passes(view.opt_axes, view.opt_others, Y, sys)

@@ -6,6 +6,7 @@ import pytest
 from dualsynth import abstraction, engine
 from dualsynth.abstraction import (
     AbstractionError,
+    AbstractionPair,
     EnvAlphabet,
     build_initial,
     reachability_queries_saved,
@@ -294,6 +295,34 @@ class TestRefine:
         forest, pair = self._setup(sys)
         with pytest.raises(AbstractionError):
             refine(pair, forest, sys)
+
+
+class TestCheckInvariants:
+    """``check_invariants`` tests pess ⊆ opt row by row."""
+
+    @staticmethod
+    def pair(pess, opt):
+        regions = sorted(set(pess) | set(opt))
+        return AbstractionPair(
+            regions=regions, initial_regions=[], env=no_env(),
+            pess_edges=pess, opt_edges=opt)
+
+    def test_missing_optimistic_edge_raises(self):
+        pair = self.pair({(0,): [(0,), (1,)], (1,): []},
+                         {(0,): [(1,), (2,)], (1,): [(0,)]})
+        with pytest.raises(AssertionError):
+            pair.check_invariants()
+
+    def test_missing_optimistic_row_raises(self):
+        pair = self.pair({(0,): [(1,)], (1,): [(0,)]}, {(0,): [(1,)]})
+        with pytest.raises(AssertionError):
+            pair.check_invariants()
+
+    def test_equal_copies_and_subsets_pass(self):
+        winning = [(0,), (1,)]
+        self.pair({(0,): winning, (1,): [(1,)], (2,): []},
+                  {(0,): list(winning), (1,): [(0,), (1,)], (2,): [(2,)]}
+                  ).check_invariants()
 
 
 class TestPruning:

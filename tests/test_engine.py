@@ -785,6 +785,56 @@ class TestPinnedPartitions:
         assert seen == digests
 
 
+class TestPinnedAbstractions:
+    """Every iteration's FTS pair, pinned by one SHA-256 digest per
+    iteration of its sorted pessimistic and optimistic edges (as region
+    id strings) and its (issued_pess, issued_opt, pruned) counts: a
+    change to the abstraction or geometry layer must leave every edge and
+    every query count unchanged."""
+
+    @pytest.mark.parametrize("name, digests", [
+        ("coupled", [
+          "2bbcd54cc92f1c9958b5c17de040f94964d0a9e1ca2515d9d3aeb1338a5d967d",
+          "158d20d1dc0a5511c61d9d48cda81019d5c69fe0e3757ba520f408d5a54c2e19"]),
+        ("park", [
+          "9acd1dadf98a899225162b86852102354e77aaa1bb3ea0d25fa725b4a663e930"]),
+        ("random_1", [
+          "6a783a057f30843fb92241fc202757258f16184c47196ec9d5fccb59baf85f10",
+          "701d50825627b57848fca6b110c0e6381576ab9412634d2284d53dfa475aabe4",
+          "f3689be5805768ad22d0769c9de269774816ffba9eca6953bdadbbde329eede2"]),
+        ("random_2", [
+          "e6a216a9df4b92eb4c0bfd9abd13c93fb0bb76991d81a93d9210b7c9b6e5ca48",
+          "29898cbbae47d107acd73f5a5f913faa56292224cf99bf61d189039ddbb0ff92",
+          "efc1dc3dc3ed04210296fe78e7e1bc45b2aa4262c72dc81305499a5c60a34504"]),
+        ("random_5", [
+          "da19617a09940145fdabc46954c6a3d74a318ba16ed673e8109b6c34b7c41bb2",
+          "ac90c243983fe07c5606567f7fb356f839842aa8477f175202a8bfec4d1a559c",
+          "c3ea519bd909643001268f80f3497b3955ef0f159c6486e4b35b0ac38a42397b"]),
+        ("random_24", [
+          "38cea5e18265c336f4069a5aa3c0c82b3b00c8ac638ce61331e17646fc8611b5",
+          "9b33ad31d8c1b164e63a48ad1c6fae688f3001f2d02f001ece16fa327943cc3a",
+          "760222ae3e199a1868ba836d0b3cfcd2e9b2718fc7a4fb0e437bc6b9936ea3af"]),
+    ])
+    def test_iterations_are_pinned(self, name, digests, monkeypatch):
+        seen = []
+        original = engine.classify
+
+        def edges(rows):
+            return sorted([format_region_id(a), format_region_id(b)]
+                          for a, outs in rows.items() for b in outs)
+
+        def capture(pair, forest, spec):
+            stats = pair.query_stats
+            seen.append(sha256_json([
+                edges(pair.pess_edges), edges(pair.opt_edges),
+                [stats.issued_pess, stats.issued_opt, stats.pruned]]))
+            return original(pair, forest, spec)
+
+        monkeypatch.setattr(engine, "classify", capture)
+        run(*PINNED_PROBLEMS[name]())
+        assert seen == digests
+
+
 class TestPinnedStrategies:
     """The final game's winning regions and the shipped strategy, pinned
     by SHA-256 digests of ``region_winning`` (sorted region ids) and of

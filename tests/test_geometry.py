@@ -779,6 +779,52 @@ class TestSourceReuse:
         assert not reach_optimistic(X, box(4, 5), sys)
 
 
+class TestTargetRanges:
+    """Each target box keeps the ranges of Y ∩ D along the non-axis
+    normals for the last system that asked.  The same target objects are
+    queried in turn under two systems whose domains and non-axis normals
+    differ, so a query often finds the other system's entry; every answer
+    must be the one a fresh, equal box gives."""
+
+    COUPLED = Path(__file__).resolve().parent.parent / "bench" / "coupled.json"
+
+    def systems(self):
+        coupled = load_problem(str(self.COUPLED)).sys
+        dom = [[0, 3], [0, 3]]
+        other = ControlSystem.create(
+            A=coupled.A, B=[[1, Fraction(-1, 2)], [0, 1]],
+            input_set=coupled.input_set, domain=dom, initial_set=dom)
+        return coupled, other
+
+    @staticmethod
+    def answers(X, Y, sys):
+        return reach_pessimistic(X, Y, sys), reach_optimistic(X, Y, sys)
+
+    def test_answers_match_fresh_boxes_under_alternating_systems(self):
+        coupled, other = self.systems()
+        normals = [[nu for nu, *_ in sys.slab_rows[sys.n:]]
+                   for sys in (coupled, other)]
+        assert all(normals) and normals[0] != normals[1]
+        assert coupled.domain != other.domain
+        rng = np.random.default_rng(73)
+        sources = [random_box(rng, lo=0, hi=3) for _ in range(8)]
+        # [2, 4]^2 sticks out of the smaller domain [0, 3]^2 only
+        targets = [random_box(rng, lo=0, hi=4) for _ in range(24)]
+        targets.append(Box.from_bounds([[2, 4], [2, 4]]))
+        shown = [(repr(Y), hash(Y)) for Y in targets]
+        differ = 0
+        for X in sources:
+            for Y in targets:
+                got = [self.answers(X, Y, sys)
+                       for sys in (coupled, other, other, coupled)]
+                assert got == [self.answers(X, Box(Y.lower, Y.upper), sys)
+                               for sys in (coupled, other, other, coupled)]
+                differ += got[0] != got[1]
+        assert differ
+        assert [(repr(Y), hash(Y)) for Y in targets] == shown
+        assert all(Y == Box(Y.lower, Y.upper) for Y in targets)
+
+
 def full_system(rng, n, m):
     """An n-D system with dense A and a B that is often rank-deficient."""
     vals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
