@@ -195,11 +195,11 @@ def _run_queries(forest, sys, rows, pess, opt, stats):
     """Decide every (source, targets) row, appending each edge to the
     source's rows of ``pess`` and ``opt`` in the order of its targets.
 
-    The source box is fetched once per row, and ``geometry`` keeps the
-    last source's view, so a row's queries share one view; each target
-    keeps its own ranges (``geometry._target_ranges``).  The optimistic
-    query is made only where the pessimistic one fails, since a
-    pessimistic edge is an optimistic one.  Both are looked up as this
+    The source box is fetched once per row.  Each box keeps its own view
+    (``geometry.box_view``): its slabs as a source and its ranges as a
+    target are computed once, whatever the order of the queries.  The
+    optimistic query is made only where the pessimistic one fails, since
+    a pessimistic edge is an optimistic one.  Both are looked up as this
     module's bindings at call time.  ``refine`` passes only the targets
     its pruning rule leaves open; the rule and its proof are in
     ``refine``.

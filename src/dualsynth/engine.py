@@ -41,8 +41,8 @@ from dualsynth.abstraction import (
 from dualsynth.geometry import (
     Box,
     ControlSystem,
-    TargetView,
     box_vertices,
+    box_view,
     control_input,
     input_witness,
     next_state,
@@ -400,11 +400,12 @@ class ContinuousController:
     Every strategy move from X to Y follows a pessimistic edge, so every
     point of X has an input landing in Y.  The selector
     (``control_input``) first tries the probe, one precomputed affine map
-    of the state per target (``TargetView``, cached per target region)
-    whose input is clamped to U.  With invertible diagonal B it never
-    misses on such an edge; with singular or non-square B it always
-    misses.  When it misses, the input is interpolated from a table of
-    inputs at the vertices of X, built once per edge on its first miss by
+    of the state per target whose input is clamped to U.  The map is kept
+    in the target box's view (``box_view``), the view the abstraction's
+    queries read.  With invertible diagonal B the probe never misses on
+    such an edge; with singular or non-square B it always misses.  When
+    it misses, the input is interpolated from a table of inputs at the
+    vertices of X, built once per edge on its first miss by
     ``input_witness`` and kept as a ``Matrix``, whose integer rows over
     one denominator (``Matrix.ints``) every later step reads; building a
     table is the only place the exact simplex still runs.  Such a table
@@ -423,8 +424,6 @@ class ContinuousController:
     strategy: StrategyAutomaton
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-    _views: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
     probe_steps: int = field(default=0, init=False, compare=False)
     table_steps: int = field(default=0, init=False, compare=False)
 
@@ -477,11 +476,8 @@ class ContinuousController:
         return len(self._tables)
 
     def select_input(self, s, target: RegionId):
-        view = self._views.get(target)
-        if view is None:
-            view = self._views[target] = TargetView(self.forest.box(target),
-                                                    self.sys)
         table_steps = self.table_steps
+        view = box_view(self.forest.box(target), self.sys)
         u = control_input(self.sys, s, view,
                           lambda xs, xd: self._vertex_table(target, xs, xd))
         if u is None:

@@ -36,20 +36,20 @@ columns of A, the columns of B and the unit axes, which carry the
 generators of the boxes, so the normals depend on the system alone
 (``ControlSystem.reach_normals``).  Generators of zero length (a flat X, U
 or T) keep the test exact: such a zonotope is the limit of
-full-dimensional ones with the same normals.  The slabs of a source box X
-are computed once (``_SourceView``), and the ranges of a target's Y ∩ D
-along the non-axis normals once per target (``_target_ranges``), so a
-query costs one comparison of two ranges per normal (``_passes``).  The
-abstraction asks its queries one source row at a time, and the view of
-the last source is kept.
+full-dimensional ones with the same normals.  Each box keeps one view per
+system (``box_view``): the slabs of a box X as a source, and the ranges
+of a box Y ∩ D as a target along every normal, axes included, are each
+computed once, so a query costs one comparison of two ranges per normal
+(``_passes``), in whatever order the queries come.
 
 The controller asks for an input u in U with A x + B u in a box.  The
 probe (``_probe``) answers with no simplex and no linear solve: on a fixed
 target T it is one affine map of x, u* = B⁻¹c - B⁻¹A x with c the centre
 of T, from ``ControlSystem.probe_map`` (computed once per system, the only
-place the probe runs ``_solve_square``) and a ``TargetView`` (computed once
-per target).  u* is clamped to U and kept when it still lands.  With
-invertible diagonal B that misses only when no input lands; otherwise it
+place the probe runs ``_solve_square``) and the target's view, whose
+probe integers are computed on the controller's first ask.  u* is
+clamped to U and kept when it still lands.  With invertible diagonal B
+that misses only when no input lands; otherwise it
 may miss where inputs land, and always does when B is not square and
 invertible.  When the probe misses, ``input_witness`` decides by an exact
 phase-1 simplex over the box (``_box_lp``, in ``Fraction``s), while
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from operator import gt, mul
 from typing import Sequence
 
 class GeometryError(ValueError):
@@ -156,6 +156,10 @@ class Box:
     empty: bool = False
 
     def __post_init__(self):
+        # exact bounds however the box is built, as ``ControlSystem``
+        # converts A and B
+        object.__setattr__(self, "lower", tuple(map(to_fraction, self.lower)))
+        object.__setattr__(self, "upper", tuple(map(to_fraction, self.upper)))
         if self.empty:
             return
         if len(self.lower) != len(self.upper) or not self.lower:
@@ -630,37 +634,100 @@ def _hull_meets(sys: ControlSystem, lo, hi) -> bool:
     return True
 
 
-class TargetView:
-    """What the probe reads of one target box Y under one system.
+class BoxView:
+    """What the slab test and the probe read of one box Y under one
+    system (``box_view``), each part computed on first use, once:
 
-    * ``T``: Y ∩ D, or None when Y misses the domain;
-    * ``k``, ``kd``, ``kq``: the integers of B⁻¹ c = k / kd for the centre
-      c of T, where kd = kq d_N is a multiple of the denominator d_N of
-      ``probe_map``'s N; k is None with no T or no ``sys.probe_map``;
-    * ``h``, ``hd``: the half-widths of T times B's denominator d_B, as
-      integers over hd, so that |B_i v| <= h_i / hd exactly when
+    * ``slabs``, when Y is a source: (pess, opt), its pessimistic and
+      optimistic slabs.  Per normal ν of ``sys.slab_rows``, with
+      (alo, ahi) the range of ν·A x over Y and (blo, bhi) that of ν·B u
+      over U, the optimistic slab is [alo + blo, ahi + bhi] and the
+      pessimistic slab [ahi + blo, alo + bhi], the window every vertex
+      reaches, which may be inverted; only pessimistic normals have one.
+      Each slab is (k, lo, hi, d): k the index of ν, and lo, hi integers
+      over d = q d_Y d_U, from Y's integer bounds (``Box.ints``).
+    * ``ranges``, when Y is a target: (ranges, td), per normal of
+      ``sys.slab_rows`` in its order, axes included, the range
+      (tlo, thi) of ν over Y ∩ D as integers over td, the product of Y's
+      and D's denominators; None when Y misses D.  Y ∩ D passes a slab
+      (k, lo, hi, d) when ``tlo <= hi`` and ``thi >= lo`` (``_passes``).
+    * ``T``, for the controller: Y ∩ D, or None when Y misses D.
+    * ``probe``, for the controller: (k, kd, kq, h, hd), None with no T
+      or no ``sys.probe_map``.  B⁻¹ c = k / kd for the centre c of T,
+      where kd = kq d_N is a multiple of the denominator d_N of
+      ``probe_map``'s N; h / hd are the half-widths of T times B's
+      denominator d_B, so that |B_i v| <= h_i / hd exactly when
       ``|B'_i v| hd <= h_i`` for B's integer rows B'.
     """
 
-    __slots__ = ("T", "k", "kd", "kq", "h", "hd")
+    def __init__(self, box: Box, sys: ControlSystem):
+        if box.dim != sys.n:
+            raise GeometryError(f"a {box.dim}-D box under a {sys.n}-D system")
+        self.box = box
+        self.sys = sys
 
-    def __init__(self, Y: Box, sys: ControlSystem):
-        T = Y.intersect(sys.domain)
-        self.T = self.k = None
-        if T.empty:
-            return
-        self.T = T
-        if sys.probe_map is None:
-            return
+    @cached_property
+    def slabs(self) -> tuple[list, list]:
+        sys = self.sys
+        xl, xh, xd = self.box.ints
+        ud = sys.input_set.ints[2]
+        pess, opt = [], []
+        for k, (_, a, blo, bhi, q, pessimistic) in enumerate(sys.slab_rows):
+            alo, ahi = _row_range(a, xl, xh)  # over q xd
+            alo, ahi, blo, bhi = alo * ud, ahi * ud, blo * xd, bhi * xd
+            d = q * xd * ud
+            opt.append((k, alo + blo, ahi + bhi, d))
+            if pessimistic:
+                pess.append((k, ahi + blo, alo + bhi, d))
+        return pess, opt
+
+    @cached_property
+    def ranges(self) -> tuple[list, int] | None:
+        sys = self.sys
+        yl, yh, yd = self.box.ints
+        dl, dh, dd = sys.domain.ints
+        tl = [max(a * dd, c * yd) for a, c in zip(yl, dl)]
+        th = [min(b * dd, c * yd) for b, c in zip(yh, dh)]
+        if any(map(gt, tl, th)):
+            return None
+        # a unit axis's range is T's bounds on it
+        return [*zip(tl, th), *(_row_range(nu, tl, th)
+                                for nu, *_ in sys.slab_rows[sys.n:])], yd * dd
+
+    @cached_property
+    def T(self) -> Box | None:
+        T = self.box.intersect(self.sys.domain)
+        return None if T.empty else T
+
+    @cached_property
+    def probe(self) -> tuple | None:
+        sys, T = self.sys, self.T
+        if T is None or sys.probe_map is None:
+            return None
         (_, nd), (binv, bd) = sys.probe_map
         lo, hi, td = T.ints
         twice_centre = [a + b for a, b in zip(lo, hi)]  # over 2 td
-        self.kd = math.lcm(nd, 2 * td * bd)
-        scale = self.kd // (2 * td * bd)
-        self.k = [_dot(row, twice_centre) * scale for row in binv]
-        self.kq = self.kd // nd
-        self.h = [(b - a) * sys.B.ints[1] for a, b in zip(lo, hi)]
-        self.hd = 2 * td
+        kd = math.lcm(nd, 2 * td * bd)
+        scale = kd // (2 * td * bd)
+        k = [_dot(row, twice_centre) * scale for row in binv]
+        h = [(b - a) * sys.B.ints[1] for a, b in zip(lo, hi)]
+        return k, kd, kd // nd, h, 2 * td
+
+
+def box_view(box: Box, sys: ControlSystem) -> BoxView:
+    """The view of ``box`` under ``sys``, kept in a one-entry memo on the
+    box keyed by (and holding) the system object: an id cannot be reused
+    while the entry lives, and a query under another system replaces it.
+    The memo is not a dataclass field, so ``Box`` equality, hash and
+    ``repr`` do not see it."""
+    try:
+        view = box._view
+        if view.sys is sys:
+            return view
+    except AttributeError:
+        pass
+    view = box.__dict__["_view"] = BoxView(box, sys)  # as cached_property does
+    return view
 
 
 def _dot(row, vec, start=0):
@@ -668,18 +735,16 @@ def _dot(row, vec, start=0):
     return sum(map(mul, row, vec), start)
 
 
-def _lands_near(B, view: TargetView, diff, d: int) -> bool:
+def _lands_near(B, hs, hd: int, diff, d: int) -> bool:
     """|B v| <= h row by row for v = ``diff / d``, with B's integer rows
-    and the half-widths h of the view's target: an input u = star + v
-    lands in the box of half-widths h centred on B star."""
+    and the half-widths h = hs / hd of the probe's target: an input
+    u = star + v lands in the box of half-widths h centred on B star."""
     if not any(diff):
         return True
-    dh = view.hd
-    return all(abs(_dot(row, diff)) * dh <= h * d
-               for row, h in zip(B, view.h))
+    return all(abs(_dot(row, diff)) * hd <= h * d for row, h in zip(B, hs))
 
 
-def _probe(sys: ControlSystem, view: TargetView,
+def _probe(sys: ControlSystem, view: BoxView,
            x: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """An input u in U with A x + B u in the view's target, found without
     the simplex or any linear solve.
@@ -698,25 +763,27 @@ def _probe(sys: ControlSystem, view: TargetView,
     no input lands.  The probe may land on a face of the target, which
     is inside it: boxes are closed.
     """
-    if view.k is None:
+    probe = view.probe
+    if probe is None:
         return None
+    ks, kd, kq, hs, hd = probe
     (N, _), _ = sys.probe_map
     B = sys.B.ints[0]
     U = sys.input_set
     ud = U.ints[2]
     xs, xd = _integers(x)
-    s = view.kd * xd  # u* = star / s
-    star = [k * xd + _dot(row, xs) * view.kq for k, row in zip(view.k, N)]
+    s = kd * xd  # u* = star / s
+    star = [k * xd + _dot(row, xs) * kq for k, row in zip(ks, N)]
     w = s * ud  # u = clamped / w
     clamped = _clamp(star, s, U)
-    if not _lands_near(B, view, [c - v * ud for c, v in zip(clamped, star)],
-                       w):
+    if not _lands_near(B, hs, hd,
+                       [c - v * ud for c, v in zip(clamped, star)], w):
         return None
     grid = _to_grid(clamped, w, U)
     if grid is not None:
         g = _COARSE_GRID * ud  # the snapped u = grid / g
-        if _lands_near(B, view, [a * s - v * g for a, v in zip(grid, star)],
-                       g * s):
+        if _lands_near(B, hs, hd,
+                       [a * s - v * g for a, v in zip(grid, star)], g * s):
             return tuple(Fraction(v, g) for v in grid)
     return tuple(Fraction(v, w) for v in clamped)
 
@@ -725,19 +792,21 @@ def input_witness(sys: ControlSystem, x: Sequence[Fraction],
                   target: Box) -> tuple[Fraction, ...] | None:
     """A concrete u in U with A x + B u in the closed target box, or None.
 
-    The input of ``_probe`` on a throwaway ``TargetView`` when it finds
-    one.  When the probe misses, an exact phase-1 simplex (``_box_lp``)
-    decides, gated by the row hull of B U, and returns a vertex of the
-    feasible inputs, snapped to the 2^-20 grid when that stays feasible
-    (``_landing_input``; A x is computed once, in integers, for both the
-    simplex's window and the landing test), which may land on a face of
-    the target.  With invertible diagonal B the probe misses only when no
-    input lands, and the gate turns every such miss away, so the simplex
-    never runs.  In the control loop this runs only to build vertex
+    The input of ``_probe`` on the target's view (``box_view``) when it
+    finds one.  When the probe misses, an exact phase-1 simplex
+    (``_box_lp``) decides, gated by the row hull of B U, and returns a
+    vertex of the feasible inputs, snapped to the 2^-20 grid when that
+    stays feasible (``_landing_input``; A x is computed once, in
+    integers, for both the simplex's window and the landing test), which
+    may land on a face of the target.  With invertible diagonal B the
+    probe misses only when no input lands, and the gate turns every such
+    miss away, so the simplex never runs.  In the control loop this runs only to build vertex
     tables (``control_input``).
     """
+    if len(x) != sys.n:
+        raise GeometryError("state dimension must match A")
     x = [to_fraction(v) for v in x]
-    view = TargetView(target, sys)
+    view = box_view(target, sys)
     u = _probe(sys, view, x)
     T = view.T
     if u is None and T is not None:
@@ -784,7 +853,7 @@ def _weights(X: Box, xs, xd: int) -> tuple[list[int], int]:
     return weights, q
 
 
-def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
+def control_input(sys: ControlSystem, x: Sequence[Fraction], view: BoxView,
                   vertex_table) -> tuple[Fraction, ...] | None:
     """The controller's input: u in U with A x + B u in the view's target
     T = Y ∩ D, or None.
@@ -819,126 +888,18 @@ def control_input(sys: ControlSystem, x: Sequence[Fraction], view: TargetView,
     return _landing_input(sys, view.T, *_shift(sys, xs, xd), us, q * d)
 
 
-class _SourceView:
-    """The slabs of one source box X under one system, in integers.
-
-    Per normal ν of ``sys.slab_rows``, with (alo, ahi) the range of
-    ν·A x over X and (blo, bhi) that of ν·B u over U, the optimistic slab
-    is [alo + blo, ahi + bhi] and the pessimistic slab [ahi + blo,
-    alo + bhi], the window every vertex reaches, which may be inverted.
-    Each slab is kept as integer numerators over one denominator,
-    q d_X d_U, from X's integer bounds (``Box.ints``).  A target passes a
-    slab (lo, hi) when its range (tlo, thi) along ν has ``tlo <= hi`` and
-    ``thi >= lo``.
-
-    * ``opt_axes`` / ``pess_axes``: per axis i, the slab along e_i already
-      clipped to the domain, (lo, hi) = (max(lo, D_i low), min(hi, D_i
-      high)), stored as (lo, lo's denominator, hi, hi's denominator); Y
-      passes it exactly when Y ∩ D does, so axis tests read Y unclipped.
-      None when some axis slab misses the domain: then no target passes.
-    * ``opt_others`` / ``pess_others``: (k, lo, hi, denominator) per
-      non-axis normal, k its index among the non-axis normals, tested
-      against the range of Y ∩ D along that normal, which is computed
-      once per target (``_target_ranges``).
-    """
-
-    __slots__ = ("opt_axes", "pess_axes", "opt_others", "pess_others")
-
-    def __init__(self, X: Box, sys: ControlSystem):
-        xl, xh, xd = X.ints
-        ud = sys.input_set.ints[2]
-        opt, pess = [], []
-        n = sys.n
-        # k counts the non-axis normals from 0; the axes get -n .. -1
-        for k, (_, a, blo, bhi, q, pessimistic) in enumerate(sys.slab_rows,
-                                                              -n):
-            alo, ahi = _row_range(a, xl, xh)  # over q xd
-            alo, ahi, blo, bhi = alo * ud, ahi * ud, blo * xd, bhi * xd
-            d = q * xd * ud
-            opt.append((k, alo + blo, ahi + bhi, d))
-            pess.append((k, ahi + blo, alo + bhi, d) if pessimistic else None)
-        self.opt_axes = _clip_axes(opt[:n], sys.domain)
-        self.pess_axes = _clip_axes(pess[:n], sys.domain)
-        self.opt_others = opt[n:]
-        self.pess_others = [slab for slab in pess[n:] if slab]
-
-
-def _clip_axes(slabs, domain: Box):
-    """Axis slabs clipped to the domain, each as (lo, lo's denominator,
-    hi, hi's denominator), or None when one misses it."""
-    dl, dh, dd = domain.ints
-    out = []
-    for (_, lo, hi, d), a, b in zip(slabs, dl, dh):
-        if lo * dd > b * d or hi * dd < a * d:
-            return None
-        out.append((*((lo, d) if lo * dd >= a * d else (a, dd)),
-                    *((hi, d) if hi * dd <= b * d else (b, dd))))
-    return out
-
-
-# One-entry memo: the view of the last source queried.  Callers issue
-# their queries source-major, so consecutive queries share it, and the
-# ``reach_*`` functions read it inline.  The key is the identity of X and
-# of the system (both immutable, and kept alive by the entry itself);
-# hashing Fraction tuples per query would cost about what the memo saves.
-# Key and view are read and written as one tuple, so a key is never
-# paired with another source's view.
-_last_view: tuple = (None, None, None)
-
-
-def _source_view(X: Box, sys: ControlSystem) -> _SourceView:
-    """A fresh view of X under sys, kept as ``_last_view``."""
-    global _last_view
-    view = _SourceView(X, sys)
-    _last_view = (X, sys, view)
-    return view
-
-
-def _target_ranges(Y: Box, sys: ControlSystem) -> tuple[list, int]:
-    """(ranges, td): per non-axis normal ν of ``sys.slab_rows``, in its
-    order, the range (tlo, thi) of ν over Y ∩ D as integers over td, the
-    product of Y's and D's denominators (``Box.ints``).
-
-    The range is Y ∩ D's support function along ±ν, which depends on Y
-    and the system alone, so it is kept in a one-entry memo on Y, keyed
-    by (and holding) the system object: an id cannot be reused while the
-    entry lives, and a query under another system recomputes it.  The
-    memo is not a dataclass field, so ``Box`` equality, hash and
-    ``repr`` do not see it.  The caller has checked that Y meets D.
-    """
-    memo = Y.__dict__.get("_target_ranges")
-    if memo is not None and memo[0] is sys:
-        return memo[1]
-    yl, yh, yd = Y.ints
-    dl, dh, dd = sys.domain.ints
-    tl = [max(a * dd, c * yd) for a, c in zip(yl, dl)]
-    th = [min(b * dd, c * yd) for b, c in zip(yh, dh)]
-    out = [_row_range(nu, tl, th) for nu, *_ in sys.slab_rows[sys.n:]], yd * dd
-    Y.__dict__["_target_ranges"] = (sys, out)  # as ``cached_property`` does
-    return out
-
-
-def _passes(axes, others, Y: Box, sys: ControlSystem) -> bool:
-    """Y ∩ D meets every slab: the axis slabs of ``axes`` (clipped to D,
-    so Y is read unclipped) and the (k, lo, hi, d) slabs of ``others``.
+def _passes(slabs, target: BoxView) -> bool:
+    """Y ∩ D meets every (k, lo, hi, d) slab of ``slabs``, read off the
+    target's ranges (``BoxView.ranges``); never when Y misses D.
 
     Every comparison is of two rationals over positive denominators, made
     by cross-multiplying integers: a/b <= c/d exactly when a d <= c b.
-    Y's bounds are read as integers over one denominator (``Box.ints``),
-    and the non-axis normals read Y ∩ D's ranges off ``_target_ranges``,
-    computed once per target.  Passing every axis slab implies Y meets D,
-    so Y ∩ D is nonempty when they are read.
     """
-    if axes is None:
+    ranges = target.ranges
+    if ranges is None:
         return False
-    yl, yh, yd = Y.ints
-    for (lo, ld, hi, hd), a, b in zip(axes, yl, yh):
-        if b * ld < lo * yd or a * hd > hi * yd:
-            return False
-    if not others:
-        return True
-    ranges, td = _target_ranges(Y, sys)
-    for k, lo, hi, d in others:
+    ranges, td = ranges
+    for k, lo, hi, d in slabs:
         tlo, thi = ranges[k]
         if thi * d < lo * td or tlo * d > hi * td:
             return False
@@ -952,27 +913,22 @@ def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     contains X iff it contains all of X's vertices.  Vertex v reaches
     Y ∩ D exactly when 0 lies in the zonotope ``A v + B U - (Y ∩ D)``,
     whose normals are the pessimistic ones; taken over all vertices at
-    once, that is the pessimistic slab test of ``_SourceView``.
+    once, that is the pessimistic slab test (``BoxView.slabs``).
     """
     if X.empty:
         raise GeometryError("pessimistic reach from an empty region is undefined")
     if Y.empty:
         return False
-    last_X, last_sys, view = _last_view
-    if last_X is not X or last_sys is not sys:
-        view = _source_view(X, sys)
-    return _passes(view.pess_axes, view.pess_others, Y, sys)
+    return _passes(box_view(X, sys).slabs[0], box_view(Y, sys))
 
 
 def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     """Some point of X admits an input landing in Y (within the domain).
 
     Exactly when 0 lies in the zonotope ``A X + B U - (Y ∩ D)``, that is,
-    when Y ∩ D meets the optimistic slab of every normal (``_SourceView``).
+    when Y ∩ D meets the optimistic slab of every normal
+    (``BoxView.slabs``).
     """
     if X.empty or Y.empty:
         raise GeometryError("optimistic reach needs nonempty regions")
-    last_X, last_sys, view = _last_view
-    if last_X is not X or last_sys is not sys:
-        view = _source_view(X, sys)
-    return _passes(view.opt_axes, view.opt_others, Y, sys)
+    return _passes(box_view(X, sys).slabs[1], box_view(Y, sys))

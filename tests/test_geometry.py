@@ -10,10 +10,10 @@ from dualsynth.geometry import (
     Box,
     ControlSystem,
     GeometryError,
-    TargetView,
     _box_lp,
     _probe,
     box_vertices,
+    box_view,
     control_input,
     input_witness,
     mat_vec,
@@ -135,6 +135,23 @@ class TestBox:
     def test_bad_bounds_rejected(self):
         with pytest.raises(GeometryError):
             Box.from_bounds([[1, 0]])
+
+    def test_float_bounds_are_made_exact(self):
+        # a box built directly with float bounds answers as the box of
+        # the same bounds built by ``from_bounds``
+        sys = identity_system(dom=((0, 2), (0, 2)), u=Fraction(1, 2))
+        direct = Box((0.5, 0), (1.0, 1))
+        exact = Box.from_bounds([[0.5, 1.0], [0, 1]])
+        assert direct == exact and hash(direct) == hash(exact)
+        assert all(type(v) is Fraction for v in direct.lower + direct.upper)
+        assert direct.holds((3, 1), 4) and direct.contains_box(exact)
+        answers = TestTargetRanges.answers
+        for Y in (Box.from_bounds([[1, 2], [0, 1]]),
+                  Box.from_bounds([[1.75, 2], [1.75, 2]])):
+            assert answers(direct, Y, sys) == answers(exact, Y, sys)
+            assert answers(Y, direct, sys) == answers(Y, exact, sys)
+        assert input_witness(sys, (1, 1), direct) == \
+            input_witness(sys, (1, 1), exact)
 
     def test_empty_only_via_flag(self):
         e = Box.make_empty(2)
@@ -258,6 +275,16 @@ class TestReachRelations:
         with pytest.raises(GeometryError):
             reach_optimistic(sys.domain, Box.make_empty(2), sys)
 
+    def test_box_of_wrong_dimension_is_error(self):
+        # checked once per box and system, when the box's view is built
+        sys = identity_system()
+        line = Box.from_bounds([[0, 1]])
+        for X, Y in ((line, sys.domain), (sys.domain, line)):
+            with pytest.raises(GeometryError, match="1-D box under a 2-D"):
+                reach_pessimistic(X, Y, sys)
+            with pytest.raises(GeometryError, match="1-D box under a 2-D"):
+                reach_optimistic(X, Y, sys)
+
     def test_pessimistic_implies_optimistic(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
@@ -372,6 +399,14 @@ def point_reach_oracle(sys, pt, y):
 
 
 class TestInputWitness:
+    def test_wrong_dimensions_are_errors(self):
+        sys = identity_system()
+        with pytest.raises(GeometryError, match="1-D box under a 2-D"):
+            input_witness(sys, (1, 1), Box.from_bounds([[0, 1]]))
+        for x in ((1,), (1, 1, 1)):
+            with pytest.raises(GeometryError, match="state dimension"):
+                input_witness(sys, x, sys.domain)
+
     def test_witness_lands_in_target(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
@@ -491,7 +526,7 @@ class TestVertexControl:
                     tables.append(X)
                     return X, table
 
-                u = control_input(sys, x, TargetView(Y, sys), vertex_table)
+                u = control_input(sys, x, box_view(Y, sys), vertex_table)
                 interpolated += len(tables)
                 assert u is not None and sys.input_set.contains(u)
                 assert lands_in(sys, x, u, target)
@@ -516,7 +551,7 @@ class TestVertexControl:
                     continue
                 table = self.table(sys, X, Y)
                 for x in self.points(rng, X):
-                    u = control_input(sys, x, TargetView(Y, sys),
+                    u = control_input(sys, x, box_view(Y, sys),
                                       lambda xs, xd: (X, table))
                     assert u is not None
                     assert u == self.oracle(sys, Y, X, table, x)
@@ -537,7 +572,7 @@ class TestVertexControl:
         assert reach_pessimistic(X, Y, sys)
         table = self.table(sys, X, Y)
         x = (Fraction(1, 7), Fraction(1, 5))
-        u = control_input(sys, x, TargetView(Y, sys),
+        u = control_input(sys, x, box_view(Y, sys),
                           lambda xs, xd: (X, table))
         assert u is not None and sys.input_set.contains(u)
         assert lands_in(sys, x, u, Y)
@@ -644,7 +679,7 @@ class TestProbeOracle:
                                             sys.domain.upper)]
             T = list(zip(Y.lower, Y.upper))
             want = midpoint_probe(sys.A, sys.B, U, D, T, x)
-            assert _probe(sys, TargetView(Y, sys), x) == want, (sys, Y, x)
+            assert _probe(sys, box_view(Y, sys), x) == want, (sys, Y, x)
             if want is not None:
                 assert input_witness(sys, x, Y) == want
             elif shape in self.UNDECIDED:
@@ -682,11 +717,12 @@ class TestProbeOracle:
 class TestSourceReuse:
     """One source box queried against many targets, as the abstraction does.
 
-    The reach relations keep a view of the last source queried.  Each X
-    object here is queried against every target, interleaving two systems
-    that differ only in U, before any answer is checked; the targets lie
-    inside, across and beyond the domain boundary.  Every answer is then
-    checked against an oracle and against a fresh copy of X.
+    Each box keeps one view per system (``geometry.box_view``), holding
+    its slabs as a source.  Each X object here is queried against every
+    target, interleaving two systems that differ only in U, so its view
+    is replaced at every query, before any answer is checked; the targets
+    lie inside, across and beyond the domain boundary.  Every answer is
+    then checked against an oracle and against a fresh copy of X.
     """
 
     DOMAIN = [[-2, 2], [-2, 2]]
@@ -780,11 +816,12 @@ class TestSourceReuse:
 
 
 class TestTargetRanges:
-    """Each target box keeps the ranges of Y ∩ D along the non-axis
-    normals for the last system that asked.  The same target objects are
-    queried in turn under two systems whose domains and non-axis normals
-    differ, so a query often finds the other system's entry; every answer
-    must be the one a fresh, equal box gives."""
+    """Each target box keeps, in its view for the last system that asked
+    (``geometry.box_view``), the ranges of Y ∩ D along every normal.  The
+    same target objects are queried in turn under two systems whose
+    domains and non-axis normals differ, so a query often finds the other
+    system's view; every answer must be the one a fresh, equal box
+    gives."""
 
     COUPLED = Path(__file__).resolve().parent.parent / "bench" / "coupled.json"
 
@@ -823,6 +860,32 @@ class TestTargetRanges:
         assert differ
         assert [(repr(Y), hash(Y)) for Y in targets] == shown
         assert all(Y == Box(Y.lower, Y.upper) for Y in targets)
+
+    def test_target_major_order_matches_fresh_boxes_and_oracle(self):
+        # target-major, alternating two sources and two systems: the order
+        # a one-entry memo of the last source would recompute at every
+        # query.  The sources are targets too, so their views hold both
+        # parts.
+        coupled, other = self.systems()
+        rng = np.random.default_rng(79)
+        for _ in range(3):
+            sources = [random_box(rng, lo=0, hi=3) for _ in range(2)]
+            targets = [random_box(rng, lo=0, hi=4) for _ in range(12)]
+            targets += [Box.from_bounds([[2, 4], [2, 4]]), *sources]
+            boxes = sources + targets
+            shown = [(repr(B), hash(B)) for B in boxes]
+            order = [(sources[0], coupled), (sources[1], other),
+                     (sources[0], other), (sources[1], coupled)]
+            got = [[self.answers(X, Y, sys) for X, sys in order]
+                   for Y in targets]
+            for Y, row in zip(targets, got):
+                fresh = Box(Y.lower, Y.upper)
+                for (X, sys), answer in zip(order, row):
+                    assert answer == self.answers(Box(X.lower, X.upper),
+                                                  fresh, sys)
+                    assert answer == fm_reach(sys, X, Y), (str(X), str(Y))
+            assert [(repr(B), hash(B)) for B in boxes] == shown
+            assert all(B == Box(B.lower, B.upper) for B in boxes)
 
 
 def full_system(rng, n, m):
@@ -1081,7 +1144,7 @@ class TestIntegerKernel:
                 x = random_point(rng, X)
                 want = midpoint_probe(sys.A, sys.B, U, D,
                                       list(zip(Y.lower, Y.upper)), x)
-                assert _probe(sys, TargetView(Y, sys), x) == want
+                assert _probe(sys, box_view(Y, sys), x) == want
                 landed += want is not None
         assert landed
 
@@ -1113,7 +1176,7 @@ class TestIntegerKernel:
         Y = Box((half - Fraction(1, 8), Fraction(-1, 8)),
                 (half + Fraction(1, 8), Fraction(1, 8)))
         x = (Fraction(0), Fraction(0))
-        u = _probe(sys, TargetView(Y, sys), x)
+        u = _probe(sys, box_view(Y, sys), x)
         even = k if k % 2 == 0 else k + 1
         assert u == (Fraction(even, 2 ** 20), Fraction(0))
         assert u == midpoint_probe(sys.A, sys.B, [[-1, 1]] * 2,
