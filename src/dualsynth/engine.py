@@ -13,10 +13,11 @@ three-case decision:
 
 The forest's node statuses carry the classification from one step to
 the next: ``classify`` writes them, and the split and the refinement
-read them.  Every iteration builds and solves both games afresh; only
+read them.  Every iteration builds and solves both games afresh, the
+optimistic graph sharing the pessimistic one's edge-free tables; only
 the realizable iteration solves its pessimistic game a second time, on
-the graph ``classify`` built, so the fixpoint that graph holds is reused
-and only the rank tables and the strategy are added.  Solved regions
+the graph ``classify`` built, so the fixpoint and rank tables that graph
+holds are reused and only the strategy is extracted.  Solved regions
 stay leaves under their own ids and have their edges copied or removed
 wholesale, so they must come out of the next classification with the
 same verdict; the loop checks that and raises if one does not.
@@ -135,16 +136,17 @@ class IterationStats:
     that of the ``build_initial`` or ``refine`` call that produced its FTS
     pair, and ``classify_s`` that of ``classify``, which solves both
     games.  On the realizable iteration ``strategy_s`` times the
-    extraction of the controller's strategy from the pessimistic game;
-    it is 0 on every other iteration.  ``wall_time`` runs from the end of
-    the previous iteration (or the start of the run) to this iteration's
-    decision, so it holds these and the bookkeeping between them.  A run
-    that stops because no region can be split charges that attempt to the
-    ``wall_time`` of its last iteration.
+    extraction of the controller's strategy from the pessimistic game's
+    rank tables, and nothing else: the tables come from ``classify``'s
+    fixpoint.  It is 0 on every other iteration.  ``wall_time`` runs
+    from the end of the previous iteration (or the start of the run) to
+    this iteration's decision, so it holds these and the bookkeeping
+    between them.  A run that stops because no region can be split
+    charges that attempt to the ``wall_time`` of its last iteration.
 
     ``game_nodes`` counts the nodes of both games, and ``mu_y_runs`` the
-    muY runs of every solve of them, the strategy's recording pass
-    included.
+    muY runs of every solve of them: goals times fixpoint rounds per
+    game, since the strategy's extraction runs none.
     """
     iteration: int
     leaves: int
@@ -198,24 +200,21 @@ class Verdict:
         }
 
 
-def _region_graph(pair: AbstractionPair, forest: PartitionForest,
-                  spec: Gr1Spec, which: str) -> GameGraph:
-    edges = pair.pess_edges if which == "pess" else pair.opt_edges
-    labels = {r: forest.labels(r) for r in pair.regions}
-    return GameGraph(pair.regions, edges, labels,
-                     pair.env.valuations, spec)
-
-
 def classify(pair: AbstractionPair, forest: PartitionForest,
              spec: Gr1Spec) -> SetTriple:
     """Three-way region classification from both solved games.
 
     A region is winning only when its game states are winning for every
     environment valuation, and losing only when they are winning for
-    none; everything else stays maybe.
+    none; everything else stays maybe.  The two game graphs differ only
+    in their edges, so the optimistic one shares the pessimistic one's
+    edge-free tables.
     """
-    pess_graph = _region_graph(pair, forest, spec, "pess")
-    opt_graph = _region_graph(pair, forest, spec, "opt")
+    labels = {r: forest.labels(r) for r in pair.regions}
+    envs = pair.env.valuations
+    pess_graph = GameGraph(pair.regions, pair.pess_edges, labels, envs, spec)
+    opt_graph = GameGraph(pair.regions, pair.opt_edges, labels, envs, spec,
+                          tables_from=pess_graph)
     sol_p = solve_game(pess_graph, extract_strategy=False)
     sol_o = solve_game(opt_graph, extract_strategy=False)
     winning = frozenset(sol_p.region_winning)
@@ -330,9 +329,9 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         realizable = bool(initial_regions) and all(
             forest.status(r) is Status.WINNING for r in initial_regions)
         if realizable:
-            # classify solved this pessimistic graph without rank tables;
-            # solving it again reuses its winning nodes and adds only the
-            # recording pass and the extraction
+            # classify solved this pessimistic graph; its fixpoint kept the
+            # rank tables of the verifying round, so solving it again runs
+            # no muY and adds only the extraction
             s0 = time.perf_counter()
             strategy = solve_game(games[0], extract_strategy=True).strategy
             stats.strategy_s = time.perf_counter() - s0

@@ -730,6 +730,11 @@ def box_view(box: Box, sys: ControlSystem) -> BoxView:
     return view
 
 
+def drop_view(box: Box) -> None:
+    """Free the view ``box_view`` keeps on ``box``, if it keeps one."""
+    box.__dict__.pop("_view", None)
+
+
 def _dot(row, vec, start=0):
     """start + row . vec, an integer for integer inputs"""
     return sum(map(mul, row, vec), start)

@@ -18,17 +18,16 @@ whole muY is O(nodes + edges * bit values) plus the one full ``cpre``
 sweep for cpre(Z).  With assumptions, each layer's trap nuX is the
 complement of a removal worklist, O(nodes + edges * bit values) per
 layer and assumption.  The number of muY runs is the number of goals
-times the rounds until Z is stable, plus one per goal when a strategy
-is extracted.  Z is computed once per graph (``GameGraph.winning_nodes``),
-so solving a graph a second time to extract a strategy runs only those
-last muY runs.
+times the rounds until Z is stable, the last round being the one that
+changed nothing.  Z is computed once per graph (``GameGraph.fixpoint``), so
+solving a graph a second time to extract a strategy runs no muY.
 
-Strategies are extracted from rank tables recorded in that last pass
-against the converged Z: each node's layer and case, and per assumption
-the layer at which each node enters the trap.  Advance the goal pointer
-when the current guarantee is satisfied, otherwise descend the ranks,
-otherwise dwell inside an assumption-violating trap.  Without a strategy
-the pass is skipped.
+Every muY records rank tables: each node's layer and case, and per
+assumption the layer at which each node enters the trap.  The graph keeps
+those of the last round, which ran every goal against the final Z, and
+strategies are read from them: advance the goal pointer when the current
+guarantee is satisfied, otherwise descend the ranks, otherwise dwell
+inside an assumption-violating trap.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 logger = logging.getLogger(__name__)
 
@@ -346,6 +345,23 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
 # Game graph: regions x environment x memory bits
 # ---------------------------------------------------------------------------
 
+def _successor_rows(regions, index, region_succ) -> list[list[int]]:
+    """Each region's successor indices, ascending; SpecError naming the
+    first edge whose source or target is not a region."""
+    for r, row in region_succ.items():
+        if row and r not in index:
+            raise SpecError(f"edge {r!r} -> {next(iter(row))!r}: {r!r} is "
+                            f"not a region of the graph")
+    try:
+        return [sorted([index[s] for s in region_succ.get(r, ())])
+                for r in regions]
+    except KeyError as exc:
+        s = exc.args[0]
+        r = next(r for r in regions if s in region_succ.get(r, ()))
+        raise SpecError(f"edge {r!r} -> {s!r}: {s!r} is not a region of "
+                        f"the graph") from None
+
+
 class GameGraph:
     """Explicit product arena for one FTS and one spec.
 
@@ -358,28 +374,50 @@ class GameGraph:
     Formulas read a region only through its labels, so the bit updates
     and the assumption and guarantee tables are evaluated once per
     distinct label set, env valuation and bit value; regions with equal
-    labels share those rows.  ``winning_nodes`` is computed on first use
-    and kept, and ``mu_y_runs`` counts the muY runs of every solve of the
-    graph.
+    labels share those rows.  None of these tables reads an edge, so a
+    graph built with ``tables_from`` (a graph over the same regions,
+    labels, env valuations and spec) shares that graph's tables instead
+    of building its own; only the successor and predecessor rows are its
+    own.  An edge whose source or target is not a region raises
+    SpecError.  ``fixpoint`` is computed on first use and kept, and
+    ``mu_y_runs`` counts the muY runs of every solve of the graph.
     """
 
-    def __init__(self, regions, region_succ, labels, env_valuations, spec):
-        self.regions = sorted(regions)
-        self.region_index = {r: i for i, r in enumerate(self.regions)}
-        self.succ = [sorted(region_succ.get(r, ()),
-                            key=lambda x: self.region_index[x])
-                     for r in self.regions]
-        self.succ_idx = [[self.region_index[s] for s in row] for row in self.succ]
-        self.labels = {r: frozenset(labels.get(r, ())) for r in self.regions}
-        self.env_valuations = list(env_valuations) or [{}]
-        self.spec = spec
-        self.n_regions = len(self.regions)
-        self.n_env = len(self.env_valuations)
-        self.n_bits = len(spec.memory_bits)
-        self.n_bitvals = 1 << self.n_bits
-        self.n_nodes = self.n_regions * self.n_env * self.n_bitvals
+    # the tables that read no edge, shared by ``tables_from``
+    _EDGE_FREE = ("regions", "region_index", "labels", "env_valuations",
+                  "spec", "n_regions", "n_env", "n_bits", "n_bitvals",
+                  "n_nodes", "bit_next", "assumption_preds",
+                  "guarantee_preds", "fan_in")
+
+    def __init__(self, regions, region_succ, labels, env_valuations, spec,
+                 tables_from: "GameGraph | None" = None):
+        if tables_from is None:
+            self.regions = sorted(regions)
+            self.region_index = {r: i for i, r in enumerate(self.regions)}
+            self.labels = {r: frozenset(labels.get(r, ()))
+                           for r in self.regions}
+            self.env_valuations = list(env_valuations) or [{}]
+            self.spec = spec
+            self.n_regions = len(self.regions)
+            self.n_env = len(self.env_valuations)
+            self.n_bits = len(spec.memory_bits)
+            self.n_bitvals = 1 << self.n_bits
+            self.n_nodes = self.n_regions * self.n_env * self.n_bitvals
+            self._build_tables()
+        else:
+            for name in self._EDGE_FREE:
+                setattr(self, name, getattr(tables_from, name))
+        # region_index follows the sorted regions, so sorting the indices
+        # orders each row as sorting the regions would
+        self.succ_idx = _successor_rows(self.regions, self.region_index,
+                                        region_succ)
+        self.succ = [[self.regions[i] for i in row] for row in self.succ_idx]
+        # pred_idx[s]: the regions with an edge to s, once per edge
+        self.pred_idx = [[] for _ in range(self.n_regions)]
+        for ri, row in enumerate(self.succ_idx):
+            for si in row:
+                self.pred_idx[si].append(ri)
         self.mu_y_runs = 0
-        self._build_tables()
 
     # node indexing -------------------------------------------------------
     def node(self, r_idx: int, e_idx: int, b_val: int) -> int:
@@ -422,11 +460,6 @@ class GameGraph:
 
         self.assumption_preds = [pred_array(a) for a in spec.assumptions]
         self.guarantee_preds = [pred_array(g) for g in spec.guarantees]
-        # pred_idx[s]: the regions with an edge to s, once per edge
-        self.pred_idx = [[] for _ in range(self.n_regions)]
-        for ri, row in enumerate(self.succ_idx):
-            for si in row:
-                self.pred_idx[si].append(ri)
         # fan_in[v]: the (region s, bits b) pairs, as s * n_bitvals + b,
         # whose env fan-out next_nodes(s, b) contains node v
         self.fan_in = [[] for _ in range(self.n_nodes)]
@@ -472,17 +505,26 @@ class GameGraph:
         return [self.node(s_idx, ei, bn[ei][b_val]) for ei in range(self.n_env)]
 
     @cached_property
-    def winning_nodes(self) -> list[bool]:
-        """The winning nodes Z, computed once per graph: cycle through the
-        guarantees, each goal's muY reading the Z the previous goal left,
-        until Z is stable.  Every solution of the graph shares this list."""
-        Z = [True] * self.n_nodes
+    def fixpoint(self) -> tuple:
+        """(Z, rank, case, trap_layer), computed once per graph and shared
+        by every solution of it.
+
+        Cycle through the guarantees, each goal's muY reading the Z the
+        previous goal left and recording its rank tables, until a round
+        leaves Z as it found it.  Z only shrinks, so in that round no muY
+        changed Z: every goal's tables were recorded against the final Z,
+        and they are the ones a strategy is read from.
+        """
+        n, p_preds = self.n_nodes, self.assumption_preds
+        Z = [True] * n
         while True:
-            prev = Z
+            prev, tables = Z, []
             for q in self.guarantee_preds:
-                Z = _mu_y(self, q, Z, self.assumption_preds)
+                tables.append(([None] * n, [None] * n,
+                               [[None] * n for _ in p_preds]))
+                Z = _mu_y(self, q, Z, p_preds, tables[-1])
             if Z == prev:
-                return Z
+                return (Z, *map(list, zip(*tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +541,9 @@ class GameSolution:
     winning: set          # (region, env index) pairs, cleared-bit entry
     region_winning: set   # regions winning for every env valuation
     strategy: "StrategyAutomaton | None" = None
-    # Per-goal rank tables of the final muY layers, filled only when a
-    # strategy is extracted.  Layer k of goal j is {v : rank[j][v] <= k}.
+    # Per-goal rank tables of the fixpoint's last round, the one that
+    # verified Z; set only when a strategy is extracted.  Layer k of goal j
+    # is {v : rank[j][v] <= k}.
     rank: list = field(default_factory=list)    # rank[j][node] -> int | None
     case: list = field(default_factory=list)    # case[j][node] -> (kind, trap_i)
     # trap_layer[j][i][node]: first layer k whose trap X_i holds node, or
@@ -543,7 +586,7 @@ def _trap(graph: GameGraph, base: list[bool], p: list[bool]) -> list[bool]:
 
 
 def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
-          p_preds: list, record=None) -> list[bool]:
+          p_preds: list, record) -> list[bool]:
     """muY. OR_i nuX. (goal & cpre(Z)) | cpre(Y) | (!p_i & cpre(X)).
 
     Layer k is Y_k = OR_i X_i^k over the base start | cpre(Y_{k-1}).
@@ -552,9 +595,10 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
     (r, b) into cpre(Y).  With no assumptions each trap equals the base,
     so a layer is the nodes newly in cpre(Y), and the work of a layer is
     proportional to the nodes it adds.  ``record`` = (rank, case,
-    trap_layer) is filled in place when given.
+    trap_layer) is filled in place.
     """
     graph.mu_y_runs += 1
+    rank, case, trap_layer = record
     nbv = graph.n_bitvals
     fan_in, pred = graph.fan_in, graph.pred_idx
     n_pairs = graph.n_regions * nbv
@@ -592,12 +636,10 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
         k = 0
         while layer:
             k += 1
-            if record is not None:
-                rank, case, _trap_layer = record
-                kind = (_GOAL, -1) if k == 1 else (_DESCEND, -1)
-                for v in layer:
-                    rank[v] = k
-                    case[v] = kind
+            kind = (_GOAL, -1) if k == 1 else (_DESCEND, -1)
+            for v in layer:
+                rank[v] = k
+                case[v] = kind
             layer = add(layer)
         return in_y
 
@@ -613,50 +655,28 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
                  if not in_y[v] and any(x[v] for x in traps)]
         if not layer:
             return in_y
-        if record is not None:
-            rank, case, trap_layer = record
-            for x, entered in zip(traps, trap_layer):
-                for v in range(graph.n_nodes):
-                    if x[v] and entered[v] is None:
-                        entered[v] = k
-            for v in layer:
-                rank[v] = k
-                if start[v]:
-                    case[v] = (_GOAL, -1)
-                elif in_pre[graph.pair_of(v)]:
-                    case[v] = (_DESCEND, -1)
-                else:
-                    case[v] = (_TRAP, next(i for i, x in enumerate(traps)
-                                           if x[v]))
+        for x, entered in zip(traps, trap_layer):
+            entered[:] = [k if inside and e is None else e
+                          for inside, e in zip(x, entered)]
+        for v in layer:
+            rank[v] = k
+            if start[v]:
+                case[v] = (_GOAL, -1)
+            elif in_pre[graph.pair_of(v)]:
+                case[v] = (_DESCEND, -1)
+            else:
+                case[v] = (_TRAP, next(i for i, x in enumerate(traps) if x[v]))
         add(layer)
-
-
-def _record_ranks(graph: GameGraph, Z: list[bool]):
-    """Every goal's rank tables against the converged Z: one recording
-    muY per goal."""
-    n = graph.n_nodes
-    p_preds = graph.assumption_preds
-    ranks, cases, trap_layers = [], [], []
-    for q in graph.guarantee_preds:
-        tables = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
-        y = _mu_y(graph, q, Z, p_preds, tables)
-        assert y == Z, "converged Z must be a fixpoint of every goal"
-        ranks.append(tables[0])
-        cases.append(tables[1])
-        trap_layers.append(tables[2])
-    return ranks, cases, trap_layers
 
 
 def solve_game(graph: GameGraph, extract_strategy=True):
     """Largest winning set of the game plus a finite-memory strategy.
 
-    Z is ``graph.winning_nodes``, so only the first solve of a graph runs
-    the fixpoint; a later one with ``extract_strategy`` runs only the
-    recording pass and the extraction.
+    Z and the rank tables come from ``graph``'s fixpoint, so only the
+    first solve of a graph runs muY; a later one with ``extract_strategy``
+    runs only the extraction.
     """
-    Z = graph.winning_nodes
-    ranks, cases, trap_layers = (_record_ranks(graph, Z) if extract_strategy
-                                 else ([], [], []))
+    Z, ranks, cases, trap_layers = graph.fixpoint
     winning = set()
     for ri, r in enumerate(graph.regions):
         for ei in range(graph.n_env):
@@ -665,9 +685,9 @@ def solve_game(graph: GameGraph, extract_strategy=True):
     region_winning = {r for r in graph.regions
                       if all((r, ei) in winning for ei in range(graph.n_env))}
     sol = GameSolution(graph=graph, z_nodes=Z, winning=winning,
-                       region_winning=region_winning, rank=ranks, case=cases,
-                       trap_layer=trap_layers)
+                       region_winning=region_winning)
     if extract_strategy:
+        sol.rank, sol.case, sol.trap_layer = ranks, cases, trap_layers
         sol.strategy = _extract_strategy(sol)
     return sol
 
@@ -688,54 +708,54 @@ def _extract_strategy(sol: GameSolution):
     """Deterministic finite-memory strategy over (region, bits, goal).
 
     Each pair (s, b) a move may enter is tabulated once, on first use:
-    its env fan-out ``next_nodes(s, b)``, whether that fan-out lies inside
-    Z, and, when it does, each goal's worst rank over it.  A move depends
-    on its node and goal alone, so it is chosen once per (node, goal),
-    however many memory states enter that node with that goal.
+    its env fan-out ``next_nodes(s, b)`` and, when that fan-out lies
+    inside Z, each goal's worst rank over it (None when it leaves Z).  A
+    move depends on its node and goal alone, so it is chosen once per
+    (node, goal), in one pass over the node's successor row, however many
+    memory states enter that node with that goal.  Ties go to the first
+    successor in the row.
     """
     graph = sol.graph
     nbv = graph.n_bitvals
     n_goals = len(graph.guarantee_preds)
     Z = sol.z_nodes
-    pairs: dict = {}
+    pairs = [None] * (graph.n_regions * nbv)
+    moves: dict = {}
 
-    def pair(s, b):
-        """(fan-out of (s, b), each goal's worst rank over it), the ranks
-        None when the fan-out leaves Z."""
-        q = s * nbv + b
-        if q not in pairs:
-            fan = graph.next_nodes(s, b)
-            pairs[q] = (fan, [_worst(rank, fan) for rank in sol.rank]
-                        if all(Z[v] for v in fan) else None)
-        return pairs[q]
+    def tabulate(q):
+        """(fan-out of pair q, each goal's worst rank over it or None)"""
+        fan = graph.next_nodes(*divmod(q, nbv))
+        pairs[q] = entry = (fan, [_worst(rank, fan) for rank in sol.rank]
+                            if all(Z[v] for v in fan) else None)
+        return entry
 
-    @cache
     def next_move(node, j):
-        ri, ei, b = graph.decode(node)
+        """(successor region index, next goal) of ``node`` under goal j:
+        on to the next goal from the lowest rank of that goal, otherwise
+        to the lowest rank of goal j below the node's own, otherwise to
+        the first successor whose fan-out the node's trap holds."""
+        ri, _ei, b = graph.decode(node)
         kind, trap_i = sol.case[j][node]
-        options = [(s, *pair(s, b)) for s in graph.succ_idx[ri]]
-        options = [(s, fan, ranks) for s, fan, ranks in options
-                   if ranks is not None]
-        if not options:
-            raise AssertionError("winning node without admissible successor")
-        if kind == _GOAL:
-            j2 = (j + 1) % n_goals
-            ranked = [(ranks[j2], s) for s, _fan, ranks in options
-                      if ranks[j2] is not None]
-            assert ranked, "successor escaping all goal ranks"
-            return min(ranked)[1], j2
         k = sol.rank[j][node]
-        if kind == _DESCEND:
-            assert k >= 2, "rank-1 nodes satisfy the goal or sit in a trap"
-            cands = [(ranks[j], s) for s, _fan, ranks in options
-                     if ranks[j] is not None and ranks[j] < k]
-            assert cands, "descend case without a descending successor"
-            return min(cands)[1], j
-        entered = sol.trap_layer[j][trap_i]
-        layers = [(_worst(entered, fan), s) for s, fan, _ranks in options]
-        cands = [s for w, s in layers if w is not None and w <= k]
-        assert cands, "trap case without a trap-preserving successor"
-        return cands[0], j
+        j2 = (j + 1) % n_goals if kind == _GOAL else j
+        entered = sol.trap_layer[j][trap_i] if kind == _TRAP else None
+        best = best_rank = None
+        for s in graph.succ_idx[ri]:
+            q = s * nbv + b
+            fan, worst = pairs[q] or tabulate(q)
+            if worst is None:
+                continue
+            if entered is not None:
+                w = _worst(entered, fan)
+                if w is not None and w <= k:
+                    return s, j
+            elif (kind == _GOAL or worst[j] < k) and (
+                    best is None or worst[j2] < best_rank):
+                best, best_rank = s, worst[j2]
+        if best is None:
+            what = ("goal", "descending", "trap-keeping")[kind]
+            raise AssertionError(f"winning node without a {what} successor")
+        return best, j2
 
     bit_names = graph.spec.bit_names
     start_regions = sorted(sol.region_winning,
@@ -765,7 +785,11 @@ def _extract_strategy(sol: GameSolution):
             b = graph.bit_next[ri][ei][b_prev]
             node = graph.node(ri, ei, b)
             assert Z[node], "strategy reached a non-winning node"
-            s_idx, j2 = next_move(node, j)
+            key = node * n_goals + j
+            move = moves.get(key)
+            if move is None:
+                move = moves[key] = next_move(node, j)
+            s_idx, j2 = move
             target = graph.regions[s_idx]
             mid2 = intern((target, b, j2))
             transitions[(mid, ei)] = (mid2, target)

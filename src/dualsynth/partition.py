@@ -25,7 +25,13 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 
-from dualsynth.geometry import Box, ControlSystem, _integers, to_fraction
+from dualsynth.geometry import (
+    Box,
+    ControlSystem,
+    _integers,
+    drop_view,
+    to_fraction,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -252,6 +258,7 @@ def advance_iteration(forest: PartitionForest, m: int,
                    for lo, hi, c in zip(lows, highs, counts) if c > 1):
                 new_leaves.extend(_attach(forest, rid,
                                           _slices(node.box, counts)))
+                drop_view(node.box)  # only leaves and targets are viewed
                 continue
         new_leaves.append(rid)
     split_any = len(new_leaves) > len(forest.leaves)

@@ -375,14 +375,14 @@ class TestGameTelemetry:
             runs.append(graph)
             return original(graph, *args, **kwargs)
 
-        recording = []
+        extraction = []
         solve = engine.solve_game
 
         def final(graph, extract_strategy):
             before = len(runs)
             solution = solve(graph, extract_strategy)
             if extract_strategy:
-                recording.append(len(runs) - before)
+                extraction.append(len(runs) - before)
             return solution
 
         monkeypatch.setattr(gr1, "_mu_y", counted)
@@ -397,8 +397,9 @@ class TestGameTelemetry:
             assert stats.game_nodes == 2 * stats.leaves * len(env) * 2
         assert sum(s.mu_y_runs for s in verdict.stats) == len(runs)
         assert all(s.mu_y_runs > 0 for s in verdict.stats)
-        # the strategy's recording pass: one muY per goal, nothing more
-        assert recording == [len(spec.guarantees)]
+        # the strategy solve reads the ranks classify's fixpoint recorded:
+        # it runs no muY
+        assert extraction == [0]
         assert all(s.strategy_s == 0 for s in earlier)
         assert 0 < last.strategy_s <= last.wall_time
         rows = verdict.to_json()["stats"]

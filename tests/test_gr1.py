@@ -304,6 +304,20 @@ def random_response_game(rng):
     return graph, expected, wins
 
 
+PINNED_RESPONSE_GAMES = {
+    "z_nodes":
+        "05e58d5a297390958a32854a35a713c0b463be224664a6864c6b09a00fa3226d",
+    "rank":
+        "1080f394afff0265c688ba568c7824f6fa83101c033fce8e39cfb4e0ec5cab37",
+    "case":
+        "4a7f73588192806322f5ba932d25158b5a6dd21ce4ee0d8bb5855bb466170e93",
+    "trap_layer":
+        "0cdcb9b5ed517a4aebacf0ff0d2c3f8fa4f3cf3c44804785100e4d06a603193c",
+    "strategy":
+        "2d8e777f22ba6a1271034b2303cb2f90354bbd0fa3358e503fc476549db929ae",
+}
+
+
 class TestSolverAgainstSweepOracle:
     def test_response_bits_and_assumptions_match_sweep(self):
         # winning sets against the sweep; the extracted strategy both
@@ -325,6 +339,21 @@ class TestSolverAgainstSweepOracle:
         assert {(b, a) for b, a, _ in kinds} == {
             (b, a) for b in (1, 2) for a in (False, True)}
         assert {w for *_, w in kinds} == {False, True}
+
+    def test_solutions_are_pinned(self):
+        # SHA-256 digests, over the same 150 games, of every table the
+        # strategy is read from and of the strategy itself; these games
+        # have assumptions and two bits, so the trap case is pinned too
+        rng = np.random.default_rng(404)
+        solutions = [solve_game(random_response_game(rng)[0])
+                     for _ in range(150)]
+        digests = {name: hashlib.sha256(json.dumps(
+            [getattr(sol, name) for sol in solutions]).encode()).hexdigest()
+            for name in ("z_nodes", "rank", "case", "trap_layer")}
+        digests["strategy"] = hashlib.sha256(json.dumps(
+            [sol.strategy.to_json() for sol in solutions],
+            sort_keys=True).encode()).hexdigest()
+        assert digests == PINNED_RESPONSE_GAMES
 
 
 class TestLabelSetTables:
@@ -386,6 +415,45 @@ class TestLabelSetTables:
             assert graph.fan_in == fan_in
 
 
+class TestSharedTables:
+    def test_shared_tables_equal_a_fresh_build(self):
+        # a graph on other edges that shares a graph's edge-free tables
+        # equals a fresh five-argument graph on those edges, in every
+        # table and in its solution
+        rng = np.random.default_rng(808)
+        for k in range(40):
+            graph, _expected, _wins = random_response_game(rng)
+            n = graph.n_regions
+            other = {r: [int(s) for s in rng.choice(
+                n, size=int(rng.integers(0, n + 1)), replace=False)]
+                for r in range(n)}
+            args = (graph.regions, other, graph.labels,
+                    graph.env_valuations, graph.spec)
+            shared = GameGraph(*args, tables_from=graph)
+            fresh = GameGraph(*args)
+            for name in GameGraph._EDGE_FREE:
+                assert getattr(shared, name) is getattr(graph, name)
+            assert vars(shared).keys() == vars(fresh).keys()
+            for name, table in vars(fresh).items():
+                assert getattr(shared, name) == table, \
+                    f"{name} differs on game {k}"
+            assert shared.succ == [sorted(other[r]) for r in range(n)]
+            a, b = solve_game(shared), solve_game(fresh)
+            for name in ("z_nodes", "winning", "rank", "case", "trap_layer"):
+                assert getattr(a, name) == getattr(b, name)
+            assert a.strategy.to_json() == b.strategy.to_json()
+
+    @pytest.mark.parametrize("succ, edge", [
+        ({0: [2]}, "edge 0 -> 2: 2 is"),
+        ({0: [1], 1: [0, (1,)]}, r"edge 1 -> \(1,\): \(1,\) is"),
+        ({0: [1], 7: [0]}, "edge 7 -> 0: 7 is"),
+    ], ids=["target", "tuple-target", "source"])
+    def test_unknown_region_in_an_edge_is_named(self, succ, edge):
+        spec = Gr1Spec(guarantees=(parse_formula("g"),))
+        with pytest.raises(SpecError, match=rf"^{edge} not a region"):
+            GameGraph([0, 1], succ, {}, [{}], spec)
+
+
 class TestOneFinalSolve:
     def test_second_solve_of_a_graph_is_identical(self):
         # a second solve reuses the graph's winning nodes; everything it
@@ -407,7 +475,10 @@ class TestOneFinalSolve:
                 assert sol.strategy.to_json() == \
                     solutions[0].strategy.to_json()
 
-    def test_second_solve_makes_one_cpre_call_per_goal(self, monkeypatch):
+    def test_second_solve_makes_no_cpre_call(self, monkeypatch):
+        # the fixpoint records the rank tables in its verifying round, so
+        # the first solve runs goals x rounds muYs and the strategy solve
+        # none
         calls = []
         original = GameGraph.cpre
 
@@ -422,11 +493,10 @@ class TestOneFinalSolve:
             solve_game(graph, extract_strategy=False)
             runs = graph.mu_y_runs
             assert len(calls) == runs > 0
+            assert runs % len(graph.spec.guarantees) == 0
             calls.clear()
             solve_game(graph, extract_strategy=True)
-            n_goals = len(graph.spec.guarantees)
-            assert len(calls) == n_goals == graph.mu_y_runs - runs
-            calls.clear()
+            assert len(calls) == 0 and graph.mu_y_runs == runs
 
 
 def line_arena(n, ends, response):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualsynth.geometry import Box, ControlSystem, GeometryError
+from dualsynth.geometry import Box, ControlSystem, GeometryError, box_view
 from dualsynth.partition import (
     PartitionError,
     Status,
@@ -255,6 +255,21 @@ class TestAdvanceIteration:
         assert by_label["bot"] in forest.leaves
         maybe_children = [r for r in forest.leaves if r[:-1] == by_label["mid"]]
         assert len(maybe_children) == 3
+
+    def test_split_boxes_drop_their_views(self):
+        # every leaf is viewed, as the abstraction's queries view them; a
+        # split box frees its view, a kept leaf keeps it
+        sys = park_system()
+        forest = initial_partition(sys)
+        leaves = list(forest.leaves)
+        for rid in leaves:
+            box_view(forest.box(rid), sys)
+        classify_leaves(forest, winning=set(leaves[:2]))
+        assert advance_iteration(forest, m=4) is True
+        split = [r for r in leaves if forest.nodes[r].children]
+        assert split and len(split) == len(leaves) - 2
+        for rid in leaves:
+            assert ("_view" in vars(forest.box(rid))) == (rid not in split)
 
     def test_leaf_count_formula(self):
         forest = initial_partition(goal_system())
