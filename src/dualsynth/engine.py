@@ -46,7 +46,7 @@ from dualsynth.geometry import (
     box_view,
     control_input,
     input_witness,
-    next_state,
+    next_state_ints,
     to_fraction,
     to_matrix,
 )
@@ -145,8 +145,9 @@ class IterationStats:
     charges that attempt to the ``wall_time`` of its last iteration.
 
     ``game_nodes`` counts the nodes of both games, and ``mu_y_runs`` the
-    muY runs of every solve of them: goals times fixpoint rounds per
-    game, since the strategy's extraction runs none.
+    muY runs of every solve of them: per game, the runs until one run
+    per goal in a row left Z unchanged (``GameGraph.fixpoint``), since
+    the strategy's extraction runs none.
     """
     iteration: int
     leaves: int
@@ -329,9 +330,9 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         realizable = bool(initial_regions) and all(
             forest.status(r) is Status.WINNING for r in initial_regions)
         if realizable:
-            # classify solved this pessimistic graph; its fixpoint kept the
-            # rank tables of the verifying round, so solving it again runs
-            # no muY and adds only the extraction
+            # classify solved this pessimistic graph; its fixpoint kept
+            # each goal's rank tables from its run against the final Z, so
+            # solving it again runs no muY and adds only the extraction
             s0 = time.perf_counter()
             strategy = solve_game(games[0], extract_strategy=True).strategy
             stats.strategy_s = time.perf_counter() - s0
@@ -519,9 +520,11 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     ``env_trace`` yields an environment-valuation index per time step.
     The final record carries no input.  State arithmetic is exact, so the
     region trace is the strategy's discrete trace by construction, not by
-    numerical luck.  A step is ``select_input`` plus ``next_state``, the
-    integer sum of A s + B u that the landing test reads
-    (``geometry._affine``).  The price of exactness is that the state's
+    numerical luck.  A step is ``select_input`` plus ``next_state_ints``,
+    the integer sum of A s + B u that the landing test reads
+    (``geometry._affine``); the domain check reads those integers too
+    (``Box.holds``), and the state is made ``Fraction``s only for the
+    record.  The price of exactness is that the state's
     denominator grows by A's denominator at every step (inputs are
     snapped to a 2^-20 grid when they still land, so they add little):
     with a decimal entry in A, read from a float with a denominator near
@@ -556,8 +559,9 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
         memory, target = controller.strategy.step(memory, e_idx)
         u = controller.select_input(s, target)
         records.append(SimStep(t, s, e_idx, env_val, u, region, dict(bits)))
-        s = next_state(sys, s, u)
-        if not sys.domain.contains(s):
+        ys, yd = next_state_ints(sys, s, u)
+        if not sys.domain.holds(ys, yd):
             raise AssertionError("controlled step left the domain (library bug)")
+        s = tuple(Fraction(v, yd) for v in ys)
         region = target
     return Execution(records)

@@ -58,7 +58,7 @@ region (vertex control), in integers.  So the simplex runs in the control
 loop only when a vertex table is built.  Both snap their input to the
 2^-20 grid when it still lands, by one landing test (``_landing_input``):
 T holds A x + B u, formed by ``_affine``, the one integer sum that also
-gives ``next_state``, the step ``engine.simulate`` takes.  The probe is
+gives ``next_state_ints``, the step ``engine.simulate`` takes.  The probe is
 clamped to U and the simplex returns a vertex, so those landings may lie
 on a face of the target, which is sound: boxes are closed.
 """
@@ -260,9 +260,6 @@ class Box:
             elif lo >= hi:
                 return False
         return True
-
-    def as_float_bounds(self) -> list[list[float]]:
-        return [[float(lo), float(hi)] for lo, hi in zip(self.lower, self.upper)]
 
     def as_exact_bounds(self) -> list[list[str]]:
         return [[str(lo), str(hi)] for lo, hi in zip(self.lower, self.upper)]
@@ -599,14 +596,21 @@ def _affine(sys: ControlSystem, ax, axd: int, us, ud: int
     return [a * e + _dot(row, us) * axd for a, row in zip(ax, B)], axd * e
 
 
-def next_state(sys: ControlSystem, x: Sequence[Fraction],
-               u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The exact A x + B u (``_affine``), made ``Fraction``s on return."""
+def next_state_ints(sys: ControlSystem, x: Sequence[Fraction],
+                    u: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ys, yd): the exact A x + B u as integers over one denominator
+    yd > 0 (``_affine``), which ``Box.holds`` reads as they are."""
     if len(x) != sys.n or len(u) != sys.m:
         raise GeometryError("state/input dimension mismatch")
     xs, xd = _integers([to_fraction(v) for v in x])
-    ys, yd = _affine(sys, *_shift(sys, xs, xd),
-                     *_integers([to_fraction(v) for v in u]))
+    return _affine(sys, *_shift(sys, xs, xd),
+                   *_integers([to_fraction(v) for v in u]))
+
+
+def next_state(sys: ControlSystem, x: Sequence[Fraction],
+               u: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The exact A x + B u (``next_state_ints``) as ``Fraction``s."""
+    ys, yd = next_state_ints(sys, x, u)
     return tuple(Fraction(v, yd) for v in ys)
 
 

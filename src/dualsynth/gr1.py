@@ -14,17 +14,18 @@ Wilke, LNCS 2500, 2002): the graph keeps region predecessor lists and,
 per node, the (region, bits) pairs whose env fan-out holds it, and muY
 keeps one counter per pair of fan-out nodes not yet in Y.  Without
 assumptions a layer costs work proportional to the nodes it adds, so a
-whole muY is O(nodes + edges * bit values) plus the one full ``cpre``
-sweep for cpre(Z).  With assumptions, each layer's trap nuX is the
-complement of a removal worklist, O(nodes + edges * bit values) per
-layer and assumption.  The number of muY runs is the number of goals
-times the rounds until Z is stable, the last round being the one that
-changed nothing.  Z is computed once per graph (``GameGraph.fixpoint``), so
-solving a graph a second time to extract a strategy runs no muY.
+whole muY is O(nodes + edges * bit values) plus one ``cpre`` call for
+goal & cpre(Z), which tests the goal's nodes only.  With assumptions,
+each layer's trap nuX is the complement of a removal worklist,
+O(nodes + edges * bit values) per layer and assumption.  The goals run
+in a cycle, and the fixpoint stops as soon as the last ``len(goals)``
+muY runs in a row left Z unchanged.  Z is computed once per graph
+(``GameGraph.fixpoint``), so solving a graph a second time to extract a
+strategy runs no muY.
 
 Every muY records rank tables: each node's layer and case, and per
 assumption the layer at which each node enters the trap.  The graph keeps
-those of the last round, which ran every goal against the final Z, and
+each goal's tables from its last run, which saw the final Z, and
 strategies are read from them: advance the goal pointer when the current
 guarantee is satisfied, otherwise descend the ranks, otherwise dwell
 inside an assumption-violating trap.
@@ -36,6 +37,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 logger = logging.getLogger(__name__)
 
@@ -411,13 +413,18 @@ class GameGraph:
         # orders each row as sorting the regions would
         self.succ_idx = _successor_rows(self.regions, self.region_index,
                                         region_succ)
-        self.succ = [[self.regions[i] for i in row] for row in self.succ_idx]
         # pred_idx[s]: the regions with an edge to s, once per edge
         self.pred_idx = [[] for _ in range(self.n_regions)]
         for ri, row in enumerate(self.succ_idx):
             for si in row:
                 self.pred_idx[si].append(ri)
         self.mu_y_runs = 0
+
+    @cached_property
+    def succ(self) -> list[list]:
+        """Each region's successor regions, in ``succ_idx`` order; built on
+        first use, for ``strategy_invariance_check``."""
+        return [[self.regions[i] for i in row] for row in self.succ_idx]
 
     # node indexing -------------------------------------------------------
     def node(self, r_idx: int, e_idx: int, b_val: int) -> int:
@@ -485,19 +492,27 @@ class GameGraph:
         return self.node(r_idx, e_idx, self.bit_next[r_idx][e_idx][0])
 
     # controllable predecessor -------------------------------------------
-    def cpre(self, S: list[bool]) -> list[bool]:
-        """Nodes (r, e, b) from which the system can move to a successor s
-        of r whose env fan-out next_nodes(s, b) lies in S; one sweep."""
-        nbv = self.n_bitvals
-        missing = [self.n_env] * (self.n_regions * nbv)
-        for inside, pairs in zip(S, self.fan_in):
-            if inside:
-                for q in pairs:
-                    missing[q] -= 1
-        pre = [any(not missing[s * nbv + b] for s in row)
-               for row in self.succ_idx for b in range(nbv)]
-        return [x for r in range(self.n_regions)
-                for x in pre[r * nbv:(r + 1) * nbv] * self.n_env]
+    def cpre(self, S: list[bool], among: list[bool]) -> list[bool]:
+        """The nodes of ``among`` in cpre(S): nodes (r, e, b) from which the
+        system can move to a successor s of r whose env fan-out
+        next_nodes(s, b) lies in S.  Only the nodes of ``among`` are
+        tested, and each pair (s, b) has its fan-out tested once."""
+        nbv, n_env = self.n_bitvals, self.n_env
+        stride = n_env * nbv
+        inside = [None] * (self.n_regions * nbv)  # fan-out of (s, b) in S
+        out = [False] * self.n_nodes
+        for v in compress(range(self.n_nodes), among):
+            r, b = v // stride, v % nbv
+            for s in self.succ_idx[r]:
+                q = s * nbv + b
+                if inside[q] is None:
+                    bn, base = self.bit_next[s], s * stride
+                    inside[q] = all(S[base + e * nbv + bn[e][b]]
+                                    for e in range(n_env))
+                if inside[q]:
+                    out[v] = True
+                    break
+        return out
 
     def next_nodes(self, s_idx: int, b_val: int) -> list[int]:
         """All nodes the adversary can pick after moving to region s_idx."""
@@ -510,21 +525,25 @@ class GameGraph:
         by every solution of it.
 
         Cycle through the guarantees, each goal's muY reading the Z the
-        previous goal left and recording its rank tables, until a round
-        leaves Z as it found it.  Z only shrinks, so in that round no muY
-        changed Z: every goal's tables were recorded against the final Z,
-        and they are the ones a strategy is read from.
+        previous run left and recording its rank tables, and stop as soon
+        as the last ``len(goals)`` runs in a row left Z as they found it.
+        Those runs are one per goal and all ran against the final Z, so
+        every goal's tables, kept from its last run, are the ones a
+        strategy is read from.  Z only shrinks, and a Z every goal leaves
+        unchanged is the greatest fixpoint, whichever goal the cycle
+        stops at.
         """
-        n, p_preds = self.n_nodes, self.assumption_preds
+        n, p_preds, goals = self.n_nodes, self.assumption_preds, \
+            self.guarantee_preds
         Z = [True] * n
-        while True:
-            prev, tables = Z, []
-            for q in self.guarantee_preds:
-                tables.append(([None] * n, [None] * n,
-                               [[None] * n for _ in p_preds]))
-                Z = _mu_y(self, q, Z, p_preds, tables[-1])
-            if Z == prev:
-                return (Z, *map(list, zip(*tables)))
+        tables = [None] * len(goals)
+        j = unchanged = 0
+        while unchanged < len(goals):
+            tables[j] = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
+            Y = _mu_y(self, goals[j], Z, p_preds, tables[j])
+            unchanged = unchanged + 1 if Y == Z else 0
+            Z, j = Y, (j + 1) % len(goals)
+        return (Z, *map(list, zip(*tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +560,9 @@ class GameSolution:
     winning: set          # (region, env index) pairs, cleared-bit entry
     region_winning: set   # regions winning for every env valuation
     strategy: "StrategyAutomaton | None" = None
-    # Per-goal rank tables of the fixpoint's last round, the one that
-    # verified Z; set only when a strategy is extracted.  Layer k of goal j
-    # is {v : rank[j][v] <= k}.
+    # Per-goal rank tables of each goal's last muY run in the fixpoint, the
+    # one against the final Z; set only when a strategy is extracted.
+    # Layer k of goal j is {v : rank[j][v] <= k}.
     rank: list = field(default_factory=list)    # rank[j][node] -> int | None
     case: list = field(default_factory=list)    # case[j][node] -> (kind, trap_i)
     # trap_layer[j][i][node]: first layer k whose trap X_i holds node, or
@@ -602,8 +621,8 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
     nbv = graph.n_bitvals
     fan_in, pred = graph.fan_in, graph.pred_idx
     n_pairs = graph.n_regions * nbv
-    pre_z = graph.cpre(Z)
-    start = [goal[v] and pre_z[v] for v in range(graph.n_nodes)]
+    stride = graph.n_env * nbv
+    start = graph.cpre(Z, goal)
     in_y = [False] * graph.n_nodes
     missing = [graph.n_env] * n_pairs
     in_pre = [False] * n_pairs   # pair (r, b) is in cpre(Y)
@@ -625,8 +644,10 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
                     if not in_pre[t]:
                         in_pre[t] = True
                         pre_pairs.append(t)
-                        fresh += [u for u in graph.pair_nodes(t)
-                                  if not in_y[u]]
+                        lo = r * stride + b   # the nodes of pair t
+                        for u in range(lo, lo + stride, nbv):
+                            if not in_y[u]:
+                                fresh.append(u)
         return fresh
 
     if not p_preds:

@@ -96,8 +96,8 @@ def test_criterion_2_example2_unrealizable():
     elapsed = time.perf_counter() - t0
     assert verdict.outcome == "unrealizable"
     assert elapsed <= 60.0
-    witness_bounds = [b.as_float_bounds() for b in verdict.witness]
-    assert [[3.0, 3.5], [3.0, 3.5]] in witness_bounds
+    witness_bounds = [b.as_exact_bounds() for b in verdict.witness]
+    assert [["3", "7/2"], ["3", "7/2"]] in witness_bounds
     losing_boxes = verdict.history[-1].boxes("losing")
     start_box = Box.from_bounds([[3, 3.5], [3, 3.5]])
     assert any(b == start_box for b in losing_boxes)

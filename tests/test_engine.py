@@ -63,6 +63,11 @@ def invariant_problem():
     return sys, env, spec
 
 
+def float_bounds(box):
+    """A box's bounds as floats, as a hand-written problem file has them."""
+    return [[float(lo), float(hi)] for lo, hi in zip(box.lower, box.upper)]
+
+
 def coupled_problem():
     """Coupled A and non-diagonal B: the midpoint probe misses on some
     steps, which then take the vertex tables."""
@@ -257,8 +262,8 @@ class TestRunInvariantExample:
         verdict = run(sys, env, spec)
         assert verdict.outcome == "unrealizable"
         assert verdict.iterations == 1
-        assert [[3.0, 3.5], [3.0, 3.5]] in \
-            [b.as_float_bounds() for b in verdict.witness]
+        assert [["3", "7/2"], ["3", "7/2"]] in \
+            [b.as_exact_bounds() for b in verdict.witness]
 
     def test_simulation_refused_from_losing_start(self):
         # same dynamics and domain, but realizable from near the goal; the
@@ -347,9 +352,17 @@ class TestGameTelemetry:
         sys = ControlSystem.create(
             A=sys.A, B=sys.B, input_set=[[-half, half]] * 2,
             domain=[[0, 3], [0, 2]], initial_set=[[0, 3], [0, 2]],
-            propositions=[(name, box.as_float_bounds())
+            propositions=[(name, list(zip(box.lower, box.upper)))
                           for name, box in sys.proposition_regions])
         return sys, env, spec
+
+    @pytest.mark.parametrize("name, runs", [
+        ("coupled", [7, 5]), ("random_5", [7, 7, 8])])
+    def test_mu_y_runs_are_pinned(self, name, runs):
+        # per iteration, both games' muY runs: each fixpoint stops after
+        # one unchanged run per goal, not at the end of a verifying round
+        verdict = run(*PINNED_PROBLEMS[name]())
+        assert [s.mu_y_runs for s in verdict.stats] == runs
 
     def test_realizable_run_builds_two_graphs_per_iteration(self,
                                                             monkeypatch):
@@ -647,7 +660,7 @@ class TestVertexControl:
             "input_set": [[-0.5, 0.5], [-0.5, 0.5]],
             "domain": [[0, 4], [0, 4]], "initial_set": [[2, 2.5], [2, 2.5]],
             "propositions": [
-                {"name": name, "box": box.as_float_bounds()}
+                {"name": name, "box": float_bounds(box)}
                 for name, box in sys.proposition_regions],
             "environment": [{"name": "req", "values": [False, True]}],
             "spec": {"init": None, "assumptions": [], "guarantees": ["a"],
@@ -701,12 +714,12 @@ class TestVertexControl:
 
         ctrl = json.loads((out / "controller.json").read_text())
         for leaf in ctrl["leaves"]:
-            leaf["box"] = Box.from_bounds(leaf["box"]).as_float_bounds()
+            leaf["box"] = float_bounds(Box.from_bounds(leaf["box"]))
         old = tmp_path / "float_controller.json"
         old.write_text(json.dumps(ctrl))
         loaded = _rebuild_controller(problem, str(old))
         assert {rid: loaded.forest.box(rid) for rid in loaded.forest.leaves} \
-            == {rid: Box.from_bounds(box.as_float_bounds())
+            == {rid: Box.from_bounds(float_bounds(box))
                 for rid, box in boxes[0].items()}
 
 

@@ -161,7 +161,7 @@ class TestBox:
         a = Box.from_bounds([[0, 2], [0, 2]])
         b = Box.from_bounds([[1, 3], [1, 3]])
         c = a.intersect(b)
-        assert c.as_float_bounds() == [[1.0, 2.0], [1.0, 2.0]]
+        assert c.as_exact_bounds() == [["1", "2"], ["1", "2"]]
         assert a.contains((Fraction(2), Fraction(0)))
         assert not a.contains_box(b)
         assert a.intersect(Box.from_bounds([[5, 6], [5, 6]])).empty
@@ -674,7 +674,7 @@ class TestProbeOracle:
     def test_kernel_matches_oracle(self):
         decided, found, queries = {}, {}, 0
         for shape, sys, Y, x in self.queries(83):
-            U = sys.input_set.as_float_bounds()
+            U = list(zip(sys.input_set.lower, sys.input_set.upper))
             D = [[lo, hi] for lo, hi in zip(sys.domain.lower,
                                             sys.domain.upper)]
             T = list(zip(Y.lower, Y.upper))
@@ -1137,7 +1137,7 @@ class TestIntegerKernel:
         landed = 0
         for _ in range(30):
             sys = self.decimal_system(rng)
-            U = sys.input_set.as_float_bounds()
+            U = list(zip(sys.input_set.lower, sys.input_set.upper))
             D = list(zip(sys.domain.lower, sys.domain.upper))
             for _ in range(8):
                 X, Y = self.decimal_box(rng), self.decimal_box(rng)

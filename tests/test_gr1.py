@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dualsynth import gr1
 from dualsynth.gr1 import (
     MAX_FORMULA_DEPTH,
     GameGraph,
@@ -476,15 +477,15 @@ class TestOneFinalSolve:
                     solutions[0].strategy.to_json()
 
     def test_second_solve_makes_no_cpre_call(self, monkeypatch):
-        # the fixpoint records the rank tables in its verifying round, so
-        # the first solve runs goals x rounds muYs and the strategy solve
-        # none
+        # the fixpoint keeps each goal's rank tables from its last run, so
+        # the first solve makes one cpre call per muY and the strategy
+        # solve none
         calls = []
         original = GameGraph.cpre
 
-        def counted(self, S):
+        def counted(self, *args):
             calls.append(self.n_regions)
-            return original(self, S)
+            return original(self, *args)
 
         monkeypatch.setattr(GameGraph, "cpre", counted)
         rng = np.random.default_rng(707)
@@ -492,11 +493,59 @@ class TestOneFinalSolve:
             graph, _expected, _wins = random_response_game(rng)
             solve_game(graph, extract_strategy=False)
             runs = graph.mu_y_runs
-            assert len(calls) == runs > 0
-            assert runs % len(graph.spec.guarantees) == 0
+            assert len(calls) == runs >= len(graph.spec.guarantees)
             calls.clear()
             solve_game(graph, extract_strategy=True)
             assert len(calls) == 0 and graph.mu_y_runs == runs
+
+    def test_fixpoint_stops_once_every_goal_left_z_unchanged(self,
+                                                             monkeypatch):
+        # the goals run in a cycle, and the fixpoint stops after the first
+        # run that completes len(goals) unchanged runs in a row, wherever
+        # in the cycle that falls
+        changed = []
+        original = gr1._mu_y
+
+        def observed(graph, goal, Z, *args):
+            Y = original(graph, goal, Z, *args)
+            changed.append(Y != Z)
+            return Y
+
+        monkeypatch.setattr(gr1, "_mu_y", observed)
+        rng = np.random.default_rng(909)
+        stops = set()
+        for k in range(60):
+            graph, _expected, _wins = random_response_game(rng)
+            changed.clear()
+            solve_game(graph)
+            g = len(graph.spec.guarantees)
+            runs = [not c for c in changed]
+            assert len(runs) == graph.mu_y_runs
+            assert all(runs[-g:]), f"game {k} stopped before Z was stable"
+            assert not any(all(runs[i:i + g])
+                           for i in range(len(runs) - g)), \
+                f"game {k} ran past a stable window"
+            stops.add(len(runs) % g)
+        # some games stop inside a round, not at its end
+        assert len(stops) > 1
+
+    def test_three_goal_tables_equal_a_run_against_final_z(self):
+        # each goal's tables come from its last run, which saw the final
+        # Z: a fresh muY of that goal against Z gives the same tables
+        rng = np.random.default_rng(1001)
+        games = 0
+        while games < 30:
+            graph, _expected, _wins = random_response_game(rng)
+            if len(graph.spec.guarantees) != 3:
+                continue
+            games += 1
+            n, p_preds = graph.n_nodes, graph.assumption_preds
+            Z, ranks, cases, trap_layers = graph.fixpoint
+            for j, goal in enumerate(graph.guarantee_preds):
+                fresh = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
+                assert gr1._mu_y(graph, goal, Z, p_preds, fresh) == Z
+                assert fresh == (ranks[j], cases[j], trap_layers[j]), \
+                    f"goal {j} of game {games} differs"
 
 
 def line_arena(n, ends, response):
@@ -557,23 +606,25 @@ class TestLineArenas:
     @pytest.mark.parametrize("response", [False, True])
     def test_cpre_sweeps_do_not_grow_with_the_arena(self, response,
                                                     monkeypatch):
-        # one full cpre sweep per muY: a solver that sweeps per layer makes
-        # the count grow with the arena's length
+        # one cpre call per muY, and three muY runs per graph: goal a
+        # removes the dead ends, then b and a leave Z unchanged.  A solver
+        # that calls cpre per layer makes the count grow with the arena
         calls = []
         original = GameGraph.cpre
 
-        def counted(self, S):
+        def counted(self, *args):
             calls.append(self.n_regions)
-            return original(self, S)
+            return original(self, *args)
 
         monkeypatch.setattr(GameGraph, "cpre", counted)
-        counts = []
         for n in (50, 400):
             calls.clear()
-            *_, sol, line, _losing = solve_arena(n, [7, 20, 33], response)
+            sol_p, sol_o, graph, sol, line, _losing = solve_arena(
+                n, [7, 20, 33], response)
             assert sol.region_winning == line
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+            assert [g.mu_y_runs for g in (sol_p.graph, sol_o.graph, graph)] \
+                == [3, 3, 3]
+            assert len(calls) == 9
 
     @pytest.mark.parametrize("response, regions_sha, strategy_sha", [
         (False,

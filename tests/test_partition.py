@@ -56,7 +56,7 @@ class TestInitialPartition:
         homes = [r for r in forest.leaves if "home" in forest.labels(r)]
         lots = [r for r in forest.leaves if "lot" in forest.labels(r)]
         assert len(homes) == 1 and len(lots) == 1
-        assert forest.box(homes[0]).as_float_bounds() == [[0, 1], [0, 1]]
+        assert forest.box(homes[0]).as_exact_bounds() == [["0", "1"], ["0", "1"]]
 
     def test_no_propositions_single_leaf(self):
         sys = ControlSystem.create(
@@ -84,7 +84,8 @@ class TestInitialPartition:
         forest = initial_partition(goal_system())
         init = forest.initial_leaves()
         assert len(init) == 1
-        assert forest.box(init[0]).as_float_bounds() == [[3, 3.5], [3, 3.5]]
+        assert forest.box(init[0]).as_exact_bounds() == [["3", "7/2"],
+                                                          ["3", "7/2"]]
 
     def test_volume_conservation(self):
         for sys in (park_system(), goal_system()):
@@ -368,12 +369,13 @@ class TestAdvanceIteration:
                           ("lot", [[2, 3], [1, 2]])])
         forest = initial_partition(sys)
         home = forest.initial_leaves()
-        assert [forest.box(r).as_float_bounds() for r in home] == \
-            [[[0, 1], [0, 1]]]
+        assert [forest.box(r).as_exact_bounds() for r in home] == \
+            [[["0", "1"], ["0", "1"]]]
         classify_leaves(forest, winning=set(forest.leaves) - set(home))
         advance_iteration(forest, m=4)
-        assert [forest.box(r).as_float_bounds()
-                for r in forest.initial_leaves()] == [[[0, 0.5], [0, 0.5]]]
+        assert [forest.box(r).as_exact_bounds()
+                for r in forest.initial_leaves()] == [[["0", "1/2"],
+                                                       ["0", "1/2"]]]
         assert sum(1 for r in forest.leaves if r[:-1] == home[0]) == 4
 
     def test_forest_depth_bounded_by_iterations(self):
