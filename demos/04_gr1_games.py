@@ -24,9 +24,10 @@ print("converted spec:")
 print("  guarantees:", len(spec.guarantees), "(recurrence)")
 print("  memory bits:", list(spec.bit_names))
 
+# succ[i] lists the indices into regions of the successors of regions[i]
 graph = GameGraph(
     regions=[0, 1],
-    region_succ={0: [0, 1], 1: [0, 1]},
+    succ=[[0, 1], [0, 1]],
     labels={0: {"home"}, 1: {"lot"}},
     env_valuations=[{"park": False}, {"park": True}],
     spec=spec)

@@ -94,39 +94,45 @@ class QueryStats:
 class AbstractionPair:
     """The two FTSs of one iteration, on leaves x environment valuations.
 
-    Edges are stored per region pair; the environment blow-up is uniform
-    by construction and materialized only on export.
+    ``pess[i]`` and ``opt[i]`` list the targets of ``regions[i]``, the
+    leaves in path order, as ascending indices; ``pess_edges`` and
+    ``opt_edges`` are id views.  The environment blow-up is uniform by
+    construction and materialized only on export.
     """
 
     regions: list[RegionId]
     initial_regions: list[RegionId]
     env: EnvAlphabet
-    pess_edges: dict[RegionId, list[RegionId]]
-    opt_edges: dict[RegionId, list[RegionId]]
+    pess: list[list[int]]
+    opt: list[list[int]]
     iteration: int = 0
     query_stats: QueryStats = field(default_factory=QueryStats)
 
+    def _ids(self, rows) -> dict[RegionId, list[RegionId]]:
+        ids = self.regions
+        return {a: [ids[j] for j in row] for a, row in zip(ids, rows)}
+
+    @property
+    def pess_edges(self) -> dict[RegionId, list[RegionId]]:
+        return self._ids(self.pess)
+
+    @property
+    def opt_edges(self) -> dict[RegionId, list[RegionId]]:
+        return self._ids(self.opt)
+
     def pess_pairs(self):
-        for a, outs in sorted(self.pess_edges.items()):
-            for b in outs:
-                yield a, b
+        return [(a, b) for a, outs in self.pess_edges.items() for b in outs]
 
     def opt_pairs(self):
-        for a, outs in sorted(self.opt_edges.items()):
-            for b in outs:
-                yield a, b
-
-    def game_states(self):
-        for r in self.regions:
-            for e in range(len(self.env)):
-                yield (r, e)
+        return [(a, b) for a, outs in self.opt_edges.items() for b in outs]
 
     def check_invariants(self) -> None:
         """Every pessimistic edge is an optimistic one, checked row by
         row; a row that equals its optimistic row, as every winning row
         does, costs one list comparison."""
-        for a, outs in self.pess_edges.items():
-            row = self.opt_edges.get(a, ())
+        if not len(self.pess) == len(self.opt) == len(self.regions):
+            raise AssertionError("each FTS must have one row per region")
+        for outs, row in zip(self.pess, self.opt):
             if outs != row and not set(outs).issubset(row):
                 raise AssertionError("pessimistic edges must be a subset of "
                                      "optimistic edges")
@@ -143,7 +149,8 @@ class AbstractionPair:
 
         return {
             "iteration": self.iteration,
-            "states": [[format_region_id(r), e] for r, e in self.game_states()],
+            "states": [[format_region_id(r), e] for r in self.regions
+                       for e in range(n_env)],
             "initial": [[format_region_id(r), e]
                         for r in self.initial_regions
                         for e in range(n_env)],
@@ -157,7 +164,7 @@ class AbstractionPair:
         for r in self.regions:
             shape = "doublecircle" if r in initial else "circle"
             lines.append(f'  "{format_region_id(r)}" [shape={shape}];')
-        pess = {(a, b) for a, b in self.pess_pairs()}
+        pess = set(self.pess_pairs())
         for a, b in sorted(pess):
             lines.append(f'  "{format_region_id(a)}" -> '
                          f'"{format_region_id(b)}";')
@@ -176,41 +183,39 @@ def build_initial(forest: PartitionForest, sys: ControlSystem,
         raise AbstractionError("build_initial expects an unrefined partition")
     regions = list(forest.leaves)
     stats = QueryStats(n_states=len(regions))
-    pess = {r: [] for r in regions}
-    opt = {r: [] for r in regions}
-    _run_queries(forest, sys, [(a, regions) for a in regions], pess, opt,
-                 stats)
+    pess = [[] for _ in regions]
+    opt = [[] for _ in regions]
+    every = range(len(regions))
+    _run_queries([forest.nodes[r].box for r in regions], sys,
+                 [(i, every) for i in every], pess, opt, stats)
     pair = AbstractionPair(regions=regions,
                            initial_regions=list(forest.initial_leaves()),
-                           env=env, pess_edges=pess, opt_edges=opt,
+                           env=env, pess=pess, opt=opt,
                            iteration=0, query_stats=stats)
     pair.check_invariants()
     logger.info("initial abstraction: %d regions, %d/%d pess/opt edges",
-                len(regions), sum(len(v) for v in pess.values()),
-                sum(len(v) for v in opt.values()))
+                len(regions), sum(map(len, pess)), sum(map(len, opt)))
     return pair
 
 
-def _run_queries(forest, sys, rows, pess, opt, stats):
-    """Decide every (source, targets) row, appending each edge to the
-    source's rows of ``pess`` and ``opt`` in the order of its targets.
+def _run_queries(boxes, sys, rows, pess, opt, stats):
+    """Decide every (source, targets) row of box indices, appending each
+    edge to the source's rows of ``pess`` and ``opt`` in target order.
 
-    The source box is fetched once per row.  Each box keeps its own view
-    (``geometry.box_view``): its slabs as a source and its ranges as a
-    target are computed once, whatever the order of the queries.  The
-    optimistic query is made only where the pessimistic one fails, since
-    a pessimistic edge is an optimistic one.  Both are looked up as this
-    module's bindings at call time.  ``refine`` passes only the targets
-    its pruning rule leaves open; the rule and its proof are in
-    ``refine``.
+    Each box keeps its own view (``geometry.box_view``): its slabs as a
+    source and its ranges as a target are computed once, whatever the
+    order of the queries.  The optimistic query is made only where the
+    pessimistic one fails, since a pessimistic edge is an optimistic one.
+    Both are looked up as this module's bindings at call time.
+    ``refine`` passes only the targets its pruning rule leaves open; the
+    rule and its proof are in ``refine``.
     """
-    nodes = forest.nodes
     for a, targets in rows:
-        X = nodes[a].box
+        X = boxes[a]
         p_row, o_row = pess[a], opt[a]
         stats.issued_pess += len(targets)
         for b in targets:
-            Y = nodes[b].box
+            Y = boxes[b]
             if reach_pessimistic(X, Y, sys):
                 p_row.append(b)
                 o_row.append(b)
@@ -241,59 +246,65 @@ def refine(pair: AbstractionPair, forest: PartitionForest,
       against every leaf that is still non-losing, P(b) among them;
     - pess(a, b) implies opt(a, b).
 
-    Those pairs are counted in ``QueryStats.pruned``.  Ids are paths, so
-    expanding the old row leaf by leaf keeps the current leaf order.
+    Those pairs are counted in ``QueryStats.pruned``.  The old and new
+    leaves are sorted paths, and a child's path extends its parent's, so
+    the new leaves of old leaf p are one index run ``[at[p], at[p+1])``,
+    found in one merge walk; a walk that leaves an old leaf without a run
+    or new leaves over, as on a forest of another problem, raises
+    AbstractionError.  Each row is expanded from an old index row run by
+    run, in ascending order: winning targets for a winning row (a leaf
+    never split), non-losing ones for an undecided row.
     """
     if forest.iteration != pair.iteration + 1:
         raise AbstractionError(
             f"forest at iteration {forest.iteration} cannot refine an "
             f"abstraction at iteration {pair.iteration}")
     regions = list(forest.leaves)
-    status = {r: forest.status(r) for r in regions}
+    at, k = [0], 0
+    for q in pair.regions:
+        while k < len(regions) and (regions[k] == q or regions[k][:-1] == q):
+            k += 1
+        at.append(k)
+    if k != len(regions) or len(set(at)) != len(at):
+        raise AbstractionError("the forest's leaves are not the "
+                               "abstraction's leaves and their children")
+    nodes = forest.nodes
+    winning = [nodes[r].status is Status.WINNING for r in regions]
+    live = [nodes[r].status is not Status.LOSING for r in regions]
     stats = QueryStats(n_states=len(regions))
-    pess = {r: [] for r in regions}
-    opt = {r: [] for r in regions}
+    pess = [[] for _ in regions]
+    opt = [[] for _ in regions]
 
-    # winning rows: copy the old pessimistic relation, in both systems
-    for a in regions:
-        if status[a] is Status.WINNING:
-            pess[a] = [b for b in pair.pess_edges[a]
-                       if status.get(b) is Status.WINNING]
-            opt[a] = list(pess[a])
+    def expand(row, keep):
+        return [b for t in row for b in range(at[t], at[t + 1]) if keep[b]]
 
-    # undecided rows: query the non-losing leaves of the previous leaves
-    # that the old optimistic row of the source's previous leaf holds
-    held = {q: [b for b in forest.nodes[q].children or (q,)
-                if status[b] is not Status.LOSING] for q in pair.regions}
-    n_targets = sum(map(len, held.values()))
-    candidates = {}
+    n_targets = sum(live)
     rows = []
-    for a in regions:
-        if status[a] in (Status.WINNING, Status.LOSING):
-            continue
-        q = a if a in held else a[:-1]
-        row = candidates.get(q)
-        if row is None:
-            row = candidates[q] = [b for p in pair.opt_edges[q]
-                                   for b in held[p]]
-        rows.append((a, row))
-        stats.pruned += n_targets - len(row)
-    _run_queries(forest, sys, rows, pess, opt, stats)
+    for p, (lo, hi) in enumerate(zip(at, at[1:])):
+        if winning[lo]:
+            # copy the old pessimistic relation, in both systems
+            pess[lo] = expand(pair.pess[p], winning)
+            opt[lo] = list(pess[lo])
+        elif live[lo]:
+            # the non-losing new leaves of the old optimistic row
+            row = expand(pair.opt[p], live)
+            stats.pruned += (hi - lo) * (n_targets - len(row))
+            rows.extend((a, row) for a in range(lo, hi))
+    _run_queries([nodes[r].box for r in regions], sys, rows, pess, opt,
+                 stats)
 
     out = AbstractionPair(regions=regions,
                           initial_regions=list(forest.initial_leaves()),
-                          env=pair.env, pess_edges=pess, opt_edges=opt,
+                          env=pair.env, pess=pess, opt=opt,
                           iteration=pair.iteration + 1, query_stats=stats)
     out.check_invariants()
     logger.info("refined abstraction: %d regions, %d queries issued, %d "
                 "pairs pruned (%d saved vs naive)", len(regions),
                 stats.issued, stats.pruned,
-                reachability_queries_saved(out, stats))
+                reachability_queries_saved(out))
     return out
 
 
-def reachability_queries_saved(pair: AbstractionPair,
-                               stats: QueryStats | None = None) -> int:
+def reachability_queries_saved(pair: AbstractionPair) -> int:
     """Queries a naive all-pairs rebuild would have issued but we did not."""
-    stats = stats or pair.query_stats
-    return stats.naive - stats.issued
+    return pair.query_stats.naive - pair.query_stats.issued

@@ -13,11 +13,11 @@ three-case decision:
 
 The forest's node statuses carry the classification from one step to
 the next: ``classify`` writes them, and the split and the refinement
-read them.  Every iteration builds and solves both games afresh, the
-optimistic graph sharing the pessimistic one's edge-free tables; only
-the realizable iteration solves its pessimistic game a second time, on
-the graph ``classify`` built, so the fixpoint and rank tables that graph
-holds are reused and only the strategy is extracted.  Solved regions
+read them.  Every iteration builds and solves both games afresh on the
+abstraction's rows of leaf indices, the optimistic graph sharing the
+pessimistic one's edge-free tables; only the realizable iteration
+solves its pessimistic game a second time, on the graph ``classify``
+built, so its fixpoint and rank tables are reused.  Solved regions
 stay leaves under their own ids and have their edges copied or removed
 wholesale, so they must come out of the next classification with the
 same verdict; the loop checks that and raises if one does not.
@@ -213,16 +213,13 @@ def classify(pair: AbstractionPair, forest: PartitionForest,
     """
     labels = {r: forest.labels(r) for r in pair.regions}
     envs = pair.env.valuations
-    pess_graph = GameGraph(pair.regions, pair.pess_edges, labels, envs, spec)
-    opt_graph = GameGraph(pair.regions, pair.opt_edges, labels, envs, spec,
+    pess_graph = GameGraph(pair.regions, pair.pess, labels, envs, spec)
+    opt_graph = GameGraph(pair.regions, pair.opt, labels, envs, spec,
                           tables_from=pess_graph)
     sol_p = solve_game(pess_graph, extract_strategy=False)
     sol_o = solve_game(opt_graph, extract_strategy=False)
     winning = frozenset(sol_p.region_winning)
-    n_env = len(pair.env)
-    losing = frozenset(
-        r for r in pair.regions
-        if all((r, e) not in sol_o.winning for e in range(n_env)))
+    losing = frozenset(pair.regions) - {r for r, _e in sol_o.winning}
     if winning & losing:
         raise AssertionError("a region classified both winning and losing; "
                              "the dual abstractions are inconsistent")

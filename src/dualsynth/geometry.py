@@ -607,13 +607,6 @@ def next_state_ints(sys: ControlSystem, x: Sequence[Fraction],
                    *_integers([to_fraction(v) for v in u]))
 
 
-def next_state(sys: ControlSystem, x: Sequence[Fraction],
-               u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The exact A x + B u (``next_state_ints``) as ``Fraction``s."""
-    ys, yd = next_state_ints(sys, x, u)
-    return tuple(Fraction(v, yd) for v in ys)
-
-
 def _landing_input(sys: ControlSystem, T: Box, ax, axd: int, us, ud: int
                    ) -> tuple[Fraction, ...] | None:
     """u = us / ud rounded to the 2^-20 grid and clamped to U

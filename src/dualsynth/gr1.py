@@ -347,25 +347,33 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
 # Game graph: regions x environment x memory bits
 # ---------------------------------------------------------------------------
 
-def _successor_rows(regions, index, region_succ) -> list[list[int]]:
-    """Each region's successor indices, ascending; SpecError naming the
-    first edge whose source or target is not a region."""
-    for r, row in region_succ.items():
-        if row and r not in index:
-            raise SpecError(f"edge {r!r} -> {next(iter(row))!r}: {r!r} is "
-                            f"not a region of the graph")
+def _successor_rows(n: int, succ) -> list[list[int]]:
+    """``succ[i]`` sorted, for i in 0..n-1; SpecError naming the row count
+    when it is not n, or the first edge whose target is no index."""
+    if len(succ) != n:
+        raise SpecError(f"{len(succ)} successor rows for {n} regions")
     try:
-        return [sorted([index[s] for s in region_succ.get(r, ())])
-                for r in regions]
+        rows = [sorted(succ[i]) for i in range(n)]
+        if all(not row or 0 <= row[0] and row[-1] < n for row in rows):
+            return rows
     except KeyError as exc:
-        s = exc.args[0]
-        r = next(r for r in regions if s in region_succ.get(r, ()))
-        raise SpecError(f"edge {r!r} -> {s!r}: {s!r} is not a region of "
-                        f"the graph") from None
+        raise SpecError(f"no successor row for region index "
+                        f"{exc.args[0]!r}") from None
+    except TypeError:  # a value that is not an index
+        pass
+    i, s = next((i, s) for i in range(n) for s in succ[i]
+                if not isinstance(s, int) or not 0 <= s < n)
+    raise SpecError(f"edge {i} -> {s!r}: {s!r} is not a region index in "
+                    f"0..{n - 1}")
 
 
 class GameGraph:
     """Explicit product arena for one FTS and one spec.
+
+    ``succ[i]``, from a list or a mapping keyed 0..n-1, lists the
+    successors of ``regions[i]`` as indices into ``regions``, which keep
+    the caller's order; each row is sorted, which sets the strategies'
+    tie-break.  Region ids are read only to report results.
 
     A composite step from node (region, env, bits): the system commits to
     a successor region (it has seen the current env valuation, not the
@@ -380,24 +388,20 @@ class GameGraph:
     graph built with ``tables_from`` (a graph over the same regions,
     labels, env valuations and spec) shares that graph's tables instead
     of building its own; only the successor and predecessor rows are its
-    own.  An edge whose source or target is not a region raises
-    SpecError.  ``fixpoint`` is computed on first use and kept, and
+    own.  ``fixpoint`` is computed on first use and kept, and
     ``mu_y_runs`` counts the muY runs of every solve of the graph.
     """
 
     # the tables that read no edge, shared by ``tables_from``
-    _EDGE_FREE = ("regions", "region_index", "labels", "env_valuations",
-                  "spec", "n_regions", "n_env", "n_bits", "n_bitvals",
-                  "n_nodes", "bit_next", "assumption_preds",
-                  "guarantee_preds", "fan_in")
+    _EDGE_FREE = ("regions", "labels", "env_valuations", "spec", "n_regions",
+                  "n_env", "n_bits", "n_bitvals", "n_nodes", "bit_next",
+                  "assumption_preds", "guarantee_preds", "fan_in")
 
-    def __init__(self, regions, region_succ, labels, env_valuations, spec,
+    def __init__(self, regions, succ, labels, env_valuations, spec,
                  tables_from: "GameGraph | None" = None):
         if tables_from is None:
-            self.regions = sorted(regions)
-            self.region_index = {r: i for i, r in enumerate(self.regions)}
-            self.labels = {r: frozenset(labels.get(r, ()))
-                           for r in self.regions}
+            self.regions = list(regions)
+            self.labels = [frozenset(labels.get(r, ())) for r in self.regions]
             self.env_valuations = list(env_valuations) or [{}]
             self.spec = spec
             self.n_regions = len(self.regions)
@@ -409,22 +413,13 @@ class GameGraph:
         else:
             for name in self._EDGE_FREE:
                 setattr(self, name, getattr(tables_from, name))
-        # region_index follows the sorted regions, so sorting the indices
-        # orders each row as sorting the regions would
-        self.succ_idx = _successor_rows(self.regions, self.region_index,
-                                        region_succ)
+        self.succ_idx = _successor_rows(self.n_regions, succ)
         # pred_idx[s]: the regions with an edge to s, once per edge
         self.pred_idx = [[] for _ in range(self.n_regions)]
         for ri, row in enumerate(self.succ_idx):
             for si in row:
                 self.pred_idx[si].append(ri)
         self.mu_y_runs = 0
-
-    @cached_property
-    def succ(self) -> list[list]:
-        """Each region's successor regions, in ``succ_idx`` order; built on
-        first use, for ``strategy_invariance_check``."""
-        return [[self.regions[i] for i in row] for row in self.succ_idx]
 
     # node indexing -------------------------------------------------------
     def node(self, r_idx: int, e_idx: int, b_val: int) -> int:
@@ -450,8 +445,8 @@ class GameGraph:
         bit_dicts = [self._bits_dict(b) for b in range(nbv)]
         # label_sets: each distinct label set, in order of first region
         label_sets: dict = {}
-        set_of = [label_sets.setdefault(self.labels[r], len(label_sets))
-                  for r in self.regions]
+        set_of = [label_sets.setdefault(labels, len(label_sets))
+                  for labels in self.labels]
         # bit update on entering (region, env), from previous bit value
         rows = [[[self._bits_val(spec.update_bits(bits, labels, env))
                   for bits in bit_dicts] for env in envs]
@@ -778,9 +773,7 @@ def _extract_strategy(sol: GameSolution):
             raise AssertionError(f"winning node without a {what} successor")
         return best, j2
 
-    bit_names = graph.spec.bit_names
-    start_regions = sorted(sol.region_winning,
-                           key=lambda r: graph.region_index[r])
+    # memory states are (region index, bits, goal) until they are returned
     memory_states: list[tuple] = []
     memory_index: dict[tuple, int] = {}
     initial: dict = {}
@@ -792,16 +785,16 @@ def _extract_strategy(sol: GameSolution):
             memory_states.append(state)
         return memory_index[state]
 
+    regions = graph.regions
     frontier = []
-    for r in start_regions:
-        mid = intern((r, 0, 0))
-        initial[r] = mid
-        frontier.append(mid)
+    for ri, r in enumerate(regions):
+        if r in sol.region_winning:
+            initial[r] = mid = intern((ri, 0, 0))
+            frontier.append(mid)
     seen = set(frontier)
     while frontier:
         mid = frontier.pop()
-        r, b_prev, j = memory_states[mid]
-        ri = graph.region_index[r]
+        ri, b_prev, j = memory_states[mid]
         for ei in range(graph.n_env):
             b = graph.bit_next[ri][ei][b_prev]
             node = graph.node(ri, ei, b)
@@ -811,14 +804,14 @@ def _extract_strategy(sol: GameSolution):
             if move is None:
                 move = moves[key] = next_move(node, j)
             s_idx, j2 = move
-            target = graph.regions[s_idx]
-            mid2 = intern((target, b, j2))
-            transitions[(mid, ei)] = (mid2, target)
+            mid2 = intern((s_idx, b, j2))
+            transitions[(mid, ei)] = (mid2, regions[s_idx])
             if mid2 not in seen:
                 seen.add(mid2)
                 frontier.append(mid2)
-    return StrategyAutomaton(bit_names=bit_names,
-                             memory_states=tuple(memory_states),
+    return StrategyAutomaton(bit_names=graph.spec.bit_names,
+                             memory_states=tuple((regions[ri], b, j) for
+                                                 ri, b, j in memory_states),
                              initial=initial, transitions=transitions,
                              n_env=graph.n_env)
 
@@ -919,6 +912,8 @@ def strategy_invariance_check(strategy: StrategyAutomaton, graph: GameGraph,
     solver) is broken.
     """
     winning = solution.winning
+    ids = graph.regions
+    succ = {r: {ids[i] for i in row} for r, row in zip(ids, graph.succ_idx)}
     pending = list(strategy.initial.values())
     seen_mem = set(pending)
     while pending:
@@ -933,7 +928,7 @@ def strategy_invariance_check(strategy: StrategyAutomaton, graph: GameGraph,
             mid2, target = strategy.transitions[key]
             if strategy.memory_states[mid2][0] != target:
                 return False
-            if target not in graph.succ[graph.region_index[region]]:
+            if target not in succ[region]:
                 return False  # move does not follow any edge of the FTS
             if any((target, e2) not in winning for e2 in range(graph.n_env)):
                 return False

@@ -290,6 +290,21 @@ class TestRefine:
             pair = nxt
         assert {len(rid) for rid in forest.leaves} == {2}
 
+    @pytest.mark.parametrize("ours, theirs", [
+        (park_system, quadrant_system), (quadrant_system, park_system),
+    ], ids=["old-leaf-without-run", "new-leaves-left-over"])
+    def test_forest_of_another_problem_is_error(self, ours, theirs):
+        # a pair refined against the forest of another problem at the
+        # right iteration: the walk of the old leaves over the new ones
+        # must fail, not misalign the index rows
+        sys = ours()
+        _forest, pair = self._setup(sys)
+        other, _pair = self._setup(theirs())
+        self._advance(other)
+        with pytest.raises(AbstractionError, match="not the abstraction's "
+                           "leaves and their children"):
+            refine(pair, other, sys)
+
     def test_iteration_mismatch_is_error(self):
         sys = park_system()
         forest, pair = self._setup(sys)
@@ -298,31 +313,40 @@ class TestRefine:
 
 
 class TestCheckInvariants:
-    """``check_invariants`` tests pess ⊆ opt row by row."""
+    """``check_invariants`` tests one row per region and pess ⊆ opt row by
+    row, on rows of indices into ``regions``."""
 
     @staticmethod
     def pair(pess, opt):
-        regions = sorted(set(pess) | set(opt))
+        regions = [(i,) for i in range(max(len(pess), len(opt)))]
         return AbstractionPair(
             regions=regions, initial_regions=[], env=no_env(),
-            pess_edges=pess, opt_edges=opt)
+            pess=pess, opt=opt)
 
     def test_missing_optimistic_edge_raises(self):
-        pair = self.pair({(0,): [(0,), (1,)], (1,): []},
-                         {(0,): [(1,), (2,)], (1,): [(0,)]})
+        pair = self.pair([[0, 1], [], []], [[1, 2], [0], []])
         with pytest.raises(AssertionError):
             pair.check_invariants()
 
     def test_missing_optimistic_row_raises(self):
-        pair = self.pair({(0,): [(1,)], (1,): [(0,)]}, {(0,): [(1,)]})
+        pair = self.pair([[1], [0]], [[1]])
         with pytest.raises(AssertionError):
             pair.check_invariants()
 
     def test_equal_copies_and_subsets_pass(self):
-        winning = [(0,), (1,)]
-        self.pair({(0,): winning, (1,): [(1,)], (2,): []},
-                  {(0,): list(winning), (1,): [(0,), (1,)], (2,): [(2,)]}
+        winning = [0, 1]
+        self.pair([winning, [1], []], [list(winning), [0, 1], [2]]
                   ).check_invariants()
+
+    def test_id_views_follow_the_rows(self):
+        pair = self.pair([[1], [], [0, 2]], [[0, 1], [], [0, 1, 2]])
+        assert pair.pess_edges == {(0,): [(1,)], (1,): [],
+                                   (2,): [(0,), (2,)]}
+        assert list(pair.opt_pairs()) == [
+            ((0,), (0,)), ((0,), (1,)), ((2,), (0,)), ((2,), (1,)),
+            ((2,), (2,))]
+        with pytest.raises(AttributeError):
+            pair.pess_edges = {}
 
 
 class TestPruning:

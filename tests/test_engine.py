@@ -123,8 +123,8 @@ class TestClassify:
         spec = convert_to_gr1(RawSpec(guarantees=("home",)))
         forest = initial_partition(sys)
         pair = build_initial(forest, sys, EnvAlphabet.create([]))
-        pair.pess_edges = {r: [] for r in pair.regions}
-        pair.opt_edges = {r: [] for r in pair.regions}
+        pair.pess = [[] for _ in pair.regions]
+        pair.opt = [[] for _ in pair.regions]
         triple = classify(pair, forest, spec)
         assert triple.winning == frozenset()
         assert triple.losing == frozenset(forest.leaves)
@@ -516,11 +516,11 @@ class TestWarmStartEquivalence:
 
         def drop_copied_edges(pair, forest, sys):
             out = original(pair, forest, sys)
-            kept = {r for r in forest.leaves
+            kept = {i for i, r in enumerate(out.regions)
                     if forest.status(r) is Status.WINNING}
-            for edges in (out.pess_edges, out.opt_edges):
-                for r in kept:
-                    edges[r] = [s for s in edges[r] if s not in kept]
+            for rows in (out.pess, out.opt):
+                for i in kept:
+                    rows[i] = [j for j in rows[i] if j not in kept]
             return out
 
         sys, env, spec = self._refining_problem()
@@ -940,11 +940,17 @@ def plain_step(A, B, x, u):
 
 
 class TestNextState:
-    """``geometry.next_state``, the step ``simulate`` takes, against
-    ``plain_step``."""
+    """``geometry.next_state_ints``, the step ``simulate`` takes, read as
+    ``Fraction(v, yd)`` against ``plain_step``."""
 
     VALUES = [0, 1, -2, 0.3, -0.7, 0.1, Fraction(1, 3), Fraction(-5, 12),
               Fraction(10 ** 30, 7), Fraction(1, 2 ** 70)]
+
+    @staticmethod
+    def next_state(sys, x, u):
+        ys, yd = geometry.next_state_ints(sys, x, u)
+        assert yd > 0 and all(type(v) is int for v in (*ys, yd))
+        return tuple(Fraction(v, yd) for v in ys)
 
     def draw(self, rng, k):
         return [self.VALUES[int(rng.integers(len(self.VALUES)))]
@@ -963,9 +969,7 @@ class TestNextState:
             for _ in range(5):
                 x = [Fraction(v) for v in self.draw(rng, n)]
                 u = [Fraction(v) for v in self.draw(rng, m)]
-                got = geometry.next_state(sys, x, u)
-                assert got == plain_step(A, B, x, u)
-                assert all(type(v) is Fraction for v in got)
+                assert self.next_state(sys, x, u) == plain_step(A, B, x, u)
                 checked += 1
         assert checked == 600
 
@@ -982,7 +986,7 @@ class TestNextState:
             u = tuple(Fraction(int(rng.integers(-8, 9)), 16)
                       for _ in range(2))
             want = plain_step(A, B, x, u)
-            assert geometry.next_state(sys, x, u) == want
+            assert self.next_state(sys, x, u) == want
             # keep the state bounded without changing its denominator
             x = tuple(v - math.floor(v) + 2 for v in want)
         assert max(v.denominator for v in x) > 2 ** 1000
@@ -1002,14 +1006,13 @@ class TestNextState:
         steps = simulate(ctrl, sys, iter(trace), start, 200).steps
         for step, nxt in zip(steps, steps[1:]):
             assert nxt.state == plain_step(*rows, step.state, step.inp)
-            assert nxt.state == geometry.next_state(sys, step.state,
-                                                    step.inp)
+            assert nxt.state == self.next_state(sys, step.state, step.inp)
 
     def test_floats_and_dimensions(self):
         sys, _env, _spec = wide_B_problem()
-        assert geometry.next_state(sys, (0.5, 0.25), (0.5, -1, 1)) == \
+        assert self.next_state(sys, (0.5, 0.25), (0.5, -1, 1)) == \
             (Fraction(1), Fraction(-3, 4))
         for x, u in (((1,), (0, 0, 0)), ((1, 1), (0, 0)),
                      ((1, 1, 1), (0, 0, 0))):
             with pytest.raises(GeometryError):
-                geometry.next_state(sys, x, u)
+                geometry.next_state_ints(sys, x, u)

@@ -428,7 +428,8 @@ class TestSharedTables:
             other = {r: [int(s) for s in rng.choice(
                 n, size=int(rng.integers(0, n + 1)), replace=False)]
                 for r in range(n)}
-            args = (graph.regions, other, graph.labels,
+            args = (graph.regions, other,
+                    dict(zip(graph.regions, graph.labels)),
                     graph.env_valuations, graph.spec)
             shared = GameGraph(*args, tables_from=graph)
             fresh = GameGraph(*args)
@@ -438,21 +439,53 @@ class TestSharedTables:
             for name, table in vars(fresh).items():
                 assert getattr(shared, name) == table, \
                     f"{name} differs on game {k}"
-            assert shared.succ == [sorted(other[r]) for r in range(n)]
+            assert shared.succ_idx == [sorted(other[r]) for r in range(n)]
             a, b = solve_game(shared), solve_game(fresh)
             for name in ("z_nodes", "winning", "rank", "case", "trap_layer"):
                 assert getattr(a, name) == getattr(b, name)
             assert a.strategy.to_json() == b.strategy.to_json()
 
     @pytest.mark.parametrize("succ, edge", [
-        ({0: [2]}, "edge 0 -> 2: 2 is"),
-        ({0: [1], 1: [0, (1,)]}, r"edge 1 -> \(1,\): \(1,\) is"),
-        ({0: [1], 7: [0]}, "edge 7 -> 0: 7 is"),
-    ], ids=["target", "tuple-target", "source"])
+        ({0: [2], 1: []}, r"edge 0 -> 2: 2 is not a region index in 0\.\.1"),
+        ([[1], [0, -1]], r"edge 1 -> -1: -1 is not a region index"),
+        ([[1], [0, (1,)]], r"edge 1 -> \(1,\): \(1,\) is not a region index"),
+        ([[(0,)], [(1,)]], r"edge 0 -> \(0,\): \(0,\) is not a region index"),
+        ([[1], [0], [0]], r"3 successor rows for 2 regions"),
+        ({0: [1]}, r"1 successor rows for 2 regions"),
+        ({0: [1], 7: [0]}, r"no successor row for region index 1"),
+    ], ids=["target", "negative", "tuple-target", "tuple-row",
+            "long-succ", "short-succ", "source"])
     def test_unknown_region_in_an_edge_is_named(self, succ, edge):
+        # succ holds rows of indices into the regions, here (0,) and (1,)
         spec = Gr1Spec(guarantees=(parse_formula("g"),))
-        with pytest.raises(SpecError, match=rf"^{edge} not a region"):
-            GameGraph([0, 1], succ, {}, [{}], spec)
+        with pytest.raises(SpecError, match=rf"^{edge}"):
+            GameGraph([(0,), (1,)], succ, {}, [{}], spec)
+
+    def test_mapping_rows_equal_list_rows(self):
+        # succ keyed 0..n-1, the bench arena's shape, and the equal list
+        # of rows give the same graph and the same solution; region ids
+        # other than the indices come back in the results
+        rng = np.random.default_rng(1102)
+        for k in range(30):
+            graph, _expected, _wins = random_response_game(rng)
+            n = graph.n_regions
+            rows = [list(row) for row in graph.succ_idx]
+            regions = [(7, r) for r in range(n)]
+            labels = dict(zip(regions, graph.labels))
+            args = (labels, graph.env_valuations, graph.spec)
+            by_key = GameGraph(regions, dict(enumerate(rows)), *args)
+            by_list = GameGraph(regions, rows, *args)
+            assert vars(by_key).keys() == vars(by_list).keys()
+            for name, table in vars(by_list).items():
+                assert getattr(by_key, name) == table, \
+                    f"{name} differs on game {k}"
+            a, b = solve_game(by_key), solve_game(by_list)
+            for name in ("z_nodes", "winning", "region_winning", "rank",
+                         "case", "trap_layer"):
+                assert getattr(a, name) == getattr(b, name)
+            assert a.strategy.to_json() == b.strategy.to_json()
+            ids = solve_game(graph).region_winning
+            assert a.region_winning == {regions[r] for r in ids}
 
 
 class TestOneFinalSolve:
@@ -462,9 +495,9 @@ class TestOneFinalSolve:
         rng = np.random.default_rng(606)
         for k in range(60):
             graph, _expected, _wins = random_response_game(rng)
-            fresh = GameGraph(graph.regions, dict(zip(graph.regions,
-                                                      graph.succ)),
-                              graph.labels, graph.env_valuations, graph.spec)
+            fresh = GameGraph(graph.regions, graph.succ_idx,
+                              dict(zip(graph.regions, graph.labels)),
+                              graph.env_valuations, graph.spec)
             solutions = [solve_game(fresh), solve_game(graph),
                          solve_game(graph)]
             assert solutions[1].z_nodes is solutions[2].z_nodes
@@ -749,12 +782,13 @@ class TestStrategyJson:
     def test_roundtrip(self):
         raw = RawSpec(guarantees=("home",), responses=(("park", "lot"),))
         spec = convert_to_gr1(raw)
-        g = GameGraph([(0,), (1,)], {(0,): [(0,), (1,)], (1,): [(0,), (1,)]},
+        g = GameGraph([(0,), (1,)], [[0, 1], [0, 1]],
                       {(0,): {"home"}, (1,): {"lot"}},
                       [{"park": False}, {"park": True}], spec)
         sol = solve_game(g)
         data = sol.strategy.to_json()
         from dualsynth.gr1 import StrategyAutomaton
+        assert data["initial"] == {"0": 0, "1": 1}
         back = StrategyAutomaton.from_json(data)
         assert back.transitions == sol.strategy.transitions
         assert back.initial == sol.strategy.initial
