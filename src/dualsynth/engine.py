@@ -145,9 +145,11 @@ class IterationStats:
     charges that attempt to the ``wall_time`` of its last iteration.
 
     ``game_nodes`` counts the nodes of both games, and ``mu_y_runs`` the
-    muY runs of every solve of them: per game, the runs until one run
-    per goal in a row left Z unchanged (``GameGraph.fixpoint``), since
-    the strategy's extraction runs none.
+    muY runs made in every solve of them: per game, the runs until one
+    goal visit per goal in a row left Z unchanged, less the visits whose
+    start goal & cpre(Z) equalled that of their goal's last run, which
+    reuse it (``GameGraph.fixpoint``).  The strategy's extraction runs
+    none.
     """
     iteration: int
     leaves: int

@@ -17,18 +17,24 @@ assumptions a layer costs work proportional to the nodes it adds, so a
 whole muY is O(nodes + edges * bit values) plus one ``cpre`` call for
 goal & cpre(Z), which tests the goal's nodes only.  With assumptions,
 each layer's trap nuX is the complement of a removal worklist,
-O(nodes + edges * bit values) per layer and assumption.  The goals run
-in a cycle, and the fixpoint stops as soon as the last ``len(goals)``
-muY runs in a row left Z unchanged.  Z is computed once per graph
+O(nodes + edges * bit values) per layer and assumption.  The goals are
+visited in a cycle, and the fixpoint stops as soon as the last
+``len(goals)`` visits in a row left Z unchanged.  muY reads Z only
+through its start, goal & cpre(Z), so a visit whose start equals the
+one of its goal's last run reuses that run's Y and tables and runs no
+muY: the simplest decremental case (Chatterjee and Henzinger, JACM
+2014), a rerun whose input did not change.  Z is computed once per graph
 (``GameGraph.fixpoint``), so solving a graph a second time to extract a
 strategy runs no muY.
 
 Every muY records rank tables: each node's layer and case, and per
 assumption the layer at which each node enters the trap.  The graph keeps
-each goal's tables from its last run, which saw the final Z, and
-strategies are read from them: advance the goal pointer when the current
-guarantee is satisfied, otherwise descend the ranks, otherwise dwell
-inside an assumption-violating trap.
+each goal's tables from its last run, whose start is the goal's start
+under the final Z, and strategies are read from them: advance the goal
+pointer when the current guarantee is satisfied, otherwise descend the
+ranks, otherwise dwell inside an assumption-violating trap.  The
+extraction tabulates each entered pair's fan-out and worst ranks once,
+in index arithmetic on the node numbering.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
 logger = logging.getLogger(__name__)
 
@@ -349,20 +355,23 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
 
 def _successor_rows(n: int, succ) -> list[list[int]]:
     """``succ[i]`` sorted, for i in 0..n-1; SpecError naming the row count
-    when it is not n, or the first edge whose target is no index."""
+    when it is not n, or the first edge whose target is no index: an
+    ``int`` in 0..n-1, and neither a ``bool`` nor a float."""
     if len(succ) != n:
         raise SpecError(f"{len(succ)} successor rows for {n} regions")
     try:
         rows = [sorted(succ[i]) for i in range(n)]
-        if all(not row or 0 <= row[0] and row[-1] < n for row in rows):
-            return rows
     except KeyError as exc:
         raise SpecError(f"no successor row for region index "
                         f"{exc.args[0]!r}") from None
-    except TypeError:  # a value that is not an index
-        pass
+    except TypeError:  # targets that do not compare with each other
+        rows = None
+    if rows is not None and set(map(type, chain.from_iterable(rows))) \
+            <= {int} and all(not row or 0 <= row[0] and row[-1] < n
+                             for row in rows):
+        return rows
     i, s = next((i, s) for i in range(n) for s in succ[i]
-                if not isinstance(s, int) or not 0 <= s < n)
+                if type(s) is not int or not 0 <= s < n)
     raise SpecError(f"edge {i} -> {s!r}: {s!r} is not a region index in "
                     f"0..{n - 1}")
 
@@ -389,7 +398,8 @@ class GameGraph:
     labels, env valuations and spec) shares that graph's tables instead
     of building its own; only the successor and predecessor rows are its
     own.  ``fixpoint`` is computed on first use and kept, and
-    ``mu_y_runs`` counts the muY runs of every solve of the graph.
+    ``mu_y_runs`` counts the muY runs it made; a goal visit that reuses
+    a run adds none.
     """
 
     # the tables that read no edge, shared by ``tables_from``
@@ -425,11 +435,6 @@ class GameGraph:
     def node(self, r_idx: int, e_idx: int, b_val: int) -> int:
         return (r_idx * self.n_env + e_idx) * self.n_bitvals + b_val
 
-    def decode(self, node: int):
-        b = node % self.n_bitvals
-        node //= self.n_bitvals
-        return node // self.n_env, node % self.n_env, b
-
     def _bits_dict(self, b_val: int) -> dict:
         return {name: bool(b_val >> k & 1)
                 for k, name in enumerate(self.spec.bit_names)}
@@ -463,7 +468,8 @@ class GameGraph:
         self.assumption_preds = [pred_array(a) for a in spec.assumptions]
         self.guarantee_preds = [pred_array(g) for g in spec.guarantees]
         # fan_in[v]: the (region s, bits b) pairs, as s * n_bitvals + b,
-        # whose env fan-out next_nodes(s, b) contains node v
+        # whose env fan-out, the nodes (s, e, bit_next[s][e][b]) for every
+        # e, contains node v
         self.fan_in = [[] for _ in range(self.n_nodes)]
         for si, bn in enumerate(self.bit_next):
             for ei, row in enumerate(bn):
@@ -482,16 +488,13 @@ class GameGraph:
         stride = self.n_env * self.n_bitvals
         return range(r * stride + b, (r + 1) * stride, self.n_bitvals)
 
-    def initial_node(self, r_idx: int, e_idx: int) -> int:
-        """Node reached by entering (region, env) with cleared bits."""
-        return self.node(r_idx, e_idx, self.bit_next[r_idx][e_idx][0])
-
     # controllable predecessor -------------------------------------------
     def cpre(self, S: list[bool], among: list[bool]) -> list[bool]:
         """The nodes of ``among`` in cpre(S): nodes (r, e, b) from which the
-        system can move to a successor s of r whose env fan-out
-        next_nodes(s, b) lies in S.  Only the nodes of ``among`` are
-        tested, and each pair (s, b) has its fan-out tested once."""
+        system can move to a successor s of r whose env fan-out, the
+        nodes (s, e, bit_next[s][e][b]) for every e, lies in S.  Only the
+        nodes of ``among`` are tested, and each pair (s, b) has its
+        fan-out tested once."""
         nbv, n_env = self.n_bitvals, self.n_env
         stride = n_env * nbv
         inside = [None] * (self.n_regions * nbv)  # fan-out of (s, b) in S
@@ -509,21 +512,19 @@ class GameGraph:
                     break
         return out
 
-    def next_nodes(self, s_idx: int, b_val: int) -> list[int]:
-        """All nodes the adversary can pick after moving to region s_idx."""
-        bn = self.bit_next[s_idx]
-        return [self.node(s_idx, ei, bn[ei][b_val]) for ei in range(self.n_env)]
-
     @cached_property
     def fixpoint(self) -> tuple:
         """(Z, rank, case, trap_layer), computed once per graph and shared
         by every solution of it.
 
-        Cycle through the guarantees, each goal's muY reading the Z the
-        previous run left and recording its rank tables, and stop as soon
-        as the last ``len(goals)`` runs in a row left Z as they found it.
-        Those runs are one per goal and all ran against the final Z, so
-        every goal's tables, kept from its last run, are the ones a
+        Cycle through the guarantees and stop as soon as the last
+        ``len(goals)`` visits in a row left Z as they found it.  A visit
+        to goal j computes start = goal_j & cpre(Z), the only thing muY
+        reads of Z, and runs muY from it, recording the rank tables,
+        unless start equals the one of goal j's last run: then that run's
+        Y and tables are reused.  The last visits are one per goal and
+        all saw the final Z, so every goal's tables, kept from the run
+        whose start equals goal_j & cpre(final Z), are the ones a
         strategy is read from.  Z only shrinks, and a Z every goal leaves
         unchanged is the greatest fixpoint, whichever goal the cycle
         stops at.
@@ -531,14 +532,17 @@ class GameGraph:
         n, p_preds, goals = self.n_nodes, self.assumption_preds, \
             self.guarantee_preds
         Z = [True] * n
-        tables = [None] * len(goals)
+        runs = [None] * len(goals)   # goal j's last run: (start, Y, tables)
         j = unchanged = 0
         while unchanged < len(goals):
-            tables[j] = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
-            Y = _mu_y(self, goals[j], Z, p_preds, tables[j])
+            start = self.cpre(Z, goals[j])
+            if runs[j] is None or runs[j][0] != start:
+                tables = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
+                runs[j] = (start, _mu_y(self, start, p_preds, tables), tables)
+            Y = runs[j][1]
             unchanged = unchanged + 1 if Y == Z else 0
             Z, j = Y, (j + 1) % len(goals)
-        return (Z, *map(list, zip(*tables)))
+        return (Z, *map(list, zip(*(tables for _, _, tables in runs))))
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +603,10 @@ def _trap(graph: GameGraph, base: list[bool], p: list[bool]) -> list[bool]:
     return in_x
 
 
-def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
-          p_preds: list, record) -> list[bool]:
-    """muY. OR_i nuX. (goal & cpre(Z)) | cpre(Y) | (!p_i & cpre(X)).
+def _mu_y(graph: GameGraph, start: list[bool], p_preds: list,
+          record) -> list[bool]:
+    """muY. OR_i nuX. start | cpre(Y) | (!p_i & cpre(X)), where start is
+    goal & cpre(Z), the only part of Z a run reads.
 
     Layer k is Y_k = OR_i X_i^k over the base start | cpre(Y_{k-1}).
     ``missing[s * n_bitvals + b]`` counts the env fan-out nodes of pair
@@ -617,7 +622,6 @@ def _mu_y(graph: GameGraph, goal: list[bool], Z: list[bool],
     fan_in, pred = graph.fan_in, graph.pred_idx
     n_pairs = graph.n_regions * nbv
     stride = graph.n_env * nbv
-    start = graph.cpre(Z, goal)
     in_y = [False] * graph.n_nodes
     missing = [graph.n_env] * n_pairs
     in_pre = [False] * n_pairs   # pair (r, b) is in cpre(Y)
@@ -693,13 +697,15 @@ def solve_game(graph: GameGraph, extract_strategy=True):
     runs only the extraction.
     """
     Z, ranks, cases, trap_layers = graph.fixpoint
-    winning = set()
-    for ri, r in enumerate(graph.regions):
-        for ei in range(graph.n_env):
-            if Z[graph.initial_node(ri, ei)]:
-                winning.add((r, ei))
-    region_winning = {r for r in graph.regions
-                      if all((r, ei) in winning for ei in range(graph.n_env))}
+    nbv, n_env = graph.n_bitvals, graph.n_env
+    winning, region_winning = set(), set()
+    # (r, e) wins when its entry node, with cleared bits, lies in Z
+    for ri, (r, bn) in enumerate(zip(graph.regions, graph.bit_next)):
+        base = ri * n_env * nbv
+        wins = [ei for ei in range(n_env) if Z[base + ei * nbv + bn[ei][0]]]
+        winning.update((r, ei) for ei in wins)
+        if len(wins) == n_env:
+            region_winning.add(r)
     sol = GameSolution(graph=graph, z_nodes=Z, winning=winning,
                        region_winning=region_winning)
     if extract_strategy:
@@ -708,41 +714,37 @@ def solve_game(graph: GameGraph, extract_strategy=True):
     return sol
 
 
-def _worst(table, fan):
-    """The largest entry of ``table`` over the nodes of ``fan``, or None
-    when one of them has none."""
-    worst = 0
-    for v in fan:
-        x = table[v]
-        if x is None:
-            return None
-        worst = max(worst, x)
-    return worst
-
-
 def _extract_strategy(sol: GameSolution):
     """Deterministic finite-memory strategy over (region, bits, goal).
 
     Each pair (s, b) a move may enter is tabulated once, on first use:
-    its env fan-out ``next_nodes(s, b)`` and, when that fan-out lies
-    inside Z, each goal's worst rank over it (None when it leaves Z).  A
-    move depends on its node and goal alone, so it is chosen once per
-    (node, goal), in one pass over the node's successor row, however many
-    memory states enter that node with that goal.  Ties go to the first
-    successor in the row.
+    its env fan-out, the nodes (s, e, bit_next[s][e][b]) for every e,
+    and each goal's worst rank over it when it lies inside Z, or None
+    when it leaves Z.  Every node of Z has a rank in every goal's
+    tables, since each goal's last run left Z unchanged.  A move depends
+    on its node and goal alone, so it is chosen once per (node, goal), in
+    one pass over the node's successor row, however many memory states
+    enter that node with that goal.  Ties go to the first successor in
+    the row.
     """
     graph = sol.graph
-    nbv = graph.n_bitvals
+    nbv, n_env = graph.n_bitvals, graph.n_env
+    stride = n_env * nbv
     n_goals = len(graph.guarantee_preds)
-    Z = sol.z_nodes
+    Z, ranks, cases, trap_layers = sol.z_nodes, sol.rank, sol.case, \
+        sol.trap_layer
+    bit_next, succ = graph.bit_next, graph.succ_idx
     pairs = [None] * (graph.n_regions * nbv)
     moves: dict = {}
 
     def tabulate(q):
         """(fan-out of pair q, each goal's worst rank over it or None)"""
-        fan = graph.next_nodes(*divmod(q, nbv))
-        pairs[q] = entry = (fan, [_worst(rank, fan) for rank in sol.rank]
-                            if all(Z[v] for v in fan) else None)
+        s, b = divmod(q, nbv)
+        base, bn = s * stride, bit_next[s]
+        fan = [base + e * nbv + bn[e][b] for e in range(n_env)]
+        pairs[q] = entry = (fan, [max([rank[v] for v in fan])
+                                  for rank in ranks]
+                            if all([Z[v] for v in fan]) else None)
         return entry
 
     def next_move(node, j):
@@ -750,20 +752,20 @@ def _extract_strategy(sol: GameSolution):
         on to the next goal from the lowest rank of that goal, otherwise
         to the lowest rank of goal j below the node's own, otherwise to
         the first successor whose fan-out the node's trap holds."""
-        ri, _ei, b = graph.decode(node)
-        kind, trap_i = sol.case[j][node]
-        k = sol.rank[j][node]
+        b = node % nbv
+        kind, trap_i = cases[j][node]
+        k = ranks[j][node]
         j2 = (j + 1) % n_goals if kind == _GOAL else j
-        entered = sol.trap_layer[j][trap_i] if kind == _TRAP else None
+        entered = trap_layers[j][trap_i] if kind == _TRAP else None
         best = best_rank = None
-        for s in graph.succ_idx[ri]:
+        for s in succ[node // stride]:
             q = s * nbv + b
             fan, worst = pairs[q] or tabulate(q)
             if worst is None:
                 continue
             if entered is not None:
-                w = _worst(entered, fan)
-                if w is not None and w <= k:
+                if all(entered[v] is not None and entered[v] <= k
+                       for v in fan):
                     return s, j
             elif (kind == _GOAL or worst[j] < k) and (
                     best is None or worst[j2] < best_rank):
@@ -773,47 +775,43 @@ def _extract_strategy(sol: GameSolution):
             raise AssertionError(f"winning node without a {what} successor")
         return best, j2
 
-    # memory states are (region index, bits, goal) until they are returned
+    # memory states are (region index, bits, goal) until they are returned;
+    # a state is explored once, when it is first numbered
     memory_states: list[tuple] = []
     memory_index: dict[tuple, int] = {}
     initial: dict = {}
     transitions: dict = {}
-
-    def intern(state):
-        if state not in memory_index:
-            memory_index[state] = len(memory_states)
-            memory_states.append(state)
-        return memory_index[state]
-
     regions = graph.regions
-    frontier = []
     for ri, r in enumerate(regions):
         if r in sol.region_winning:
-            initial[r] = mid = intern((ri, 0, 0))
-            frontier.append(mid)
-    seen = set(frontier)
+            initial[r] = memory_index[(ri, 0, 0)] = len(memory_states)
+            memory_states.append((ri, 0, 0))
+    frontier = list(range(len(memory_states)))
     while frontier:
         mid = frontier.pop()
         ri, b_prev, j = memory_states[mid]
-        for ei in range(graph.n_env):
-            b = graph.bit_next[ri][ei][b_prev]
-            node = graph.node(ri, ei, b)
+        bn, base = bit_next[ri], ri * stride
+        for ei in range(n_env):
+            b = bn[ei][b_prev]
+            node = base + ei * nbv + b
             assert Z[node], "strategy reached a non-winning node"
             key = node * n_goals + j
             move = moves.get(key)
             if move is None:
                 move = moves[key] = next_move(node, j)
             s_idx, j2 = move
-            mid2 = intern((s_idx, b, j2))
-            transitions[(mid, ei)] = (mid2, regions[s_idx])
-            if mid2 not in seen:
-                seen.add(mid2)
+            state = (s_idx, b, j2)
+            mid2 = memory_index.get(state)
+            if mid2 is None:
+                mid2 = memory_index[state] = len(memory_states)
+                memory_states.append(state)
                 frontier.append(mid2)
+            transitions[(mid, ei)] = (mid2, regions[s_idx])
     return StrategyAutomaton(bit_names=graph.spec.bit_names,
                              memory_states=tuple((regions[ri], b, j) for
                                                  ri, b, j in memory_states),
                              initial=initial, transitions=transitions,
-                             n_env=graph.n_env)
+                             n_env=n_env)
 
 
 # ---------------------------------------------------------------------------

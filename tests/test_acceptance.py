@@ -6,6 +6,7 @@ oracles live in ``oracles.py`` and are deliberately independent of the
 library's own decision procedures.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -379,6 +380,7 @@ def test_criterion_8_controller_soundness():
     verdict = run(sys, env, spec)
     assert verdict.outcome == "realizable"
     ctrl = verdict.controller
+    leaf_boxes = [(r, ctrl.forest.box(r)) for r in ctrl.forest.leaves]
     horizon = 10_000
     n_checked = 0
     for prefix, cycle, seq in _scripts(len(env), rng, count=50,
@@ -405,9 +407,11 @@ def test_criterion_8_controller_soundness():
             # the continuous state tracks the discrete plan: it sits in the
             # prescribed cell, and off shared faces the partition map
             # recovers the region exactly (on a face both neighbors own
-            # the point and the tie-break may name the other one)
-            candidates = [r for r in ctrl.forest.leaves
-                          if ctrl.forest.box(r).contains(step.state)]
+            # the point and the tie-break may name the other one).  The
+            # leaves test the state over one denominator, as ``locate`` does
+            xd = math.lcm(*(v.denominator for v in step.state))
+            xs = [v.numerator * (xd // v.denominator) for v in step.state]
+            candidates = [r for r, box in leaf_boxes if box.holds(xs, xd)]
             assert step.region in candidates
             if len(candidates) == 1:
                 assert locate(ctrl.forest, step.state) == step.region

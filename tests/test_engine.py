@@ -357,10 +357,11 @@ class TestGameTelemetry:
         return sys, env, spec
 
     @pytest.mark.parametrize("name, runs", [
-        ("coupled", [7, 5]), ("random_5", [7, 7, 8])])
+        ("coupled", [6, 4]), ("random_5", [5, 5, 6])])
     def test_mu_y_runs_are_pinned(self, name, runs):
         # per iteration, both games' muY runs: each fixpoint stops after
-        # one unchanged run per goal, not at the end of a verifying round
+        # one unchanged visit per goal, and a visit whose start
+        # goal & cpre(Z) equals that of its goal's last run reuses it
         verdict = run(*PINNED_PROBLEMS[name]())
         assert [s.mu_y_runs for s in verdict.stats] == runs
 

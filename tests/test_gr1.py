@@ -453,8 +453,11 @@ class TestSharedTables:
         ([[1], [0], [0]], r"3 successor rows for 2 regions"),
         ({0: [1]}, r"1 successor rows for 2 regions"),
         ({0: [1], 7: [0]}, r"no successor row for region index 1"),
+        ([[1.0], [0]], r"edge 0 -> 1\.0: 1\.0 is not a region index"),
+        ([[1], [0, True]], r"edge 1 -> True: True is not a region index"),
     ], ids=["target", "negative", "tuple-target", "tuple-row",
-            "long-succ", "short-succ", "source"])
+            "long-succ", "short-succ", "source", "float-target",
+            "bool-target"])
     def test_unknown_region_in_an_edge_is_named(self, succ, edge):
         # succ holds rows of indices into the regions, here (0,) and (1,)
         spec = Gr1Spec(guarantees=(parse_formula("g"),))
@@ -510,23 +513,26 @@ class TestOneFinalSolve:
                     solutions[0].strategy.to_json()
 
     def test_second_solve_makes_no_cpre_call(self, monkeypatch):
-        # the fixpoint keeps each goal's rank tables from its last run, so
-        # the first solve makes one cpre call per muY and the strategy
-        # solve none
+        # each goal visit of the fixpoint makes one cpre call, for
+        # goal & cpre(Z), and runs muY only when that start changed; the
+        # strategy solve reads the kept tables and makes no call
         calls = []
         original = GameGraph.cpre
 
-        def counted(self, *args):
-            calls.append(self.n_regions)
-            return original(self, *args)
+        def counted(self, S, among):
+            calls.append(among)
+            return original(self, S, among)
 
         monkeypatch.setattr(GameGraph, "cpre", counted)
         rng = np.random.default_rng(707)
         for _ in range(30):
             graph, _expected, _wins = random_response_game(rng)
             solve_game(graph, extract_strategy=False)
+            goals = graph.guarantee_preds
             runs = graph.mu_y_runs
-            assert len(calls) == runs >= len(graph.spec.guarantees)
+            assert [id(a) for a in calls] == \
+                [id(goals[i % len(goals)]) for i in range(len(calls))]
+            assert len(calls) >= runs >= len(goals)
             calls.clear()
             solve_game(graph, extract_strategy=True)
             assert len(calls) == 0 and graph.mu_y_runs == runs
@@ -534,51 +540,56 @@ class TestOneFinalSolve:
     def test_fixpoint_stops_once_every_goal_left_z_unchanged(self,
                                                              monkeypatch):
         # the goals run in a cycle, and the fixpoint stops after the first
-        # run that completes len(goals) unchanged runs in a row, wherever
-        # in the cycle that falls
-        changed = []
-        original = gr1._mu_y
+        # visit that completes len(goals) unchanged visits in a row,
+        # wherever in the cycle that falls.  Each visit passes the Z it
+        # found to its one cpre call
+        seen = []
+        original = GameGraph.cpre
 
-        def observed(graph, goal, Z, *args):
-            Y = original(graph, goal, Z, *args)
-            changed.append(Y != Z)
-            return Y
+        def observed(self, S, among):
+            seen.append(S)
+            return original(self, S, among)
 
-        monkeypatch.setattr(gr1, "_mu_y", observed)
+        monkeypatch.setattr(GameGraph, "cpre", observed)
         rng = np.random.default_rng(909)
         stops = set()
         for k in range(60):
             graph, _expected, _wins = random_response_game(rng)
-            changed.clear()
+            seen.clear()
             solve_game(graph)
             g = len(graph.spec.guarantees)
-            runs = [not c for c in changed]
-            assert len(runs) == graph.mu_y_runs
-            assert all(runs[-g:]), f"game {k} stopped before Z was stable"
-            assert not any(all(runs[i:i + g])
-                           for i in range(len(runs) - g)), \
+            zs = seen + [graph.fixpoint[0]]
+            unchanged = [a == b for a, b in zip(zs, zs[1:])]
+            assert len(unchanged) >= graph.mu_y_runs
+            assert all(unchanged[-g:]), \
+                f"game {k} stopped before Z was stable"
+            assert not any(all(unchanged[i:i + g])
+                           for i in range(len(unchanged) - g)), \
                 f"game {k} ran past a stable window"
-            stops.add(len(runs) % g)
+            stops.add(len(unchanged) % g)
         # some games stop inside a round, not at its end
         assert len(stops) > 1
 
-    def test_three_goal_tables_equal_a_run_against_final_z(self):
-        # each goal's tables come from its last run, which saw the final
-        # Z: a fresh muY of that goal against Z gives the same tables
+    def test_goal_tables_equal_a_run_against_final_z(self):
+        # each goal's tables come from a run whose start equals
+        # goal & cpre(final Z): a fresh muY from that start gives the same
+        # Y and tables, for 1, 2 and 3 goals, with and without assumptions
         rng = np.random.default_rng(1001)
-        games = 0
-        while games < 30:
+        todo = {(g, a): 10 for g in (1, 2, 3) for a in (False, True)}
+        while any(todo.values()):
             graph, _expected, _wins = random_response_game(rng)
-            if len(graph.spec.guarantees) != 3:
-                continue
-            games += 1
             n, p_preds = graph.n_nodes, graph.assumption_preds
+            kind = (len(graph.guarantee_preds), bool(p_preds))
+            if not todo[kind]:
+                continue
+            todo[kind] -= 1
             Z, ranks, cases, trap_layers = graph.fixpoint
             for j, goal in enumerate(graph.guarantee_preds):
                 fresh = ([None] * n, [None] * n, [[None] * n for _ in p_preds])
-                assert gr1._mu_y(graph, goal, Z, p_preds, fresh) == Z
+                start = graph.cpre(Z, goal)
+                assert gr1._mu_y(graph, start, p_preds, fresh) == Z
                 assert fresh == (ranks[j], cases[j], trap_layers[j]), \
-                    f"goal {j} of game {games} differs"
+                    f"goal {j} of a {kind} game differs"
 
 
 def line_arena(n, ends, response):
@@ -639,9 +650,11 @@ class TestLineArenas:
     @pytest.mark.parametrize("response", [False, True])
     def test_cpre_sweeps_do_not_grow_with_the_arena(self, response,
                                                     monkeypatch):
-        # one cpre call per muY, and three muY runs per graph: goal a
-        # removes the dead ends, then b and a leave Z unchanged.  A solver
-        # that calls cpre per layer makes the count grow with the arena
+        # one cpre call per goal visit and three visits per graph: goal a
+        # removes the dead ends, then b and a leave Z unchanged.  The
+        # second visit to a finds the start of its first run, so it runs
+        # no muY: two runs per graph.  A solver that calls cpre per layer
+        # makes the count grow with the arena
         calls = []
         original = GameGraph.cpre
 
@@ -656,8 +669,45 @@ class TestLineArenas:
                 n, [7, 20, 33], response)
             assert sol.region_winning == line
             assert [g.mu_y_runs for g in (sol_p.graph, sol_o.graph, graph)] \
-                == [3, 3, 3]
+                == [2, 2, 2]
             assert len(calls) == 9
+
+    @pytest.mark.parametrize("response", [False, True])
+    def test_a_visit_with_an_unchanged_start_reuses_its_run(self, response,
+                                                            monkeypatch):
+        # events in order: each visit's cpre call and the muY run that
+        # follows it, if any.  A visit with no run of its own reuses the
+        # last run of its goal, which must have started where it starts
+        events = []
+        cpre, mu_y = GameGraph.cpre, gr1._mu_y
+
+        def visit(self, S, among):
+            start = cpre(self, S, among)
+            j = next(j for j, goal in enumerate(self.guarantee_preds)
+                     if goal is among)
+            events.append(("visit", (id(self), j), start))
+            return start
+
+        def ran(graph, start, *args):
+            assert events[-1][0] == "visit" and events[-1][2] is start
+            events.append(("run", None, start))
+            return mu_y(graph, start, *args)
+
+        monkeypatch.setattr(GameGraph, "cpre", visit)
+        monkeypatch.setattr(gr1, "_mu_y", ran)
+        *_, sol, line, _losing = solve_arena(50, [7, 20, 33], response)
+        assert sol.region_winning == line
+        last_run: dict = {}
+        reused = 0
+        for i, (what, goal, start) in enumerate(events):
+            if what != "visit":
+                continue
+            if i + 1 < len(events) and events[i + 1][0] == "run":
+                last_run[goal] = start
+            else:
+                assert last_run[goal] == start
+                reused += 1
+        assert reused == 3      # one per graph
 
     @pytest.mark.parametrize("response, regions_sha, strategy_sha", [
         (False,
