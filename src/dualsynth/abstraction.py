@@ -37,6 +37,13 @@ class AbstractionError(ValueError):
     pass
 
 
+def repeated_value(values) -> int | None:
+    """The index of the first value equal to an earlier one, or None.
+    Formulas compare values with ``==``, so two equal values (1 and True,
+    0 and 0.0) would be one valuation twice."""
+    return next((k for k, v in enumerate(values) if v in values[:k]), None)
+
+
 @dataclass(frozen=True)
 class EnvAlphabet:
     """Finite environment variables; at least one (possibly dummy) valuation."""
@@ -54,6 +61,10 @@ class EnvAlphabet:
                                        f"a nonempty finite domain")
             if name in seen:
                 raise AbstractionError(f"duplicate environment variable {name!r}")
+            k = repeated_value(values)
+            if k is not None:
+                raise AbstractionError(f"environment variable {name!r}: value "
+                                       f"{values[k]!r} equals an earlier value")
             seen.add(name)
             out.append((name, values))
         return EnvAlphabet(tuple(out))

@@ -20,7 +20,7 @@ import sys as _sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dualsynth.abstraction import EnvAlphabet
+from dualsynth.abstraction import EnvAlphabet, repeated_value
 from dualsynth.engine import (
     ContinuousController,
     EngineError,
@@ -168,6 +168,10 @@ def parse_problem(data: dict) -> ProblemFile:
                 f"{v['name']!r} is also the name of a proposition")
         _expect(isinstance(v["values"], list) and v["values"],
                 f"environment[{i}].values", "expected a nonempty list")
+        k = repeated_value(v["values"])
+        if k is not None:
+            raise ProblemError(f"environment[{i}].values[{k}]: equals an "
+                               f"earlier value, and formulas compare with ==")
         env_pairs.append((v["name"], tuple(v["values"])))
     names = {**prop_names, **dict(env_pairs)}
 

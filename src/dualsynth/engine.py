@@ -42,6 +42,7 @@ from dualsynth.abstraction import (
 from dualsynth.geometry import (
     Box,
     ControlSystem,
+    _integers,
     box_vertices,
     box_view,
     control_input,
@@ -273,9 +274,15 @@ def _check_inheritance(before: SetTriple, after: SetTriple):
 def _check_names(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec):
     """Every atom of the spec names a proposition of ``sys``, an environment
     variable or a memory bit, every ``var=value`` a value of its variable,
-    and the init assumption propositions only; otherwise EngineError."""
+    the init assumption propositions only, and no memory bit a proposition
+    or an environment variable; otherwise EngineError."""
     props = dict.fromkeys(name for name, _box in sys.proposition_regions)
-    names = {**props, **dict.fromkeys(spec.bit_names), **dict(env.variables)}
+    variables = dict(env.variables)
+    for bit in spec.bit_names:
+        if bit in props or bit in variables:
+            raise EngineError(f"memory bit {bit!r} has the name of a "
+                              f"proposition or an environment variable")
+    names = {**props, **dict.fromkeys(spec.bit_names), **variables}
     anything = "a proposition, an environment variable or a memory bit"
     formulas = [(f, names, anything) for f in (
         *spec.assumptions, *spec.guarantees,
@@ -407,11 +414,16 @@ class ContinuousController:
     vertices of X, built once per edge on its first miss by
     ``input_witness`` and kept as a ``Matrix``, whose integer rows over
     one denominator (``Matrix.ints``) every later step reads; building a
-    table is the only place the exact simplex still runs.  Such a table
-    step runs on integers from the source lookup (``Box.holds``) to the
-    landing test of A x + B u (``geometry._affine``, also ``simulate``'s
-    step); only the returned input is made of ``Fraction``s.  An input
-    that fails to land is a library bug and raises.
+    table is the only place the exact simplex still runs.
+
+    The one input method, ``input_ints``, takes the state as integers
+    over one denominator and returns the input the same way: a step runs
+    on integers from the probe or the source lookup (``Box.holds``) to
+    the landing test of A x + B u (``geometry._affine``, also
+    ``simulate``'s step).  ``select_input`` serves callers that hold the
+    state as numbers: it puts the state over one denominator once and
+    returns the input as ``Fraction``s.  An input that fails to land is
+    a library bug and raises.
 
     ``probe_steps``, ``table_steps`` and ``tables_built`` count the steps
     the probe decided, the steps taken from a table and the tables built.
@@ -474,10 +486,13 @@ class ContinuousController:
     def tables_built(self) -> int:
         return len(self._tables)
 
-    def select_input(self, s, target: RegionId):
+    def input_ints(self, xs, xd: int, target: RegionId
+                   ) -> tuple[list[int], int]:
+        """(us, ud): the input u = us / ud for the state x = xs / xd
+        toward ``target`` (``control_input``), all in integers."""
         table_steps = self.table_steps
         view = box_view(self.forest.box(target), self.sys)
-        u = control_input(self.sys, s, view,
+        u = control_input(self.sys, xs, xd, view,
                           lambda xs, xd: self._vertex_table(target, xs, xd))
         if u is None:
             raise AssertionError(
@@ -486,6 +501,13 @@ class ContinuousController:
         if self.table_steps == table_steps:
             self.probe_steps += 1
         return u
+
+    def select_input(self, s, target: RegionId) -> tuple[Fraction, ...]:
+        """``input_ints`` for the state s, given as numbers: s is put over
+        one denominator once and the input returned as ``Fraction``s."""
+        us, ud = self.input_ints(*_integers([to_fraction(v) for v in s]),
+                                 target)
+        return tuple(Fraction(v, ud) for v in us)
 
 
 @dataclass(frozen=True)
@@ -519,11 +541,14 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     ``env_trace`` yields an environment-valuation index per time step.
     The final record carries no input.  State arithmetic is exact, so the
     region trace is the strategy's discrete trace by construction, not by
-    numerical luck.  A step is ``select_input`` plus ``next_state_ints``,
-    the integer sum of A s + B u that the landing test reads
-    (``geometry._affine``); the domain check reads those integers too
-    (``Box.holds``), and the state is made ``Fraction``s only for the
-    record.  The price of exactness is that the state's
+    numerical luck.  The state is carried from start to end as integers
+    over one denominator (xs, xd): a step is ``input_ints`` plus
+    ``next_state_ints``, the integer sum of A s + B u that the landing
+    test reads (``geometry._affine``), reduced to the state's least
+    common denominator.  The initial-set and domain checks read those
+    integers too (``Box.holds``), and the state and the input are made
+    ``Fraction``s only for the records.  The price of exactness is that
+    the state's
     denominator grows by A's denominator at every step (inputs are
     snapped to a 2^-20 grid when they still land, so they add little):
     with a decimal entry in A, read from a float with a denominator near
@@ -533,7 +558,8 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     if steps < 0:
         raise EngineError(f"steps must be >= 0, got {steps}")
     s = tuple(map(to_fraction, s0))
-    if not sys.initial_set.contains(s):
+    xs, xd = _integers(s)
+    if len(s) != sys.n or not sys.initial_set.holds(xs, xd):
         raise EngineError(f"initial state {s0!r} is outside the initial set")
     region = controller.start_region(s)
     memory = controller.strategy.start(region)
@@ -556,11 +582,13 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
             records.append(SimStep(t, s, e_idx, env_val, None, region, dict(bits)))
             break
         memory, target = controller.strategy.step(memory, e_idx)
-        u = controller.select_input(s, target)
-        records.append(SimStep(t, s, e_idx, env_val, u, region, dict(bits)))
-        ys, yd = next_state_ints(sys, s, u)
-        if not sys.domain.holds(ys, yd):
+        us, ud = controller.input_ints(xs, xd, target)
+        records.append(SimStep(t, s, e_idx, env_val,
+                               tuple(Fraction(v, ud) for v in us), region,
+                               dict(bits)))
+        xs, xd = next_state_ints(sys, xs, xd, us, ud)
+        if not sys.domain.holds(xs, xd):
             raise AssertionError("controlled step left the domain (library bug)")
-        s = tuple(Fraction(v, yd) for v in ys)
+        s = tuple(Fraction(v, xd) for v in xs)
         region = target
     return Execution(records)

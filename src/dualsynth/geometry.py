@@ -14,9 +14,13 @@ matrix its integer rows over one denominator (``Matrix.ints``: A, B and
 every vertex table), each system the integer rows of its slabs and its
 probe (``slab_rows``, ``probe_map``), and every comparison of two
 rationals over positive denominators is one cross-multiplication:
-a/b <= c/d exactly when a d <= c b.  Apart from building what it
-returns, the control path's only ``Fraction`` arithmetic is the simplex
-of ``_box_lp`` and its window, which run only to build a vertex table.
+a/b <= c/d exactly when a d <= c b.  The control path speaks integers
+throughout: ``_probe``, ``control_input`` and ``next_state_ints`` take
+the state x as numerators over one denominator, (xs, xd), and return
+the input or the next state the same way, so a simulated run builds no
+``Fraction`` but its records.  Its only ``Fraction`` arithmetic is the
+simplex of ``_box_lp`` and its window, which run only to build a vertex
+table (``input_witness``, which takes and returns ``Fraction``s).
 
 The two relations of interest between regions X and Y of an affine system
 s' = A s + B u, u constrained to a box U, with T = Y ∩ D the target
@@ -58,9 +62,12 @@ region (vertex control), in integers.  So the simplex runs in the control
 loop only when a vertex table is built.  Both snap their input to the
 2^-20 grid when it still lands, by one landing test (``_landing_input``):
 T holds A x + B u, formed by ``_affine``, the one integer sum that also
-gives ``next_state_ints``, the step ``engine.simulate`` takes.  The probe is
-clamped to U and the simplex returns a vertex, so those landings may lie
-on a face of the target, which is sound: boxes are closed.
+gives ``next_state_ints``, the step ``engine.simulate`` takes; it reduces
+the sum to the least common denominator of the state's coordinates, the
+integers ``_integers`` gives, so every step reads the same integers
+however the state was produced.  The probe is clamped to U and the
+simplex returns a vertex, so those landings may lie on a face of the
+target, which is sound: boxes are closed.
 """
 
 from __future__ import annotations
@@ -201,13 +208,14 @@ class Box:
         return tuple((lo + hi) / 2 for lo, hi in zip(self.lower, self.upper))
 
     def contains(self, point: Sequence[Fraction]) -> bool:
+        """Whether the box holds ``point``, tested in integers (``holds``)."""
         if self.empty or len(point) != self.dim:
             return False
-        return all(lo <= x <= hi for lo, x, hi in zip(self.lower, point, self.upper))
+        return self.holds(*_integers(tuple(map(to_fraction, point))))
 
     def holds(self, xs, xd: int) -> bool:
-        """``contains`` for x = xs / xd (xd > 0), cross-multiplied with
-        ``ints``; a plain loop, as the control step's landing test."""
+        """Whether the box holds x = xs / xd (xd > 0), cross-multiplied
+        with ``ints``; a plain loop, as the control step's landing test."""
         if self.empty:
             return False
         lows, highs, d = self.ints
@@ -332,12 +340,6 @@ class ControlSystem:
     @property
     def m(self) -> int:
         return len(self.B[0])
-
-    @cached_property
-    def input_hull(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per row i, the exact range ``(lo, hi)`` of ``B_i . u`` over U."""
-        U = self.input_set
-        return tuple(_row_range(row, U.lower, U.upper) for row in self.B)
 
     @cached_property
     def probe_map(self):
@@ -596,39 +598,35 @@ def _affine(sys: ControlSystem, ax, axd: int, us, ud: int
     return [a * e + _dot(row, us) * axd for a, row in zip(ax, B)], axd * e
 
 
-def next_state_ints(sys: ControlSystem, x: Sequence[Fraction],
-                    u: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ys, yd): the exact A x + B u as integers over one denominator
-    yd > 0 (``_affine``), which ``Box.holds`` reads as they are."""
-    if len(x) != sys.n or len(u) != sys.m:
+def next_state_ints(sys: ControlSystem, xs, xd: int, us, ud: int
+                    ) -> tuple[list[int], int]:
+    """(ys, yd): the exact A x + B u for x = xs / xd and u = us / ud, as
+    integers over one denominator (``_affine``) divided by their gcd, so
+    yd > 0 is the least common denominator of the coordinates: these are
+    the integers ``_integers`` makes of them as ``Fraction``s, and a run
+    that carries them reads what one that rebuilds them would."""
+    if len(xs) != sys.n or len(us) != sys.m:
         raise GeometryError("state/input dimension mismatch")
-    xs, xd = _integers([to_fraction(v) for v in x])
-    return _affine(sys, *_shift(sys, xs, xd),
-                   *_integers([to_fraction(v) for v in u]))
+    ys, yd = _affine(sys, *_shift(sys, xs, xd), us, ud)
+    g = math.gcd(yd, *ys)
+    return [v // g for v in ys], yd // g
 
 
 def _landing_input(sys: ControlSystem, T: Box, ax, axd: int, us, ud: int
-                   ) -> tuple[Fraction, ...] | None:
+                   ) -> tuple[list[int], int] | None:
     """u = us / ud rounded to the 2^-20 grid and clamped to U
-    (``_to_grid``) when that lands in T, else u when it lands, else None;
-    u lands when T holds A x + B u (``_affine``, with A x = ax / axd)."""
+    (``_to_grid``) when that lands in T, else u when it lands, else None,
+    as (numerators, denominator); u lands when T holds A x + B u
+    (``_affine``, with A x = ax / axd)."""
     U = sys.input_set
     grid = _to_grid(us, ud, U)
     if grid is not None:
         g = _COARSE_GRID * U.ints[2]
         if T.holds(*_affine(sys, ax, axd, grid, g)):
-            return tuple(Fraction(v, g) for v in grid)
+            return grid, g
     if T.holds(*_affine(sys, ax, axd, us, ud)):
-        return tuple(Fraction(v, ud) for v in us)
+        return us, ud
     return None
-
-
-def _hull_meets(sys: ControlSystem, lo, hi) -> bool:
-    """The window meets the row hull of B U, which every landing needs."""
-    for (blo, bhi), l, h in zip(sys.input_hull, lo, hi):
-        if bhi < l or blo > h:
-            return False
-    return True
 
 
 class BoxView:
@@ -746,10 +744,11 @@ def _lands_near(B, hs, hd: int, diff, d: int) -> bool:
     return all(abs(_dot(row, diff)) * hd <= h * d for row, h in zip(B, hs))
 
 
-def _probe(sys: ControlSystem, view: BoxView,
-           x: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """An input u in U with A x + B u in the view's target, found without
-    the simplex or any linear solve.
+def _probe(sys: ControlSystem, view: BoxView, xs, xd: int
+           ) -> tuple[list[int], int] | None:
+    """An input u in U with A x + B u in the view's target, for
+    x = xs / xd, as (numerators, denominator); found without the simplex
+    or any linear solve.
 
     u* = k + N x (``probe_map``, N = -B⁻¹A) is the input that sends x to
     the centre c of T: B u* = c - A x.  u* is clamped to U, and the
@@ -757,8 +756,7 @@ def _probe(sys: ControlSystem, view: BoxView,
     where only the clamped columns of u - u* are nonzero: no A x and no
     B u is computed.  u is then snapped to the 2^-20 grid when that
     still lands, by the same test (``_to_grid``).  All of it is integer
-    arithmetic: x is put over one denominator per call, u* over kd times
-    that, and a value becomes a ``Fraction`` only on return.  None means
+    arithmetic, u* over kd xd; no ``Fraction`` is built.  None means
     the probe missed, as it always does when B is not square and
     invertible.  With diagonal B the axes are independent and clamping
     picks the point of U_i nearest u*_i, so the probe misses only when
@@ -773,7 +771,6 @@ def _probe(sys: ControlSystem, view: BoxView,
     B = sys.B.ints[0]
     U = sys.input_set
     ud = U.ints[2]
-    xs, xd = _integers(x)
     s = kd * xd  # u* = star / s
     star = [k * xd + _dot(row, xs) * kq for k, row in zip(ks, N)]
     w = s * ud  # u = clamped / w
@@ -786,8 +783,8 @@ def _probe(sys: ControlSystem, view: BoxView,
         g = _COARSE_GRID * ud  # the snapped u = grid / g
         if _lands_near(B, hs, hd,
                        [a * s - v * g for a, v in zip(grid, star)], g * s):
-            return tuple(Fraction(v, g) for v in grid)
-    return tuple(Fraction(v, w) for v in clamped)
+            return grid, g
+    return clamped, w
 
 
 def input_witness(sys: ControlSystem, x: Sequence[Fraction],
@@ -796,30 +793,30 @@ def input_witness(sys: ControlSystem, x: Sequence[Fraction],
 
     The input of ``_probe`` on the target's view (``box_view``) when it
     finds one.  When the probe misses, an exact phase-1 simplex
-    (``_box_lp``) decides, gated by the row hull of B U, and returns a
-    vertex of the feasible inputs, snapped to the 2^-20 grid when that
-    stays feasible (``_landing_input``; A x is computed once, in
-    integers, for both the simplex's window and the landing test), which
-    may land on a face of the target.  With invertible diagonal B the
-    probe misses only when no input lands, and the gate turns every such
-    miss away, so the simplex never runs.  In the control loop this runs only to build vertex
-    tables (``control_input``).
+    (``_box_lp``) decides and returns a vertex of the feasible inputs,
+    snapped to the 2^-20 grid when that stays feasible
+    (``_landing_input``; A x is computed once, in integers, for both the
+    simplex's window and the landing test), which may land on a face of
+    the target.  x is put over one denominator once (``_integers``),
+    which both paths read, and only the returned input is made of
+    ``Fraction``s.  The library asks only at the vertices of pessimistic
+    strategy edges, to build vertex tables (``control_input``), where
+    some input always lands.
     """
     if len(x) != sys.n:
         raise GeometryError("state dimension must match A")
-    x = [to_fraction(v) for v in x]
+    xs, xd = _integers([to_fraction(v) for v in x])
     view = box_view(target, sys)
-    u = _probe(sys, view, x)
+    u = _probe(sys, view, xs, xd)
     T = view.T
     if u is None and T is not None:
-        ax, axd = _shift(sys, *_integers(x))
+        ax, axd = _shift(sys, xs, xd)
         lo = [c - Fraction(a, axd) for c, a in zip(T.lower, ax)]
         hi = [c - Fraction(a, axd) for c, a in zip(T.upper, ax)]
-        if _hull_meets(sys, lo, hi):
-            u = _box_lp(sys.B, sys.input_set, lo, hi)
-            if u is not None:
-                u = _landing_input(sys, T, ax, axd, *_integers(u))
-    return u
+        u = _box_lp(sys.B, sys.input_set, lo, hi)
+        if u is not None:
+            u = _landing_input(sys, T, ax, axd, *_integers(u))
+    return None if u is None else tuple(Fraction(v, u[1]) for v in u[0])
 
 
 def reach_exists_from_point(x: Sequence[Fraction], Y: Box,
@@ -855,34 +852,33 @@ def _weights(X: Box, xs, xd: int) -> tuple[list[int], int]:
     return weights, q
 
 
-def control_input(sys: ControlSystem, x: Sequence[Fraction], view: BoxView,
-                  vertex_table) -> tuple[Fraction, ...] | None:
-    """The controller's input: u in U with A x + B u in the view's target
-    T = Y ∩ D, or None.
+def control_input(sys: ControlSystem, xs, xd: int, view: BoxView,
+                  vertex_table) -> tuple[list[int], int] | None:
+    """The controller's input for the state x = xs / xd: u in U with
+    A x + B u in the view's target T = Y ∩ D, as (numerators,
+    denominator), or None.
 
     No simplex and no linear solve runs here.  The probe (``_probe``)
     comes first, so a step it decides gets the input ``input_witness``
-    gives.  When it misses, ``vertex_table(xs, xd)``, called with x as
-    integers over one denominator, returns a box X holding x and a
-    ``Matrix`` of one input per vertex of X, in ``box_vertices`` order,
-    and u is their sum under the multilinear weights of x (``_weights``).
-    When every vertex input lands in T, so does u, exactly: U and the
-    target are convex and the step is affine (vertex control: Gutman &
-    Cwikel, IEEE TAC 1986; Belta & Habets, IEEE TAC 2006).  u is snapped
+    gives.  When it misses, ``vertex_table(xs, xd)`` returns a box X
+    holding x and a ``Matrix`` of one input per vertex of X, in
+    ``box_vertices`` order, and u is their sum under the multilinear
+    weights of x (``_weights``).  When every vertex input lands in T, so
+    does u, exactly: U and the target are convex and the step is affine
+    (vertex control: Gutman & Cwikel, IEEE TAC 1986; Belta & Habets,
+    IEEE TAC 2006).  u is snapped
     to the 2^-20 grid when that still lands, which keeps the state's
     denominators bounded over long runs, and kept exact otherwise; None
     when u does not land, which landing vertex inputs rule out
     (``_landing_input``).  All of it runs on integers: the weights over
     one denominator, the table's integer rows (``Matrix.ints``), and A x
-    once per step; only the returned input is made of ``Fraction``s.
+    once per step; no ``Fraction`` is built.
     """
     if view.T is None:
         return None
-    x = [to_fraction(v) for v in x]
-    u = _probe(sys, view, x)
+    u = _probe(sys, view, xs, xd)
     if u is not None:
         return u
-    xs, xd = _integers(x)
     X, table = vertex_table(xs, xd)
     rows, d = table.ints
     weights, q = _weights(X, xs, xd)

@@ -329,22 +329,24 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
     ``always (trigger -> eventually response)`` becomes a pending bit b
     (set on trigger, cleared on response) and the guarantee
     ``always eventually (!b | response)``; plain goals and assumptions
-    pass through unchanged.
+    pass through unchanged.  A bit's name is none of the names any
+    formula of ``raw`` reads, so no bit shadows a proposition or an
+    environment variable the spec mentions.
     """
     assumptions = tuple(parse_formula(a) for a in raw.assumptions)
     guarantees = [parse_formula(g) for g in raw.guarantees]
-    taken = {lit[1] for g in (*guarantees, *assumptions)
-             for lit in formula_literals(g)}
+    responses = [tuple(map(parse_formula, pair)) for pair in raw.responses]
+    init = parse_formula(raw.init) if raw.init else None
+    taken = {lit[1] for f in (*guarantees, *assumptions, init,
+                              *chain.from_iterable(responses))
+             if f is not None for lit in formula_literals(f)}
     bits = []
-    for k, (trigger, response) in enumerate(raw.responses):
-        trig = parse_formula(trigger)
-        resp = parse_formula(response)
+    for k, (trig, resp) in enumerate(responses):
         name = _bit_name(k, trig, taken)
         taken.add(name)
         update = ("and", ("not", resp), ("or", ("atom", name), trig))
         bits.append((name, update))
         guarantees.append(("or", ("not", ("atom", name)), resp))
-    init = parse_formula(raw.init) if raw.init else None
     return Gr1Spec(assumptions=assumptions, guarantees=tuple(guarantees),
                    memory_bits=tuple(bits), init_assumption=init)
 
@@ -355,8 +357,9 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
 
 def _successor_rows(n: int, succ) -> list[list[int]]:
     """``succ[i]`` sorted, for i in 0..n-1; SpecError naming the row count
-    when it is not n, or the first edge whose target is no index: an
-    ``int`` in 0..n-1, and neither a ``bool`` nor a float."""
+    when it is not n, the first row that is no iterable, or the first
+    edge whose target is no index: an ``int`` in 0..n-1, and neither a
+    ``bool`` nor a float."""
     if len(succ) != n:
         raise SpecError(f"{len(succ)} successor rows for {n} regions")
     try:
@@ -370,10 +373,16 @@ def _successor_rows(n: int, succ) -> list[list[int]]:
             <= {int} and all(not row or 0 <= row[0] and row[-1] < n
                              for row in rows):
         return rows
-    i, s = next((i, s) for i in range(n) for s in succ[i]
-                if type(s) is not int or not 0 <= s < n)
-    raise SpecError(f"edge {i} -> {s!r}: {s!r} is not a region index in "
-                    f"0..{n - 1}")
+    for i in range(n):
+        try:
+            row = iter(succ[i])
+        except TypeError:
+            raise SpecError(f"successor row {i}: {succ[i]!r} is not a list "
+                            f"of region indices") from None
+        for s in row:
+            if type(s) is not int or not 0 <= s < n:
+                raise SpecError(f"edge {i} -> {s!r}: {s!r} is not a region "
+                                f"index in 0..{n - 1}")
 
 
 class GameGraph:

@@ -116,6 +116,19 @@ class TestEnvAlphabet:
         with pytest.raises(AbstractionError):
             EnvAlphabet.create([("x", ())])
 
+    @pytest.mark.parametrize("values, message", [
+        ((0, 1, True), "value True"),
+        ((False, 0), "value 0"),
+        ((1, 2, 1.0), "value 1.0"),
+        (("a", "b", "a"), "value 'a'"),
+    ])
+    def test_equal_values_rejected(self, values, message):
+        # formulas compare values with ==: equal values would be one
+        # valuation listed twice
+        with pytest.raises(AbstractionError, match=rf"^environment variable "
+                           rf"'x': {message} equals an earlier value$"):
+            EnvAlphabet.create([("x", values)])
+
 
 class TestBuildInitial:
     def test_quadrant_edges_match_figure(self):

@@ -173,6 +173,11 @@ def _value_on_proposition(data):
     data["spec"]["assumptions"] = ["lot=true"]
 
 
+def _ambiguous_env_values(data):
+    # park=1 would match both 1 and true
+    data["environment"][0]["values"] = [0, 1, True]
+
+
 # park.json mutations whose names or regions mean nothing, with the JSON
 # path each is rejected at
 MEANINGLESS = [
@@ -184,6 +189,7 @@ MEANINGLESS = [
     (_set_init("park"), "spec.init"),
     (_typo_response, "spec.responses[0].response"),
     (_value_on_proposition, "spec.assumptions[0]"),
+    (_ambiguous_env_values, "environment[0].values[2]"),
 ]
 
 
@@ -201,6 +207,25 @@ class TestMeaningfulNames:
         assert main(["synthesize", str(bad), "--out",
                      str(tmp_path / "r")]) == EXIT_INPUT_ERROR
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("goal", ["spot", "pending_park"])
+    def test_goal_named_like_a_memory_bit_keeps_its_verdict(self, goal,
+                                                            tmp_path):
+        # no input moves the state, so "lot" is never reached from the
+        # initial "home" box: the spec is not realizable, and two
+        # iterations leave it unknown under either name.  The bit of
+        # "park" must not take the name of the goal.
+        data = json.loads(open(bundled("park.json")).read())
+        data["dynamics"]["B"] = [[0, 0], [0, 0]]
+        data["initial_set"] = [[0, 1], [0, 1]]
+        data["propositions"][1]["name"] = goal
+        data["spec"]["guarantees"] = ["home | !home"]
+        data["spec"]["responses"] = [{"trigger": "park", "response": goal}]
+        data["options"]["max_iters"] = 2
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["synthesize", str(path), "--out",
+                     str(tmp_path / "r")]) == EXIT_UNKNOWN
 
     def test_meaningful_literals_accepted(self):
         data = json.loads(open(bundled("park.json")).read())

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -218,6 +219,15 @@ class TestRunParkExample:
         sys, env, spec = park_problem()
         ctrl = run(sys, env, spec).controller
         with pytest.raises(GeometryError):
+            simulate(ctrl, sys, iter([0]), start, 0)
+
+    @pytest.mark.parametrize("start", [(3.5, 1), (1, -0.25), (0.5,),
+                                       (0.5, 0.5, 0.5)])
+    def test_start_outside_the_initial_set_is_refused(self, start):
+        # off the initial set [0, 3] x [0, 2], or of the wrong dimension
+        sys, env, spec = park_problem()
+        ctrl = run(sys, env, spec).controller
+        with pytest.raises(EngineError, match="outside the initial set"):
             simulate(ctrl, sys, iter([0]), start, 0)
 
     def test_zero_steps_single_record(self):
@@ -469,6 +479,18 @@ class TestSpecNames:
         sys, env, _spec = park_problem()
         with pytest.raises(EngineError, match=r"^spec formula .*" + message):
             run(sys, env, convert_to_gr1(raw))
+
+    @pytest.mark.parametrize("name", ["home", "park"])
+    def test_memory_bit_named_like_a_proposition_or_variable(self, name):
+        # a spec built by hand, not by convert_to_gr1, whose bit shadows
+        # a name of the problem
+        sys, env, spec = park_problem()
+        (_bit, update), = spec.memory_bits
+        spec = replace(spec, memory_bits=((name, update),))
+        with pytest.raises(EngineError, match=rf"^memory bit '{name}' has "
+                           r"the name of a proposition or an environment "
+                           r"variable"):
+            run(sys, env, spec)
 
     def test_memory_bits_and_env_values_are_names(self):
         sys, env, _spec = park_problem()
@@ -940,22 +962,45 @@ def plain_step(A, B, x, u):
                  for row_a, row_b in zip(A, B))
 
 
+def ints(x):
+    """x as integers over one denominator, (xs, xd)."""
+    return geometry._integers([Fraction(v) for v in x])
+
+
 class TestNextState:
     """``geometry.next_state_ints``, the step ``simulate`` takes, read as
-    ``Fraction(v, yd)`` against ``plain_step``."""
+    ``Fraction(v, yd)`` against ``plain_step``; its integers are reduced,
+    the ones ``geometry._integers`` makes of those ``Fraction``s, so a run
+    that carries them reads what one that rebuilds them would."""
 
     VALUES = [0, 1, -2, 0.3, -0.7, 0.1, Fraction(1, 3), Fraction(-5, 12),
               Fraction(10 ** 30, 7), Fraction(1, 2 ** 70)]
 
     @staticmethod
     def next_state(sys, x, u):
-        ys, yd = geometry.next_state_ints(sys, x, u)
+        ys, yd = geometry.next_state_ints(sys, *ints(x), *ints(u))
         assert yd > 0 and all(type(v) is int for v in (*ys, yd))
-        return tuple(Fraction(v, yd) for v in ys)
+        y = tuple(Fraction(v, yd) for v in ys)
+        assert (tuple(ys), yd) == geometry._integers(y)
+        return y
 
     def draw(self, rng, k):
         return [self.VALUES[int(rng.integers(len(self.VALUES)))]
                 for _ in range(k)]
+
+    def test_integers_are_reduced(self):
+        # 1/2 + 1/2 and 1/4 + 3/4: the unreduced sum is over 4 d_A d_B
+        sys = ControlSystem.create(
+            A=[[1, 0], [0, 1]], B=[[1, 0], [0, 1]], input_set=[[-1, 1]] * 2,
+            domain=[[-4, 4]] * 2, initial_set=[[-4, 4]] * 2)
+        F = Fraction
+        for x, u, want in (
+                ((F(1, 2), F(1, 4)), (F(1, 2), F(3, 4)), ([1, 1], 1)),
+                ((F(1, 3), F(0)), (F(-1, 3), F(0)), ([0, 0], 1)),
+                ((F(1, 6), F(1, 3)), (F(0), F(1, 3)), ([1, 4], 6))):
+            assert geometry.next_state_ints(sys, *ints(x), *ints(u)) == want
+            assert self.next_state(sys, x, u) == tuple(
+                F(v, want[1]) for v in want[0])
 
     def test_random_systems(self):
         rng = np.random.default_rng(67)
@@ -1016,4 +1061,4 @@ class TestNextState:
         for x, u in (((1,), (0, 0, 0)), ((1, 1), (0, 0)),
                      ((1, 1, 1), (0, 0, 0))):
             with pytest.raises(GeometryError):
-                geometry.next_state_ints(sys, x, u)
+                geometry.next_state_ints(sys, *ints(x), *ints(u))

