@@ -14,15 +14,33 @@ all, which is what keeps them losing.  Edges out of undecided leaves are
 recomputed, but only towards the targets the previous optimistic relation
 leaves open: a pair the previous relation rules out is false in both new
 relations and is counted as pruned instead of queried.
+
+The queries of one build or refine step are decided a row at a time
+(``_run_queries``): one ``geometry.AxisIndex`` puts every target's
+ranges on the unit axes over one common denominator TD, with prefix
+bitmasks per sorted position, so a source's axis slabs cut its whole
+row of candidates by ``bisect``s and big-int ANDs.  For a relation with
+no normal but the axes that is the answer; otherwise only the targets
+the axes keep go to ``reach_pessimistic`` / ``reach_optimistic``, the
+slab test over every normal.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
+from operator import or_
 
-from dualsynth.geometry import ControlSystem, reach_optimistic, reach_pessimistic
+from dualsynth.geometry import (
+    AxisIndex,
+    ControlSystem,
+    box_view,
+    mask_items,
+    reach_optimistic,
+    reach_pessimistic,
+)
 from dualsynth.partition import (
     PartitionForest,
     RegionId,
@@ -90,6 +108,9 @@ class QueryStats:
     issued_pess: int = 0
     issued_opt: int = 0  # made only where the pessimistic query failed
     pruned: int = 0     # undecided-row pairs the previous relation decided
+    # issued queries the axis index left open, decided by reach_*
+    slab_pess: int = 0
+    slab_opt: int = 0
     n_states: int = 0
 
     @property
@@ -210,30 +231,55 @@ def build_initial(forest: PartitionForest, sys: ControlSystem,
 
 
 def _run_queries(boxes, sys, rows, pess, opt, stats):
-    """Decide every (source, targets) row of box indices, appending each
-    edge to the source's rows of ``pess`` and ``opt`` in target order.
+    """Decide every (source, targets) row of box indices, each row's
+    targets ascending, appending each edge to the source's rows of
+    ``pess`` and ``opt`` in target order.
 
-    Each box keeps its own view (``geometry.box_view``): its slabs as a
-    source and its ranges as a target are computed once, whatever the
-    order of the queries.  The optimistic query is made only where the
-    pessimistic one fails, since a pessimistic edge is an optimistic one.
-    Both are looked up as this module's bindings at call time.
+    One ``geometry.AxisIndex`` over every target of ``rows`` decides a
+    row on the n axis normals at once: the row's candidates as a bitmask
+    (one per row object, as ``refine`` shares them), ANDed with the
+    targets that meet each of the source's axis slabs, a ``bisect`` and
+    two ANDs per slab.  Where a relation has no slab off the axes, as
+    with diagonal A and B, that mask is its row; each pessimistic slab
+    lies inside the optimistic slab of its normal, so the optimistic mask
+    holds the pessimistic one.  Otherwise every target the axes leave
+    open goes to ``reach_pessimistic``, and to ``reach_optimistic`` where
+    the pessimistic row left it out; both are looked up as this module's
+    bindings at call time, and ``QueryStats.slab_pess`` and ``.slab_opt``
+    count their calls.
     ``refine`` passes only the targets its pruning rule leaves open; the
     rule and its proof are in ``refine``.
     """
+    leaves = list(range(len(boxes)))  # the one int object of each index
+    # bit b for target b: the targets' distinct powers of two, summed in C
+    candidates = {id(targets): sum(map((1).__lshift__, targets))
+                  for _, targets in rows}
+    index = AxisIndex(((b, box_view(boxes[b], sys)) for b in mask_items(
+        reduce(or_, candidates.values(), 0), leaves)), sys.n)
+    n = sys.n
     for a, targets in rows:
         X = boxes[a]
-        p_row, o_row = pess[a], opt[a]
+        p_slabs, o_slabs = box_view(X, sys).slabs
+        row = candidates[id(targets)]
+        open_pess = index.passing(p_slabs, row)
+        open_opt = index.passing(o_slabs, row)  # holds open_pess
+        if len(p_slabs) == n:
+            p_row = mask_items(open_pess, leaves)
+        else:
+            p_row = [b for b in mask_items(open_pess, leaves)
+                     if reach_pessimistic(X, boxes[b], sys)]
+            stats.slab_pess += open_pess.bit_count()
+        if len(o_slabs) == n:
+            o_row = mask_items(open_opt, leaves)
+        else:
+            edges = set(p_row)
+            o_row = [b for b in mask_items(open_opt, leaves)
+                     if b in edges or reach_optimistic(X, boxes[b], sys)]
+            stats.slab_opt += open_opt.bit_count() - len(p_row)
+        pess[a] += p_row
+        opt[a] += o_row
         stats.issued_pess += len(targets)
-        for b in targets:
-            Y = boxes[b]
-            if reach_pessimistic(X, Y, sys):
-                p_row.append(b)
-                o_row.append(b)
-            else:
-                stats.issued_opt += 1
-                if reach_optimistic(X, Y, sys):
-                    o_row.append(b)
+        stats.issued_opt += len(targets) - len(p_row)
 
 
 def refine(pair: AbstractionPair, forest: PartitionForest,

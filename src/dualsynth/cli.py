@@ -229,7 +229,8 @@ def parse_problem(data: dict) -> ProblemFile:
         env = EnvAlphabet.create(env_pairs)
         raw = RawSpec(assumptions=tuple(assumptions),
                       guarantees=tuple(guarantees),
-                      responses=tuple(resp_pairs), init=init)
+                      responses=tuple(resp_pairs), init=init,
+                      names=tuple(names))
         convert_to_gr1(raw)  # validates formulas early
     except (GeometryError, SpecError, ValueError) as exc:
         raise ProblemError(str(exc)) from exc
@@ -486,8 +487,9 @@ def _count(n: int, noun: str) -> str:
 _STATS_KEYS = ("iteration", "leaves", "winning", "maybe", "losing",
                "queries_issued", "queries_saved", "wall_time_s")
 # absent from artifacts written before these were recorded; shown as "-"
-_OPTIONAL_STATS = ("queries_pruned", "game_nodes", "mu_y_runs", "advance_s",
-                   "abstraction_s", "classify_s", "strategy_s")
+_OPTIONAL_STATS = ("queries_pruned", "queries_slab_pess", "queries_slab_opt",
+                   "game_nodes", "mu_y_runs", "advance_s", "abstraction_s",
+                   "classify_s", "strategy_s")
 
 
 def cmd_report(args) -> int:
@@ -511,16 +513,20 @@ def cmd_report(args) -> int:
         print("warning: run directory looks incomplete; partial report",
               file=_sys.stderr)
     header = ["iter", "leaves", "W", "M", "L", "queries", "saved", "pruned",
-              "nodes", "muY", "adv_s", "abstr_s", "class_s", "strat_s",
-              "time_s"]
+              "slab", "nodes", "muY", "adv_s", "abstr_s", "class_s",
+              "strat_s", "time_s"]
     table = [header]
     for row in rows:
+        slab = (str(row["queries_slab_pess"] + row["queries_slab_opt"])
+                if "queries_slab_pess" in row and "queries_slab_opt" in row
+                else "-")
         table.append([str(row["iteration"]), str(row["leaves"]),
                       str(row["winning"]), str(row["maybe"]),
                       str(row["losing"]), str(row["queries_issued"]),
                       str(row["queries_saved"]),
+                      str(row.get("queries_pruned", "-")), slab,
                       *(str(row.get(key, "-")) for key in
-                        ("queries_pruned", "game_nodes", "mu_y_runs")),
+                        ("game_nodes", "mu_y_runs")),
                       *(f"{row[key]:.3f}" if key in row else "-" for key in
                         ("advance_s", "abstraction_s", "classify_s",
                          "strategy_s")),

@@ -145,6 +145,11 @@ class IterationStats:
     between them.  A run that stops because no region can be split
     charges that attempt to the ``wall_time`` of its last iteration.
 
+    ``queries_slab_pess`` and ``queries_slab_opt`` count the issued
+    queries of each relation that the axis index of ``_run_queries`` left
+    open and the slab test decided (``QueryStats.slab_pess``, ``.slab_opt``);
+    each is 0 when its relation has no normal but the axes.
+
     ``game_nodes`` counts the nodes of both games, and ``mu_y_runs`` the
     muY runs made in every solve of them: per game, the runs until one
     goal visit per goal in a row left Z unchanged, less the visits whose
@@ -167,6 +172,8 @@ class IterationStats:
     game_nodes: int = 0
     mu_y_runs: int = 0
     strategy_s: float = 0.0
+    queries_slab_pess: int = 0
+    queries_slab_opt: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -175,6 +182,8 @@ class IterationStats:
             "maybe": self.n_maybe, "queries_issued": self.queries_issued,
             "queries_saved": self.queries_saved,
             "queries_pruned": self.queries_pruned,
+            "queries_slab_pess": self.queries_slab_pess,
+            "queries_slab_opt": self.queries_slab_opt,
             "advance_s": round(self.advance_s, 6),
             "abstraction_s": round(self.abstraction_s, 6),
             "classify_s": round(self.classify_s, 6),
@@ -326,7 +335,9 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             n_maybe=len(triple.maybe),
             queries_issued=pair.query_stats.issued,
             queries_saved=reachability_queries_saved(pair),
-            queries_pruned=pair.query_stats.pruned, advance_s=advance_s,
+            queries_pruned=pair.query_stats.pruned,
+            queries_slab_pess=pair.query_stats.slab_pess,
+            queries_slab_opt=pair.query_stats.slab_opt, advance_s=advance_s,
             abstraction_s=abstraction_s, classify_s=classify_s,
             wall_time=0.0, game_nodes=sum(g.n_nodes for g in games))
         verdict.stats.append(stats)
@@ -344,12 +355,14 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             stats.strategy_s = time.perf_counter() - s0
         stats.mu_y_runs = sum(g.mu_y_runs for g in games)
         logger.info("iteration %d: %d leaves, W/M/L %d/%d/%d, %d queries, "
-                    "%d pairs pruned, advance %.3f s, abstraction %.3f s, "
-                    "classify %.3f s, %d game nodes, %d muY runs", iteration,
-                    stats.leaves, stats.n_winning, stats.n_maybe,
-                    stats.n_losing, stats.queries_issued,
-                    stats.queries_pruned, advance_s, abstraction_s,
-                    classify_s, stats.game_nodes, stats.mu_y_runs)
+                    "%d pairs pruned, %d/%d pess/opt slab-tested, advance "
+                    "%.3f s, abstraction %.3f s, classify %.3f s, %d game "
+                    "nodes, %d muY runs", iteration, stats.leaves,
+                    stats.n_winning, stats.n_maybe, stats.n_losing,
+                    stats.queries_issued, stats.queries_pruned,
+                    stats.queries_slab_pess, stats.queries_slab_opt,
+                    advance_s, abstraction_s, classify_s, stats.game_nodes,
+                    stats.mu_y_runs)
         del games  # no iteration keeps its graphs past its decision
 
         if not initial_regions:

@@ -44,7 +44,14 @@ full-dimensional ones with the same normals.  Each box keeps one view per
 system (``box_view``): the slabs of a box X as a source, and the ranges
 of a box Y ∩ D as a target along every normal, axes included, are each
 computed once, so a query costs one comparison of two ranges per normal
-(``_passes``), in whatever order the queries come.
+(``_passes``), in whatever order the queries come.  A batch of queries
+against the same targets shares one ``AxisIndex``: the targets' ranges
+on the n unit axes over one common denominator TD, sorted per axis by
+lower and by upper ends, with a prefix bitmask of targets (bit b for
+target b) at every position.  A source slab then passes a whole set of
+targets at once, by two ``bisect``s and two ANDs on exact integers, and
+``_passes`` is left with the targets the axes keep, for a relation that
+has other normals.
 
 The controller asks for an input u in U with A x + B u in a box.  The
 probe (``_probe``) answers with no simplex and no linear solve: on a fixed
@@ -74,6 +81,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -902,6 +910,66 @@ def _passes(slabs, target: BoxView) -> bool:
         if thi * d < lo * td or tlo * d > hi * td:
             return False
     return True
+
+
+def mask_items(mask: int, items: list) -> list:
+    """``items[b]`` for every set bit b of ``mask`` (nonnegative), in
+    ascending order of b, found as the '1's of its binary string read
+    from the low end.  Taking the items from one list, rather than
+    making an int per bit, lets every row that holds b share one object."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    b = digits.find("1")
+    while b >= 0:
+        out.append(items[b])
+        b = digits.find("1", b + 1)
+    return out
+
+
+class AxisIndex:
+    """The targets of one batch of queries, indexed along the unit axes.
+
+    Every target b with a view (``views`` holds (b, ``BoxView``) pairs)
+    whose Y ∩ D is nonempty puts its ranges (``BoxView.ranges``) on the
+    n axis normals over one common denominator td, the lcm of the
+    targets' own; a target that misses D is in no mask.  Per axis, the
+    targets are sorted by their lower ends tlo and, separately, by their
+    negated upper ends -thi, and position i of each order keeps the
+    prefix mask of its first i targets: a Python int with bit b set for
+    target b.  The masks take about 2 n L (L / 8) bytes for L targets.
+
+    A slab (k, lo, hi, d) on axis k passes exactly the targets with
+    tlo <= ⌊hi td / d⌋ and -thi <= ⌊-lo td / d⌋, the integer form of
+    ``_passes``'s two comparisons; each side is one ``bisect`` into its
+    order and one AND with the prefix mask found (``passing``).
+    """
+
+    def __init__(self, views, n: int):
+        kept = [(b, r) for b, view in views if (r := view.ranges) is not None]
+        self.td = td = math.lcm(*[d for _, (_, d) in kept])
+        self.axes = []  # per axis: (lows, masks, -highs, masks)
+        for k in range(n):
+            axis = []
+            for sign, end in ((1, 0), (-1, 1)):
+                order = sorted((sign * ranges[k][end] * (td // d), b)
+                               for b, (ranges, d) in kept)
+                masks, mask = [0], 0
+                for _, b in order:
+                    mask |= 1 << b
+                    masks.append(mask)
+                axis += [key for key, _ in order], masks
+            self.axes.append(axis)
+
+    def passing(self, slabs, mask: int) -> int:
+        """The targets of ``mask`` whose ranges meet every axis slab among
+        ``slabs``, the first n of them (``BoxView.slabs``); the slabs of
+        other normals are left to ``_passes``."""
+        td = self.td
+        for (lows, below, highs, above), (_, lo, hi, d) in zip(self.axes,
+                                                                slabs):
+            mask &= below[bisect_right(lows, hi * td // d)] & \
+                above[bisect_right(highs, -lo * td // d)]
+        return mask
 
 
 def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:

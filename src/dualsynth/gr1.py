@@ -273,11 +273,16 @@ def format_formula(expr) -> str:
 
 @dataclass(frozen=True)
 class RawSpec:
-    """User-facing spec: recurrence goals, response obligations, init labels."""
+    """User-facing spec: recurrence goals, response obligations, init labels.
+
+    ``names`` holds the problem's proposition and environment-variable
+    names, which no memory bit may take, whether a formula reads them or
+    not."""
     assumptions: tuple[str, ...] = ()
     guarantees: tuple[str, ...] = ()
     responses: tuple[tuple[str, str], ...] = ()
     init: str | None = None
+    names: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -329,9 +334,9 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
     ``always (trigger -> eventually response)`` becomes a pending bit b
     (set on trigger, cleared on response) and the guarantee
     ``always eventually (!b | response)``; plain goals and assumptions
-    pass through unchanged.  A bit's name is none of the names any
-    formula of ``raw`` reads, so no bit shadows a proposition or an
-    environment variable the spec mentions.
+    pass through unchanged.  A bit's name is none of ``raw.names`` and
+    none of the names any formula of ``raw`` reads, so no bit shadows a
+    proposition or an environment variable of the problem.
     """
     assumptions = tuple(parse_formula(a) for a in raw.assumptions)
     guarantees = [parse_formula(g) for g in raw.guarantees]
@@ -340,6 +345,7 @@ def convert_to_gr1(raw: RawSpec) -> Gr1Spec:
     taken = {lit[1] for f in (*guarantees, *assumptions, init,
                               *chain.from_iterable(responses))
              if f is not None for lit in formula_literals(f)}
+    taken.update(raw.names)
     bits = []
     for k, (trig, resp) in enumerate(responses):
         name = _bit_name(k, trig, taken)

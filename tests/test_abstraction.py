@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +10,16 @@ from dualsynth.abstraction import (
     AbstractionError,
     AbstractionPair,
     EnvAlphabet,
+    QueryStats,
     build_initial,
     reachability_queries_saved,
     refine,
 )
 from dualsynth.geometry import (
+    AxisIndex,
     Box,
     ControlSystem,
+    box_view,
     reach_optimistic,
     reach_pessimistic,
 )
@@ -85,7 +90,7 @@ def assert_pruning_exact(pair, forest, sys):
 def counted(step, *args):
     """``step(*args)`` (``build_initial`` or ``refine``), with the
     ``reach_*`` calls it makes counted and checked against the queries its
-    ``QueryStats`` report."""
+    ``QueryStats`` report the axis index left to the slab test."""
     calls = {"reach_pessimistic": 0, "reach_optimistic": 0}
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
@@ -96,7 +101,7 @@ def counted(step, *args):
             mp.setattr(abstraction, name, counting)
         pair = step(*args)
     stats = pair.query_stats
-    assert (stats.issued_pess, stats.issued_opt) == \
+    assert (stats.slab_pess, stats.slab_opt) == \
         (calls["reach_pessimistic"], calls["reach_optimistic"])
     return pair
 
@@ -384,6 +389,181 @@ class TestPruning:
             engine.run(*random_problem(k, with_env=True), opts)
         assert len(pruned) == 12
         assert sum(pruned) > 0
+
+
+def _rational(rng, lo, hi):
+    """A random rational in [lo, hi] over a denominator that is not
+    always a power of two."""
+    d = rng.choice((1, 2, 3, 5, 7, 12))
+    return Fraction(rng.randint(int(lo * d), int(hi * d)), d)
+
+
+def _touching(sys, X, k, rng):
+    """Boxes whose range on axis k ends exactly at an end of one of X's
+    axis-k slabs, and boxes just past it: the floor and ceiling of the
+    index's rounding decide them."""
+    out = []
+    pess, opt = box_view(X, sys).slabs
+    for _, lo, hi, d in (pess[k], opt[k]):
+        for end, eps in ((Fraction(lo, d), Fraction(-1, 7)),
+                         (Fraction(hi, d), Fraction(1, 7))):
+            for at in (end, end + eps):
+                w = _rational(rng, Fraction(1, 3), 1)
+                lower, upper = [], []
+                for i in range(sys.n):
+                    if i != k:
+                        lower.append(sys.domain.lower[i])
+                        upper.append(sys.domain.upper[i])
+                    elif eps < 0:
+                        lower.append(at - w)
+                        upper.append(at)
+                    else:
+                        lower.append(at)
+                        upper.append(at + w)
+                out.append(Box(tuple(lower), tuple(upper)))
+    return out
+
+
+class TestAxisIndexRows:
+    """``_run_queries`` decides rows with the axis index, and the slab test
+    only where the axes leave a target open; its rows and counts must be
+    those of one ``reach_*`` call per pair."""
+
+    SYSTEMS = {
+        # diagonal A and B: the axes are the only normals
+        "axes": lambda: ControlSystem.create(
+            A=[[1, 0], [0, Fraction(2, 3)]], B=[[Fraction(1, 3), 0], [0, 1]],
+            input_set=[[Fraction(-1, 3), Fraction(1, 5)],
+                       [Fraction(-2, 7), Fraction(1, 2)]],
+            domain=[[0, Fraction(10, 3)], [Fraction(1, 7), 2]],
+            initial_set=[[0, 1], [1, 2]]),
+        # coupled A, diagonal B: the pessimistic slabs are the axes alone
+        "drift": lambda: ControlSystem.create(
+            A=[[Fraction(1, 2), Fraction(-1, 3)], [0, Fraction(3, 2)]],
+            B=[[1, 0], [0, Fraction(2, 3)]],
+            input_set=[[Fraction(-1, 3), Fraction(1, 2)],
+                       [Fraction(-1, 2), Fraction(1, 5)]],
+            domain=[[0, 4], [0, 4]], initial_set=[[0, 1], [0, 1]]),
+        "coupled": lambda: ControlSystem.create(
+            A=[[1, Fraction(1, 3)], [0, 1]], B=[[1, Fraction(1, 2)], [0, 1]],
+            input_set=[[Fraction(-1, 2), Fraction(1, 3)],
+                       [Fraction(-1, 5), Fraction(1, 2)]],
+            domain=[[0, 4], [0, Fraction(11, 3)]],
+            initial_set=[[0, 1], [0, 1]]),
+        # the ROADMAP's 3-D system: 15 normals, 12 of them not axes
+        "cube": lambda: ControlSystem.create(
+            A=[[1, Fraction(1, 4), 0], [0, 1, Fraction(1, 4)],
+               [Fraction(-1, 8), 0, 1]],
+            B=[[1, 0, Fraction(1, 4)], [0, 1, 0], [Fraction(1, 2), 0, 1]],
+            input_set=[[Fraction(-1, 2), Fraction(1, 2)]] * 3,
+            domain=[[0, 4]] * 3, initial_set=[[0, 4]] * 3),
+    }
+
+    @staticmethod
+    def _boxes(sys, rng, count):
+        """Random boxes around the domain, some of them outside it."""
+        boxes = []
+        for _ in range(count):
+            lower, upper = [], []
+            for lo, hi in zip(sys.domain.lower, sys.domain.upper):
+                a = _rational(rng, lo - 1, hi)
+                lower.append(a)
+                upper.append(a + _rational(rng, 0, 2))
+            boxes.append(Box(tuple(lower), tuple(upper)))
+        return boxes
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_rows_equal_pairwise_queries(self, name, seed, monkeypatch):
+        rng = random.Random(seed)
+        sys = self.SYSTEMS[name]()
+        boxes = self._boxes(sys, rng, 30)
+        boxes += [t for k in range(sys.n)
+                  for t in _touching(sys, boxes[0], k, rng)]
+        missing = Box(tuple(hi + 1 for hi in sys.domain.upper),
+                      tuple(hi + 2 for hi in sys.domain.upper))
+        boxes.append(missing)
+        assert box_view(missing, sys).ranges is None
+        n = len(boxes)
+        # rows as refine passes them: row objects shared by several
+        # sources, ascending targets, an empty row
+        shared = sorted({*rng.sample(range(n), n // 2), 0, n - 1})
+        every = range(n)
+        rows = [(a, shared) for a in range(0, n, 3)]
+        rows += [(a, every) for a in range(1, n, 3)]
+        rows += [(a, []) for a in range(2, n, 3)]
+        pess, opt = [[] for _ in boxes], [[] for _ in boxes]
+        stats = QueryStats(n_states=n)
+        counted(lambda: abstraction._run_queries(boxes, sys, rows, pess, opt,
+                                                 stats) or
+                AbstractionPair(regions=[], initial_regions=[], env=no_env(),
+                                pess=pess, opt=opt, query_stats=stats))
+        issued = edges = 0
+        for a, targets in rows:
+            X = boxes[a]
+            assert pess[a] == [b for b in targets
+                               if reach_pessimistic(X, boxes[b], sys)], a
+            assert opt[a] == [b for b in targets
+                              if reach_optimistic(X, boxes[b], sys)], a
+            issued += len(targets)
+            edges += len(pess[a])
+        assert (stats.issued_pess, stats.issued_opt) == (issued,
+                                                         issued - edges)
+        assert 0 < edges < issued
+        # the slab test runs for a relation only when it has a normal off
+        # the axes
+        normals = len(sys.slab_rows)
+        pessimistic = sum(row[-1] for row in sys.slab_rows)
+        assert (normals, pessimistic) == {
+            "axes": (2, 2), "drift": (3, 2), "coupled": (4, 3),
+            "cube": (15, 5)}[name]
+        assert (stats.slab_pess > 0) == (pessimistic > sys.n)
+        assert (stats.slab_opt > 0) == (name != "axes")
+        assert stats.slab_pess < issued
+        assert stats.slab_opt <= issued - edges
+
+
+    def test_rounding_at_slab_ends(self):
+        # targets on the 1/16 grid of an integer domain put the index over
+        # TD = 16, and inputs in thirds put the slab ends off that grid:
+        # per end, the grid points on either side of it, one inside the
+        # slab and one outside, decide the floor and ceiling of the index
+        sys = ControlSystem.create(
+            A=[[1, 0], [0, 1]], B=[[1, 0], [0, 1]],
+            input_set=[[Fraction(-1, 3), Fraction(1, 3)],
+                       [Fraction(-2, 3), Fraction(1, 3)]],
+            domain=[[0, 4], [0, 4]], initial_set=[[0, 4], [0, 4]])
+        sources = [Box((1, 1), (2, 2)),
+                   Box((Fraction(1, 3), Fraction(1, 2)), (1, Fraction(5, 3)))]
+        targets = [Box((Fraction(1, 16), 0), (1, 1))]
+        for X in sources:
+            for slabs in box_view(X, sys).slabs:
+                for k, lo, hi, d in slabs:
+                    for end, below in ((Fraction(lo, d), True),
+                                       (Fraction(hi, d), False)):
+                        if (end * 16).denominator == 1:
+                            continue
+                        for at in (math.floor(end * 16), math.ceil(end * 16)):
+                            at = Fraction(at, 16)
+                            span = (at - 1, at) if below else (at, at + 1)
+                            lower, upper = [0, 0], [4, 4]
+                            lower[k], upper[k] = span
+                            targets.append(Box(tuple(lower), tuple(upper)))
+        boxes = sources + targets
+        index = AxisIndex(((b, box_view(boxes[b], sys))
+                           for b in range(2, len(boxes))), sys.n)
+        assert index.td == 16
+        pess, opt = [[] for _ in boxes], [[] for _ in boxes]
+        stats = QueryStats()
+        every = range(2, len(boxes))
+        abstraction._run_queries(boxes, sys, [(0, every), (1, every)], pess,
+                                 opt, stats)
+        for a, X in enumerate(sources):
+            assert pess[a] == [b for b in every
+                               if reach_pessimistic(X, boxes[b], sys)]
+            assert opt[a] == [b for b in every
+                              if reach_optimistic(X, boxes[b], sys)]
+            assert 0 < len(pess[a]) < len(opt[a]) < len(every)
 
 
 class TestExports:

@@ -227,6 +227,33 @@ class TestMeaningfulNames:
         assert main(["synthesize", str(path), "--out",
                      str(tmp_path / "r")]) == EXIT_UNKNOWN
 
+    def test_unused_proposition_named_like_a_memory_bit(self, park_path,
+                                                        tmp_path):
+        # a proposition that no formula reads still reserves its name: the
+        # bit of "park" becomes "pending_park_0", and the run synthesizes
+        # exactly as park does
+        data = json.loads(open(park_path).read())
+        data["propositions"].append({"name": "pending_park",
+                                     "box": [[0, 1], [1, 2]]})
+        assert parse_problem(data).raw_spec.names == (
+            "home", "lot", "pending_park", "park")
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        runs = {}
+        for name, problem in (("park", park_path), ("pending", path)):
+            out = tmp_path / name
+            assert main(["synthesize", str(problem), "--out",
+                         str(out)]) == EXIT_REALIZABLE
+            verdict = json.loads((out / "verdict.json").read_text())
+            strategy = json.loads((out / "controller.json").read_text()
+                                  )["strategy"]
+            runs[name] = ([s["leaves"] for s in verdict["stats"]],
+                          strategy.pop("bit_names"), strategy)
+        assert runs["pending"][1] == ["pending_park_0"]
+        assert runs["park"][1] == ["pending_park"]
+        assert runs["pending"][0] == runs["park"][0]
+        assert runs["pending"][2] == runs["park"][2]
+
     def test_meaningful_literals_accepted(self):
         data = json.loads(open(bundled("park.json")).read())
         data["spec"]["guarantees"] = ["home | park=false", "!park -> home"]
@@ -664,7 +691,7 @@ class TestReportCommand:
         assert main(["report", str(out)]) == 0
         header, *lines = capsys.readouterr().out.splitlines()
         header = header.split()
-        assert header[header.index("pruned") + 1:header.index("adv_s")] == \
+        assert header[header.index("slab") + 1:header.index("adv_s")] == \
             ["nodes", "muY"]
         assert header[header.index("class_s") + 1] == "strat_s"
         for row, line in zip(rows, lines):
@@ -692,6 +719,32 @@ class TestReportCommand:
         col = header.index("pruned")
         for row, line in zip(rows, lines):
             assert line.split()[col] == str(row["queries_pruned"])
+
+    @pytest.mark.parametrize("problem, slab_tested", [
+        ("park", False), ("cube", True)])
+    def test_slab_column_follows_pruned(self, problem, slab_tested, tmp_path,
+                                        capsys):
+        # park's only normals are the axes, so its index decides every
+        # query; the 3-D cube has 12 other normals, so the queries its
+        # axes leave open go to the slab test
+        path = (bundled("park.json") if problem == "park" else
+                str(Path(__file__).parent / "data" / "cube.json"))
+        out = tmp_path / "run"
+        assert main(["synthesize", path, "--out", str(out), "--max-iters",
+                     "1", "--min-cell", "1/8"]) in (EXIT_REALIZABLE,
+                                                    EXIT_UNKNOWN)
+        rows = json.loads((out / "verdict.json").read_text())["stats"]
+        slab = [r["queries_slab_pess"] + r["queries_slab_opt"] for r in rows]
+        assert all(r["queries_slab_pess"] <= r["queries_issued"] for r in rows)
+        assert any(slab) == slab_tested
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        header = header.split()
+        assert header[header.index("pruned") + 1] == "slab"
+        col = header.index("slab")
+        assert [line.split()[col] for line in lines[:len(rows)]] == \
+            list(map(str, slab))
 
     @staticmethod
     def _report_without(key, invariant_path, tmp_path, capsys):
@@ -721,6 +774,14 @@ class TestReportCommand:
         line = self._report_without("queries_pruned", invariant_path,
                                     tmp_path, capsys)
         assert line["pruned"] == "-"
+
+    @pytest.mark.parametrize("key", ["queries_slab_pess",
+                                     "queries_slab_opt"])
+    def test_report_reads_rows_without_slab_count(self, key, invariant_path,
+                                                  tmp_path, capsys):
+        line = self._report_without(key, invariant_path, tmp_path, capsys)
+        assert line["slab"] == "-"
+        assert line["pruned"] != "-"
 
     @pytest.mark.parametrize("key, column", [("advance_s", "adv_s"),
                                              ("classify_s", "class_s")])

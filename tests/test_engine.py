@@ -348,7 +348,9 @@ class TestBudgets:
                 f"iteration {stats.iteration}: {stats.leaves} leaves, W/M/L "
                 f"{stats.n_winning}/{stats.n_maybe}/{stats.n_losing}, "
                 f"{stats.queries_issued} queries, {stats.queries_pruned} "
-                f"pairs pruned, advance {stats.advance_s:.3f} s, ")
+                f"pairs pruned, {stats.queries_slab_pess}/"
+                f"{stats.queries_slab_opt} pess/opt slab-tested, advance "
+                f"{stats.advance_s:.3f} s, ")
             assert f"abstraction {stats.abstraction_s:.3f} s, classify " \
                 f"{stats.classify_s:.3f} s" in line
 
@@ -773,6 +775,9 @@ PINNED_PROBLEMS = {
     "random_2": lambda: _random(2),
     "random_5": lambda: _random(5),
     "random_24": lambda: _random(24),
+    # 3-D, 15 normals of which 12 are not axes, at max_iters=1
+    "cube": lambda: _problem_file(
+        Path(__file__).resolve().parent / "data" / "cube.json"),
 }
 
 
@@ -870,6 +875,19 @@ class TestPinnedAbstractions:
         monkeypatch.setattr(engine, "classify", capture)
         run(*PINNED_PROBLEMS[name]())
         assert seen == digests
+
+
+class TestPinnedCube:
+    """The 3-D cube's two iterations (27 and 216 leaves, unknown), pinned
+    as ``TestPinnedAbstractions`` pins the 2-D problems.  Its normals are
+    not all axes, so its queries take both paths of the axis index: the
+    masks, and the slab test on the targets they leave open."""
+
+    def test_iterations_are_pinned(self, monkeypatch):
+        TestPinnedAbstractions().test_iterations_are_pinned("cube", [
+          "f9b19d39d43a9be3058d923c3ec46f4ac485a6e66037783b64f493aa61506bb0",
+          "57a90a4964fb9591a0fa94ace299ae97ab4c948c9819563244f5aa0b90c83e6b"],
+            monkeypatch)
 
 
 class TestPinnedStrategies:

@@ -104,6 +104,16 @@ class TestConvertToGr1:
         assert spec.bit_names[0] == "pending_park_0"
         assert len(set(spec.bit_names)) == len(spec.bit_names)
 
+    def test_bit_names_avoid_the_problems_names(self):
+        # "pending_park" is a proposition no formula reads: the bit still
+        # may not take its name
+        raw = RawSpec(guarantees=("home",), responses=(("park", "lot"),))
+        assert convert_to_gr1(raw).bit_names == ("pending_park",)
+        spec = convert_to_gr1(RawSpec(
+            guarantees=("home",), responses=(("park", "lot"),),
+            names=("home", "lot", "pending_park", "park")))
+        assert spec.bit_names == ("pending_park_0",)
+
     def test_identity_conversion_without_responses(self):
         spec = convert_to_gr1(RawSpec(guarantees=("goal",), init="start"))
         assert spec.memory_bits == ()
