@@ -129,7 +129,7 @@ class AbstractionPair:
     ``pess[i]`` and ``opt[i]`` list the targets of ``regions[i]``, the
     leaves in path order, as ascending indices; ``pess_edges`` and
     ``opt_edges`` are id views.  The environment blow-up is uniform by
-    construction and materialized only on export.
+    construction and never materialized.
     """
 
     regions: list[RegionId]
@@ -168,27 +168,6 @@ class AbstractionPair:
             if outs != row and not set(outs).issubset(row):
                 raise AssertionError("pessimistic edges must be a subset of "
                                      "optimistic edges")
-
-    def to_json(self) -> dict:
-        n_env = len(self.env)
-
-        def blowup(pairs):
-            return [
-                {"from": [format_region_id(a), ea],
-                 "to": [format_region_id(b), eb]}
-                for a, b in pairs
-                for ea in range(n_env) for eb in range(n_env)]
-
-        return {
-            "iteration": self.iteration,
-            "states": [[format_region_id(r), e] for r in self.regions
-                       for e in range(n_env)],
-            "initial": [[format_region_id(r), e]
-                        for r in self.initial_regions
-                        for e in range(n_env)],
-            "pess_edges": blowup(self.pess_pairs()),
-            "opt_edges": blowup(self.opt_pairs()),
-        }
 
     def to_dot(self) -> str:
         lines = ["digraph abstraction {"]

@@ -15,9 +15,12 @@ per node, the (region, bits) pairs whose env fan-out holds it, and muY
 keeps one counter per pair of fan-out nodes not yet in Y.  Without
 assumptions a layer costs work proportional to the nodes it adds, so a
 whole muY is O(nodes + edges * bit values) plus one ``cpre`` call for
-goal & cpre(Z), which tests the goal's nodes only.  With assumptions,
-each layer's trap nuX is the complement of a removal worklist,
-O(nodes + edges * bit values) per layer and assumption.  The goals are
+goal & cpre(Z), which tests the goal's nodes only.  With assumptions, a
+layer's trap nuX adds to the base the !p nodes outside it that a removal
+worklist keeps.  After a run's first layer its candidates are only the
+!p nodes that lead back to the nodes that just joined Y, so a layer
+also costs, per assumption, work proportional to those candidates and
+their edges.  The goals are
 visited in a cycle, and the fixpoint stops as soon as the last
 ``len(goals)`` visits in a row left Z unchanged.  muY reads Z only
 through its start, goal & cpre(Z), so a visit whose start equals the
@@ -497,6 +500,14 @@ class GameGraph:
         return v // (self.n_env * self.n_bitvals) * self.n_bitvals \
             + v % self.n_bitvals
 
+    def fan_out(self, q: int) -> list[int]:
+        """The env fan-out of pair q = s * n_bitvals + b: the nodes
+        (s, e, bit_next[s][e][b]), one per env e."""
+        s, b = divmod(q, self.n_bitvals)
+        base, bn = s * self.n_env * self.n_bitvals, self.bit_next[s]
+        return [base + e * self.n_bitvals + bn[e][b]
+                for e in range(self.n_env)]
+
     def pair_nodes(self, q: int) -> range:
         """The nodes (r, e, b), one per env e, of pair q = r * n_bitvals + b."""
         r, b = divmod(q, self.n_bitvals)
@@ -584,38 +595,78 @@ class GameSolution:
     trap_layer: list = field(default_factory=list)
 
 
-def _trap(graph: GameGraph, base: list[bool], p: list[bool]) -> list[bool]:
-    """nuX. base | (!p & cpre(X)), the complement of a removal worklist.
+def _trap(graph: GameGraph, cands: list[int], base: list[bool]) -> list[int]:
+    """The nodes of ``cands``, the !p nodes outside the base, that
+    nuX. base | (!p & cpre(X)) keeps: a removal worklist over their pairs.
 
-    ``alive[r * n_bitvals + b]`` counts the successors s of r whose pair
-    (s, b) still has its whole env fan-out inside X; a node outside the
-    base stays while p fails there and its pair's count is positive.
-    Each pair dies once, so the work is O(nodes + edges * bit values).
+    ``alive[t]``, for a candidate's pair t = r * n_bitvals + b, counts the
+    successors s of r whose pair (s, b) has its env fan-out inside X, as
+    ``inside`` records; a candidate leaves with the last of them.  Each
+    pair dies once, so the work is proportional to the candidates' pairs,
+    their edges and those edges' fan-outs.
     """
-    nbv = graph.n_bitvals
-    fan_in, pred = graph.fan_in, graph.pred_idx
-    alive = [len(row) for row in graph.succ_idx for _ in range(nbv)]
-    dead = [False] * len(alive)
-    in_x = [True] * graph.n_nodes
-    stack = [v for v in range(graph.n_nodes) if not base[v] and (
-        p[v] or not alive[graph.pair_of(v)])]
-    for v in stack:
-        in_x[v] = False
+    nbv, fan_in, pred = graph.n_bitvals, graph.fan_in, graph.pred_idx
+    in_x = set(cands)
+    inside, alive = {}, {}
+    for t in {graph.pair_of(v) for v in cands}:
+        r, b = divmod(t, nbv)
+        row = [s * nbv + b for s in graph.succ_idx[r]]
+        for q in row:
+            if q not in inside:
+                inside[q] = all(base[u] or u in in_x
+                                for u in graph.fan_out(q))
+        alive[t] = sum(inside[q] for q in row)
+    stack = [v for v in cands if not alive[graph.pair_of(v)]]
+    in_x.difference_update(stack)
     while stack:
         for q in fan_in[stack.pop()]:
-            if dead[q]:
+            if not inside.get(q):
                 continue
-            dead[q] = True
+            inside[q] = False
             s, b = divmod(q, nbv)
             for r in pred[s]:
                 t = r * nbv + b
-                alive[t] -= 1
-                if not alive[t]:
-                    for u in graph.pair_nodes(t):
-                        if in_x[u] and not base[u]:
-                            in_x[u] = False
+                if t in alive:
+                    alive[t] -= 1
+                    if not alive[t]:
+                        for u in graph.pair_nodes(t):
+                            if u in in_x:
+                                in_x.remove(u)
+                                stack.append(u)
+    return [v for v in cands if v in in_x]
+
+
+def _trap_candidates(graph: GameGraph, p: list[bool], base: list[bool],
+                     joined: list[int] | None) -> list[int]:
+    """The !p nodes outside ``base`` that the trap nuX. base | (!p &
+    cpre(X)) may keep, given the nodes ``joined`` the base since the last
+    layer, or None at a run's first layer: then every !p node outside it.
+
+    A node outside the base stays in X only through a pair whose env
+    fan-out lies in X, so holds only base and !p nodes.  At a later layer
+    the extras of the last trap are in the base, and extras that reach no
+    joined node through such pairs would have been extras of that trap
+    too.  So the candidates are the !p nodes outside the base from which
+    such pairs lead to a joined node: a backward search from the joined
+    nodes over ``fan_in`` and the predecessor rows.
+    """
+    if joined is None:
+        return [v for v in range(graph.n_nodes) if not (p[v] or base[v])]
+    nbv, pred = graph.n_bitvals, graph.pred_idx
+    pairs, cands, stack = set(), {}, list(joined)   # cands: ordered set
+    while stack:
+        for q in graph.fan_in[stack.pop()]:
+            if q in pairs:
+                continue
+            pairs.add(q)
+            if all(base[u] or not p[u] for u in graph.fan_out(q)):
+                s, b = divmod(q, nbv)
+                for r in pred[s]:
+                    for u in graph.pair_nodes(r * nbv + b):
+                        if not (p[u] or base[u] or u in cands):
+                            cands[u] = None
                             stack.append(u)
-    return in_x
+    return list(cands)
 
 
 def _mu_y(graph: GameGraph, start: list[bool], p_preds: list,
@@ -623,29 +674,60 @@ def _mu_y(graph: GameGraph, start: list[bool], p_preds: list,
     """muY. OR_i nuX. start | cpre(Y) | (!p_i & cpre(X)), where start is
     goal & cpre(Z), the only part of Z a run reads.
 
-    Layer k is Y_k = OR_i X_i^k over the base start | cpre(Y_{k-1}).
+    Layer k is Y_k = OR_i X_i^k over the base start | cpre(Y_{k-1}), which
+    holds Y_{k-1}: so it adds the base's new nodes and each trap's extras,
+    the !p_i nodes outside the base that ``_trap`` keeps.
     ``missing[s * n_bitvals + b]`` counts the env fan-out nodes of pair
     (s, b) not yet in Y; when it reaches 0, every predecessor r of s gets
-    (r, b) into cpre(Y).  With no assumptions each trap equals the base,
-    so a layer is the nodes newly in cpre(Y), and the work of a layer is
-    proportional to the nodes it adds.  ``record`` = (rank, case,
-    trap_layer) is filled in place.
+    (r, b) into cpre(Y), and its nodes outside Y are new base nodes of
+    the next layer.  A layer costs work proportional to the nodes it adds,
+    plus per assumption its ``_trap_candidates`` and their edges: every
+    !p_i node outside the base at the first layer, then those that lead
+    to the nodes that joined Y since the layer before.
+    ``record`` = (rank, case, trap_layer) is filled in place: at layer k,
+    X_i gains the base's new nodes, its own extras and the other traps'
+    extras of layer k - 1, the only nodes of Y not yet in X_i.
     """
     graph.mu_y_runs += 1
     rank, case, trap_layer = record
     nbv = graph.n_bitvals
     fan_in, pred = graph.fan_in, graph.pred_idx
-    n_pairs = graph.n_regions * nbv
     stride = graph.n_env * nbv
     in_y = [False] * graph.n_nodes
-    missing = [graph.n_env] * n_pairs
-    in_pre = [False] * n_pairs   # pair (r, b) is in cpre(Y)
-    pre_pairs = []
-
-    def add(layer):
-        """Put a layer into Y; return the nodes it brings into cpre(Y) - Y."""
+    missing = [graph.n_env] * (graph.n_regions * nbv)
+    in_pre = [False] * len(missing)   # pair (r, b) is in cpre(Y)
+    # the base's new nodes: the start, since cpre of the empty set is empty
+    layer = [v for v in range(graph.n_nodes) if start[v]]
+    kind = (_GOAL, -1)
+    extras, new = [], []
+    k = 0
+    while True:
+        k += 1
         for v in layer:
             in_y[v] = True
+            rank[v] = k
+            case[v] = kind
+        if p_preds:
+            prev, joined = extras, layer + new if k > 1 else None
+            extras = [_trap(graph, _trap_candidates(graph, p, in_y, joined),
+                            in_y) for p in p_preds]
+            new = []
+            for i, x in enumerate(extras):
+                for v in x:
+                    if not in_y[v]:
+                        in_y[v] = True
+                        rank[v] = k
+                        case[v] = (_TRAP, i)
+                        new.append(v)
+            if not (layer or new):
+                return in_y
+            for entered, x in zip(trap_layer, extras):
+                for v in chain(layer, x, *prev):
+                    if entered[v] is None:
+                        entered[v] = k
+            layer = layer + new
+        elif not layer:
+            return in_y
         fresh = []
         for v in layer:
             for q in fan_in[v]:
@@ -657,51 +739,11 @@ def _mu_y(graph: GameGraph, start: list[bool], p_preds: list,
                     t = r * nbv + b
                     if not in_pre[t]:
                         in_pre[t] = True
-                        pre_pairs.append(t)
                         lo = r * stride + b   # the nodes of pair t
                         for u in range(lo, lo + stride, nbv):
                             if not in_y[u]:
                                 fresh.append(u)
-        return fresh
-
-    if not p_preds:
-        # cpre of the empty set is empty, so layer 1 is the goal start and
-        # every later layer descends
-        layer = [v for v in range(graph.n_nodes) if start[v]]
-        k = 0
-        while layer:
-            k += 1
-            kind = (_GOAL, -1) if k == 1 else (_DESCEND, -1)
-            for v in layer:
-                rank[v] = k
-                case[v] = kind
-            layer = add(layer)
-        return in_y
-
-    k = 0
-    while True:
-        k += 1
-        base = list(start)
-        for t in pre_pairs:
-            for u in graph.pair_nodes(t):
-                base[u] = True
-        traps = [_trap(graph, base, p) for p in p_preds]
-        layer = [v for v in range(graph.n_nodes)
-                 if not in_y[v] and any(x[v] for x in traps)]
-        if not layer:
-            return in_y
-        for x, entered in zip(traps, trap_layer):
-            entered[:] = [k if inside and e is None else e
-                          for inside, e in zip(x, entered)]
-        for v in layer:
-            rank[v] = k
-            if start[v]:
-                case[v] = (_GOAL, -1)
-            elif in_pre[graph.pair_of(v)]:
-                case[v] = (_DESCEND, -1)
-            else:
-                case[v] = (_TRAP, next(i for i, x in enumerate(traps) if x[v]))
-        add(layer)
+        layer, kind = fresh, (_DESCEND, -1)
 
 
 def solve_game(graph: GameGraph, extract_strategy=True):
@@ -754,9 +796,7 @@ def _extract_strategy(sol: GameSolution):
 
     def tabulate(q):
         """(fan-out of pair q, each goal's worst rank over it or None)"""
-        s, b = divmod(q, nbv)
-        base, bn = s * stride, bit_next[s]
-        fan = [base + e * nbv + bn[e][b] for e in range(n_env)]
+        fan = graph.fan_out(q)
         pairs[q] = entry = (fan, [max([rank[v] for v in fan])
                                   for rank in ranks]
                             if all([Z[v] for v in fan]) else None)

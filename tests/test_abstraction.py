@@ -192,10 +192,6 @@ class TestBuildInitial:
         env = EnvAlphabet.create([("park", (False, True))])
         pair = build_initial(forest, sys, env)
         pair.check_invariants()
-        data = pair.to_json()
-        # every region edge appears for all four env combinations
-        n_region_edges = sum(len(v) for v in pair.pess_edges.values())
-        assert len(data["pess_edges"]) == 4 * n_region_edges
 
 
 class TestRefine:
@@ -573,4 +569,4 @@ class TestExports:
         pair = build_initial(forest, sys, no_env())
         dot = pair.to_dot()
         assert "style=dashed" in dot
-        assert dot.count("->") == len(pair.to_json()["opt_edges"])
+        assert dot.count("->") == len(pair.opt_pairs())

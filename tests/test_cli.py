@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import time
@@ -18,6 +19,10 @@ from dualsynth.cli import (
     parse_problem,
 )
 from dualsynth.geometry import Box, GeometryError, to_fraction
+
+
+FERRY_CONTROLLER_SHA = \
+    "c0348996fb4c9ad4243063cf46266535dd0263a4d7f06a6d608d64b7cecc75e6"
 
 
 def bundled(name: str) -> str:
@@ -107,6 +112,30 @@ class TestSynthesizeCommand:
         assert verdict["outcome"] == "unrealizable"
         assert [["3", "7/2"], ["3", "7/2"]] in verdict["witness"]
         assert not (out / "controller.json").exists()
+
+    def test_ferry_wins_only_under_its_assumption(self, tmp_path):
+        # ferry must reach lot while go holds, which the environment may
+        # withhold forever: realizable under []<>go, unrealizable without
+        out = tmp_path / "run"
+        assert main(["synthesize", bundled("ferry.json"), "--out", str(out)]
+                    ) == EXIT_REALIZABLE
+        stats = json.loads((out / "verdict.json").read_text())["stats"]
+        assert [(s["leaves"], s["game_nodes"], s["mu_y_runs"])
+                for s in stats] == [(6, 24, 4)]
+        assert hashlib.sha256((out / "controller.json").read_bytes()
+                              ).hexdigest() == FERRY_CONTROLLER_SHA
+        data = json.loads(open(bundled("ferry.json")).read())
+        data["spec"]["assumptions"] = []
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(data))
+        out = tmp_path / "bare-run"
+        assert main(["synthesize", str(bare), "--out", str(out)]
+                    ) == EXIT_UNREALIZABLE
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["iterations"] == 1
+        assert sorted(verdict["witness"]) == [
+            [[str(x), str(x + 1)], [str(y), str(y + 1)]]
+            for x in range(3) for y in range(2)]
 
     def test_init_violation_exit_three(self, tmp_path):
         data = json.loads(open(bundled("park.json")).read())

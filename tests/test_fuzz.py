@@ -20,6 +20,7 @@ from dualsynth.cli import main
 
 SOURCES = {
     "park": resources.files("dualsynth") / "problems" / "park.json",
+    "ferry": resources.files("dualsynth") / "problems" / "ferry.json",
     "invariant": resources.files("dualsynth") / "problems" / "invariant.json",
     "coupled": Path(__file__).resolve().parents[1] / "bench" / "coupled.json",
 }

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -754,6 +755,91 @@ class TestLineArenas:
                    for value in (sorted(sol.region_winning),
                                  sol.strategy.to_json())]
         assert digests == [regions_sha, strategy_sha]
+
+
+def assumption_arena(n, response, where):
+    """``line_arena`` with dead ends at 7, 20, n/2 and n-9 and the
+    assumption always-eventually p, where p labels every region, dead ends
+    included ("every"), or the line's lower half ("lower"), or p is an env
+    variable ``go`` in {false, true} ("go", the shape of ``ferry.json``).
+    Returns the strategy game's graph and the line."""
+    regions, pess, _opt, labels, env, spec, line, _losing = \
+        line_arena(n, [7, 20, n // 2, n - 9], response)
+    if where == "go":
+        env = [dict(e, go=go) for e in env for go in (False, True)]
+        p = "go"
+    else:
+        on = range(n + 4) if where == "every" else range(n // 2)
+        labels = {r: labels.get(r, set()) | ({"p"} if r in on else set())
+                  for r in regions}
+        p = "p"
+    spec = Gr1Spec(assumptions=(parse_formula(p),),
+                   guarantees=spec.guarantees, memory_bits=spec.memory_bits)
+    return GameGraph(regions, pess, labels, env, spec), line
+
+
+ASSUMPTION_ARENAS = [(n, response, where) for n in (100, 400)
+                     for response in (False, True)
+                     for where in ("every", "lower", "go")]
+
+
+ASSUMPTION_ARENAS_SHA = \
+    "995fdf83c210699828d382e7e4e658bd8478eb1eb2eb91108c5c5fb6af7f5dca"
+
+
+class TestAssumptionArenas:
+    def test_solutions_are_pinned(self):
+        # one SHA-256 digest over every arena's winning nodes, rank, case
+        # and trap tables and strategy
+        solutions = []
+        for n, response, where in ASSUMPTION_ARENAS:
+            graph, line = assumption_arena(n, response, where)
+            sol = solve_game(graph)
+            assert sol.region_winning == line
+            assert strategy_invariance_check(sol.strategy, graph, sol)
+            solutions.append([sol.z_nodes, sol.rank, sol.case,
+                              sol.trap_layer, sol.strategy.to_json()])
+        assert hashlib.sha256(json.dumps(solutions, sort_keys=True).encode()
+                              ).hexdigest() == ASSUMPTION_ARENAS_SHA
+
+    @pytest.mark.parametrize("response", [False, True])
+    def test_trap_candidates_stay_near_the_joined_nodes(self, response,
+                                                         monkeypatch):
+        # a run's first layer hands ``_trap`` every !p node outside the
+        # base; a later one only the !p nodes from which pairs holding no
+        # p node outside the base lead to a node that has just joined Y.
+        # So on these lines a node is handed at most twice per muY run,
+        # not at every layer: never with p on every region; with p on the
+        # lower half, upper-half nodes; with p = go, go=false nodes.  Each
+        # dead end, which the trap drops, is handed at the first layer only
+        handed = []
+        trap = gr1._trap
+
+        def counted(graph, cands, base):
+            handed.append(list(cands))
+            return trap(graph, cands, base)
+
+        monkeypatch.setattr(gr1, "_trap", counted)
+        n = 400
+        for where in ("every", "lower", "go"):
+            handed.clear()
+            graph, line = assumption_arena(n, response, where)
+            assert solve_game(graph).region_winning == line
+            assert len(handed) > n // 2   # one call per layer
+            nodes = [v for cands in handed for v in cands]
+            if where == "every":
+                assert nodes == []
+                continue
+            times = Counter(nodes)
+            assert max(times.values()) <= 2 * graph.mu_y_runs
+            stride = graph.n_env * graph.n_bitvals
+            assert {times[v] for v in times
+                    if v // stride >= n} == {graph.mu_y_runs}   # dead ends
+            if where == "lower":
+                assert min(v // stride for v in nodes) >= n // 2
+            else:
+                assert not any(graph.env_valuations[
+                    v // graph.n_bitvals % graph.n_env]["go"] for v in nodes)
 
 
 class TestEdgeMonotonicity:
