@@ -486,10 +486,15 @@ def _count(n: int, noun: str) -> str:
 
 _STATS_KEYS = ("iteration", "leaves", "winning", "maybe", "losing",
                "queries_issued", "queries_saved", "wall_time_s")
-# absent from artifacts written before these were recorded; shown as "-"
-_OPTIONAL_STATS = ("queries_pruned", "queries_slab_pess", "queries_slab_opt",
-                   "game_nodes", "mu_y_runs", "advance_s", "abstraction_s",
-                   "classify_s", "strategy_s")
+# absent from artifacts written before these were recorded, and a null
+# peak_rss_mb where the run could not read its memory; shown as "-"
+_OPTIONAL_STATS = {
+    **dict.fromkeys(("queries_pruned", "queries_slab_pess",
+                     "queries_slab_opt", "game_nodes", "mu_y_runs",
+                     "advance_s", "abstraction_s", "classify_s",
+                     "strategy_s"), (int, float)),
+    "peak_rss_mb": (int, float, type(None)),
+}
 
 
 def cmd_report(args) -> int:
@@ -503,8 +508,8 @@ def cmd_report(args) -> int:
         for i, row in enumerate(rows):
             where = f"{verdict_path}: stats[{i}]"
             _fields(row, where, dict.fromkeys(_STATS_KEYS, (int, float)))
-            _fields(row, where, {key: (int, float) for key in _OPTIONAL_STATS
-                                 if key in row})
+            _fields(row, where, {key: kind for key, kind in
+                                 _OPTIONAL_STATS.items() if key in row})
     except ProblemError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
@@ -512,15 +517,17 @@ def cmd_report(args) -> int:
     if incomplete:
         print("warning: run directory looks incomplete; partial report",
               file=_sys.stderr)
-    header = ["iter", "leaves", "W", "M", "L", "queries", "saved", "pruned",
-              "slab", "nodes", "muY", "adv_s", "abstr_s", "class_s",
-              "strat_s", "time_s"]
+    header = ["iter", "leaves", "rss_mb", "W", "M", "L", "queries", "saved",
+              "pruned", "slab", "nodes", "muY", "adv_s", "abstr_s",
+              "class_s", "strat_s", "time_s"]
     table = [header]
     for row in rows:
         slab = (str(row["queries_slab_pess"] + row["queries_slab_opt"])
                 if "queries_slab_pess" in row and "queries_slab_opt" in row
                 else "-")
+        rss = row.get("peak_rss_mb")
         table.append([str(row["iteration"]), str(row["leaves"]),
+                      "-" if rss is None else f"{rss:.1f}",
                       str(row["winning"]), str(row["maybe"]),
                       str(row["losing"]), str(row["queries_issued"]),
                       str(row["queries_saved"]),

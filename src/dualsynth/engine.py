@@ -27,10 +27,16 @@ from __future__ import annotations
 
 import logging
 import math
+import sys as _sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
+
+try:
+    import resource
+except ImportError:  # a platform without it (Windows) records no memory
+    resource = None
 
 from dualsynth.abstraction import (
     AbstractionPair,
@@ -115,16 +121,18 @@ class SetTriple:
     rows: tuple  # (region id, Box, Status, labels) per leaf
     games: tuple = field(default=(), compare=False, repr=False)
 
+    # ``Status`` is a ``str`` enum, so ``st == which`` compares strings,
+    # with no read of the enum's ``value`` property
     def ids(self, which: str) -> frozenset:
         return frozenset(rid for rid, _box, st, _lb in self.rows
-                         if st.value == which)
+                         if st == which)
 
     winning = property(lambda self: self.ids("winning"))
     losing = property(lambda self: self.ids("losing"))
     maybe = property(lambda self: self.ids("maybe"))
 
     def boxes(self, which: str) -> list[Box]:
-        return [box for _rid, box, st, _lb in self.rows if st.value == which]
+        return [box for _rid, box, st, _lb in self.rows if st == which]
 
 
 @dataclass
@@ -156,6 +164,11 @@ class IterationStats:
     start goal & cpre(Z) equalled that of their goal's last run, which
     reuse it (``GameGraph.fixpoint``).  The strategy's extraction runs
     none.
+
+    ``peak_rss_mb`` is the process's peak resident set size in MB
+    (2^20 bytes) at the end of the iteration (``_peak_rss_mb``), a high
+    water mark over the process's whole life; None where the
+    ``resource`` module is missing.
     """
     iteration: int
     leaves: int
@@ -174,6 +187,7 @@ class IterationStats:
     strategy_s: float = 0.0
     queries_slab_pess: int = 0
     queries_slab_opt: int = 0
+    peak_rss_mb: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -190,7 +204,18 @@ class IterationStats:
             "strategy_s": round(self.strategy_s, 6),
             "wall_time_s": round(self.wall_time, 6),
             "game_nodes": self.game_nodes, "mu_y_runs": self.mu_y_runs,
+            "peak_rss_mb": self.peak_rss_mb,
         }
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far, in MB to the KiB,
+    from ``getrusage``, whose ``ru_maxrss`` counts KiB on Linux and bytes
+    on macOS; None where the ``resource`` module is missing."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2 ** 20 if _sys.platform == "darwin" else 2 ** 10), 3)
 
 
 @dataclass
@@ -354,15 +379,17 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             strategy = solve_game(games[0], extract_strategy=True).strategy
             stats.strategy_s = time.perf_counter() - s0
         stats.mu_y_runs = sum(g.mu_y_runs for g in games)
+        stats.peak_rss_mb = rss = _peak_rss_mb()
         logger.info("iteration %d: %d leaves, W/M/L %d/%d/%d, %d queries, "
                     "%d pairs pruned, %d/%d pess/opt slab-tested, advance "
-                    "%.3f s, abstraction %.3f s, classify %.3f s, %d game "
-                    "nodes, %d muY runs", iteration, stats.leaves,
-                    stats.n_winning, stats.n_maybe, stats.n_losing,
-                    stats.queries_issued, stats.queries_pruned,
-                    stats.queries_slab_pess, stats.queries_slab_opt,
-                    advance_s, abstraction_s, classify_s, stats.game_nodes,
-                    stats.mu_y_runs)
+                    "%.3f s, abstraction %.3f s, classify %.3f s, peak RSS "
+                    "%s MB, %d game nodes, %d muY runs", iteration,
+                    stats.leaves, stats.n_winning, stats.n_maybe,
+                    stats.n_losing, stats.queries_issued,
+                    stats.queries_pruned, stats.queries_slab_pess,
+                    stats.queries_slab_opt, advance_s, abstraction_s,
+                    classify_s, "-" if rss is None else f"{rss:.1f}",
+                    stats.game_nodes, stats.mu_y_runs)
         del games  # no iteration keeps its graphs past its decision
 
         if not initial_regions:

@@ -9,7 +9,8 @@ decision is the one the exact values give.  The hot loops (the slab test,
 the probe, the vertex-table step with its weights, snap and landing test,
 and the state update) run on integers rather than ``Fraction`` objects
 (exact computation in the sense of Yap, CGTA 1997).  Each box keeps its
-bounds as integer numerators over one denominator (``Box.ints``), each
+bounds as integer numerators over one denominator (``Box.ints``,
+computed on first use, or handed to a child by the split), each
 matrix its integer rows over one denominator (``Matrix.ints``: A, B and
 every vertex table), each system the integer rows of its slabs and its
 probe (``slab_rows``, ``probe_map``), and every comparison of two
@@ -85,7 +86,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from operator import gt, mul
 from typing import Sequence
 
@@ -194,6 +195,17 @@ class Box:
         return Box(tuple(lows), tuple(highs))
 
     @staticmethod
+    def _exact(lower: tuple[Fraction, ...], upper: tuple[Fraction, ...],
+               ints: tuple[tuple[int, ...], tuple[int, ...], int]) -> "Box":
+        """The box of ``Fraction`` bounds lower <= upper, handed its
+        ``ints`` as well, which must be what ``ints`` would compute; the
+        split (``partition._slices``) builds its children so, with no
+        conversion and no bound check."""
+        box = object.__new__(Box)
+        box.__dict__.update(lower=lower, upper=upper, empty=False, ints=ints)
+        return box
+
+    @staticmethod
     def make_empty(dim: int) -> "Box":
         return Box(tuple([Fraction(0)] * dim), tuple([Fraction(0)] * dim), empty=True)
 
@@ -203,9 +215,10 @@ class Box:
 
     @cached_property
     def ints(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(lower, upper, d): the bounds as integer numerators over one
-        denominator d > 0, so ``self.lower[i] == lower[i] / d``; computed
-        on first use, once per box."""
+        """(lower, upper, d): the bounds as integer numerators over the
+        least common denominator d > 0 of the bounds, so
+        ``self.lower[i] == lower[i] / d``; computed on first use, once per
+        box, or handed over by the split (``_exact``)."""
         nums, d = _integers(self.lower + self.upper)
         return nums[:self.dim], nums[self.dim:], d
 
@@ -912,18 +925,17 @@ def _passes(slabs, target: BoxView) -> bool:
     return True
 
 
+# the ASCII digits '0' and '1' as the bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def mask_items(mask: int, items: list) -> list:
     """``items[b]`` for every set bit b of ``mask`` (nonnegative), in
-    ascending order of b, found as the '1's of its binary string read
-    from the low end.  Taking the items from one list, rather than
-    making an int per bit, lets every row that holds b share one object."""
-    digits = bin(mask)[:1:-1]
-    out = []
-    b = digits.find("1")
-    while b >= 0:
-        out.append(items[b])
-        b = digits.find("1", b + 1)
-    return out
+    ascending order of b: its binary string, read from the low end, made
+    bytes of 0 and 1 that ``itertools.compress`` selects by, all in C.
+    Taking the items from one list, rather than making an int per bit,
+    lets every row that holds b share one object."""
+    return list(compress(items, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 class AxisIndex:

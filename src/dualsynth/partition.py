@@ -13,7 +13,9 @@ The layer decides on the integer kernel of ``geometry``: every box test
 initial flags, ``Box.holds`` for ``locate``), the choice of the axes to
 cut (``_split_counts``) and the ``min_cell`` tests cross-multiply the
 integer bounds of ``Box.ints``.  Its only ``Fraction`` arithmetic builds
-the cut points of a split, once per axis, shared by every child.
+the cut points of a split, once per axis, shared by every child; the
+split hands each child its ``Box.ints`` as well, read off the same cuts
+in integers, so no child converts its bounds back.
 """
 
 from __future__ import annotations
@@ -166,21 +168,40 @@ def _split_counts(box: Box, m: int) -> list[int]:
 
 
 def _slices(box: Box, counts: list[int]) -> list[Box]:
-    """The boxes cutting axis i of ``box`` into counts[i] equal slices.
+    """The boxes cutting axis i of ``box`` into counts[i] equal slices,
+    the first axis varying slowest.
 
-    Each axis's k + 1 cut points are built once, lo + i (hi - lo) / k as
-    (lo k + i (hi - lo)) / (d k) on the integers of ``Box.ints``, and
-    every child shares them; an uncut axis keeps the box's own bounds.
+    Each axis's k + 1 cut points lo + i (hi - lo) / k are built once, on
+    the integers (lows, highs, d) of ``Box.ints``, in two forms: as
+    ``Fraction``s (lo k + i (hi - lo)) / (d k), which every child shares
+    (an uncut axis keeps the box's own bounds), and as integer
+    numerators over the common denominator den = d prod(counts).  Each
+    child is handed its ``Box.ints`` (``Box._exact``): its numerators
+    over den divided by g = gcd(den, numerators), which leaves them over
+    den / g, the least common denominator of its bounds, as
+    ``_integers`` gives.
     """
     lows, highs, d = box.ints
+    total = math.prod(counts)
+    den = d * total
     axis_slices = []
     for k, lo, hi, first, last in zip(counts, lows, highs, box.lower,
                                       box.upper):
+        step = (hi - lo) * (total // k)  # a slice's width over den
+        nums = [lo * total + i * step for i in range(k + 1)]
         cuts = [first, *(Fraction(lo * k + i * (hi - lo), d * k)
                          for i in range(1, k)), last]
-        axis_slices.append(list(zip(cuts, cuts[1:])))
-    return [Box(tuple(lo for lo, _ in cell), tuple(hi for _, hi in cell))
-            for cell in product(*axis_slices)]
+        axis_slices.append(list(zip(cuts, cuts[1:], nums, nums[1:])))
+    exact = Box._exact
+    children = []
+    for cell in product(*axis_slices):
+        lower, upper, nlo, nhi = zip(*cell)
+        g = math.gcd(den, *nlo, *nhi)
+        if g != 1:
+            nlo = tuple([v // g for v in nlo])
+            nhi = tuple([v // g for v in nhi])
+        children.append(exact(lower, upper, (nlo, nhi, den // g)))
+    return children
 
 
 def split_box(box: Box, m: int) -> list[Box]:

@@ -831,6 +831,44 @@ class TestReportCommand:
         assert line[column] == "-"
         assert line["class_s"] != "-"
 
+    def test_peak_rss_column(self, tmp_path, capsys):
+        # the cube refines once, so the report has two rows to read
+        path = str(Path(__file__).parent / "data" / "cube.json")
+        out = tmp_path / "run"
+        assert main(["synthesize", path, "--out", str(out), "--max-iters",
+                     "1", "--min-cell", "1/8"]) == EXIT_UNKNOWN
+        rows = json.loads((out / "verdict.json").read_text())["stats"]
+        peaks = [r["peak_rss_mb"] for r in rows]
+        assert len(peaks) == 2 and 0 < peaks[0] <= peaks[1]
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        header = header.split()
+        assert header[header.index("leaves") + 1] == "rss_mb"
+        col = header.index("rss_mb")
+        assert [line.split()[col] for line in lines[:2]] == \
+            [f"{peak:.1f}" for peak in peaks]
+
+    def test_report_reads_rows_without_peak_rss(self, invariant_path,
+                                                tmp_path, capsys):
+        line = self._report_without("peak_rss_mb", invariant_path, tmp_path,
+                                    capsys)
+        assert line["rss_mb"] == "-"
+        assert line["leaves"] != "-"
+
+    def test_no_resource_module_records_null_peak_rss(
+            self, invariant_path, tmp_path, capsys, monkeypatch):
+        from dualsynth import engine
+        monkeypatch.setattr(engine, "resource", None)
+        out = tmp_path / "run"
+        main(["synthesize", invariant_path, "--out", str(out)])
+        rows = json.loads((out / "verdict.json").read_text())["stats"]
+        assert rows and all(r["peak_rss_mb"] is None for r in rows)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        header, line = capsys.readouterr().out.splitlines()[:2]
+        assert dict(zip(header.split(), line.split()))["rss_mb"] == "-"
+
     def test_missing_dir_is_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope")]) == EXIT_INPUT_ERROR
 
@@ -873,6 +911,11 @@ class TestReportCommand:
              "queries_issued", "queries_saved", "wall_time_s"), 0)
             | {"strategy_s": None}]},
          "stats[0]: key 'strategy_s' holds None"),
+        ({"outcome": "unknown", "stats": [dict.fromkeys(
+            ("iteration", "leaves", "winning", "maybe", "losing",
+             "queries_issued", "queries_saved", "wall_time_s"), 0)
+            | {"peak_rss_mb": "40 MB"}]},
+         "stats[0]: key 'peak_rss_mb' holds '40 MB'"),
     ])
     def test_malformed_verdict_is_input_error(self, verdict, message,
                                               tmp_path, capsys):

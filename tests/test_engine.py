@@ -352,7 +352,8 @@ class TestBudgets:
                 f"{stats.queries_slab_opt} pess/opt slab-tested, advance "
                 f"{stats.advance_s:.3f} s, ")
             assert f"abstraction {stats.abstraction_s:.3f} s, classify " \
-                f"{stats.classify_s:.3f} s" in line
+                f"{stats.classify_s:.3f} s, peak RSS " \
+                f"{stats.peak_rss_mb:.1f} MB, " in line
 
 
 class TestGameTelemetry:

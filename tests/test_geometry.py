@@ -16,6 +16,7 @@ from dualsynth.geometry import (
     box_view,
     control_input,
     input_witness,
+    mask_items,
     mat_vec,
     reach_exists_from_point,
     reach_optimistic,
@@ -1271,3 +1272,35 @@ class TestReachNormals:
             x, y = box_in(rng, 1, -4, 4), box_in(rng, 1, -6, 6)
             assert (reach_pessimistic(x, y, sys),
                     reach_optimistic(x, y, sys)) == interval_reach(sys, x, y)
+
+
+class TestMaskItems:
+    """``mask_items`` against the plain bit loop: the same items in
+    ascending bit order, and the very objects of ``items``."""
+
+    @staticmethod
+    def items(n):
+        # ints this large are distinct objects, so identity is tested
+        return [10 ** 20 + b for b in range(n)]
+
+    @staticmethod
+    def masks():
+        rng = np.random.default_rng(113)
+        yield 0, 1
+        yield 1, 1
+        yield 1, 150
+        yield 1 << 2000, 2001
+        for _ in range(20):  # dense
+            yield sum(1 << int(b) for b in np.flatnonzero(
+                rng.random(150) < 0.5)), 150
+        for _ in range(20):  # sparse: 1 % of 1,728
+            yield sum(1 << int(b) for b in rng.choice(
+                1728, size=17, replace=False)), 1728
+
+    def test_against_the_bit_loop(self):
+        for mask, n in self.masks():
+            items = self.items(n)
+            want = [items[b] for b in range(n) if mask >> b & 1]
+            got = mask_items(mask, items)
+            assert got == want
+            assert all(a is b for a, b in zip(got, want))

@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualsynth.geometry import Box, ControlSystem, GeometryError, box_view
+from dualsynth.geometry import (
+    Box,
+    ControlSystem,
+    GeometryError,
+    _integers,
+    box_view,
+    drop_view,
+)
 from dualsynth.partition import (
     PartitionError,
     Status,
@@ -203,6 +210,49 @@ class TestAgainstPlainFractions:
         assert split_counts_plain(box, m) == counts
         assert _split_counts(box, m) == counts
         assert split_box(box, m) == split_box_plain(box, m)
+
+    # per family, one (lower, upper) pair per axis, the first dim of them
+    BOUNDS = {
+        "dyadic": [(0, 1), (Fraction(1, 4), 3), (-2, Fraction(1, 2)),
+                   (1, Fraction(9, 8))],
+        "thirds": [(Fraction(1, 3), 2), (0, Fraction(1, 3)),
+                   (Fraction(-2, 3), 1), (Fraction(1, 3), Fraction(4, 3))],
+        "tenths": [(Fraction(3, 10), Fraction(7, 5)), (-1, Fraction(3, 10)),
+                   (0, Fraction(13, 10)), (Fraction(3, 10), Fraction(1, 2))],
+        "mixed": [(Fraction(1, 3), Fraction(5, 2)),
+                  (Fraction(3, 10), Fraction(7, 4)), (0, Fraction(1, 3)),
+                  (Fraction(-3, 10), 1)],
+    }
+
+    @pytest.mark.parametrize("family", BOUNDS)
+    def test_split_children_equal_public_boxes(self, family):
+        # the split hands each child its Box.ints; the child must be the
+        # box the public constructor builds from its bounds, with the
+        # integers that constructor's box computes, and view as it does
+        for dim in range(1, 5):
+            box = Box.from_bounds(self.BOUNDS[family][:dim])
+            sys = ControlSystem.create(
+                A=[[1 if i == j else Fraction(1, 4) if j == i + 1 else 0
+                    for j in range(dim)] for i in range(dim)],
+                B=[[1 if i == j else 0 for j in range(dim)]
+                   for i in range(dim)],
+                input_set=[[Fraction(-1, 2), Fraction(1, 2)]] * dim,
+                domain=[[-3, 4]] * dim, initial_set=[[-3, 4]] * dim)
+            for m in (2, 4, 6, 8, 9, 27):
+                children = split_box(box, m)
+                assert children == split_box_plain(box, m)
+                for child in children:
+                    public = Box(child.lower, child.upper)
+                    assert child == public and hash(child) == hash(public)
+                    nums, d = _integers(child.lower + child.upper)
+                    assert child.ints == (nums[:dim], nums[dim:], d)
+                    assert all(type(v) is Fraction
+                               for v in child.lower + child.upper)
+                    view, want = box_view(child, sys), box_view(public, sys)
+                    assert view.slabs == want.slabs
+                    assert view.ranges == want.ranges
+                    drop_view(child)
+                    assert "_view" not in vars(child)
 
     def test_box_tests(self):
         rng = np.random.default_rng(97)
