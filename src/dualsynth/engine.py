@@ -63,7 +63,6 @@ from dualsynth.gr1 import (
     SpecError,
     StrategyAutomaton,
     check_names,
-    eval_formula,
     format_formula,
     solve_game,
 )
@@ -271,13 +270,9 @@ def classify(pair: AbstractionPair, forest: PartitionForest,
 
 def _initial_regions_under(forest: PartitionForest, spec: Gr1Spec):
     """Initial leaves, narrowed by the init assumption when present."""
-    out = []
-    for rid in forest.initial_leaves():
-        if spec.init_assumption is not None and not eval_formula(
-                spec.init_assumption, forest.labels(rid), {}, {}):
-            continue
-        out.append(rid)
-    return out
+    holds = spec.init_fn
+    return [rid for rid in forest.initial_leaves()
+            if holds is None or holds(forest.labels(rid), {}, {})]
 
 
 def _losing_witness(forest: PartitionForest, spec: Gr1Spec) -> list[Box]:
@@ -605,6 +600,7 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
     memory = controller.strategy.start(region)
     valuations = controller.env.valuations
     bits = controller.spec.initial_bits()
+    update_bits, labels = controller.spec.update_bits, controller.forest.labels
     records = []
     it = iter(env_trace)
     for t in range(steps + 1):
@@ -616,8 +612,7 @@ def simulate(controller: ContinuousController, sys: ControlSystem,
         if not 0 <= e_idx < len(valuations):
             raise EngineError(f"environment index {e_idx} out of range")
         env_val = valuations[e_idx]
-        bits = controller.spec.update_bits(bits, controller.forest.labels(region),
-                                           env_val)
+        bits = update_bits(bits, labels(region), env_val)
         if t == steps:
             records.append(SimStep(t, s, e_idx, env_val, None, region, dict(bits)))
             break

@@ -4,7 +4,11 @@ The winning condition is
 ``(and_i always-eventually p_i) -> (and_j always-eventually q_j)``
 over plays in which the environment reveals its valuation first and the
 system replies with a successor region; the controller may also carry
-finite memory bits (used to encode response obligations).
+finite memory bits (used to encode response obligations).  Each spec
+compiles its formulas once, on first use, into generated functions
+(``compile_formula``), and its bit updates into one function that builds
+the whole next-bits dict; names and values reach the generated code as
+namespace constants, so no user string enters its source.
 
 The solver runs the three-nested fixpoint of Bloem, Jobstmann, Piterman,
 Pnueli and Sa'ar, "Synthesis of Reactive(1) Designs" (JCSS 2012),
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, compress
 
@@ -191,36 +195,51 @@ def _depth(expr) -> int:
     return deepest
 
 
-def eval_formula(expr, labels, env, bits) -> bool:
+def _source(expr, consts: list) -> str:
+    """Python source of ``expr`` over ``labels``, ``env`` and ``bits``;
+    each name and value it reads is appended to ``consts`` and read as
+    ``c<index>``.  An atom reads a bit, else an env variable as a bool,
+    else the labels; ``and``, ``or`` and ``->`` short-circuit."""
     op = expr[0]
-    if op == "true":
-        return True
-    if op == "false":
-        return False
-    if op == "atom":
-        name = expr[1]
-        if name in bits:
-            return bits[name]
-        if name in env:
-            return bool(env[name])
-        return name in labels
-    if op == "eq":
-        name = expr[1]
-        if name not in env:
-            raise SpecError(f"{name!r} is not an environment variable")
-        return env[name] == expr[2]
+    if op in ("true", "false"):
+        return str(op == "true")
+    if op in ("atom", "eq"):
+        c, v = f"c{len(consts)}", f"c{len(consts) + 1}"
+        consts.extend(expr[1:])
+        if op == "atom":
+            return (f"(bits[{c}] if {c} in bits else bool(env[{c}]) "
+                    f"if {c} in env else {c} in labels)")
+        return f"((env[{c}] if {c} in env else _no_env_var({c})) == {v})"
     if op == "not":
-        return not eval_formula(expr[1], labels, env, bits)
-    if op == "and":
-        return eval_formula(expr[1], labels, env, bits) and \
-            eval_formula(expr[2], labels, env, bits)
-    if op == "or":
-        return eval_formula(expr[1], labels, env, bits) or \
-            eval_formula(expr[2], labels, env, bits)
-    if op == "imp":
-        return (not eval_formula(expr[1], labels, env, bits)) or \
-            eval_formula(expr[2], labels, env, bits)
+        return f"(not {_source(expr[1], consts)})"
+    if op in ("and", "or", "imp"):
+        a, b = _source(expr[1], consts), _source(expr[2], consts)
+        return f"(not {a} or {b})" if op == "imp" else f"({a} {op} {b})"
     raise SpecError(f"unknown operator {op!r}")
+
+
+def _no_env_var(name):
+    raise SpecError(f"{name!r} is not an environment variable")
+
+
+def _compile(source: str, consts: list):
+    namespace = {f"c{k}": value for k, value in enumerate(consts)}
+    namespace.update(__builtins__={}, bool=bool, _no_env_var=_no_env_var)
+    return eval(source, namespace)
+
+
+def compile_formula(expr):
+    """``expr`` as one generated function ``holds(labels, env, bits)``,
+    whose every value and error is the formula's in that state."""
+    consts: list = []
+    return _compile(f"lambda labels, env, bits: {_source(expr, consts)}",
+                    consts)
+
+
+def eval_formula(expr, labels, env, bits) -> bool:
+    """``expr`` in one state, compiled for this call alone: a formula
+    read more than once is compiled once with ``compile_formula``."""
+    return compile_formula(expr)(labels, env, bits)
 
 
 def formula_literals(expr):
@@ -309,11 +328,34 @@ class Gr1Spec:
     def bit_names(self) -> tuple[str, ...]:
         return tuple(name for name, _upd in self.memory_bits)
 
-    def update_bits(self, bits: dict, labels, env) -> dict:
-        out = {}
-        for name, upd in self.memory_bits:
-            out[name] = eval_formula(upd, labels, env, bits)
-        return out
+    # The compiled forms are made on first use and kept in the instance
+    # dict, outside the fields: ==, hash, replace and pickle ignore them.
+    @cached_property
+    def update_bits(self):
+        """``update_bits(bits, labels, env)``: the dict of next bit values
+        on entering a state with ``labels`` and env valuation ``env`` from
+        the bit values ``bits``, built by one generated function."""
+        consts = list(self.bit_names)
+        items = ", ".join(f"c{k}: {_source(upd, consts)}"
+                          for k, (_name, upd) in enumerate(self.memory_bits))
+        return _compile(f"lambda bits, labels, env: {{{items}}}", consts)
+
+    @cached_property
+    def assumption_fns(self) -> tuple:
+        return tuple(map(compile_formula, self.assumptions))
+
+    @cached_property
+    def guarantee_fns(self) -> tuple:
+        return tuple(map(compile_formula, self.guarantees))
+
+    @cached_property
+    def init_fn(self):
+        """The init assumption compiled, or None without one."""
+        return None if self.init_assumption is None else \
+            compile_formula(self.init_assumption)
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def initial_bits(self) -> dict:
         return {name: False for name, _ in self.memory_bits}
@@ -471,20 +513,21 @@ class GameGraph:
         set_of = [label_sets.setdefault(labels, len(label_sets))
                   for labels in self.labels]
         # bit update on entering (region, env), from previous bit value
-        rows = [[[self._bits_val(spec.update_bits(bits, labels, env))
+        update = spec.update_bits
+        rows = [[[self._bits_val(update(bits, labels, env))
                   for bits in bit_dicts] for env in envs]
                 for labels in label_sets]
         self.bit_next = [rows[k] for k in set_of]
 
-        def pred_array(expr):
+        def pred_array(holds):
             # node order: region, then env, then bits
-            blocks = [[eval_formula(expr, labels, env, bits)
+            blocks = [[holds(labels, env, bits)
                        for env in envs for bits in bit_dicts]
                       for labels in label_sets]
             return [x for k in set_of for x in blocks[k]]
 
-        self.assumption_preds = [pred_array(a) for a in spec.assumptions]
-        self.guarantee_preds = [pred_array(g) for g in spec.guarantees]
+        self.assumption_preds = list(map(pred_array, spec.assumption_fns))
+        self.guarantee_preds = list(map(pred_array, spec.guarantee_fns))
         # fan_in[v]: the (region s, bits b) pairs, as s * n_bitvals + b,
         # whose env fan-out, the nodes (s, e, bit_next[s][e][b]) for every
         # e, contains node v
@@ -889,11 +932,11 @@ class StrategyAutomaton:
     n_env: int
 
     def step(self, memory_id: int, env_index: int):
-        key = (memory_id, env_index)
-        if key not in self.transitions:
+        try:
+            return self.transitions[memory_id, env_index]
+        except KeyError:
             raise SpecError(f"strategy has no move for memory={memory_id}, "
-                            f"env={env_index}")
-        return self.transitions[key]
+                            f"env={env_index}") from None
 
     def start(self, region):
         if region not in self.initial:
@@ -947,13 +990,12 @@ def check_lasso(prefix, cycle, spec: Gr1Spec) -> bool:
     if not cycle:
         raise SpecError("lasso cycle must be nonempty")
 
-    def holds_somewhere(expr):
-        return any(eval_formula(expr, labels, env, bits)
-                   for labels, env, bits in cycle)
+    def holds_somewhere(holds):
+        return any(holds(labels, env, bits) for labels, env, bits in cycle)
 
-    if any(not holds_somewhere(p) for p in spec.assumptions):
+    if not all(map(holds_somewhere, spec.assumption_fns)):
         return True
-    return all(holds_somewhere(q) for q in spec.guarantees)
+    return all(map(holds_somewhere, spec.guarantee_fns))
 
 
 def strategy_invariance_check(strategy: StrategyAutomaton, graph: GameGraph,

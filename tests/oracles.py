@@ -5,6 +5,7 @@ reachability is re-decided by dense grid sampling, exact per-axis
 interval arithmetic or exact Fourier-Motzkin elimination, games by
 exhaustive strategy enumeration with lasso checking or by a textbook sweep
 of the GR(1) fixpoint over explicit (region, env, bits) triples,
+formulas by a recursive interpreter over their parsed tuples,
 losing-set soundness by an exact backward-reachability fixpoint, the
 controller's probe by a linear solve per query, its vertex control by
 a weighted sum in plain ``Fraction``s, and the partition layer's box
@@ -317,6 +318,49 @@ def planar_input_reach(sys, X, Y):
             opt = False
             break
     return pess, opt
+
+
+# ---------------------------------------------------------------------------
+# formula oracle: a recursive interpreter over the parsed tuples
+# ---------------------------------------------------------------------------
+
+def interpret_formula(expr, labels, env, bits):
+    """A parsed formula's value in one state, one call per node.
+
+    An atom reads a memory bit first, then an environment variable (as a
+    bool), then the labels; ``and``, ``or`` and ``->`` short-circuit and
+    return their operands' values as they are.  ``var=value`` with ``var``
+    missing from ``env`` raises ValueError with the library's message.
+    """
+    op = expr[0]
+    if op == "true":
+        return True
+    if op == "false":
+        return False
+    if op == "atom":
+        name = expr[1]
+        if name in bits:
+            return bits[name]
+        if name in env:
+            return bool(env[name])
+        return name in labels
+    if op == "eq":
+        name = expr[1]
+        if name not in env:
+            raise ValueError(f"{name!r} is not an environment variable")
+        return env[name] == expr[2]
+    if op == "not":
+        return not interpret_formula(expr[1], labels, env, bits)
+    if op == "and":
+        return interpret_formula(expr[1], labels, env, bits) and \
+            interpret_formula(expr[2], labels, env, bits)
+    if op == "or":
+        return interpret_formula(expr[1], labels, env, bits) or \
+            interpret_formula(expr[2], labels, env, bits)
+    if op == "imp":
+        return (not interpret_formula(expr[1], labels, env, bits)) or \
+            interpret_formula(expr[2], labels, env, bits)
+    raise ValueError(f"unknown operator {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from dualsynth.gr1 import (
     RawSpec,
     check_lasso,
     convert_to_gr1,
-    eval_formula,
     parse_formula,
     solve_game,
     strategy_invariance_check,
@@ -39,6 +38,7 @@ from oracles import (
     backward_reach_interval,
     brute_force_winning,
     grid_reach,
+    interpret_formula,
     sweep_gr1_winning,
 )
 from problem_gen import random_problem
@@ -270,9 +270,9 @@ def test_criterion_6_game_solver_oracle_equivalence():
         graph, succ, labels, env_vals, assumptions, guarantees = \
             _random_game(rng)
         assert graph.n_regions * graph.n_env <= 8
-        p_preds = [(lambda r, e, a=a: eval_formula(
+        p_preds = [(lambda r, e, a=a: interpret_formula(
             a, frozenset(labels[r]), env_vals[e], {})) for a in assumptions]
-        q_preds = [(lambda r, e, q=q: eval_formula(
+        q_preds = [(lambda r, e, q=q: interpret_formula(
             q, frozenset(labels[r]), env_vals[e], {})) for q in guarantees]
         expected = brute_force_winning(
             list(range(graph.n_regions)), succ,
@@ -286,16 +286,16 @@ def test_criterion_6_game_solver_oracle_equivalence():
 
 def _oracle_classification(pair, labels, spec):
     """Winning and losing regions from ``sweep_gr1_winning`` on the pair's
-    pessimistic and optimistic edges; only formula evaluation is shared
-    with the library."""
+    pessimistic and optimistic edges, with formulas read by the oracle
+    interpreter."""
     names = spec.bit_names
     valuations = pair.env.valuations
     envs = range(len(valuations))
 
     def holds(expr, v):
         r, e, bits = v
-        return eval_formula(expr, labels[r], valuations[e],
-                            dict(zip(names, bits)))
+        return interpret_formula(expr, labels[r], valuations[e],
+                                 dict(zip(names, bits)))
 
     def update(bits, r, e):
         return tuple(holds(upd, (r, e, bits)) for _name, upd in

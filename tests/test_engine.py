@@ -973,6 +973,35 @@ class TestPinnedController:
         assert self.digest(steps) == sha
 
 
+class TestPinnedBits:
+    """Every region and memory-bit valuation of seeded closed-loop runs,
+    pinned by a SHA-256 digest of the (region id, bits) sequence: a
+    change to the bit updates or to the strategy's moves must leave both
+    unchanged."""
+
+    BUNDLED = resources.files("dualsynth") / "problems"
+
+    @pytest.mark.parametrize("path, sha", [
+        (BUNDLED / "park.json",
+         "738b3b84ee1c349ac6fd11fe178bfda16fedde5eb56f58afd1a3a3cb13f71e6b"),
+        (BUNDLED / "ferry.json",
+         "298355f389c93b7d63c9f9d5c911aa009439ee7650fab82d7319ffa31cd638c9"),
+        (Path(__file__).resolve().parent.parent / "bench" / "coupled.json",
+         "406de6d846fa929846980b875da8eb7df10fe5b5d3c871fca90014f1ac82c198"),
+    ], ids=["park", "ferry", "coupled"])
+    def test_region_and_bits_sequence(self, path, sha):
+        sys, env, spec, opts = _problem_file(path)
+        ctrl = run(sys, env, spec, opts).controller
+        start = tuple((lo + hi) / 2 for lo, hi in
+                      zip(sys.initial_set.lower, sys.initial_set.upper))
+        rng = np.random.default_rng(71)
+        trace = [int(rng.integers(0, len(env.valuations)))
+                 for _ in range(301)]
+        steps = simulate(ctrl, sys, iter(trace), start, 300).steps
+        assert sha256_json([[format_region_id(step.region), step.bits]
+                            for step in steps]) == sha
+
+
 def plain_step(A, B, x, u):
     """A x + B u in plain ``Fraction`` arithmetic, from the rows as given."""
     F = Fraction

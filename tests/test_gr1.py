@@ -1,6 +1,9 @@
 import hashlib
 import json
+import pickle
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +24,12 @@ from dualsynth.gr1 import (
     strategy_invariance_check,
 )
 
-from oracles import brute_force_winning, strategy_wins, sweep_gr1_winning
+from oracles import (
+    brute_force_winning,
+    interpret_formula,
+    strategy_wins,
+    sweep_gr1_winning,
+)
 
 
 class TestFormulas:
@@ -73,6 +81,188 @@ class TestFormulas:
         for k in (MAX_FORMULA_DEPTH + 1, 20 * MAX_FORMULA_DEPTH):
             with pytest.raises(SpecError, match="nests deeper than"):
                 parse_formula(nest("a", k))
+
+
+def outcome(holds, *state):
+    """A formula's value with its type, or the message of the error it
+    raised: the compiled form raises SpecError, the oracle ValueError."""
+    try:
+        value = holds(*state)
+    except ValueError as exc:
+        assert holds is interpret_formula or type(exc) is SpecError
+        return "error", str(exc)
+    return type(value), value
+
+
+class TestCompileFormula:
+    """``compile_formula`` and the compiled forms of ``Gr1Spec`` against
+    the oracle interpreter: the same value, of the same type, and the same
+    error in every state."""
+
+    NAMES = ("a", "b", "m", "x")    # each may be a bit, an env var, a label
+    ENV_VALUES = (True, False, 0, 1, 2, -1, "s", "", None)
+    BIT_VALUES = (True, False, 0, 2, "t", "")
+    EQ_VALUES = (0, 1, 2, -1, True, False, "s", "", "t")
+
+    def random_formula(self, rng, depth):
+        ops = ["atom", "eq", "true", "false"]
+        if depth > 0:
+            ops += ["not", "and", "or", "imp"] * 2
+        op = ops[int(rng.integers(len(ops)))]
+        if op in ("true", "false"):
+            return (op,)
+        name = self.NAMES[int(rng.integers(len(self.NAMES)))]
+        if op == "atom":
+            return ("atom", name)
+        if op == "eq":
+            return ("eq", name,
+                    self.EQ_VALUES[int(rng.integers(len(self.EQ_VALUES)))])
+        subs = [self.random_formula(rng, depth - 1)
+                for _ in range(1 if op == "not" else 2)]
+        return (op, *subs)
+
+    def random_state(self, rng):
+        def pick(values):
+            return {n: values[int(rng.integers(len(values)))]
+                    for n in self.NAMES if rng.random() < 0.5}
+        labels = frozenset(n for n in self.NAMES if rng.random() < 0.5)
+        return labels, pick(self.ENV_VALUES), pick(self.BIT_VALUES)
+
+    def test_random_formulas_match_the_oracle(self):
+        rng = np.random.default_rng(2024)
+        ops, kinds = Counter(), Counter()
+        for _ in range(400):
+            expr = self.random_formula(rng, int(rng.integers(0, 5)))
+            ops.update(sub[0] for sub in _subformulas(expr))
+            holds = gr1.compile_formula(expr)
+            for _ in range(20):
+                state = self.random_state(rng)
+                got = outcome(holds, *state)
+                assert got == outcome(interpret_formula, expr, *state), \
+                    (format_formula(expr), state)
+                kinds[got[0]] += 1
+        assert set(ops) == {"true", "false", "atom", "eq", "not", "and",
+                            "or", "imp"}
+        # errors, and values that are not bools, reach both sides
+        assert {"error", bool, int, str} <= set(kinds)
+
+    def test_eq_on_int_bool_and_str_values(self):
+        for text, env, want in (("v=3", {"v": 3}, True),
+                                ("v=3", {"v": 4}, False),
+                                ("v=true", {"v": True}, True),
+                                ("v=false", {"v": True}, False),
+                                ("v=slow", {"v": "slow"}, True),
+                                ("v=slow", {"v": "fast"}, False)):
+            expr = parse_formula(text)
+            assert gr1.compile_formula(expr)(frozenset(), env, {}) is want
+            assert interpret_formula(expr, frozenset(), env, {}) is want
+
+    def test_bits_shadow_env_and_labels(self):
+        holds = gr1.compile_formula(parse_formula("a"))
+        assert holds(frozenset("a"), {"a": True}, {"a": 0}) == 0
+        assert holds(frozenset("a"), {"a": 0}, {}) is False
+        assert holds(frozenset("a"), {}, {}) is True
+
+    def test_missing_env_variable_raises_at_evaluation(self):
+        holds = gr1.compile_formula(parse_formula("a | mode=2"))
+        assert holds(frozenset("a"), {}, {}) is True  # short-circuited
+        with pytest.raises(SpecError, match="'mode' is not an environment"):
+            holds(frozenset(), {}, {})
+
+    @pytest.mark.parametrize("nest", [
+        lambda f, k: "!" * k + f,
+        lambda f, k: "(" * k + f + ")" * k,
+        lambda f, k: " & ".join([f] * (k + 1)),
+        lambda f, k: " | ".join([f] * (k + 1)),
+        lambda f, k: " -> ".join([f] * (k + 1)),
+    ], ids=["not", "parens", "and", "or", "imp"])
+    def test_deepest_response_update(self, nest):
+        # the trigger nests as deep as a parsed formula may, and its
+        # bit's update (!resp & (bit | trig)) two levels deeper
+        trigger = nest("a", MAX_FORMULA_DEPTH - 1)
+        spec = convert_to_gr1(RawSpec(guarantees=("g",),
+                                      responses=((trigger, "b"),)))
+        (name, update), = spec.memory_bits
+        assert gr1._depth(update) == gr1._depth(parse_formula(trigger)) + 2
+        for labels in map(frozenset, ("", "a", "b", "ab")):
+            for bit in (False, True):
+                want = interpret_formula(update, labels, {}, {name: bit})
+                assert spec.update_bits({name: bit}, labels, {}) == \
+                    {name: want}
+
+    NASTY = ("q'uote", 'd"quote', "new\nline", "__import__('os')", "'''",
+             "back\\slash", "c0")
+
+    def test_user_strings_never_enter_the_source(self):
+        a, b, c, d, e, f, g = self.NASTY
+        spec = Gr1Spec(
+            assumptions=(("atom", d),),
+            guarantees=(("eq", a, c), ("imp", ("atom", g), ("eq", f, d))),
+            memory_bits=((b, ("or", ("atom", b), ("eq", e, d))),
+                         (c, ("and", ("not", ("atom", a)), ("atom", c)))),
+            init_assumption=("atom", e))
+        fns = (spec.update_bits, *spec.assumption_fns, *spec.guarantee_fns,
+               spec.init_fn)
+        for fn in fns:
+            code = fn.__code__
+            assert not set(self.NASTY) & set(code.co_consts)
+            assert {n for n in code.co_names
+                    if not re.fullmatch(r"c[0-9]+", n)} <= \
+                {"bool", "_no_env_var"}
+        formulas = (*spec.assumptions, *spec.guarantees, spec.init_assumption)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            env = {n: self.NASTY[int(rng.integers(7))]
+                   for n in self.NASTY if rng.random() < 0.7}
+            bits = {n: bool(rng.random() < 0.5) for n in (b, c)}
+            labels = frozenset(n for n in self.NASTY if rng.random() < 0.5)
+            for expr, holds in zip(formulas, fns[1:]):
+                assert outcome(holds, labels, env, bits) == \
+                    outcome(interpret_formula, expr, labels, env, bits)
+            news = [outcome(interpret_formula, upd, labels, env, bits)
+                    for _name, upd in spec.memory_bits]
+            errors = [new for new in news if new[0] == "error"]
+            assert outcome(spec.update_bits, bits, labels, env) == (
+                errors[0] if errors else
+                (dict, dict(zip(spec.bit_names, (v for _t, v in news)))))
+
+    def test_compiled_forms_are_no_fields(self):
+        spec = convert_to_gr1(RawSpec(assumptions=("p",), guarantees=("g",),
+                                      responses=(("a", "b"),), init="s"))
+        fresh = replace(spec)
+        spec.update_bits({"pending_a": False}, frozenset(), {})
+        spec.init_fn(frozenset(), {}, {})
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert "update_bits" not in vars(replace(spec))
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and "update_bits" not in vars(clone)
+        assert clone.update_bits({"pending_a": True}, frozenset("b"), {}) \
+            == {"pending_a": False}
+
+    def test_formulas_compile_once_per_spec(self, monkeypatch):
+        calls = []
+        compile_ = gr1._compile
+        monkeypatch.setattr(gr1, "_compile",
+                            lambda *args: calls.append(1) or compile_(*args))
+        spec = convert_to_gr1(RawSpec(assumptions=("p",), guarantees=("g",),
+                                      responses=(("a", "b"),)))
+        succ = {0: [1], 1: [0]}
+        labels = {0: {"a", "p"}, 1: {"b", "g"}}
+        for _ in range(3):
+            graph = GameGraph([0, 1], succ, labels, [{}], spec)
+            solve_game(graph)
+        cycle = [(frozenset(labels[r]), {}, {"pending_a": False})
+                 for r in (0, 1)]
+        assert check_lasso([], cycle, spec)
+        # one function for the bit update and one per formula, once
+        assert len(calls) == 1 + len(spec.assumptions) + len(spec.guarantees)
+
+
+def _subformulas(expr):
+    yield expr
+    for sub in expr[1:]:
+        if isinstance(sub, tuple):
+            yield from _subformulas(sub)
 
 
 class TestConvertToGr1:
@@ -155,6 +345,9 @@ class TestSolveGame:
         assert sol.region_winning == {0}
         mid = sol.strategy.start(0)
         assert sol.strategy.step(mid, 0) == (mid, 0)
+        with pytest.raises(SpecError, match=r"^strategy has no move for "
+                           rf"memory={mid}, env=1$"):
+            sol.strategy.step(mid, 1)
 
     def test_no_successors_is_losing(self):
         g = make_graph({0: []}, {0: {"g"}})
@@ -247,11 +440,11 @@ class TestSolverAgainstBruteForce:
             graph, succ, labels, env_vals, assumptions, guarantees = \
                 random_game(rng)
             p_preds = [
-                (lambda r, e, a=a: eval_formula(
+                (lambda r, e, a=a: interpret_formula(
                     a, frozenset(labels[r]), env_vals[e], {}))
                 for a in assumptions]
             q_preds = [
-                (lambda r, e, q=q: eval_formula(
+                (lambda r, e, q=q: interpret_formula(
                     q, frozenset(labels[r]), env_vals[e], {}))
                 for q in guarantees]
             expected = brute_force_winning(
@@ -418,8 +611,8 @@ class TestLabelSetTables:
             def holds(expr, r, e, b):
                 bits = {name: bool(b >> k & 1)
                         for k, name in enumerate(spec.bit_names)}
-                return eval_formula(expr, frozenset(labels.get(r, ())),
-                                    env_vals[e], bits)
+                return interpret_formula(
+                    expr, frozenset(labels.get(r, ())), env_vals[e], bits)
 
             states = [(r, e, b) for r in range(n_regions)
                       for e in range(n_env) for b in range(nbv)]
