@@ -14,41 +14,41 @@ The solver runs the three-nested fixpoint of Bloem, Jobstmann, Piterman,
 Pnueli and Sa'ar, "Synthesis of Reactive(1) Designs" (JCSS 2012),
 explicit-state, cycling through the guarantees until Z is stable.  Each
 muY grows Y layer by layer with worklist attractors (Graedel, Thomas and
-Wilke, LNCS 2500, 2002): the graph keeps region predecessor lists and,
-per node, the (region, bits) pairs whose env fan-out holds it, and muY
-keeps one counter per pair of fan-out nodes not yet in Y.  Without
-assumptions a layer costs work proportional to the nodes it adds, so a
-whole muY is O(nodes + edges * bit values) plus one ``cpre`` call for
-goal & cpre(Z), which tests the goal's nodes only.  With assumptions, a
-layer's trap nuX adds to the base the !p nodes outside it that a removal
-worklist keeps.  After a run's first layer its candidates are only the
-!p nodes that lead back to the nodes that just joined Y, so a layer
-also costs, per assumption, work proportional to those candidates and
-their edges.  The goals are
-visited in a cycle, and the fixpoint stops as soon as the last
-``len(goals)`` visits in a row left Z unchanged.  muY reads Z only
-through its start, goal & cpre(Z), so a visit whose start equals the
-one of its goal's last run reuses that run's Y and tables and runs no
-muY: the simplest decremental case (Chatterjee and Henzinger, JACM
-2014), a rerun whose input did not change.  Z is computed once per graph
-(``GameGraph.fixpoint``), so solving a graph a second time to extract a
-strategy runs no muY.
+Wilke, LNCS 2500, 2002): the graph keeps region predecessor lists, one
+table of each (region, bits) pair's env fan-out (``GameGraph.fan_out``)
+and its inverse, and muY keeps one counter per pair of fan-out nodes not
+yet in Y.  Without assumptions a layer costs work proportional to the
+nodes it adds, so a whole muY is O(nodes + edges * bit values) plus one
+``cpre`` call for goal & cpre(Z), which tests the goal's nodes only.
+With assumptions, a layer's trap nuX adds to the base the !p nodes
+outside it that a removal worklist keeps.  After a run's first layer its
+candidates are only the !p nodes that lead back to the nodes that just
+joined Y, so a layer also costs, per assumption, work proportional to
+those candidates and their edges.  The goals are visited in a cycle,
+and the fixpoint stops as soon as the last ``len(goals)`` visits in a
+row left Z unchanged.  muY reads Z only through its start, goal &
+cpre(Z), so a visit whose start equals the one of its goal's last run
+reuses that run's Y and tables and runs no muY: the simplest decremental
+case (Chatterjee and Henzinger, JACM 2014), a rerun whose input did not
+change.  Z is computed once per graph (``GameGraph.fixpoint``), so
+solving a graph a second time to extract a strategy runs no muY.
 
 Every muY records rank tables: each node's layer and case, and per
 assumption the layer at which each node enters the trap.  The graph keeps
 each goal's tables from its last run, whose start is the goal's start
 under the final Z, and strategies are read from them: advance the goal
 pointer when the current guarantee is satisfied, otherwise descend the
-ranks, otherwise dwell inside an assumption-violating trap.  The
-extraction tabulates each entered pair's fan-out and worst ranks once,
-in index arithmetic on the node numbering.
+ranks, otherwise dwell inside an assumption-violating trap.  ``cpre``,
+the traps, the entry nodes and the extraction read every fan-out from
+the graph's table, and the extraction reads the rank tables from
+``GameGraph.fixpoint``; a solution keeps no copy of them.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress
 
@@ -236,12 +236,6 @@ def compile_formula(expr):
                     consts)
 
 
-def eval_formula(expr, labels, env, bits) -> bool:
-    """``expr`` in one state, compiled for this call alone: a formula
-    read more than once is compiled once with ``compile_formula``."""
-    return compile_formula(expr)(labels, env, bits)
-
-
 def formula_literals(expr):
     """The ("atom", name) and ("eq", name, value) leaves of a formula."""
     if expr[0] in ("atom", "eq"):
@@ -323,6 +317,10 @@ class Gr1Spec:
     def __post_init__(self):
         if len(self.guarantees) < 1:
             raise SpecError("at least one recurrence guarantee is required")
+        names = self.bit_names
+        if len(set(names)) != len(names):
+            twice = next(n for k, n in enumerate(names) if n in names[:k])
+            raise SpecError(f"memory bit {twice!r} is named more than once")
 
     @property
     def bit_names(self) -> tuple[str, ...]:
@@ -436,6 +434,19 @@ def _successor_rows(n: int, succ) -> list[list[int]]:
                                 f"index in 0..{n - 1}")
 
 
+def _unique_regions(regions) -> list:
+    """``regions`` as a list; SpecError naming the first id that repeats
+    and both its indices."""
+    regions = list(regions)
+    if len(set(regions)) < len(regions):
+        first: dict = {}
+        for i, r in enumerate(regions):
+            if first.setdefault(r, i) != i:
+                raise SpecError(f"region id {r!r} repeats, at indices "
+                                f"{first[r]} and {i}")
+    return regions
+
+
 class GameGraph:
     """Explicit product arena for one FTS and one spec.
 
@@ -449,6 +460,11 @@ class GameGraph:
     next one), then the environment picks any next valuation.  A node
     whose region has no successors loses: no consistent controller exists
     there.
+
+    Node (r, e, b) is ``(r * n_env + e) * n_bitvals + b``.  ``fan_out[q]``
+    lists the env fan-out of pair q = s * n_bitvals + b: per env e, the
+    node (s, e, b'), where b' is b updated on entering s under e.
+    ``fan_in[v]`` is its inverse, the pairs whose fan-out holds node v.
 
     Formulas read a region only through its labels, so the bit updates
     and the assumption and guarantee tables are evaluated once per
@@ -464,13 +480,13 @@ class GameGraph:
 
     # the tables that read no edge, shared by ``tables_from``
     _EDGE_FREE = ("regions", "labels", "env_valuations", "spec", "n_regions",
-                  "n_env", "n_bits", "n_bitvals", "n_nodes", "bit_next",
+                  "n_env", "n_bits", "n_bitvals", "n_nodes", "fan_out",
                   "assumption_preds", "guarantee_preds", "fan_in")
 
     def __init__(self, regions, succ, labels, env_valuations, spec,
                  tables_from: "GameGraph | None" = None):
         if tables_from is None:
-            self.regions = list(regions)
+            self.regions = _unique_regions(regions)
             self.labels = [frozenset(labels.get(r, ())) for r in self.regions]
             self.env_valuations = list(env_valuations) or [{}]
             self.spec = spec
@@ -491,33 +507,30 @@ class GameGraph:
                 self.pred_idx[si].append(ri)
         self.mu_y_runs = 0
 
-    # node indexing -------------------------------------------------------
-    def node(self, r_idx: int, e_idx: int, b_val: int) -> int:
-        return (r_idx * self.n_env + e_idx) * self.n_bitvals + b_val
-
-    def _bits_dict(self, b_val: int) -> dict:
-        return {name: bool(b_val >> k & 1)
-                for k, name in enumerate(self.spec.bit_names)}
-
-    def _bits_val(self, bits: dict) -> int:
-        return sum(1 << k for k, name in enumerate(self.spec.bit_names)
-                   if bits[name])
-
     def _build_tables(self):
         spec = self.spec
-        nbv = self.n_bitvals
+        nbv, names = self.n_bitvals, tuple(enumerate(spec.bit_names))
         envs = self.env_valuations
-        bit_dicts = [self._bits_dict(b) for b in range(nbv)]
+        # bit value b as a dict, and a dict's bit value
+        bit_dicts = [{name: bool(b >> k & 1) for k, name in names}
+                     for b in range(nbv)]
+
+        def bits_val(bits):
+            return sum(1 << k for k, name in names if bits[name])
+
         # label_sets: each distinct label set, in order of first region
         label_sets: dict = {}
         set_of = [label_sets.setdefault(labels, len(label_sets))
                   for labels in self.labels]
-        # bit update on entering (region, env), from previous bit value
+        # per label set and bit value b, the fan-out's offsets from its
+        # region's first node: e * n_bitvals + the update of b under env e
         update = spec.update_bits
-        rows = [[[self._bits_val(update(bits, labels, env))
-                  for bits in bit_dicts] for env in envs]
-                for labels in label_sets]
-        self.bit_next = [rows[k] for k in set_of]
+        offsets = [[[e * nbv + bits_val(update(bits, labels, env))
+                     for e, env in enumerate(envs)] for bits in bit_dicts]
+                   for labels in label_sets]
+        stride = self.n_env * nbv
+        self.fan_out = [[s * stride + o for o in row]
+                        for s, k in enumerate(set_of) for row in offsets[k]]
 
         def pred_array(holds):
             # node order: region, then env, then bits
@@ -528,28 +541,16 @@ class GameGraph:
 
         self.assumption_preds = list(map(pred_array, spec.assumption_fns))
         self.guarantee_preds = list(map(pred_array, spec.guarantee_fns))
-        # fan_in[v]: the (region s, bits b) pairs, as s * n_bitvals + b,
-        # whose env fan-out, the nodes (s, e, bit_next[s][e][b]) for every
-        # e, contains node v
         self.fan_in = [[] for _ in range(self.n_nodes)]
-        for si, bn in enumerate(self.bit_next):
-            for ei, row in enumerate(bn):
-                base = self.node(si, ei, 0)
-                for b, b_next in enumerate(row):
-                    self.fan_in[base + b_next].append(si * nbv + b)
+        for q, fan in enumerate(self.fan_out):
+            for v in fan:
+                self.fan_in[v].append(q)
 
+    # node indexing -------------------------------------------------------
     def pair_of(self, v: int) -> int:
         """The pair of node v = (r, e, b), as r * n_bitvals + b."""
         return v // (self.n_env * self.n_bitvals) * self.n_bitvals \
             + v % self.n_bitvals
-
-    def fan_out(self, q: int) -> list[int]:
-        """The env fan-out of pair q = s * n_bitvals + b: the nodes
-        (s, e, bit_next[s][e][b]), one per env e."""
-        s, b = divmod(q, self.n_bitvals)
-        base, bn = s * self.n_env * self.n_bitvals, self.bit_next[s]
-        return [base + e * self.n_bitvals + bn[e][b]
-                for e in range(self.n_env)]
 
     def pair_nodes(self, q: int) -> range:
         """The nodes (r, e, b), one per env e, of pair q = r * n_bitvals + b."""
@@ -560,22 +561,19 @@ class GameGraph:
     # controllable predecessor -------------------------------------------
     def cpre(self, S: list[bool], among: list[bool]) -> list[bool]:
         """The nodes of ``among`` in cpre(S): nodes (r, e, b) from which the
-        system can move to a successor s of r whose env fan-out, the
-        nodes (s, e, bit_next[s][e][b]) for every e, lies in S.  Only the
-        nodes of ``among`` are tested, and each pair (s, b) has its
-        fan-out tested once."""
-        nbv, n_env = self.n_bitvals, self.n_env
-        stride = n_env * nbv
-        inside = [None] * (self.n_regions * nbv)  # fan-out of (s, b) in S
+        system can move to a successor s of r whose pair (s, b) has its
+        ``fan_out`` in S.  Only the nodes of ``among`` are tested, and each
+        pair has its fan-out tested once."""
+        nbv, fan_out = self.n_bitvals, self.fan_out
+        stride = self.n_env * nbv
+        inside = [None] * len(fan_out)  # fan-out of pair (s, b) in S
         out = [False] * self.n_nodes
         for v in compress(range(self.n_nodes), among):
             r, b = v // stride, v % nbv
             for s in self.succ_idx[r]:
                 q = s * nbv + b
                 if inside[q] is None:
-                    bn, base = self.bit_next[s], s * stride
-                    inside[q] = all(S[base + e * nbv + bn[e][b]]
-                                    for e in range(n_env))
+                    inside[q] = all([S[u] for u in fan_out[q]])
                 if inside[q]:
                     out[v] = True
                     break
@@ -585,6 +583,13 @@ class GameGraph:
     def fixpoint(self) -> tuple:
         """(Z, rank, case, trap_layer), computed once per graph and shared
         by every solution of it.
+
+        The last three hold one table per goal j, from its last muY run:
+        ``rank[j][v]`` is the layer at which node v joined Y, or None, so
+        layer k is {v : rank[j][v] <= k}; ``case[j][v]`` is (kind, trap
+        index); ``trap_layer[j][i][v]`` is the first layer whose trap X_i
+        holds v, or None, and X_i grows with k, so X_i at layer k is
+        {v : trap_layer[j][i][v] <= k}.
 
         Cycle through the guarantees and stop as soon as the last
         ``len(goals)`` visits in a row left Z as they found it.  A visit
@@ -628,14 +633,6 @@ class GameSolution:
     winning: set          # (region, env index) pairs, cleared-bit entry
     region_winning: set   # regions winning for every env valuation
     strategy: "StrategyAutomaton | None" = None
-    # Per-goal rank tables of each goal's last muY run in the fixpoint, the
-    # one against the final Z; set only when a strategy is extracted.
-    # Layer k of goal j is {v : rank[j][v] <= k}.
-    rank: list = field(default_factory=list)    # rank[j][node] -> int | None
-    case: list = field(default_factory=list)    # case[j][node] -> (kind, trap_i)
-    # trap_layer[j][i][node]: first layer k whose trap X_i holds node, or
-    # None; X_i grows with k, so X_i at layer k is {v : trap_layer <= k}
-    trap_layer: list = field(default_factory=list)
 
 
 def _trap(graph: GameGraph, cands: list[int], base: list[bool]) -> list[int]:
@@ -648,7 +645,8 @@ def _trap(graph: GameGraph, cands: list[int], base: list[bool]) -> list[int]:
     pair dies once, so the work is proportional to the candidates' pairs,
     their edges and those edges' fan-outs.
     """
-    nbv, fan_in, pred = graph.n_bitvals, graph.fan_in, graph.pred_idx
+    nbv, fan_in, fan_out = graph.n_bitvals, graph.fan_in, graph.fan_out
+    pred = graph.pred_idx
     in_x = set(cands)
     inside, alive = {}, {}
     for t in {graph.pair_of(v) for v in cands}:
@@ -656,8 +654,7 @@ def _trap(graph: GameGraph, cands: list[int], base: list[bool]) -> list[int]:
         row = [s * nbv + b for s in graph.succ_idx[r]]
         for q in row:
             if q not in inside:
-                inside[q] = all(base[u] or u in in_x
-                                for u in graph.fan_out(q))
+                inside[q] = all(base[u] or u in in_x for u in fan_out[q])
         alive[t] = sum(inside[q] for q in row)
     stack = [v for v in cands if not alive[graph.pair_of(v)]]
     in_x.difference_update(stack)
@@ -702,7 +699,7 @@ def _trap_candidates(graph: GameGraph, p: list[bool], base: list[bool],
             if q in pairs:
                 continue
             pairs.add(q)
-            if all(base[u] or not p[u] for u in graph.fan_out(q)):
+            if all(base[u] or not p[u] for u in graph.fan_out[q]):
                 s, b = divmod(q, nbv)
                 for r in pred[s]:
                     for u in graph.pair_nodes(r * nbv + b):
@@ -750,6 +747,8 @@ def _mu_y(graph: GameGraph, start: list[bool], p_preds: list,
             in_y[v] = True
             rank[v] = k
             case[v] = kind
+        # a fork of its own without assumptions: folding it into the trap
+        # path made the arena solve slower in 3 of 4 alternating runs
         if p_preds:
             prev, joined = extras, layer + new if k > 1 else None
             extras = [_trap(graph, _trap_candidates(graph, p, in_y, joined),
@@ -796,20 +795,18 @@ def solve_game(graph: GameGraph, extract_strategy=True):
     first solve of a graph runs muY; a later one with ``extract_strategy``
     runs only the extraction.
     """
-    Z, ranks, cases, trap_layers = graph.fixpoint
-    nbv, n_env = graph.n_bitvals, graph.n_env
+    Z, fan_out, nbv = graph.fixpoint[0], graph.fan_out, graph.n_bitvals
     winning, region_winning = set(), set()
-    # (r, e) wins when its entry node, with cleared bits, lies in Z
-    for ri, (r, bn) in enumerate(zip(graph.regions, graph.bit_next)):
-        base = ri * n_env * nbv
-        wins = [ei for ei in range(n_env) if Z[base + ei * nbv + bn[ei][0]]]
+    # (r, e) wins when its entry node, with cleared bits, lies in Z: the
+    # node of env e in the fan-out of pair (r, 0)
+    for ri, r in enumerate(graph.regions):
+        wins = [ei for ei, v in enumerate(fan_out[ri * nbv]) if Z[v]]
         winning.update((r, ei) for ei in wins)
-        if len(wins) == n_env:
+        if len(wins) == graph.n_env:
             region_winning.add(r)
     sol = GameSolution(graph=graph, z_nodes=Z, winning=winning,
                        region_winning=region_winning)
     if extract_strategy:
-        sol.rank, sol.case, sol.trap_layer = ranks, cases, trap_layers
         sol.strategy = _extract_strategy(sol)
     return sol
 
@@ -817,10 +814,10 @@ def solve_game(graph: GameGraph, extract_strategy=True):
 def _extract_strategy(sol: GameSolution):
     """Deterministic finite-memory strategy over (region, bits, goal).
 
-    Each pair (s, b) a move may enter is tabulated once, on first use:
-    its env fan-out, the nodes (s, e, bit_next[s][e][b]) for every e,
-    and each goal's worst rank over it when it lies inside Z, or None
-    when it leaves Z.  Every node of Z has a rank in every goal's
+    The rank, case and trap tables are the graph's ``fixpoint``.  Each
+    pair (s, b) a move may enter is tabulated once, on first use: each
+    goal's worst rank over its ``fan_out`` when that lies inside Z, or
+    None when it leaves Z.  Every node of Z has a rank in every goal's
     tables, since each goal's last run left Z unchanged.  A move depends
     on its node and goal alone, so it is chosen once per (node, goal), in
     one pass over the node's successor row, however many memory states
@@ -831,15 +828,14 @@ def _extract_strategy(sol: GameSolution):
     nbv, n_env = graph.n_bitvals, graph.n_env
     stride = n_env * nbv
     n_goals = len(graph.guarantee_preds)
-    Z, ranks, cases, trap_layers = sol.z_nodes, sol.rank, sol.case, \
-        sol.trap_layer
-    bit_next, succ = graph.bit_next, graph.succ_idx
-    pairs = [None] * (graph.n_regions * nbv)
+    Z, ranks, cases, trap_layers = graph.fixpoint
+    fan_out, succ = graph.fan_out, graph.succ_idx
+    pairs = [None] * len(fan_out)
     moves: dict = {}
 
     def tabulate(q):
         """(fan-out of pair q, each goal's worst rank over it or None)"""
-        fan = graph.fan_out(q)
+        fan = fan_out[q]
         pairs[q] = entry = (fan, [max([rank[v] for v in fan])
                                   for rank in ranks]
                             if all([Z[v] for v in fan]) else None)
@@ -888,10 +884,8 @@ def _extract_strategy(sol: GameSolution):
     while frontier:
         mid = frontier.pop()
         ri, b_prev, j = memory_states[mid]
-        bn, base = bit_next[ri], ri * stride
-        for ei in range(n_env):
-            b = bn[ei][b_prev]
-            node = base + ei * nbv + b
+        for ei, node in enumerate(fan_out[ri * nbv + b_prev]):
+            b = node % nbv
             assert Z[node], "strategy reached a non-winning node"
             key = node * n_goals + j
             move = moves.get(key)

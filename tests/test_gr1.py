@@ -16,8 +16,8 @@ from dualsynth.gr1 import (
     RawSpec,
     SpecError,
     check_lasso,
+    compile_formula,
     convert_to_gr1,
-    eval_formula,
     format_formula,
     parse_formula,
     solve_game,
@@ -35,20 +35,21 @@ from oracles import (
 class TestFormulas:
     def test_parse_eval_basics(self):
         e = parse_formula("!a & (b | c) -> d")
-        assert eval_formula(e, frozenset("d"), {}, {})
-        assert eval_formula(e, frozenset("a"), {}, {})  # antecedent false
-        assert not eval_formula(e, frozenset("b"), {}, {})
+        assert compile_formula(e)(frozenset("d"), {}, {})
+        assert compile_formula(e)(frozenset("a"), {}, {})  # antecedent false
+        assert not compile_formula(e)(frozenset("b"), {}, {})
 
     def test_env_equality_and_truthiness(self):
         e = parse_formula("mode=3 & park")
-        assert eval_formula(e, frozenset(), {"mode": 3, "park": True}, {})
-        assert not eval_formula(e, frozenset(), {"mode": 2, "park": True}, {})
+        holds = compile_formula(e)
+        assert holds(frozenset(), {"mode": 3, "park": True}, {})
+        assert not holds(frozenset(), {"mode": 2, "park": True}, {})
 
     def test_bits_shadow_labels(self):
         e = parse_formula("pending_park")
-        assert eval_formula(e, frozenset(), {}, {"pending_park": True})
-        assert not eval_formula(e, frozenset(["pending_park"]), {},
-                                {"pending_park": False})
+        assert compile_formula(e)(frozenset(), {}, {"pending_park": True})
+        assert not compile_formula(e)(frozenset(["pending_park"]), {},
+                                      {"pending_park": False})
 
     def test_temporal_operators_rejected_by_name(self):
         with pytest.raises(SpecError, match="temporal operator"):
@@ -76,7 +77,7 @@ class TestFormulas:
         # at the bound the formula parses and evaluates; one level more,
         # or thousands, is a SpecError and never a RecursionError
         e = parse_formula(nest("a", MAX_FORMULA_DEPTH - 1))
-        eval_formula(e, frozenset("a"), {}, {})
+        compile_formula(e)(frozenset("a"), {}, {})
         assert parse_formula(format_formula(e)) == e
         for k in (MAX_FORMULA_DEPTH + 1, 20 * MAX_FORMULA_DEPTH):
             with pytest.raises(SpecError, match="nests deeper than"):
@@ -327,6 +328,15 @@ class TestConvertToGr1:
         with pytest.raises(SpecError):
             convert_to_gr1(RawSpec())
 
+    def test_repeated_bit_name_is_error(self):
+        # two updates of one bit would leave only the second in
+        # update_bits' result
+        a, b = ("atom", "a"), ("atom", "b")
+        with pytest.raises(SpecError, match=r"^memory bit 'b' is named more "
+                                            r"than once"):
+            Gr1Spec(guarantees=(a,), memory_bits=(
+                ("b", ("or", b, a)), ("c", a), ("b", gr1.FALSE)))
+
 
 def make_graph(succ, labels, n_env=1, spec=None, env_vals=None):
     regions = sorted(succ)
@@ -566,9 +576,13 @@ class TestSolverAgainstSweepOracle:
         rng = np.random.default_rng(404)
         solutions = [solve_game(random_response_game(rng)[0])
                      for _ in range(150)]
-        digests = {name: hashlib.sha256(json.dumps(
-            [getattr(sol, name) for sol in solutions]).encode()).hexdigest()
-            for name in ("z_nodes", "rank", "case", "trap_layer")}
+        tables = {name: [sol.graph.fixpoint[i] for sol in solutions]
+                  for i, name in enumerate(("z_nodes", "rank", "case",
+                                            "trap_layer"))}
+        assert tables["z_nodes"] == [sol.z_nodes for sol in solutions]
+        digests = {name: hashlib.sha256(json.dumps(table).encode()
+                                        ).hexdigest()
+                   for name, table in tables.items()}
         digests["strategy"] = hashlib.sha256(json.dumps(
             [sol.strategy.to_json() for sol in solutions],
             sort_keys=True).encode()).hexdigest()
@@ -620,10 +634,9 @@ class TestLabelSetTables:
                                        enumerate(spec.memory_bits)
                                        if holds(upd, r, e, b))
                         for r, e, b in states}
-            assert graph.bit_next == [[[bit_next[r, e, b]
-                                        for b in range(nbv)]
-                                       for e in range(n_env)]
-                                      for r in range(n_regions)]
+            fan_out = [[node(s, e, bit_next[s, e, b]) for e in range(n_env)]
+                       for s in range(n_regions) for b in range(nbv)]
+            assert graph.fan_out == fan_out
             for preds, exprs in ((graph.assumption_preds, spec.assumptions),
                                  (graph.guarantee_preds, spec.guarantees)):
                 assert preds == [[holds(x, *v) for v in states]
@@ -659,8 +672,9 @@ class TestSharedTables:
                     f"{name} differs on game {k}"
             assert shared.succ_idx == [sorted(other[r]) for r in range(n)]
             a, b = solve_game(shared), solve_game(fresh)
-            for name in ("z_nodes", "winning", "rank", "case", "trap_layer"):
+            for name in ("z_nodes", "winning"):
                 assert getattr(a, name) == getattr(b, name)
+            assert shared.fixpoint == fresh.fixpoint
             assert a.strategy.to_json() == b.strategy.to_json()
 
     @pytest.mark.parametrize("succ, edge", [
@@ -685,6 +699,20 @@ class TestSharedTables:
         with pytest.raises(SpecError, match=rf"^{edge}"):
             GameGraph([(0,), (1,)], succ, {}, [{}], spec)
 
+    @pytest.mark.parametrize("extract", [False, True])
+    def test_repeated_region_id_is_named(self, extract):
+        # index 1 is a dead end that shares its id with a winning region;
+        # no verdict may come back, whether a strategy is extracted or not
+        spec = Gr1Spec(guarantees=(parse_formula("a"),))
+        with pytest.raises(SpecError, match=r"^region id 'x' repeats, at "
+                                            r"indices 0 and 1$"):
+            solve_game(GameGraph(["x", "x"], [[0], []], {"x": {"a"}}, [{}],
+                                 spec), extract_strategy=extract)
+        with pytest.raises(SpecError, match=r"^region id \(1,\) repeats, "
+                                            r"at indices 1 and 3$"):
+            GameGraph([(0,), (1,), (2,), (1,), (0,)], [[]] * 5, {}, [{}],
+                      spec)
+
     def test_mapping_rows_equal_list_rows(self):
         # succ keyed 0..n-1, the bench arena's shape, and the equal list
         # of rows give the same graph and the same solution; region ids
@@ -704,9 +732,9 @@ class TestSharedTables:
                 assert getattr(by_key, name) == table, \
                     f"{name} differs on game {k}"
             a, b = solve_game(by_key), solve_game(by_list)
-            for name in ("z_nodes", "winning", "region_winning", "rank",
-                         "case", "trap_layer"):
+            for name in ("z_nodes", "winning", "region_winning"):
                 assert getattr(a, name) == getattr(b, name)
+            assert by_key.fixpoint == by_list.fixpoint
             assert a.strategy.to_json() == b.strategy.to_json()
             ids = solve_game(graph).region_winning
             assert a.region_winning == {regions[r] for r in ids}
@@ -726,10 +754,11 @@ class TestOneFinalSolve:
                          solve_game(graph)]
             assert solutions[1].z_nodes is solutions[2].z_nodes
             for sol in solutions[1:]:
-                for name in ("z_nodes", "winning", "region_winning", "rank",
-                             "case", "trap_layer"):
+                for name in ("z_nodes", "winning", "region_winning"):
                     assert getattr(sol, name) == getattr(solutions[0], name), \
                         f"{name} differs on game {k}"
+                assert sol.graph.fixpoint == fresh.fixpoint, \
+                    f"rank tables differ on game {k}"
                 assert sol.strategy.to_json() == \
                     solutions[0].strategy.to_json()
 
@@ -866,7 +895,7 @@ class TestLineArenas:
                        for e in range(n_env))} == losing
         assert sol.region_winning == line
         assert strategy_invariance_check(sol.strategy, graph, sol)
-        assert sol_p.strategy is None and sol_p.rank == []
+        assert sol_p.strategy is None
 
     @pytest.mark.parametrize("response", [False, True])
     def test_cpre_sweeps_do_not_grow_with_the_arena(self, response,
@@ -990,8 +1019,8 @@ class TestAssumptionArenas:
             sol = solve_game(graph)
             assert sol.region_winning == line
             assert strategy_invariance_check(sol.strategy, graph, sol)
-            solutions.append([sol.z_nodes, sol.rank, sol.case,
-                              sol.trap_layer, sol.strategy.to_json()])
+            solutions.append([sol.z_nodes, *graph.fixpoint[1:],
+                              sol.strategy.to_json()])
         assert hashlib.sha256(json.dumps(solutions, sort_keys=True).encode()
                               ).hexdigest() == ASSUMPTION_ARENAS_SHA
 
