@@ -275,19 +275,6 @@ def _initial_regions_under(forest: PartitionForest, spec: Gr1Spec):
             if holds is None or holds(forest.labels(rid), {}, {})]
 
 
-def _losing_witness(forest: PartitionForest, spec: Gr1Spec) -> list[Box]:
-    """Losing initial leaf boxes, under the init assumption.
-
-    A leaf is initial when it meets the initial set with positive
-    measure.  Face-only contact is not a witness: under the closed-box
-    convention a shared face also belongs to the (possibly winning)
-    neighbor, so only full-dimensional overlap proves a genuinely losing
-    initial point.
-    """
-    return [forest.box(r) for r in _initial_regions_under(forest, spec)
-            if forest.status(r) is Status.LOSING]
-
-
 def _check_inheritance(before: SetTriple, after: SetTriple):
     """Every region solved before keeps its verdict."""
     for name in ("winning", "losing"):
@@ -334,6 +321,12 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
     m = opts.m if opts.m is not None else 2 ** sys.n
     t0 = time.perf_counter()
     forest = initial_partition(sys)
+    # splits keep labels, and the children of an initial leaf tile its
+    # full-dimensional piece of the initial set, so one child is initial:
+    # only here can no leaf be initial under the init assumption
+    if not _initial_regions_under(forest, spec):
+        raise EngineError("no initial region satisfies the init "
+                          "assumption; check the problem file")
     a0 = time.perf_counter()
     advance_s = a0 - t0
     pair = build_initial(forest, sys, env)
@@ -364,8 +357,8 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
         verdict.iterations = iteration + 1
 
         initial_regions = _initial_regions_under(forest, spec)
-        realizable = bool(initial_regions) and all(
-            forest.status(r) is Status.WINNING for r in initial_regions)
+        realizable = all(forest.status(r) is Status.WINNING
+                         for r in initial_regions)
         if realizable:
             # classify solved this pessimistic graph; its fixpoint kept
             # each goal's rank tables from its run against the final Z, so
@@ -387,9 +380,6 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
                     stats.game_nodes, stats.mu_y_runs)
         del games  # no iteration keeps its graphs past its decision
 
-        if not initial_regions:
-            raise EngineError("no initial region satisfies the init "
-                              "assumption; check the problem file")
         if realizable:
             controller = ContinuousController(
                 sys=sys, env=env, spec=spec, forest=forest,
@@ -400,7 +390,13 @@ def run(sys: ControlSystem, env: EnvAlphabet, spec: Gr1Spec,
             logger.info("realizable after %d iteration(s); strategy %.3f s",
                         iteration + 1, stats.strategy_s)
             return verdict
-        witness = _losing_witness(forest, spec)
+        # a leaf is initial when it meets the initial set with positive
+        # measure; face-only contact is no witness, since under the
+        # closed-box convention a shared face also belongs to the (possibly
+        # winning) neighbour, so only full-dimensional overlap proves a
+        # losing initial point
+        witness = [forest.box(r) for r in initial_regions
+                   if forest.status(r) is Status.LOSING]
         if witness:
             verdict.outcome = "unrealizable"
             verdict.witness = witness

@@ -160,29 +160,28 @@ def mat_vec(mat, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class Box:
-    """Closed axis-aligned box, or the explicit empty box.
+    """Closed axis-aligned box lower <= upper, which always holds a point
+    (it may be flat on some axes).
 
     Shared faces of adjacent boxes belong to both: reachability into a
     measure-zero face never creates a transition on its own because
-    targets are always full-dimensional cells.
+    targets are always full-dimensional cells.  No box is empty, so
+    ``intersect`` returns None for disjoint boxes.
     """
 
     lower: tuple[Fraction, ...]
     upper: tuple[Fraction, ...]
-    empty: bool = False
 
     def __post_init__(self):
         # exact bounds however the box is built, as ``ControlSystem``
         # converts A and B
         object.__setattr__(self, "lower", tuple(map(to_fraction, self.lower)))
         object.__setattr__(self, "upper", tuple(map(to_fraction, self.upper)))
-        if self.empty:
-            return
         if len(self.lower) != len(self.upper) or not self.lower:
             raise GeometryError("box needs matching nonempty lower/upper bounds")
         for lo, hi in zip(self.lower, self.upper):
             if lo > hi:
-                raise GeometryError(f"box bound {lo} > {hi}; use Box.make_empty()")
+                raise GeometryError(f"box bound {lo} > {hi}")
 
     @staticmethod
     def from_bounds(bounds) -> "Box":
@@ -202,12 +201,8 @@ class Box:
         split (``partition._slices``) builds its children so, with no
         conversion and no bound check."""
         box = object.__new__(Box)
-        box.__dict__.update(lower=lower, upper=upper, empty=False, ints=ints)
+        box.__dict__.update(lower=lower, upper=upper, ints=ints)
         return box
-
-    @staticmethod
-    def make_empty(dim: int) -> "Box":
-        return Box(tuple([Fraction(0)] * dim), tuple([Fraction(0)] * dim), empty=True)
 
     @property
     def dim(self) -> int:
@@ -230,15 +225,13 @@ class Box:
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         """Whether the box holds ``point``, tested in integers (``holds``)."""
-        if self.empty or len(point) != self.dim:
+        if len(point) != self.dim:
             return False
         return self.holds(*_integers(tuple(map(to_fraction, point))))
 
     def holds(self, xs, xd: int) -> bool:
         """Whether the box holds x = xs / xd (xd > 0), cross-multiplied
         with ``ints``; a plain loop, as the control step's landing test."""
-        if self.empty:
-            return False
         lows, highs, d = self.ints
         for a, v, b in zip(lows, xs, highs):
             if not a * xd <= v * d <= b * xd:
@@ -247,10 +240,6 @@ class Box:
 
     def contains_box(self, other: "Box") -> bool:
         """Whether ``other`` lies inside, cross-multiplied with ``ints``."""
-        if other.empty:
-            return True
-        if self.empty:
-            return False
         lows, highs, d = self.ints
         olows, ohighs, e = other.ints
         for a, b, c, f in zip(lows, highs, olows, ohighs):
@@ -258,13 +247,13 @@ class Box:
                 return False
         return True
 
-    def intersect(self, other: "Box") -> "Box":
-        if self.empty or other.empty:
-            return Box.make_empty(self.dim)
+    def intersect(self, other: "Box") -> "Box | None":
+        """The common box, or None when the boxes are disjoint; boxes
+        that touch on a face share that face, a flat box."""
         lo = tuple(max(a, c) for a, c in zip(self.lower, other.lower))
         hi = tuple(min(b, d) for b, d in zip(self.upper, other.upper))
         if any(a > b for a, b in zip(lo, hi)):
-            return Box.make_empty(self.dim)
+            return None
         return Box(lo, hi)
 
     def overlaps_interior(self, other: "Box") -> bool:
@@ -275,8 +264,6 @@ class Box:
         of "shares points with" under the closed-box convention, where
         face-only contact is ambiguous between neighbors.
         """
-        if self.empty or other.empty:
-            return False
         # both boxes over the common denominator d e, cross-multiplied
         lows, highs, d = self.ints
         olows, ohighs, e = other.ints
@@ -294,8 +281,6 @@ class Box:
         return [[str(lo), str(hi)] for lo, hi in zip(self.lower, self.upper)]
 
     def __str__(self):
-        if self.empty:
-            return "Box(empty)"
         parts = "x".join(f"[{lo},{hi}]" for lo, hi in zip(self.lower, self.upper))
         return f"Box({parts})"
 
@@ -306,7 +291,8 @@ class ControlSystem:
 
     ``proposition_regions`` maps atomic proposition names to the boxes on
     which they hold; each must sit inside the domain, as must the initial
-    set.
+    set, and be full-dimensional: a leaf carries a label only when its
+    region contains the leaf, so a flat region would label none.
     """
 
     A: Matrix
@@ -340,6 +326,9 @@ class ControlSystem:
             seen.add(name)
             if box.dim != n or not self.domain.contains_box(box):
                 raise GeometryError(f"proposition {name!r} must lie inside the domain")
+            if any(lo == hi for lo, hi in zip(box.lower, box.upper)):
+                raise GeometryError(f"proposition {name!r} must be "
+                                    f"full-dimensional, got {box}")
 
     @staticmethod
     def create(A, B, input_set, domain, initial_set, propositions=()) -> "ControlSystem":
@@ -712,8 +701,7 @@ class BoxView:
 
     @cached_property
     def T(self) -> Box | None:
-        T = self.box.intersect(self.sys.domain)
-        return None if T.empty else T
+        return self.box.intersect(self.sys.domain)
 
     @cached_property
     def probe(self) -> tuple | None:
@@ -985,7 +973,9 @@ class AxisIndex:
 
 
 def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
-    """Every point of X admits an input landing in Y (within the domain).
+    """Every point of X admits an input landing in Y (within the domain);
+    False when Y misses the domain.  X, Y and U are boxes, so each holds
+    a point and the claim is never vacuous.
 
     Vertex reduction: the set of x that can reach Y is convex, so it
     contains X iff it contains all of X's vertices.  Vertex v reaches
@@ -993,20 +983,15 @@ def reach_pessimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
     whose normals are the pessimistic ones; taken over all vertices at
     once, that is the pessimistic slab test (``BoxView.slabs``).
     """
-    if X.empty:
-        raise GeometryError("pessimistic reach from an empty region is undefined")
-    if Y.empty:
-        return False
     return _passes(box_view(X, sys).slabs[0], box_view(Y, sys))
 
 
 def reach_optimistic(X: Box, Y: Box, sys: ControlSystem) -> bool:
-    """Some point of X admits an input landing in Y (within the domain).
+    """Some point of X admits an input landing in Y (within the domain);
+    False when Y misses the domain.
 
     Exactly when 0 lies in the zonotope ``A X + B U - (Y ∩ D)``, that is,
     when Y ∩ D meets the optimistic slab of every normal
     (``BoxView.slabs``).
     """
-    if X.empty or Y.empty:
-        raise GeometryError("optimistic reach needs nonempty regions")
     return _passes(box_view(X, sys).slabs[1], box_view(Y, sys))

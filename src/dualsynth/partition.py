@@ -94,11 +94,10 @@ class PartitionForest:
 
 
 def _axis_cuts(domain: Box, boxes) -> list[list[Fraction]]:
-    # every nonempty proposition region lies inside the domain
-    # (``ControlSystem`` checks it), so its bounds are the grid's cuts
+    # every proposition region lies inside the domain (``ControlSystem``
+    # checks it), so its bounds are the grid's cuts
     return [sorted({domain.lower[d], domain.upper[d],
-                    *(v for b in boxes if not b.empty
-                      for v in (b.lower[d], b.upper[d]))})
+                    *(v for b in boxes for v in (b.lower[d], b.upper[d]))})
             for d in range(domain.dim)]
 
 

@@ -41,6 +41,16 @@ def _box_grid(box, k):
     return pts.reshape(-1, len(axes))
 
 
+def _clip(Y, D):
+    """(lower, upper), the bounds of the box Y ∩ D, taken on the
+    ``Fraction`` bounds; None when Y and D are disjoint."""
+    lower = tuple(map(max, Y.lower, D.lower))
+    upper = tuple(map(min, Y.upper, D.upper))
+    if any(a > b for a, b in zip(lower, upper)):
+        return None
+    return lower, upper
+
+
 def grid_reach(sys, X, Y, kx=64, ku=32, tol=1e-9):
     """(pessimistic, optimistic) verdicts by dense grid sampling.
 
@@ -50,16 +60,16 @@ def grid_reach(sys, X, Y, kx=64, ku=32, tol=1e-9):
     """
     A = np.array([[float(v) for v in row] for row in sys.A])
     B = np.array([[float(v) for v in row] for row in sys.B])
-    target = Y.intersect(sys.domain)
-    if target.empty:
+    target = _clip(Y, sys.domain)
+    if target is None:
         return False, False
-    lo = np.array([float(v) for v in target.lower]) - tol
-    hi = np.array([float(v) for v in target.upper]) + tol
+    t_lo, t_hi = target
+    lo = np.array([float(v) for v in t_lo]) - tol
+    hi = np.array([float(v) for v in t_hi]) + tol
     xs = _box_grid(X, kx) @ A.T          # (kx^n, n)
     us = _box_grid(sys.input_set, ku)[None]  # (1, ku^m, m)
     ok = True
-    flat = [i for i, (c, d) in enumerate(zip(target.lower, target.upper))
-            if c == d]
+    flat = [i for i, (c, d) in enumerate(zip(t_lo, t_hi)) if c == d]
     if flat:
         # A grid of inputs misses a flat target.  Project every grid input,
         # per grid state, onto the inputs landing on the flat axes; the
@@ -67,7 +77,7 @@ def grid_reach(sys, X, Y, kx=64, ku=32, tol=1e-9):
         # stays dense on the ones in U.
         BF = B[flat]
         P = np.linalg.pinv(BF)
-        goal = np.array([float(target.lower[i]) for i in flat])
+        goal = np.array([float(t_lo[i]) for i in flat])
         us = us - us @ (P @ BF).T + ((goal - xs[:, flat]) @ P.T)[:, None, :]
         ulo = np.array([float(v) for v in sys.input_set.lower]) - tol
         uhi = np.array([float(v) for v in sys.input_set.upper]) + tol
@@ -182,9 +192,7 @@ def is_diagonal_system(sys) -> bool:
 
 
 def box_volume(box) -> Fraction:
-    """Exact volume of a ``Box``; 0 for the empty box."""
-    if box.empty:
-        return Fraction(0)
+    """Exact volume of a ``Box``."""
     vol = Fraction(1)
     for lo, hi in zip(box.lower, box.upper):
         vol *= hi - lo
@@ -196,12 +204,7 @@ def box_volume(box) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def contains_box_plain(outer, inner) -> bool:
-    """``inner`` lies inside ``outer``, on the ``Fraction`` bounds; the
-    empty box lies inside every box and holds none."""
-    if inner.empty:
-        return True
-    if outer.empty:
-        return False
+    """``inner`` lies inside ``outer``, on the ``Fraction`` bounds."""
     return all(a <= c and d <= b for a, b, c, d in
                zip(outer.lower, outer.upper, inner.lower, inner.upper))
 
@@ -211,8 +214,6 @@ def overlaps_interior_plain(box, other) -> bool:
     relative to ``other``: per axis, the overlap is no interval at all
     (length below 0) nowhere, and a point (length 0) only where ``other``
     is flat."""
-    if box.empty or other.empty:
-        return False
     for a, b, c, d in zip(box.lower, box.upper, other.lower, other.upper):
         length = min(b, d) - max(a, c)
         if length < 0 or length == 0 and c != d:
@@ -263,16 +264,17 @@ def split_box_plain(box, m: int):
 def interval_reach(sys, X, Y):
     """Exact per-axis verdicts for diagonal A, B (Fraction arithmetic)."""
     assert is_diagonal_system(sys)
-    target = Y.intersect(sys.domain)
-    if target.empty:
+    target = _clip(Y, sys.domain)
+    if target is None:
         return False, False
+    t_lo, t_hi = target
     pess = opt = True
     for i in range(sys.n):
         a, b = sys.A[i][i], sys.B[i][i]
         blo = b * (sys.input_set.lower[i] if b >= 0 else sys.input_set.upper[i])
         bhi = b * (sys.input_set.upper[i] if b >= 0 else sys.input_set.lower[i])
         xl, xh = X.lower[i], X.upper[i]
-        c, d = target.lower[i], target.upper[i]
+        c, d = t_lo[i], t_hi[i]
         win = [(a * x + blo, a * x + bhi) for x in (xl, xh)]
         if any(w_hi < c or w_lo > d for (w_lo, w_hi) in win):
             pess = False
@@ -294,15 +296,16 @@ def planar_input_reach(sys, X, Y):
     """
     assert sys.n == 2 and all(sys.B[i][j] == 0 for i in range(2)
                               for j in range(2) if i != j)
-    target = Y.intersect(sys.domain)
-    if target.empty:
+    target = _clip(Y, sys.domain)
+    if target is None:
         return False, False
+    t_lo, t_hi = target
     z_lo, z_hi = [], []
     for i in range(2):
         b, ul, uh = sys.B[i][i], sys.input_set.lower[i], sys.input_set.upper[i]
         b_lo, b_hi = min(b * ul, b * uh), max(b * ul, b * uh)
-        z_lo.append(target.lower[i] - b_hi)
-        z_hi.append(target.upper[i] - b_lo)
+        z_lo.append(t_lo[i] - b_hi)
+        z_hi.append(t_hi[i] - b_lo)
     images = [tuple(sum(a * x for a, x in zip(row, v)) for row in sys.A)
               for v in product(*zip(X.lower, X.upper))]
     pess = all(z_lo[i] <= p[i] <= z_hi[i] for p in images for i in range(2))

@@ -291,6 +291,20 @@ class TestRunInvariantExample:
         with pytest.raises(EngineError, match="outside the winning set"):
             verdict.controller.start_region((3.2, 3.2))
 
+    def test_init_held_by_no_initial_region_builds_nothing(self,
+                                                            monkeypatch):
+        # "start" labels no leaf of the initial set [0, 1/2]^2, and the
+        # splits keep labels: the run stops before any abstraction
+        sys, env, _ = invariant_problem()
+        sys = replace(sys, initial_set=Box.from_bounds([[0, 0.5], [0, 0.5]]))
+        spec = convert_to_gr1(RawSpec(guarantees=("goal",), init="start"))
+        calls = []
+        monkeypatch.setattr(engine, "build_initial",
+                            lambda *args: calls.append(args))
+        with pytest.raises(EngineError, match="no initial region satisfies"):
+            run(sys, env, spec)
+        assert calls == []
+
     def test_losing_region_never_shrinks(self):
         sys, env, spec = invariant_problem()
         verdict = run(sys, env, spec)

@@ -149,6 +149,16 @@ class TestBox:
         with pytest.raises(GeometryError):
             Box.from_bounds([[1, 0]])
 
+    def test_flat_proposition_region_rejected(self):
+        # a flat region contains no leaf, so it would label none and
+        # []<>home would silently mean []<>false
+        with pytest.raises(GeometryError, match="'home' must be full-dim"):
+            ControlSystem.create(
+                A=[[1, 0], [0, 1]], B=[[1, 0], [0, 1]],
+                input_set=[[-1, 1], [-1, 1]],
+                domain=[[0, 3], [0, 2]], initial_set=[[0, 3], [0, 2]],
+                propositions=[("home", [[0, 1], [1, 1]])])
+
     def test_float_bounds_are_made_exact(self):
         # a box built directly with float bounds answers as the box of
         # the same bounds built by ``from_bounds``
@@ -166,10 +176,6 @@ class TestBox:
         assert input_witness(sys, (1, 1), direct) == \
             input_witness(sys, (1, 1), exact)
 
-    def test_empty_only_via_flag(self):
-        e = Box.make_empty(2)
-        assert e.empty and box_volume(e) == 0
-
     def test_intersection_and_containment(self):
         a = Box.from_bounds([[0, 2], [0, 2]])
         b = Box.from_bounds([[1, 3], [1, 3]])
@@ -177,7 +183,21 @@ class TestBox:
         assert c.as_exact_bounds() == [["1", "2"], ["1", "2"]]
         assert a.contains((Fraction(2), Fraction(0)))
         assert not a.contains_box(b)
-        assert a.intersect(Box.from_bounds([[5, 6], [5, 6]])).empty
+        assert a.intersect(Box.from_bounds([[5, 6], [5, 6]])) is None
+
+    def test_intersect_is_none_or_a_closed_box(self):
+        a = Box.from_bounds([[0, 1], [0, 1]])
+        # disjoint on one axis, then on every axis
+        assert a.intersect(Box.from_bounds([[0, 1], [2, 3]])) is None
+        assert Box.from_bounds([[2, 3], [2, 3]]).intersect(a) is None
+        # boxes are closed: a shared face, or a shared corner, is a flat box
+        face = a.intersect(Box.from_bounds([[1, 2], [0, 1]]))
+        assert face == Box.from_bounds([[1, 1], [0, 1]])
+        assert a.intersect(Box.from_bounds([[1, 2], [1, 2]])) == \
+            Box.from_bounds([[1, 1], [1, 1]])
+        with pytest.raises(GeometryError) as err:
+            Box((1,), (0,))
+        assert "make_empty" not in str(err.value)
 
     def test_holds_is_contains_in_integers(self):
         rng = np.random.default_rng(83)
@@ -197,7 +217,6 @@ class TestBox:
             assert box.holds(*geometry._integers(pt)) == inside
             seen.add(inside)
         assert seen == {False, True}
-        assert not Box.make_empty(2).holds((0, 0), 1)
 
     def test_interior_overlap_vs_face_touch(self):
         a = Box.from_bounds([[0, 1], [0, 1]])
@@ -284,13 +303,6 @@ class TestReachRelations:
         assert reach_optimistic(x, x, sys)
         assert not reach_optimistic(Box.from_bounds([[3, 3.5], [3, 3.5]]),
                                     Box.from_bounds([[0, 0.5], [0, 0.5]]), sys)
-
-    def test_empty_region_is_hard_error(self):
-        sys = identity_system()
-        with pytest.raises(GeometryError):
-            reach_pessimistic(Box.make_empty(2), sys.domain, sys)
-        with pytest.raises(GeometryError):
-            reach_optimistic(sys.domain, Box.make_empty(2), sys)
 
     def test_box_of_wrong_dimension_is_error(self):
         # checked once per box and system, when the box's view is built
@@ -430,7 +442,7 @@ class TestInputWitness:
             sys = random_system(rng)
             x, y = random_box(rng), random_box(rng)
             target = y.intersect(sys.domain)
-            if target.empty:
+            if target is None:
                 continue
             for pt in (x.center(), x.lower, x.upper):
                 u = input_witness(sys, pt, y)
@@ -660,7 +672,7 @@ class TestProbeOracle:
         image = TestVertexControl.image_box(rng, sys, X)
         image = Box(tuple(v + odd for v in image.lower), image.upper)
         inside = domain.intersect(random_box(rng, lo=-4, hi=4))
-        if inside.empty:
+        if inside is None:
             inside = shrunk(domain)
         inside = Box(inside.lower, tuple(max(lo, hi - odd) for lo, hi
                                          in zip(inside.lower, inside.upper)))
@@ -679,7 +691,7 @@ class TestProbeOracle:
         for _ in range(12):
             for shape, sys in list(cls.systems(rng)):
                 X = sys.domain.intersect(random_box(rng, lo=-4, hi=4))
-                if X.empty:
+                if X is None:
                     X = shrunk(sys.domain)
                 for Y in cls.targets(rng, sys, X):
                     for x in TestVertexControl.points(rng, X):
@@ -768,7 +780,7 @@ class TestSourceReuse:
                 Y = random_box(rng)
                 if domain.contains_box(Y):
                     seen["inside"] += 1
-                elif domain.intersect(Y).empty:
+                elif domain.intersect(Y) is None:
                     seen["outside"] += 1
                 else:
                     seen["straddle"] += 1
@@ -795,7 +807,7 @@ class TestSourceReuse:
         flat = 0
         for sys, X, Y, (p, o) in self.answered(rng, True, sources=8, targets=8):
             target = Y.intersect(sys.domain)
-            flat += not target.empty and box_volume(target) == 0
+            flat += target is not None and box_volume(target) == 0
             grid_p, grid_o = grid_reach(sys, X, Y, kx=16, ku=16)
             # a grid witness is a real witness; a real universal claim
             # covers every grid point

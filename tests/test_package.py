@@ -1,9 +1,19 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import dualsynth
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_tour() -> str:
+    """The Python block under the README's "Library tour" heading."""
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"## Library tour\s+```python\n(.*?)```", text,
+                     re.DOTALL).group(1)
 
 
 def test_every_exported_name_resolves():
@@ -28,3 +38,10 @@ def test_python_dash_m_runs_the_cli():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert "synthesize" in done.stdout
+
+
+def test_readme_library_tour_runs():
+    namespace: dict = {}
+    exec(library_tour(), namespace)
+    assert namespace["verdict"].outcome == "realizable"
+    assert len(namespace["execution"].steps) == 6

@@ -148,10 +148,8 @@ def pick(rng, values):
 
 
 def random_box(rng, dim):
-    """A box with flat axes, equal widths on every axis (exact ties
-    between axes) or the empty box, each now and then."""
-    if rng.random() < 0.05:
-        return Box.make_empty(dim)
+    """A box with flat axes or equal widths on every axis (exact ties
+    between axes), each now and then."""
     tied = pick(rng, WIDTHS)
     lows = [pick(rng, VALUES) for _ in range(dim)]
     widths = [tied if rng.random() < 0.4 else pick(rng, WIDTHS)
@@ -161,8 +159,8 @@ def random_box(rng, dim):
 
 def nearby_box(rng, box):
     """A box whose bounds often meet ``box``'s: shared faces, nested
-    boxes, flat slices of it, or the empty box."""
-    if box.empty or rng.random() < 0.05:
+    boxes, flat slices of it, or now and then an unrelated box."""
+    if rng.random() < 0.05:
         return random_box(rng, box.dim)
     lows, highs = [], []
     for lo, hi in zip(box.lower, box.upper):
