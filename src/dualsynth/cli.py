@@ -253,17 +253,59 @@ def parse_problem(data: dict) -> ProblemFile:
                        raw_spec=raw, options=options, canonical=canonical)
 
 
-def load_problem(path: str) -> ProblemFile:
+def _read_json(path: str):
+    """The JSON document in ``path``.  An object that repeats a key is a
+    ProblemError naming the key and its JSON path: Python's json would
+    keep the last value silently, so the file's meaning is ambiguous."""
+    repeated = []
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            repeated.append((obj, key))
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=pairs_hook)
     except OSError as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    return parse_problem(data)
+    if repeated:
+        # objects close inner first, and a later repeat can drop an object
+        # recorded before it, never the last one recorded
+        obj, key = repeated[-1]
+        where = _json_path(data, obj, "")
+        where = f"{where}.{key}" if where else key
+        raise ProblemError(f"{path}: {where}: repeated key {key!r}")
+    return data
+
+
+def _json_path(node, target, path: str):
+    """The JSON path of the object ``target`` within ``node``, whose path
+    is ``path`` ("" for the document), or None when it is not there."""
+    if node is target:
+        return path
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    for where, value in items:
+        found = _json_path(value, target, where)
+        if found is not None:
+            return found
+    return None
+
+
+def load_problem(path: str) -> ProblemFile:
+    return parse_problem(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +328,6 @@ def _controller_json(problem: ProblemFile, controller: ContinuousController) -> 
     }
 
 
-def _read_artifact(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProblemError(f"cannot read {path}: {exc}") from exc
-
-
 def _fields(value, where: str, fields: dict):
     """``value`` is a JSON object holding every key of ``fields`` with a
     value of the mapped type; otherwise ProblemError naming ``where``."""
@@ -307,7 +341,7 @@ def _fields(value, where: str, fields: dict):
 
 
 def _rebuild_controller(problem: ProblemFile, path: str) -> ContinuousController:
-    data = _read_artifact(path)
+    data = _read_json(path)
     _fields(data, path, {"problem_sha256": str, "strategy": dict,
                          "leaves": list})
     if data["problem_sha256"] != problem.sha256:
@@ -403,7 +437,7 @@ def cmd_synthesize(args) -> int:
 def _env_script(problem: ProblemFile, args, steps: int):
     valuations = problem.env.valuations
     if args.env_script:
-        script = _read_artifact(args.env_script)
+        script = _read_json(args.env_script)
         if not isinstance(script, list) or not script:
             raise ProblemError("env script must be a nonempty JSON list")
         idxs = []
@@ -500,7 +534,7 @@ _OPTIONAL_STATS = {
 def cmd_report(args) -> int:
     verdict_path = os.path.join(args.run_dir, "verdict.json")
     try:
-        verdict = _read_artifact(verdict_path)
+        verdict = _read_json(verdict_path)
         _fields(verdict, verdict_path, {})
         rows = verdict.get("stats", [])
         _expect(isinstance(rows, list), verdict_path,

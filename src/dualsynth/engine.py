@@ -435,26 +435,28 @@ class ContinuousController:
     """Discrete strategy plus a per-step input selector.
 
     Every strategy move from X to Y follows a pessimistic edge, so every
-    point of X has an input landing in Y.  The selector
-    (``control_input``) first tries the probe, one precomputed affine map
-    of the state per target whose input is clamped to U.  The map is kept
-    in the target box's view (``box_view``), the view the abstraction's
-    queries read.  With invertible diagonal B the probe never misses on
-    such an edge; with singular or non-square B it always misses.  When
-    it misses, the input is interpolated from a table of inputs at the
-    vertices of X, built once per edge on its first miss by
-    ``input_witness`` and kept as a ``Matrix``, whose integer rows over
-    one denominator (``Matrix.ints``) every later step reads; building a
-    table is the only place the exact simplex still runs.
-
-    The one input method, ``input_ints``, takes the state as integers
-    over one denominator and returns the input the same way: a step runs
-    on integers from the probe or the source lookup (``Box.holds``) to
-    the landing test of A x + B u (``geometry._affine``, also
-    ``simulate``'s step).  ``select_input`` serves callers that hold the
-    state as numbers: it puts the state over one denominator once and
-    returns the input as ``Fraction``s.  An input that fails to land is
-    a library bug and raises.
+    point of X has an input landing in Y.  The one input method,
+    ``input_ints``, takes the state as integers over one denominator and
+    returns the input the same way (``geometry.control_input``).  It
+    first runs the probe (``geometry._probe``), one integer pass over
+    the input coordinates: the precomputed affine map of the state for
+    the target, clamped to U, with a landing test only when a coordinate
+    was clamped.  The map's integers are kept in the target box's view
+    (``box_view``), the view the abstraction's queries read.  With
+    invertible diagonal B the probe never misses on such an edge; with
+    singular or non-square B it always misses.  Only when it misses is
+    the edge's source looked up (``Box.holds``) and the input
+    interpolated from a table of inputs at the vertices of X,
+    landing-tested on A x + B u (``geometry._affine``, also
+    ``simulate``'s step).  A table is built
+    once per edge on its first miss by ``input_witness`` and kept as a
+    ``Matrix``, whose integer rows over one denominator
+    (``Matrix.ints``) every later step reads; building a table is the
+    only place the exact simplex still runs.  ``select_input`` serves
+    callers that hold the state as numbers: it puts the state over one
+    denominator once and returns the input as ``Fraction``s.  A state of
+    another dimension than the system's raises ``EngineError``; an input
+    that fails to land is a library bug and raises.
 
     ``probe_steps``, ``table_steps`` and ``tables_built`` count the steps
     the probe decided, the steps taken from a table and the tables built.
@@ -520,11 +522,16 @@ class ContinuousController:
     def input_ints(self, xs, xd: int, target: RegionId
                    ) -> tuple[list[int], int]:
         """(us, ud): the input u = us / ud for the state x = xs / xd
-        toward ``target`` (``control_input``), all in integers."""
+        toward ``target`` (``control_input``), all in integers; the
+        vertex table of the strategy edge is looked up only when the
+        probe misses."""
+        sys = self.sys
+        if len(xs) != sys.n:
+            raise EngineError(f"a {len(xs)}-D state under a {sys.n}-D "
+                              f"system")
         table_steps = self.table_steps
-        view = box_view(self.forest.box(target), self.sys)
-        u = control_input(self.sys, xs, xd, view,
-                          lambda xs, xd: self._vertex_table(target, xs, xd))
+        u = control_input(sys, xs, xd, box_view(self.forest.box(target), sys),
+                          self._vertex_table, target)
         if u is None:
             raise AssertionError(
                 f"no admissible input reaches {format_region_id(target)}; "
@@ -538,7 +545,7 @@ class ContinuousController:
         one denominator once and the input returned as ``Fraction``s."""
         us, ud = self.input_ints(*_integers([to_fraction(v) for v in s]),
                                  target)
-        return tuple(Fraction(v, ud) for v in us)
+        return tuple([Fraction(v, ud) for v in us])
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,13 @@ probe (``_probe``) answers with no simplex and no linear solve: on a fixed
 target T it is one affine map of x, u* = B⁻¹c - B⁻¹A x with c the centre
 of T, from ``ControlSystem.probe_map`` (computed once per system, the only
 place the probe runs ``_solve_square``) and the target's view, whose
-probe integers are computed on the controller's first ask.  u* is
-clamped to U and kept when it still lands.  With invertible diagonal B
-that misses only when no input lands; otherwise it
+probe integers (``BoxView.probe``: per input coordinate its row of the
+map and its bounds in U, over one denominator) are computed on the
+controller's first ask.  A probe step is one integer pass over the input
+coordinates that forms u* and clamps it to U; the landing test runs
+only when a coordinate was clamped, and the 2^-20 snap test only when
+the input's denominator exceeds 2^20.  With invertible diagonal B the
+probe misses only when no input lands; otherwise it
 may miss where inputs land, and always does when B is not square and
 invertible.  When the probe misses, ``input_witness`` decides by an exact
 phase-1 simplex over the box (``_box_lp``, in ``Fraction``s), while
@@ -113,9 +117,11 @@ def to_fraction(value) -> Fraction:
 
 def _integers(values) -> tuple[tuple[int, ...], int]:
     """(nums, d) with ``values[i] == nums[i] / d`` and d > 0 the least
-    common denominator of the values."""
-    d = math.lcm(*[v.denominator for v in values])
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
+    common denominator of the values (``Fraction``s or ints), each
+    numerator and denominator read once (``as_integer_ratio``)."""
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[e for _, e in pairs])
+    return tuple([a * (d // e) for a, e in pairs]), d
 
 
 class Matrix(tuple):
@@ -149,13 +155,12 @@ def mat_vec(mat, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     matrix and the vector is put over one denominator per call, so a row
     costs integer products and one ``Fraction``.
     """
-    mat = to_matrix(mat)
-    if len(mat[0]) != len(vec):
+    rows, e = to_matrix(mat).ints
+    if len(rows[0]) != len(vec):
         raise GeometryError("matrix/vector dimension mismatch")
-    rows, e = mat.ints
     xs, d = _integers(vec)
     e *= d
-    return tuple(Fraction(_dot(row, xs), e) for row in rows)
+    return tuple([Fraction(sum(map(mul, row, xs)), e) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -562,34 +567,31 @@ def _solve_square(mat: Matrix, rhs: Sequence[Fraction]) -> list[Fraction] | None
     return [aug[r][n] for r in range(n)]
 
 
-# Inputs are snapped to this grid when they still land (``_to_grid``): long
-# exact simulations would otherwise grow the state's denominators at every
-# step.
+# Inputs off this grid (``_off_grid``) are snapped to it when they still
+# land (``_to_grid``): long exact simulations would otherwise grow the
+# state's denominators at every step.
 _COARSE_GRID = 1 << 20
 
 
-def _clamp(nums, d: int, U: Box) -> list[int]:
-    """The point ``nums / d`` clamped to U, as numerators over d d_U, with
-    U's bounds integers over d_U (``Box.ints``)."""
+def _off_grid(nums, d: int) -> bool:
+    """Some coordinate of ``nums / d`` has a denominator above 2^20; none
+    has when d <= 2^20, as every coordinate's denominator divides d."""
+    return d > _COARSE_GRID and any(d // math.gcd(v, d) > _COARSE_GRID
+                                    for v in nums)
+
+
+def _to_grid(nums, d: int, U: Box) -> list[int]:
+    """The point ``nums / d`` rounded to the 2^-20 grid and clamped to U,
+    as numerators over 2^20 d_U, with U's bounds integers over d_U
+    (``Box.ints``).  Ties round to even, as ``round(Fraction)`` does."""
     ul, uh, ud = U.ints
-    return [min(max(v * ud, lo * d), hi * d)
-            for v, lo, hi in zip(nums, ul, uh)]
-
-
-def _to_grid(nums, d: int, U: Box) -> list[int] | None:
-    """The point ``nums / d`` rounded to the 2^-20 grid and clamped to U
-    (``_clamp``), as numerators over 2^20 d_U; None when every coordinate
-    already has a denominator of at most 2^20.  Ties round to even, as
-    ``round(Fraction)`` does."""
-    if all(d // math.gcd(v, d) <= _COARSE_GRID for v in nums):
-        return None
     grid = []
-    for v in nums:
+    for v, lo, hi in zip(nums, ul, uh):
         q, r = divmod(v * _COARSE_GRID, d)
         if 2 * r > d or 2 * r == d and q & 1:
             q += 1
-        grid.append(q)
-    return _clamp(grid, _COARSE_GRID, U)
+        grid.append(min(max(q * ud, lo * _COARSE_GRID), hi * _COARSE_GRID))
+    return grid
 
 
 def _shift(sys: ControlSystem, xs, xd: int) -> tuple[list[int], int]:
@@ -625,12 +627,13 @@ def next_state_ints(sys: ControlSystem, xs, xd: int, us, ud: int
 def _landing_input(sys: ControlSystem, T: Box, ax, axd: int, us, ud: int
                    ) -> tuple[list[int], int] | None:
     """u = us / ud rounded to the 2^-20 grid and clamped to U
-    (``_to_grid``) when that lands in T, else u when it lands, else None,
-    as (numerators, denominator); u lands when T holds A x + B u
-    (``_affine``, with A x = ax / axd)."""
-    U = sys.input_set
-    grid = _to_grid(us, ud, U)
-    if grid is not None:
+    (``_to_grid``) when it is off that grid (``_off_grid``) and the
+    snapped input lands in T, else u when it lands, else None, as (numerators,
+    denominator); u lands when T holds A x + B u (``_affine``, with
+    A x = ax / axd)."""
+    if _off_grid(us, ud):
+        U = sys.input_set
+        grid = _to_grid(us, ud, U)
         g = _COARSE_GRID * U.ints[2]
         if T.holds(*_affine(sys, ax, axd, grid, g)):
             return grid, g
@@ -657,12 +660,17 @@ class BoxView:
       and D's denominators; None when Y misses D.  Y ∩ D passes a slab
       (k, lo, hi, d) when ``tlo <= hi`` and ``thi >= lo`` (``_passes``).
     * ``T``, for the controller: Y ∩ D, or None when Y misses D.
-    * ``probe``, for the controller: (k, kd, kq, h, hd), None with no T
-      or no ``sys.probe_map``.  B⁻¹ c = k / kd for the centre c of T,
-      where kd = kq d_N is a multiple of the denominator d_N of
-      ``probe_map``'s N; h / hd are the half-widths of T times B's
-      denominator d_B, so that |B_i v| <= h_i / hd exactly when
-      ``|B'_i v| hd <= h_i`` for B's integer rows B'.
+    * ``probe``, for the controller: (axes, kq, wd, h, hd), None with no
+      T or no ``sys.probe_map``.  Per input coordinate i,
+      axes[i] = (k_i, N_i, l_i, u_i), so that for x = xs / xd
+      u*_i = (k_i xd + kq N_i·xs) / (wd xd) is coordinate i of
+      B⁻¹c + N x, c the centre of T, with N's integer rows N_i
+      (``probe_map``), and U_i = [l_i xd, u_i xd] / (wd xd): all over
+      wd = kd d_U, kd a common multiple of the denominators of B⁻¹c
+      and N, and d_U that of U (``Box.ints``).  h / hd are the
+      half-widths of T times B's denominator d_B, so that
+      |B_i v| <= h_i / hd exactly when ``|B'_i v| hd <= h_i`` for B's
+      integer rows B'.
     """
 
     def __init__(self, box: Box, sys: ControlSystem):
@@ -708,14 +716,16 @@ class BoxView:
         sys, T = self.sys, self.T
         if T is None or sys.probe_map is None:
             return None
-        (_, nd), (binv, bd) = sys.probe_map
+        (N, nd), (binv, bd) = sys.probe_map
+        ul, uh, ud = sys.input_set.ints
         lo, hi, td = T.ints
         twice_centre = [a + b for a, b in zip(lo, hi)]  # over 2 td
         kd = math.lcm(nd, 2 * td * bd)
-        scale = kd // (2 * td * bd)
-        k = [_dot(row, twice_centre) * scale for row in binv]
+        scale = kd // (2 * td * bd) * ud
+        axes = tuple((_dot(row, twice_centre) * scale, n, a * kd, b * kd)
+                     for row, n, a, b in zip(binv, N, ul, uh))
         h = [(b - a) * sys.B.ints[1] for a, b in zip(lo, hi)]
-        return k, kd, kd // nd, h, 2 * td
+        return axes, kd // nd * ud, kd * ud, h, 2 * td
 
 
 def box_view(box: Box, sys: ControlSystem) -> BoxView:
@@ -744,56 +754,57 @@ def _dot(row, vec, start=0):
     return sum(map(mul, row, vec), start)
 
 
-def _lands_near(B, hs, hd: int, diff, d: int) -> bool:
-    """|B v| <= h row by row for v = ``diff / d``, with B's integer rows
-    and the half-widths h = hs / hd of the probe's target: an input
-    u = star + v lands in the box of half-widths h centred on B star."""
-    if not any(diff):
-        return True
-    return all(abs(_dot(row, diff)) * hd <= h * d for row, h in zip(B, hs))
-
-
 def _probe(sys: ControlSystem, view: BoxView, xs, xd: int
            ) -> tuple[list[int], int] | None:
     """An input u in U with A x + B u in the view's target, for
     x = xs / xd, as (numerators, denominator); found without the simplex
     or any linear solve.
 
-    u* = k + N x (``probe_map``, N = -B⁻¹A) is the input that sends x to
-    the centre c of T: B u* = c - A x.  u* is clamped to U, and the
-    clamped u lands exactly when |B (u - u*)| <= h (``_lands_near``),
-    where only the clamped columns of u - u* are nonzero: no A x and no
-    B u is computed.  u is then snapped to the 2^-20 grid when that
-    still lands, by the same test (``_to_grid``).  All of it is integer
-    arithmetic, u* over kd xd; no ``Fraction`` is built.  None means
+    One integer pass over the input coordinates forms u* = k + N x
+    (``probe_map``, N = -B⁻¹A), the input that sends x to the centre c of
+    T (B u* = c - A x), and clamps it to U, both over one denominator w
+    from the view's probe integers (``BoxView.probe``).  The clamped u
+    lands exactly when |B (u - u*)| <= h row by row, with h the
+    half-widths of T; only the clamped coordinates of u - u* are nonzero,
+    so that test runs only when one was clamped, and no A x and no B u
+    is computed.  u is then snapped to the 2^-20 grid (``_to_grid``) when
+    it is off that grid (``_off_grid``), and kept snapped when the
+    snapped input still lands, by the same test on the snapped
+    difference.  All
+    of it is integer arithmetic; no ``Fraction`` is built.  None means
     the probe missed, as it always does when B is not square and
     invertible.  With diagonal B the axes are independent and clamping
-    picks the point of U_i nearest u*_i, so the probe misses only when
-    no input lands.  The probe may land on a face of the target, which
-    is inside it: boxes are closed.
+    picks the point of U_i nearest u*_i, so the probe misses only when no
+    input lands.  The probe may land on a face of the target, which is
+    inside it: boxes are closed.
     """
     probe = view.probe
     if probe is None:
         return None
-    ks, kd, kq, hs, hd = probe
-    (N, _), _ = sys.probe_map
-    B = sys.B.ints[0]
+    axes, kq, w, hs, hd = probe
+    w *= xd  # u* = stars / w and u = us / w
+    stars, us = [], []
+    for k, row, lo, hi in axes:
+        a = k * xd + sum(map(mul, row, xs)) * kq
+        stars.append(a)
+        lo *= xd
+        hi *= xd
+        us.append(lo if a < lo else hi if a > hi else a)
+    if us != stars:
+        diff = [c - a for c, a in zip(us, stars)]
+        for row, h in zip(sys.B.ints[0], hs):
+            if abs(_dot(row, diff)) * hd > h * w:
+                return None
+    if not _off_grid(us, w):
+        return us, w
     U = sys.input_set
-    ud = U.ints[2]
-    s = kd * xd  # u* = star / s
-    star = [k * xd + _dot(row, xs) * kq for k, row in zip(ks, N)]
-    w = s * ud  # u = clamped / w
-    clamped = _clamp(star, s, U)
-    if not _lands_near(B, hs, hd,
-                       [c - v * ud for c, v in zip(clamped, star)], w):
-        return None
-    grid = _to_grid(clamped, w, U)
-    if grid is not None:
-        g = _COARSE_GRID * ud  # the snapped u = grid / g
-        if _lands_near(B, hs, hd,
-                       [a * s - v * g for a, v in zip(grid, star)], g * s):
-            return grid, g
-    return clamped, w
+    g = _COARSE_GRID * U.ints[2]  # the snapped u = grid / g
+    grid = _to_grid(us, w, U)
+    diff = [c * w - a * g for c, a in zip(grid, stars)]  # over g w
+    for row, h in zip(sys.B.ints[0], hs):
+        if abs(_dot(row, diff)) * hd > h * g * w:
+            return us, w
+    return grid, g
 
 
 def input_witness(sys: ControlSystem, x: Sequence[Fraction],
@@ -862,33 +873,33 @@ def _weights(X: Box, xs, xd: int) -> tuple[list[int], int]:
 
 
 def control_input(sys: ControlSystem, xs, xd: int, view: BoxView,
-                  vertex_table) -> tuple[list[int], int] | None:
+                  vertex_table, *args) -> tuple[list[int], int] | None:
     """The controller's input for the state x = xs / xd: u in U with
     A x + B u in the view's target T = Y ∩ D, as (numerators,
     denominator), or None.
 
-    No simplex and no linear solve runs here.  The probe (``_probe``)
-    comes first, so a step it decides gets the input ``input_witness``
-    gives.  When it misses, ``vertex_table(xs, xd)`` returns a box X
+    No simplex and no linear solve runs here.  The probe (``_probe``),
+    one integer pass over the input coordinates, comes first, so a step
+    it decides gets the input ``input_witness`` gives.  Only when it
+    misses is ``vertex_table(*args, xs, xd)`` called, for a box X
     holding x and a ``Matrix`` of one input per vertex of X, in
-    ``box_vertices`` order, and u is their sum under the multilinear
-    weights of x (``_weights``).  When every vertex input lands in T, so
-    does u, exactly: U and the target are convex and the step is affine
-    (vertex control: Gutman & Cwikel, IEEE TAC 1986; Belta & Habets,
-    IEEE TAC 2006).  u is snapped
-    to the 2^-20 grid when that still lands, which keeps the state's
-    denominators bounded over long runs, and kept exact otherwise; None
-    when u does not land, which landing vertex inputs rule out
-    (``_landing_input``).  All of it runs on integers: the weights over
-    one denominator, the table's integer rows (``Matrix.ints``), and A x
-    once per step; no ``Fraction`` is built.
+    ``box_vertices`` order; u is their sum under the multilinear weights
+    of x (``_weights``), read off the table's integer rows
+    (``Matrix.ints``).  When every vertex input lands in T, so does u,
+    exactly: U and the target are convex and the step is affine (vertex
+    control: Gutman & Cwikel, IEEE TAC 1986; Belta & Habets, IEEE TAC
+    2006).  u is snapped to the 2^-20 grid when that still lands, which
+    keeps the state's denominators bounded over long runs, and kept
+    exact otherwise; None when u does not land, which landing vertex
+    inputs rule out (``_landing_input``).  All of it runs on integers,
+    with A x computed once per step; no ``Fraction`` is built.
     """
     if view.T is None:
         return None
     u = _probe(sys, view, xs, xd)
     if u is not None:
         return u
-    X, table = vertex_table(xs, xd)
+    X, table = vertex_table(*args, xs, xd)
     rows, d = table.ints
     weights, q = _weights(X, xs, xd)
     us = [_dot(weights, col) for col in zip(*rows)]  # u = us / (q d)

@@ -75,6 +75,32 @@ class TestProblemParsing:
         with pytest.raises(ProblemError, match="line 2"):
             load_problem(str(bad))
 
+    @pytest.mark.parametrize("old, new, where", [
+        ('"guarantees": ["home"],',
+         '"guarantees": ["home"], "guarantees": [],', "spec.guarantees"),
+        ('{"name": "lot", "box"', '{"name": "lot", "name": "home", "box"',
+         "propositions[1].name"),
+        ('"options":', '"domain": [[0, 3], [0, 2]], "options":', "domain"),
+        # the inner repeat is dropped with the first "domain"
+        ('"domain":', '"domain": {"lo": 0, "lo": 1}, "domain":', "domain"),
+    ])
+    def test_repeated_key_is_input_error_with_path(self, old, new, where,
+                                                   tmp_path, capsys):
+        # Python's json keeps the last value of a repeated key, so the
+        # second "guarantees" would drop the guarantee without a word
+        text = open(bundled("park.json")).read()
+        assert text.count(old) == 1
+        bad = tmp_path / "repeated.json"
+        bad.write_text(text.replace(old, new))
+        key = where.rsplit(".", 1)[-1]
+        with pytest.raises(ProblemError, match=re.escape(
+                f"{bad}: {where}: repeated key {key!r}")):
+            load_problem(str(bad))
+        code = main(["synthesize", str(bad), "--out", str(tmp_path / "r")])
+        assert code == EXIT_INPUT_ERROR
+        assert f"{where}: repeated key" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_formula_rejected(self, tmp_path):
         data = json.loads(open(bundled("park.json")).read())
         data["spec"]["guarantees"] = ["[]<>home"]
@@ -617,6 +643,30 @@ class TestSimulateCommand:
         assert code == EXIT_INPUT_ERROR
         assert f"{bad}: {message}" in capsys.readouterr().err
 
+    def test_repeated_artifact_keys_are_input_errors(self, park_path,
+                                                     park_run, tmp_path,
+                                                     capsys):
+        # the controller and the env script are read by the same strict
+        # reader as the problem file
+        text = (park_run / "controller.json").read_text()
+        assert text.startswith("{")
+        bad = tmp_path / "repeated_controller.json"
+        bad.write_text('{"spec": null, ' + text[1:])
+        code = main(["simulate", park_path, str(bad),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        assert f"{bad}: spec: repeated key 'spec'" in capsys.readouterr().err
+        script = tmp_path / "script.json"
+        script.write_text('[0, {"park": true, "park": false}]')
+        code = main(["simulate", park_path,
+                     str(park_run / "controller.json"),
+                     "--env-script", str(script),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        assert f"{script}: [1].park: repeated key 'park'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_controller_without_the_start_leaf_is_input_error(
             self, park_path, park_run, tmp_path, capsys):
         # every leaf holding the start state is dropped, so no region of
@@ -922,6 +972,20 @@ class TestReportCommand:
         (tmp_path / "verdict.json").write_text(json.dumps(verdict))
         assert main(["report", str(tmp_path)]) == EXIT_INPUT_ERROR
         assert f"{tmp_path / 'verdict.json'}: {message}" in \
+            capsys.readouterr().err
+
+    def test_repeated_verdict_key_is_input_error(self, invariant_path,
+                                                 tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["synthesize", invariant_path, "--out", str(out)]) == 1
+        path = out / "verdict.json"
+        text = path.read_text()
+        assert text.count('"stats": [') == 1
+        path.write_text(text.replace('"stats": [', '"stats": [{"iteration"'
+                                     ': 0, "iteration": 1}, ', 1))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_INPUT_ERROR
+        assert f"{path}: stats[0].iteration: repeated key 'iteration'" in \
             capsys.readouterr().err
 
 

@@ -690,6 +690,48 @@ class TestVertexControl:
         assert ctrl.probe_steps == 300
         assert ctrl.table_steps == ctrl.tables_built == 0
 
+    @pytest.mark.parametrize("problem, start, tables", [
+        (coupled_problem, START, True),
+        (park_problem, (Fraction(1, 2), Fraction(1, 2)), False),
+    ])
+    def test_select_input_steps_as_simulate(self, problem, start, tables):
+        # the bench's step: select_input on Fraction states and the next
+        # state formed by mat_vec give simulate's inputs step for step
+        sys, env, spec = problem()
+        ctrl = run(sys, env, spec, EngineOptions(m=4)).controller
+        rng = np.random.default_rng(61)
+        trace = [int(rng.integers(0, 2)) for _ in range(301)]
+        steps = simulate(ctrl, sys, iter(trace), start, 300).steps
+        counts = ctrl.probe_steps, ctrl.table_steps
+        assert counts[0] > 0 and (counts[1] > 0) == tables
+        s = start
+        memory = ctrl.strategy.start(ctrl.start_region(s))
+        for step, nxt in zip(steps, steps[1:]):
+            assert s == step.state
+            memory, target = ctrl.strategy.step(memory, step.env_index)
+            u = ctrl.select_input(s, target)
+            assert u == step.inp and all(type(v) is Fraction for v in u)
+            s = tuple(a + b for a, b in
+                      zip(mat_vec(sys.A, s), mat_vec(sys.B, u)))
+            assert (s, target) == (nxt.state, nxt.region)
+        assert (ctrl.probe_steps, ctrl.table_steps) == \
+            (2 * counts[0], 2 * counts[1])
+
+    def test_state_of_another_dimension_raises(self):
+        # zip would cut a 3-D state to the system's two coordinates, and a
+        # 1-D one would reach the vertex table as a library bug
+        sys, env, spec = coupled_problem()
+        ctrl = run(sys, env, spec, EngineOptions(m=4)).controller
+        memory = ctrl.strategy.start(ctrl.start_region(self.START))
+        _memory, target = ctrl.strategy.step(memory, 0)
+        for state in (self.START + (Fraction(1, 3),), self.START[:1]):
+            message = f"a {len(state)}-D state under a 2-D system"
+            with pytest.raises(EngineError, match=message):
+                ctrl.select_input(state, target)
+            with pytest.raises(EngineError, match=message):
+                ctrl.input_ints(*geometry._integers(state), target)
+        assert ctrl.probe_steps == ctrl.table_steps == 0
+
     def test_rebuilt_controller_simulates_identically(self, tmp_path):
         # controller.json carries no tables; a loaded controller builds
         # them on its first misses and steps exactly as the fresh one

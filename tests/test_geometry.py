@@ -117,9 +117,9 @@ def shrunk(box):
     return Box(tuple(a for a, _ in quarter), tuple(b for _, b in quarter))
 
 
-def random_box(rng, lo=-4, hi=4, min_w=0.25):
+def random_box(rng, lo=-4, hi=4, min_w=0.25, dim=2):
     out = []
-    for _ in range(2):
+    for _ in range(dim):
         a = Fraction(int(rng.integers(lo * 4, hi * 4 - 1)), 4)
         w = Fraction(int(rng.integers(1, 9)), 4)
         b = min(a + max(w, Fraction(min_w)), Fraction(hi))
@@ -671,12 +671,12 @@ class TestProbeOracle:
         odd = Fraction(1, int(rng.integers(3, 10**7)))
         image = TestVertexControl.image_box(rng, sys, X)
         image = Box(tuple(v + odd for v in image.lower), image.upper)
-        inside = domain.intersect(random_box(rng, lo=-4, hi=4))
+        inside = domain.intersect(random_box(rng, lo=-4, hi=4, dim=sys.n))
         if inside is None:
             inside = shrunk(domain)
         inside = Box(inside.lower, tuple(max(lo, hi - odd) for lo, hi
                                          in zip(inside.lower, inside.upper)))
-        straddling = random_box(rng, lo=-6, hi=6)
+        straddling = random_box(rng, lo=-6, hi=6, dim=sys.n)
         straddling = Box(tuple(v + odd for v in straddling.lower),
                          tuple(v + 2 * odd for v in straddling.upper))
         beyond = Box(tuple(hi + 1 for hi in domain.upper),
@@ -729,6 +729,67 @@ class TestProbeOracle:
         for shape in self.UNDECIDED:
             assert decided[shape][0] == 0
             assert all(found[shape]), found
+
+    CUBE = Path(__file__).parent / "data" / "cube.json"
+
+    @classmethod
+    def other_dimensions(cls, rng):
+        """(shape, system) pairs outside 2-D: 1-D systems, the cube of
+        ``tests/data/cube.json`` (coupled A, coupled invertible B) and
+        3-D systems with a random invertible 3 x 3 B."""
+        vals = [Fraction(v) for v in (1, -1, 2, "1/2", "-1/2", "3/4", "1/4")]
+
+        def pick():
+            return vals[int(rng.integers(len(vals)))]
+
+        def create(A, B):
+            dom = [[-4, 4]] * len(A)
+            U = [[-Fraction(int(rng.integers(1, 9)), 4),
+                  Fraction(int(rng.integers(1, 9)), 4)] for _ in B[0]]
+            return ControlSystem.create(A=A, B=B, input_set=U, domain=dom,
+                                        initial_set=dom)
+
+        def det3(M):
+            return sum(M[0][j] * (M[1][(j + 1) % 3] * M[2][(j + 2) % 3]
+                                  - M[1][(j + 2) % 3] * M[2][(j + 1) % 3])
+                       for j in range(3))
+
+        for _ in range(2):
+            yield "1-D", create([[pick()]], [[pick()]])
+        yield "cube", load_problem(str(cls.CUBE)).sys
+        B = [[pick() for _ in range(3)] for _ in range(3)]
+        while not det3(B):
+            B = [[pick() for _ in range(3)] for _ in range(3)]
+        yield "3-D", create([[pick() for _ in range(3)] for _ in range(3)],
+                            B)
+
+    def test_kernel_matches_oracle_outside_2d(self):
+        # the probe's pass runs over n state and m input coordinates
+        rng = np.random.default_rng(97)
+        decided, clamped = {}, set()
+        for _ in range(6):
+            for shape, sys in list(self.other_dimensions(rng)):
+                assert sys.n == sys.m != 2
+                U = list(zip(sys.input_set.lower, sys.input_set.upper))
+                D = list(zip(sys.domain.lower, sys.domain.upper))
+                X = sys.domain.intersect(random_box(rng, dim=sys.n))
+                if X is None:
+                    X = shrunk(sys.domain)
+                for Y in self.targets(rng, sys, X):
+                    for x in TestVertexControl.points(rng, X):
+                        want = midpoint_probe(sys.A, sys.B, U, D,
+                                              list(zip(Y.lower, Y.upper)), x)
+                        got = fractions(_probe(sys, box_view(Y, sys),
+                                               *ints(x)))
+                        assert got == want, (shape, sys, Y, x)
+                        if want is not None:
+                            assert input_witness(sys, x, Y) == want
+                            if any(v in bounds for v, bounds in zip(want, U)):
+                                clamped.add(shape)
+                        decided.setdefault(shape, [0, 0])[want is None] += 1
+        assert set(decided) == {"1-D", "cube", "3-D"}
+        assert all(all(hits) for hits in decided.values()), decided
+        assert clamped == set(decided)
 
     def test_diagonal_misses_are_infeasible(self):
         # with invertible diagonal B the probe misses only where no input
