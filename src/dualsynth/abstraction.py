@@ -16,13 +16,18 @@ leaves open: a pair the previous relation rules out is false in both new
 relations and is counted as pruned instead of queried.
 
 The queries of one build or refine step are decided a row at a time
-(``_run_queries``): one ``geometry.AxisIndex`` puts every target's
-ranges on the unit axes over one common denominator TD, with prefix
-bitmasks per sorted position, so a source's axis slabs cut its whole
-row of candidates by ``bisect``s and big-int ANDs.  For a relation with
-no normal but the axes that is the answer; otherwise only the targets
-the axes keep go to ``reach_pessimistic`` / ``reach_optimistic``, the
-slab test over every normal.
+(``_run_queries``), each row's candidates one bitmask (bit b for leaf
+b).  ``refine`` builds a parent's mask once, for all its children, as
+the union of one run mask per target of the parent's old optimistic
+row, since the children of an old leaf are one index run; the batch
+then fills the views of its sources and targets in one pass
+(``geometry.fill_views``).  One ``geometry.AxisIndex`` puts every
+target's ranges on the unit axes over one common denominator TD, with
+prefix bitmasks per sorted position, so a source's axis slabs cut its
+whole mask by ``bisect``s and big-int ANDs.  For a relation with no
+normal but the axes that is the answer; otherwise only the targets the
+axes keep go to ``reach_pessimistic`` / ``reach_optimistic``, the slab
+test over every normal.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
+from itertools import compress, product
 from operator import or_
 
 from dualsynth.geometry import (
     AxisIndex,
     ControlSystem,
-    box_view,
+    fill_views,
     mask_items,
     reach_optimistic,
     reach_pessimistic,
@@ -196,9 +201,9 @@ def build_initial(forest: PartitionForest, sys: ControlSystem,
     stats = QueryStats(n_states=len(regions))
     pess = [[] for _ in regions]
     opt = [[] for _ in regions]
-    every = range(len(regions))
+    every = (1 << len(regions)) - 1
     _run_queries([forest.nodes[r].box for r in regions], sys,
-                 [(i, every) for i in every], pess, opt, stats)
+                 [(i, every) for i in range(len(regions))], pess, opt, stats)
     pair = AbstractionPair(regions=regions,
                            initial_regions=list(forest.initial_leaves()),
                            env=env, pess=pess, opt=opt,
@@ -210,55 +215,65 @@ def build_initial(forest: PartitionForest, sys: ControlSystem,
 
 
 def _run_queries(boxes, sys, rows, pess, opt, stats):
-    """Decide every (source, targets) row of box indices, each row's
-    targets ascending, appending each edge to the source's rows of
-    ``pess`` and ``opt`` in target order.
+    """Decide every (source, candidates) row of box indices, each row's
+    candidates a bitmask (bit b for box b), appending each edge to the
+    source's rows of ``pess`` and ``opt`` in ascending target order.
 
-    One ``geometry.AxisIndex`` over every target of ``rows`` decides a
-    row on the n axis normals at once: the row's candidates as a bitmask
-    (one per row object, as ``refine`` shares them), ANDed with the
-    targets that meet each of the source's axis slabs, a ``bisect`` and
-    two ANDs per slab.  Where a relation has no slab off the axes, as
-    with diagonal A and B, that mask is its row; each pessimistic slab
-    lies inside the optimistic slab of its normal, so the optimistic mask
-    holds the pessimistic one.  Otherwise every target the axes leave
-    open goes to ``reach_pessimistic``, and to ``reach_optimistic`` where
-    the pessimistic row left it out; both are looked up as this module's
-    bindings at call time, and ``QueryStats.slab_pess`` and ``.slab_opt``
-    count their calls.
-    ``refine`` passes only the targets its pruning rule leaves open; the
-    rule and its proof are in ``refine``.
+    Before the rows, one pass fills the views of the batch
+    (``geometry.fill_views``): the ranges of every target, any row's
+    candidate, and the slabs of every source, each computed only where
+    the box's view does not hold it yet.  One ``geometry.AxisIndex``
+    over the targets' ranges then decides a row on the n axis normals
+    at once: the row's mask ANDed with the targets that meet each of the
+    source's axis slabs, a ``bisect`` and two ANDs per slab.  Where a
+    relation has no slab off the axes, as with diagonal A and B, that
+    mask is its row; each pessimistic slab lies inside the optimistic
+    slab of its normal, so the optimistic mask holds the pessimistic
+    one, and where the two are equal the row is listed once.  Otherwise
+    every target the axes leave open goes to ``reach_pessimistic``, and
+    to ``reach_optimistic`` where the pessimistic row left it out; both
+    are looked up as this module's bindings at call time, and
+    ``QueryStats.slab_pess`` and ``.slab_opt`` count their calls.
+    ``refine`` passes only the candidates its pruning rule leaves open;
+    the rule and its proof are in ``refine``.
     """
     leaves = list(range(len(boxes)))  # the one int object of each index
-    # bit b for target b: the targets' distinct powers of two, summed in C
-    candidates = {id(targets): sum(map((1).__lshift__, targets))
-                  for _, targets in rows}
-    index = AxisIndex(((b, box_view(boxes[b], sys)) for b in mask_items(
-        reduce(or_, candidates.values(), 0), leaves)), sys.n)
+    targets = mask_items(reduce(or_, [row for _, row in rows], 0), leaves)
+    index = AxisIndex(zip(targets, fill_views(
+        [boxes[b] for b in targets], sys, "ranges")), sys.n)
+    slabs = fill_views([boxes[a] for a, _ in rows], sys, "slabs")
     n = sys.n
-    for a, targets in rows:
-        X = boxes[a]
-        p_slabs, o_slabs = box_view(X, sys).slabs
-        row = candidates[id(targets)]
+    issued_pess = issued_opt = slab_pess = slab_opt = 0
+    for (a, row), (p_slabs, o_slabs) in zip(rows, slabs):
         open_pess = index.passing(p_slabs, row)
         open_opt = index.passing(o_slabs, row)  # holds open_pess
-        if len(p_slabs) == n:
+        pess_on_axes = len(p_slabs) == n
+        if pess_on_axes:
             p_row = mask_items(open_pess, leaves)
         else:
+            X = boxes[a]
             p_row = [b for b in mask_items(open_pess, leaves)
                      if reach_pessimistic(X, boxes[b], sys)]
-            stats.slab_pess += open_pess.bit_count()
-        if len(o_slabs) == n:
+            slab_pess += open_pess.bit_count()
+        if pess_on_axes and open_opt == open_pess:
+            o_row = p_row  # every open target is a pessimistic edge
+        elif len(o_slabs) == n:
             o_row = mask_items(open_opt, leaves)
         else:
+            X = boxes[a]
             edges = set(p_row)
             o_row = [b for b in mask_items(open_opt, leaves)
                      if b in edges or reach_optimistic(X, boxes[b], sys)]
-            stats.slab_opt += open_opt.bit_count() - len(p_row)
+            slab_opt += open_opt.bit_count() - len(p_row)
         pess[a] += p_row
         opt[a] += o_row
-        stats.issued_pess += len(targets)
-        stats.issued_opt += len(targets) - len(p_row)
+        count = row.bit_count()
+        issued_pess += count
+        issued_opt += count - len(p_row)
+    stats.issued_pess += issued_pess
+    stats.issued_opt += issued_opt
+    stats.slab_pess += slab_pess
+    stats.slab_opt += slab_opt
 
 
 def refine(pair: AbstractionPair, forest: PartitionForest,
@@ -287,9 +302,14 @@ def refine(pair: AbstractionPair, forest: PartitionForest,
     the new leaves of old leaf p are one index run ``[at[p], at[p+1])``,
     found in one merge walk; a walk that leaves an old leaf without a run
     or new leaves over, as on a forest of another problem, raises
-    AbstractionError.  Each row is expanded from an old index row run by
-    run, in ascending order: winning targets for a winning row (a leaf
-    never split), non-losing ones for an undecided row.
+    AbstractionError.  A winning row (a leaf never split) is expanded
+    from the old pessimistic row run by run, as a list of its winning
+    targets in ascending order.  An undecided parent's candidates are
+    one bitmask, the sum of the run masks
+    ``((1 << (at[t+1] - at[t])) - 1) << at[t]`` of its old optimistic
+    targets t (disjoint, so the sum is their union) ANDed with the mask
+    of non-losing leaves; its children share it, and ``bit_count`` gives
+    the pruned pairs.
     """
     if forest.iteration != pair.iteration + 1:
         raise AbstractionError(
@@ -311,21 +331,25 @@ def refine(pair: AbstractionPair, forest: PartitionForest,
     pess = [[] for _ in regions]
     opt = [[] for _ in regions]
 
-    def expand(row, keep):
-        return [b for t in row for b in range(at[t], at[t + 1]) if keep[b]]
-
-    n_targets = sum(live)
+    # the new leaves of old leaf t as a mask, and the non-losing leaves
+    runs = [((1 << (hi - lo)) - 1) << lo for lo, hi in zip(at, at[1:])]
+    live_mask = sum(map((1).__lshift__, compress(range(len(live)), live)))
+    n_targets = live_mask.bit_count()
+    pruned = 0
     rows = []
     for p, (lo, hi) in enumerate(zip(at, at[1:])):
         if winning[lo]:
             # copy the old pessimistic relation, in both systems
-            pess[lo] = expand(pair.pess[p], winning)
+            pess[lo] = [b for t in pair.pess[p]
+                        for b in range(at[t], at[t + 1]) if winning[b]]
             opt[lo] = list(pess[lo])
         elif live[lo]:
-            # the non-losing new leaves of the old optimistic row
-            row = expand(pair.opt[p], live)
-            stats.pruned += (hi - lo) * (n_targets - len(row))
+            # the non-losing new leaves of the old optimistic row; the
+            # runs are disjoint, so their sum is their union
+            row = sum(map(runs.__getitem__, pair.opt[p])) & live_mask
+            pruned += (hi - lo) * (n_targets - row.bit_count())
             rows.extend((a, row) for a in range(lo, hi))
+    stats.pruned = pruned
     _run_queries([nodes[r].box for r in regions], sys, rows, pess, opt,
                  stats)
 

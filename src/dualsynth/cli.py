@@ -256,7 +256,9 @@ def parse_problem(data: dict) -> ProblemFile:
 def _read_json(path: str):
     """The JSON document in ``path``.  An object that repeats a key is a
     ProblemError naming the key and its JSON path: Python's json would
-    keep the last value silently, so the file's meaning is ambiguous."""
+    keep the last value silently, so the file's meaning is ambiguous.
+    A document nested deeper than the decoder's recursion allows is a
+    ProblemError too, not a traceback."""
     repeated = []
 
     def pairs_hook(pairs):
@@ -276,6 +278,8 @@ def _read_json(path: str):
         raise ProblemError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ProblemError(f"{path}: JSON nested too deeply") from exc
     if repeated:
         # objects close inner first, and a later repeat can drop an object
         # recorded before it, never the last one recorded

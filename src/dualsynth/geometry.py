@@ -45,14 +45,17 @@ full-dimensional ones with the same normals.  Each box keeps one view per
 system (``box_view``): the slabs of a box X as a source, and the ranges
 of a box Y ∩ D as a target along every normal, axes included, are each
 computed once, so a query costs one comparison of two ranges per normal
-(``_passes``), in whatever order the queries come.  A batch of queries
-against the same targets shares one ``AxisIndex``: the targets' ranges
-on the n unit axes over one common denominator TD, sorted per axis by
-lower and by upper ends, with a prefix bitmask of targets (bit b for
-target b) at every position.  A source slab then passes a whole set of
-targets at once, by two ``bisect``s and two ANDs on exact integers, and
-``_passes`` is left with the targets the axes keep, for a relation that
-has other normals.
+(``_passes``), in whatever order the queries come.  One kernel computes
+each part (``_source_slabs``, ``_target_ranges``): a lone ``reach_*``
+query calls it on the view's first access, and a batch of queries fills
+every view it needs in one pass before its first query
+(``fill_views``).  A batch of queries against the same targets shares
+one ``AxisIndex``: the targets' ranges on the n unit axes over one
+common denominator TD, sorted per axis by lower and by upper ends, with
+a prefix bitmask of targets (bit b for target b) at every position.  A
+source slab then passes a whole set of targets at once, by two
+``bisect``s and two ANDs on exact integers, and ``_passes`` is left
+with the targets the axes keep, for a relation that has other normals.
 
 The controller asks for an input u in U with A x + B u in a box.  The
 probe (``_probe``) answers with no simplex and no linear solve: on a fixed
@@ -91,7 +94,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, compress, product
-from operator import gt, mul
+from operator import mul
 from typing import Sequence
 
 class GeometryError(ValueError):
@@ -642,9 +645,60 @@ def _landing_input(sys: ControlSystem, T: Box, ax, axd: int, us, ud: int
     return None
 
 
+def _source_slabs(box: Box, sys: ControlSystem) -> tuple[list, list]:
+    """(pess, opt), the slabs of ``box`` as a source (``BoxView.slabs``)."""
+    xl, xh, xd = box.ints
+    ud = sys.input_set.ints[2]
+    pess, opt = [], []
+    k = 0
+    for _, a, blo, bhi, q, pessimistic in sys.slab_rows:
+        alo, ahi = _row_range(a, xl, xh)  # over q xd
+        alo *= ud
+        ahi *= ud
+        blo *= xd
+        bhi *= xd
+        d = q * xd * ud
+        opt.append((k, alo + blo, ahi + bhi, d))
+        if pessimistic:
+            pess.append((k, ahi + blo, alo + bhi, d))
+        k += 1
+    return pess, opt
+
+
+def _target_ranges(box: Box, sys: ControlSystem) -> tuple[list, int] | None:
+    """(ranges, td), the ranges of ``box`` ∩ D as a target
+    (``BoxView.ranges``), or None when the box misses D."""
+    yl, yh, yd = box.ints
+    dl, dh, dd = sys.domain.ints
+    tl, th = [], []
+    for a, b, c, e in zip(yl, yh, dl, dh):
+        a *= dd
+        b *= dd
+        c *= yd
+        e *= yd
+        if c > a:
+            a = c
+        if e < b:
+            b = e
+        if a > b:
+            return None
+        tl.append(a)
+        th.append(b)
+    # a unit axis's range is T's bounds on it
+    ranges = [*zip(tl, th)]
+    others = sys.slab_rows[len(tl):]
+    if others:
+        ranges += [_row_range(row[0], tl, th) for row in others]
+    return ranges, yd * dd
+
+
 class BoxView:
     """What the slab test and the probe read of one box Y under one
-    system (``box_view``), each part computed on first use, once:
+    system (``box_view``), each part computed once.  ``slabs`` and
+    ``ranges`` are filled for a whole query batch by ``fill_views``, or
+    on first access by a lone ``reach_*`` query, from the same kernel
+    (``_source_slabs``, ``_target_ranges``); ``T`` and ``probe`` on the
+    controller's first ask:
 
     * ``slabs``, when Y is a source: (pess, opt), its pessimistic and
       optimistic slabs.  Per normal ν of ``sys.slab_rows``, with
@@ -681,31 +735,11 @@ class BoxView:
 
     @cached_property
     def slabs(self) -> tuple[list, list]:
-        sys = self.sys
-        xl, xh, xd = self.box.ints
-        ud = sys.input_set.ints[2]
-        pess, opt = [], []
-        for k, (_, a, blo, bhi, q, pessimistic) in enumerate(sys.slab_rows):
-            alo, ahi = _row_range(a, xl, xh)  # over q xd
-            alo, ahi, blo, bhi = alo * ud, ahi * ud, blo * xd, bhi * xd
-            d = q * xd * ud
-            opt.append((k, alo + blo, ahi + bhi, d))
-            if pessimistic:
-                pess.append((k, ahi + blo, alo + bhi, d))
-        return pess, opt
+        return _source_slabs(self.box, self.sys)
 
     @cached_property
     def ranges(self) -> tuple[list, int] | None:
-        sys = self.sys
-        yl, yh, yd = self.box.ints
-        dl, dh, dd = sys.domain.ints
-        tl = [max(a * dd, c * yd) for a, c in zip(yl, dl)]
-        th = [min(b * dd, c * yd) for b, c in zip(yh, dh)]
-        if any(map(gt, tl, th)):
-            return None
-        # a unit axis's range is T's bounds on it
-        return [*zip(tl, th), *(_row_range(nu, tl, th)
-                                for nu, *_ in sys.slab_rows[sys.n:])], yd * dd
+        return _target_ranges(self.box, self.sys)
 
     @cached_property
     def T(self) -> Box | None:
@@ -734,14 +768,32 @@ def box_view(box: Box, sys: ControlSystem) -> BoxView:
     while the entry lives, and a query under another system replaces it.
     The memo is not a dataclass field, so ``Box`` equality, hash and
     ``repr`` do not see it."""
-    try:
-        view = box._view
-        if view.sys is sys:
-            return view
-    except AttributeError:
-        pass
+    view = getattr(box, "_view", None)  # a miss raises nothing
+    if view is not None and view.sys is sys:
+        return view
     view = box.__dict__["_view"] = BoxView(box, sys)  # as cached_property does
     return view
+
+
+_KERNELS = {"slabs": _source_slabs, "ranges": _target_ranges}
+_UNSET = object()
+
+
+def fill_views(boxes, sys: ControlSystem, part: str) -> list:
+    """The ``part``, "slabs" or "ranges", of each box's view under ``sys``
+    (``box_view``), in order, for a batch of queries: a view that does
+    not hold the part yet gets it from the part's kernel, stored where
+    its own first access would store it, so a later ``reach_*`` query
+    reads it there."""
+    kernel = _KERNELS[part]
+    out = []
+    for box in boxes:
+        parts = box_view(box, sys).__dict__
+        got = parts.get(part, _UNSET)
+        if got is _UNSET:
+            got = parts[part] = kernel(box, sys)
+        out.append(got)
+    return out
 
 
 def drop_view(box: Box) -> None:
@@ -940,14 +992,14 @@ def mask_items(mask: int, items: list) -> list:
 class AxisIndex:
     """The targets of one batch of queries, indexed along the unit axes.
 
-    Every target b with a view (``views`` holds (b, ``BoxView``) pairs)
-    whose Y ∩ D is nonempty puts its ranges (``BoxView.ranges``) on the
-    n axis normals over one common denominator td, the lcm of the
-    targets' own; a target that misses D is in no mask.  Per axis, the
-    targets are sorted by their lower ends tlo and, separately, by their
-    negated upper ends -thi, and position i of each order keeps the
-    prefix mask of its first i targets: a Python int with bit b set for
-    target b.  The masks take about 2 n L (L / 8) bytes for L targets.
+    Every target b (``targets`` holds (b, ``BoxView.ranges``) pairs)
+    whose Y ∩ D is nonempty puts its ranges on the n axis normals over
+    one common denominator td, the lcm of the targets' own; a target
+    that misses D is in no mask.  Per axis, the targets are sorted by
+    their lower ends tlo and, separately, by their negated upper ends
+    -thi, and position i of each order keeps the prefix mask of its
+    first i targets: a Python int with bit b set for target b.  The
+    masks take about 2 n L (L / 8) bytes for L targets.
 
     A slab (k, lo, hi, d) on axis k passes exactly the targets with
     tlo <= ⌊hi td / d⌋ and -thi <= ⌊-lo td / d⌋, the integer form of
@@ -955,8 +1007,8 @@ class AxisIndex:
     order and one AND with the prefix mask found (``passing``).
     """
 
-    def __init__(self, views, n: int):
-        kept = [(b, r) for b, view in views if (r := view.ranges) is not None]
+    def __init__(self, targets, n: int):
+        kept = [(b, r) for b, r in targets if r is not None]
         self.td = td = math.lcm(*[d for _, (_, d) in kept])
         self.axes = []  # per axis: (lows, masks, -highs, masks)
         for k in range(n):

@@ -18,8 +18,10 @@ from dualsynth.abstraction import (
 from dualsynth.geometry import (
     AxisIndex,
     Box,
+    BoxView,
     ControlSystem,
     box_view,
+    fill_views,
     reach_optimistic,
     reach_pessimistic,
 )
@@ -481,17 +483,19 @@ class TestAxisIndexRows:
         boxes.append(missing)
         assert box_view(missing, sys).ranges is None
         n = len(boxes)
-        # rows as refine passes them: row objects shared by several
-        # sources, ascending targets, an empty row
+        # rows as refine passes them: one candidate mask shared by
+        # several sources, the full mask, an empty mask
         shared = sorted({*rng.sample(range(n), n // 2), 0, n - 1})
         every = range(n)
         rows = [(a, shared) for a in range(0, n, 3)]
         rows += [(a, every) for a in range(1, n, 3)]
         rows += [(a, []) for a in range(2, n, 3)]
+        masks = {id(t): sum(1 << b for b in t) for _, t in rows}
+        mask_rows = [(a, masks[id(t)]) for a, t in rows]
         pess, opt = [[] for _ in boxes], [[] for _ in boxes]
         stats = QueryStats(n_states=n)
-        counted(lambda: abstraction._run_queries(boxes, sys, rows, pess, opt,
-                                                 stats) or
+        counted(lambda: abstraction._run_queries(boxes, sys, mask_rows, pess,
+                                                 opt, stats) or
                 AbstractionPair(regions=[], initial_regions=[], env=no_env(),
                                 pess=pess, opt=opt, query_stats=stats))
         issued = edges = 0
@@ -546,13 +550,14 @@ class TestAxisIndexRows:
                             lower[k], upper[k] = span
                             targets.append(Box(tuple(lower), tuple(upper)))
         boxes = sources + targets
-        index = AxisIndex(((b, box_view(boxes[b], sys))
+        index = AxisIndex(((b, box_view(boxes[b], sys).ranges)
                            for b in range(2, len(boxes))), sys.n)
         assert index.td == 16
         pess, opt = [[] for _ in boxes], [[] for _ in boxes]
         stats = QueryStats()
         every = range(2, len(boxes))
-        abstraction._run_queries(boxes, sys, [(0, every), (1, every)], pess,
+        mask = sum(1 << b for b in every)
+        abstraction._run_queries(boxes, sys, [(0, mask), (1, mask)], pess,
                                  opt, stats)
         for a, X in enumerate(sources):
             assert pess[a] == [b for b in every
@@ -560,6 +565,108 @@ class TestAxisIndexRows:
             assert opt[a] == [b for b in every
                               if reach_optimistic(X, boxes[b], sys)]
             assert 0 < len(pess[a]) < len(opt[a]) < len(every)
+
+
+class TestFillViews:
+    """A query batch fills its views in one pass (``fill_views``); each
+    part must be what a fresh view computes on first access."""
+
+    @staticmethod
+    def _batch(sys, rng):
+        """Random boxes, flat boxes and boxes that miss the domain."""
+        boxes = TestAxisIndexRows._boxes(sys, rng, 24)
+        for k in range(sys.n):
+            X = boxes[k]
+            at = X.lower[k]
+            boxes.append(Box(X.lower, X.upper[:k] + (at,) + X.upper[k + 1:]))
+        boxes.append(Box(tuple(sys.domain.lower), tuple(sys.domain.lower)))
+        boxes.append(Box(tuple(hi + 1 for hi in sys.domain.upper),
+                         tuple(hi + 2 for hi in sys.domain.upper)))
+        boxes.append(Box(tuple(lo - 1 for lo in sys.domain.lower),
+                         tuple(lo - Fraction(1, 3)
+                               for lo in sys.domain.lower)))
+        return boxes
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", list(TestAxisIndexRows.SYSTEMS))
+    def test_batch_fill_equals_lazy_views(self, name, seed):
+        rng = random.Random(seed)
+        sys = TestAxisIndexRows.SYSTEMS[name]()
+        boxes = self._batch(sys, rng)
+        flat = sum(any(lo == hi for lo, hi in zip(b.lower, b.upper))
+                   for b in boxes)
+        missing = sum(BoxView(b, sys).ranges is None for b in boxes)
+        assert flat > sys.n and missing >= 2
+        # some views already hold a part; some boxes hold the view of
+        # another system object, equal to sys, which the memo replaces
+        held = {}
+        for b in boxes[::4]:
+            held[id(b)] = box_view(b, sys).ranges
+        other = TestAxisIndexRows.SYSTEMS[name]()
+        for b in boxes[1::4]:
+            box_view(b, other).slabs
+        ranges = fill_views(boxes, sys, "ranges")
+        slabs = fill_views(boxes, sys, "slabs")
+        for b, r, s in zip(boxes, ranges, slabs):
+            fresh = BoxView(Box(b.lower, b.upper), sys)
+            assert r == fresh.ranges and s == fresh.slabs
+            view = box_view(b, sys)
+            assert view.sys is sys
+            # stored where the view's own first access would read it
+            assert vars(view)["ranges"] is r and vars(view)["slabs"] is s
+            if id(b) in held:
+                assert r is held[id(b)]
+        # a second fill reads the parts the first one stored
+        assert all(a is b for a, b in zip(fill_views(boxes, sys, "slabs"),
+                                          slabs))
+
+
+class TestRowMasks:
+    """``refine`` hands each undecided row to ``_run_queries`` as one
+    candidate mask per parent: the non-losing children of the parent's
+    old optimistic row."""
+
+    def test_masks_hold_the_live_children_of_the_old_row(self, monkeypatch):
+        checked = []
+
+        def checked_refine(pair, forest, sys):
+            captured = []
+            real = abstraction._run_queries
+
+            def capture(boxes, sys, rows, *rest):
+                captured.extend(rows)
+                return real(boxes, sys, rows, *rest)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(abstraction, "_run_queries", capture)
+                nxt = refine(pair, forest, sys)
+            old = set(pair.regions)
+
+            def parent(rid):
+                return rid if rid in old else rid[:-1]
+
+            undecided = (Status.MAYBE, Status.UNEXPLORED)
+            assert [a for a, _ in captured] == [
+                a for a, r in enumerate(nxt.regions)
+                if forest.status(r) in undecided]
+            masks = {}
+            for a, mask in captured:
+                rid = nxt.regions[a]
+                row = set(pair.opt_edges[parent(rid)])
+                assert mask == sum(
+                    1 << b for b, r in enumerate(nxt.regions)
+                    if parent(r) in row
+                    and forest.status(r) is not Status.LOSING), rid
+                # the children of one parent share its mask
+                assert masks.setdefault(parent(rid), mask) is mask
+            checked.append(len(captured))
+            return nxt
+
+        monkeypatch.setattr(engine, "refine", checked_refine)
+        opts = engine.EngineOptions(max_iters=3, min_cell=Fraction(1, 8))
+        for k in (0, 1, 2, 5, 10, 24):
+            engine.run(*random_problem(k, with_env=True), opts)
+        assert len(checked) >= 6 and sum(checked) > 0
 
 
 class TestExports:

@@ -170,6 +170,16 @@ class TestSynthesizeCommand:
         bad.write_text(json.dumps(data))
         assert main(["synthesize", str(bad)]) == EXIT_INPUT_ERROR
 
+    def test_deeply_nested_file_exit_three(self, tmp_path, capsys):
+        # json's decoder recurses once per level
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["synthesize", str(deep), "--out", str(tmp_path / "r")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: {deep}: JSON nested too deeply\n"
+        assert not (tmp_path / "r").exists()
+
     def test_removed_rebuild_check_flag_is_usage_error(self, invariant_path,
                                                        tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -624,6 +634,19 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_INPUT_ERROR
         assert "bad env script entry" in capsys.readouterr().err
+
+    def test_deeply_nested_env_script_is_input_error(self, park_path,
+                                                     park_run, tmp_path,
+                                                     capsys):
+        script = tmp_path / "script.json"
+        script.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["simulate", park_path, str(park_run / "controller.json"),
+                     "--env-script", str(script),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: {script}: JSON nested too deeply\n"
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("mutate, message", [
         (_drop("strategy"), "missing key 'strategy'"),

@@ -947,6 +947,29 @@ class TestPinnedCube:
             monkeypatch)
 
 
+class TestPinnedSlabCounts:
+    """Every iteration's (slab_pess, slab_opt) counts, the queries the axis
+    index left to ``reach_pessimistic`` and ``reach_optimistic``: with
+    the digests of ``TestPinnedAbstractions``, which hold the other three
+    ``QueryStats`` counts, a change to the query layer must leave all five
+    unchanged.  Only coupled, random_1 and the cube have normals off the
+    axes."""
+
+    @pytest.mark.parametrize("name, counts", [
+        ("coupled", [(21, 99), (452, 821)]),
+        ("park", [(0, 0)]),
+        ("random_1", [(0, 25), (0, 193), (0, 1462)]),
+        ("random_2", [(0, 0), (0, 0), (0, 0)]),
+        ("random_5", [(0, 0), (0, 0), (0, 0)]),
+        ("random_24", [(0, 0), (0, 0), (0, 0)]),
+        ("cube", [(12, 341), (937, 7521)]),
+    ])
+    def test_iterations_are_pinned(self, name, counts):
+        verdict = run(*PINNED_PROBLEMS[name]())
+        assert [(s.queries_slab_pess, s.queries_slab_opt)
+                for s in verdict.stats] == counts
+
+
 class TestPinnedStrategies:
     """The final game's winning regions and the shipped strategy, pinned
     by SHA-256 digests of ``region_winning`` (sorted region ids) and of
